@@ -55,7 +55,7 @@ __all__ = [
     "comparison_to_text",
 ]
 
-_REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 1
 
 _NOTES = (
     "image features: wavelet band statistics + 8x8 pooled grid (hand crafted, "
@@ -340,7 +340,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": _REPORT_SCHEMA_VERSION,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "kind": "metrics-report",
             "classes": list(self.classes),
             "confusion_matrix": self.confusion.tolist(),

@@ -1,32 +1,26 @@
 """Command-line entry points.
 
-Exit codes: 0 ok, 2 configuration or contract error, 3 data or file
-format error, 4 numerical failure.
+Exit codes: 0 ok, 2 configuration or contract error, 3 data, file
+format or operating-system (file access) error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pathlib
 import sys
 
 import click
 import numpy as np
 
 from . import pipeline as pl
-from .classify import comparison_to_text, kfold_evaluate
+from .classify import kfold_evaluate
 from .denoise import TrainConfig, denoise as run_denoise, load_weights, save_weights, train_denoiser
 from .errors import ConfigError, ContractError, DataError, NumericalError
-from .fusion import (
-    FusionRule,
-    fuse_wavelet,
-    fusion_quality,
-    ncc,
-    register_rigid,
-    resample_bilinear,
-)
-from .images import gradient_magnitude, read_pgm, write_pgm
-from .phantom import PhantomConfig, SUBTYPES, describe, generate, render_pet, sample_patient
+from .fusion import FusionRule, fuse_wavelet, fusion_quality, ncc
+from .images import read_pgm, write_json, write_pgm
+from .phantom import PhantomConfig, describe, generate
 from .tabular import apply_preprocess, fit_preprocess, read_table
 
 
@@ -115,16 +109,13 @@ def fuse_cmd(ct_path, pet_path, out, family, levels, ll_rule, detail_rule, do_re
     ll, weight = _parse_ll_rule(ll_rule)
     rule = FusionRule(ll_rule=ll, ll_weight_ct=weight, detail_rule=_DETAIL_RULES[detail_rule])
     if do_register == "on":
-        t = register_rigid(ct, pet)
-        pet = resample_bilinear(pet, t)
+        pet, _ = pl.align(ct, pet)
     fused = fuse_wavelet(ct, pet, family=family, levels=levels, rule=rule)
     write_pgm(fused, out)
     if report_path is not None:
         doc = fusion_quality(fused, ct, pet)
         doc["out"] = os.path.basename(out)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(report_path, doc)
     click.echo(f"fused image written to {out}")
 
 
@@ -139,12 +130,7 @@ def fuse_cmd(ct_path, pet_path, out, family, levels, ll_rule, detail_rule, do_re
 def register_cmd(fixed, moving, out, resampled, features):
     """Estimate the rigid transform aligning one image to another."""
     fixed_img = read_pgm(fixed)
-    moving_img = read_pgm(moving)
-    if features == "gradient":
-        t = register_rigid(gradient_magnitude(fixed_img), gradient_magnitude(moving_img))
-    else:
-        t = register_rigid(fixed_img, moving_img)
-    aligned = resample_bilinear(moving_img, t)
+    aligned, t = pl.align(fixed_img, read_pgm(moving), features)
     doc = {
         "kind": "rigid-transform",
         "tx": t.tx,
@@ -153,9 +139,7 @@ def register_cmd(fixed, moving, out, resampled, features):
         "scale": t.scale,
         "ncc": ncc(fixed_img, aligned),
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out, doc)
     if resampled is not None:
         write_pgm(aligned, resampled)
     _emit(doc)
@@ -186,12 +170,7 @@ def denoise_train_cmd(out, images, n_images, size, train_seed, lr, batch_size, e
             raise DataError(f"no .pgm files in {images}")
         clean = [read_pgm(p) for p in paths]
     else:
-        rng = np.random.default_rng(train_seed)
-        scene_cfg = PhantomConfig(n_patients=2, image_size=size, seed=0, noise_sigma=0.0)
-        clean = [
-            render_pet(sample_patient(rng, scene_cfg, SUBTYPES[i % 2])["geometry"], size)
-            for i in range(n_images)
-        ]
+        clean = pl.denoiser_scenes(n_images, size, train_seed)
     cfg = TrainConfig(
         learning_rate=lr,
         batch_size=batch_size,
@@ -239,25 +218,17 @@ def preprocess_cmd(csv_path, schema, out_matrix, out_stats):
             "numeric_stats": {k: list(v) for k, v in fitted.numeric_stats.items()},
             "modes": dict(fitted.modes),
         }
-        with open(out_stats, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(out_stats, doc)
     click.echo(f"{x.shape[0]} rows x {x.shape[1]} features written to {out_matrix}")
 
 
-def _config_doc(config, sets):
-    user = {}
-    if config is not None:
-        try:
-            with open(config, encoding="utf-8") as fh:
-                user = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {config} is not valid JSON: {exc}") from None
-    if sets:
-        user = pl.apply_overrides(user, sets)
-    return pl.resolve_config(user)
+def _fused_dir(dataset, fused_dir, work_dir, doc) -> str:
+    """The given --fused-dir, or <work_dir>/fused computed now by the pipeline."""
+    if fused_dir is None:
+        fused_dir = os.path.join(work_dir, "fused")
+        os.makedirs(fused_dir, exist_ok=True)
+        pl.compute_fused_dir(dataset, fused_dir, doc)
+    return fused_dir
 
 
 @cli.command("evaluate")
@@ -272,20 +243,15 @@ def _config_doc(config, sets):
               help="comma-separated modalities: ct, fused, tabular")
 def evaluate_cmd(dataset, out, fused_dir, config, sets, inputs):
     """Cross-validated evaluation of one modality combination."""
-    doc = _config_doc(config, sets)
-    if fused_dir is None:
-        fused_dir = os.path.join(os.path.dirname(os.path.abspath(out)) or ".", "fused")
-        os.makedirs(fused_dir, exist_ok=True)
-        pl.compute_fused_dir(dataset, fused_dir, doc)
+    doc = pl.load_config(config, sets)
+    fused_dir = _fused_dir(dataset, fused_dir, os.path.dirname(os.path.abspath(out)), doc)
     cfg = pl.classify_config_from(doc)
     ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels)
     chosen = tuple(s.strip() for s in inputs.split(",") if s.strip())
     report = kfold_evaluate(
         ds, inputs=chosen, k=doc["evaluate"]["k"], cfg=cfg, seed=doc["evaluate"]["seed"]
     )
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out, report.to_dict())
     _emit({"out": out, "summary": report.to_dict()["summary"]})
 
 
@@ -297,31 +263,11 @@ def evaluate_cmd(dataset, out, fused_dir, config, sets, inputs):
 @click.option("--set", "sets", multiple=True)
 def compare_cmd(dataset, out_dir, fused_dir, config, sets):
     """Compare tabular-only, CT-only, fused and multimodal classifiers."""
-    doc = _config_doc(config, sets)
+    doc = pl.load_config(config, sets)
     os.makedirs(out_dir, exist_ok=True)
-    if fused_dir is None:
-        fused_dir = os.path.join(out_dir, "fused")
-        os.makedirs(fused_dir, exist_ok=True)
-        pl.compute_fused_dir(dataset, fused_dir, doc)
-    results = pl.evaluate_dataset(dataset, fused_dir, doc)
-    text = comparison_to_text(results)
-    metrics_path = os.path.join(out_dir, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "schema_version": 1,
-                "kind": "pipeline-report",
-                "resolved_config": doc,
-                "results": {name: rep.to_dict() for name, rep in results.items()},
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    with open(os.path.join(out_dir, "comparison.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    click.echo(text)
+    fused_dir = _fused_dir(dataset, fused_dir, out_dir, doc)
+    pl._evaluate_stage(dataset, fused_dir, doc, out_dir)
+    click.echo(pathlib.Path(out_dir, "comparison.txt").read_text(encoding="utf-8"))
 
 
 @cli.command("run")
@@ -331,8 +277,7 @@ def compare_cmd(dataset, out_dir, fused_dir, config, sets):
 @click.option("--set", "sets", multiple=True, help="override, e.g. phantom.seed=7")
 def run_cmd(config, out, sets):
     """Run the full pipeline and write a report bundle."""
-    doc = _config_doc(config, sets)
-    summary = pl.run_pipeline(doc, out)
+    summary = pl.run_pipeline(pl.load_config(config, sets), out)
     _emit(summary)
 
 
@@ -347,7 +292,7 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except DataError as exc:  # includes FormatError
+    except (DataError, OSError) as exc:  # DataError includes FormatError
         click.echo(f"error: {exc}", err=True)
         return 3
     except NumericalError as exc:

@@ -1,22 +1,17 @@
-"""Grayscale image model, 16-bit PGM I/O, intensity ops, lung masking.
+"""Grayscale image model, 16-bit PGM I/O, gradient magnitude, JSON files.
 
 Images are plain 2D float64 arrays in row-major order (index [y, x],
-y increasing downward), intensities nominally in [0, 1]. Volumes are a
-thin dataclass stacking same-sized slices with physical spacing kept as
-metadata only.
+y increasing downward), intensities nominally in [0, 1].
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import ContractError, DataError, FormatError
+from .errors import ContractError, FormatError
 
 PGM_MAXVAL = 65535
 
@@ -34,26 +29,6 @@ def as_image(data) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ContractError("image contains NaN or Inf")
     return arr
-
-
-@dataclass
-class Volume:
-    """Ordered stack of same-sized slices; spacing (dx, dy, dz) in mm."""
-
-    slices: np.ndarray  # (n, h, w) float64
-    spacing: tuple = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        arr = np.asarray(self.slices, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] < 1:
-            raise ContractError("volume needs >= 1 slice of uniform shape")
-        if not np.all(np.isfinite(arr)):
-            raise ContractError("volume contains NaN or Inf")
-        self.slices = arr
-        self.spacing = tuple(float(s) for s in self.spacing)
-
-    def __len__(self):
-        return self.slices.shape[0]
 
 
 class _PgmScanner:
@@ -140,46 +115,6 @@ def write_pgm(img, path) -> None:
         fh.write(quant.tobytes())
 
 
-def read_volume(dirpath) -> Volume:
-    """Read a volume directory: slice_0000.pgm ... plus meta.json with spacing."""
-    names = sorted(n for n in os.listdir(dirpath) if re.fullmatch(r"slice_\d{4}\.pgm", n))
-    if not names:
-        raise DataError(f"no slice_NNNN.pgm files in {dirpath}")
-    slices = [read_pgm(os.path.join(dirpath, n)) for n in names]
-    shapes = {s.shape for s in slices}
-    if len(shapes) > 1:
-        raise FormatError(f"slices have mixed dimensions: {sorted(shapes)}")
-    spacing = (1.0, 1.0, 1.0)
-    meta_path = os.path.join(dirpath, "meta.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            try:
-                meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad meta.json: {exc}") from exc
-        spacing = tuple(float(v) for v in meta.get("spacing", spacing))
-    return Volume(slices=np.stack(slices), spacing=spacing)
-
-
-def write_volume(vol: Volume, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    for i in range(len(vol)):
-        write_pgm(vol.slices[i], os.path.join(dirpath, f"slice_{i:04d}.pgm"))
-    with open(os.path.join(dirpath, "meta.json"), "w") as fh:
-        json.dump({"spacing": list(vol.spacing)}, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def normalize_unit(img) -> np.ndarray:
-    """Affinely map [min, max] to [0, 1]; a constant image maps to all zeros."""
-    arr = as_image(img)
-    lo = arr.min()
-    hi = arr.max()
-    if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
-
-
 def gradient_magnitude(img) -> np.ndarray:
     """Central-difference gradient magnitude (one-sided at the borders).
 
@@ -191,54 +126,8 @@ def gradient_magnitude(img) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def equalize_contrast(img, bins: int = 256) -> np.ndarray:
-    """Histogram equalization: remap each value v to cdf(v) = P(X <= v).
-
-    Monotone by construction (the CDF never decreases), output in [0,1].
-    """
-    arr = as_image(img)
-    if bins < 2:
-        raise ContractError(f"bins must be >= 2, got {bins}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ContractError("equalize_contrast expects values in [0,1]")
-    idx = np.minimum((arr * bins).astype(np.intp), bins - 1)
-    hist = np.bincount(idx.ravel(), minlength=bins)
-    cdf = np.cumsum(hist) / arr.size
-    return cdf[idx]
-
-
-def lung_mask(img, threshold: float = 0.35, min_region_px: int = 8) -> np.ndarray:
-    """Dark interior regions: threshold, drop border-touching and tiny components.
-
-    Pixels below `threshold` are candidates; 4-connected components that
-    touch the image border (outside-body air) or contain fewer than
-    `min_region_px` pixels are discarded. Returns a boolean mask.
-    """
-    arr = as_image(img)
-    cand = arr < threshold
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    labels, n = ndimage.label(cand, structure=structure)
-    if n == 0:
-        return np.zeros_like(cand)
-    border = np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-    drop = set(np.unique(border)) - {0}
-    keep = np.zeros(n + 1, dtype=bool)
-    counts = np.bincount(labels.ravel(), minlength=n + 1)
-    for lab in range(1, n + 1):
-        keep[lab] = lab not in drop and counts[lab] >= min_region_px
-    return keep[labels]
-
-
-def filter_lung_slices(
-    vol: Volume, threshold: float = 0.35, min_lung_fraction: float = 0.01
-) -> Volume:
-    """Keep slices whose lung-mask area fraction is >= min_lung_fraction."""
-    kept = []
-    for i in range(len(vol)):
-        sl = vol.slices[i]
-        frac = lung_mask(sl, threshold=threshold).mean()
-        if frac >= min_lung_fraction:
-            kept.append(sl)
-    if not kept:
-        raise DataError("no lung slices")
-    return Volume(slices=np.stack(kept), spacing=vol.spacing)
+def write_json(path, doc) -> None:
+    """Write doc as JSON with one-space indent and sorted keys, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")

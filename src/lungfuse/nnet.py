@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError
 
@@ -38,7 +37,13 @@ def relu(x):
 
 
 def sigmoid(x):
-    return expit(x)
+    """Logistic function, split by sign so exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def softmax(z):

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
 from .fusion import RigidTransform
-from .images import read_pgm, write_pgm
+from .images import read_pgm, write_json, write_pgm
+from .nnet import sigmoid
 from .tabular import ColumnSpec, TabularDataset, read_table, write_table
 
 __all__ = [
@@ -83,10 +84,6 @@ class PhantomConfig:
             raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
 
 
-def _sig(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-
-
 def _grid(size):
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     return xx, yy
@@ -115,11 +112,12 @@ def apply_point(t: RigidTransform, size: int, p):
 def render_ct(geom: dict, size: int) -> np.ndarray:
     """Noise-free CT scene from a truth geometry record."""
     xx, yy = _grid(size)
-    img = 0.05 + 0.80 * _sig((1.0 - _edist(xx, yy, geom["body_center"], geom["body_axes"])) / 0.035)
+    body = _edist(xx, yy, geom["body_center"], geom["body_axes"])
+    img = 0.05 + 0.80 * sigmoid((1.0 - body) / 0.035)
     for lung in geom["lungs"]:
         d = _edist(xx, yy, lung["center"], lung["axes"])
         # depth 1.0 puts the 0.35 threshold crossing exactly at d = 1
-        img -= 1.0 * _sig((1.0 - d) / 0.056)
+        img -= 1.0 * sigmoid((1.0 - d) / 0.056)
     tx, ty = geom["tumor_center"]
     sig2 = geom["tumor_sigma"] ** 2
     tex = geom["texture"]
@@ -138,11 +136,11 @@ def render_pet(geom: dict, size: int, hotspot: bool = True) -> np.ndarray:
     d = _edist(xx, yy, pet["glow_center"], pet["glow_axes"], pet["glow_phi"])
     # edge slope matches the CT body edge so cross-modal registration
     # sees the same boundary profile in both images
-    img = 0.06 + pet["glow_amp"] * _sig((1.0 - d) / 0.035)
+    img = 0.06 + pet["glow_amp"] * sigmoid((1.0 - d) / 0.035)
     for lung in pet["lungs"]:
         # air-filled lung takes up less tracer; also anchors rotation
         dl = _edist(xx, yy, lung["center"], lung["axes"], pet["glow_phi"])
-        img -= 0.12 * _sig((1.0 - dl) / 0.056)
+        img -= 0.12 * sigmoid((1.0 - dl) / 0.056)
     if hotspot:
         hx, hy = pet["hotspot_center"]
         img += pet["hotspot_amp"] * np.exp(
@@ -288,12 +286,6 @@ def _tabular_columns():
     return cols
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def generate(cfg: PhantomConfig, out_dir) -> dict:
     """Write a complete dataset directory; returns a small summary.
 
@@ -349,7 +341,7 @@ def generate(cfg: PhantomConfig, out_dir) -> dict:
         label_column="subtype",
         id_column="patient",
     )
-    _write_json(
+    write_json(
         os.path.join(out_dir, "manifest.json"),
         {
             "schema_version": _MANIFEST_VERSION,
@@ -360,7 +352,7 @@ def generate(cfg: PhantomConfig, out_dir) -> dict:
             "rows": manifest_rows,
         },
     )
-    _write_json(
+    write_json(
         os.path.join(out_dir, "truth.json"),
         {
             "schema_version": _MANIFEST_VERSION,
@@ -368,7 +360,7 @@ def generate(cfg: PhantomConfig, out_dir) -> dict:
             "patients": patients,
         },
     )
-    _write_json(
+    write_json(
         os.path.join(out_dir, "meta.json"),
         {
             "schema_version": _MANIFEST_VERSION,
@@ -391,7 +383,7 @@ def load_manifest(dataset_dir) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"manifest is not valid JSON: {exc}") from None
     if doc.get("kind") != "phantom-manifest":
         raise FormatError(f"{path}: not a phantom manifest")

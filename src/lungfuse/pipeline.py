@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    REPORT_SCHEMA_VERSION,
     ClassifyConfig,
     MMDataset,
     compare_modalities,
@@ -33,9 +34,9 @@ from .classify import (
     extract_image_features,
 )
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError
+from .errors import ConfigError, LungFuseError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
-from .images import gradient_magnitude, read_pgm, write_pgm
+from .images import gradient_magnitude, read_pgm, write_json, write_pgm
 from .phantom import PhantomConfig, SUBTYPES, generate, load_manifest, render_pet, sample_patient
 from .tabular import BoostConfig, read_table, take_rows
 
@@ -47,6 +48,8 @@ __all__ = [
     "apply_overrides",
     "run_pipeline",
     "version_info",
+    "align",
+    "denoiser_scenes",
     "compute_fused_dir",
     "evaluate_dataset",
     "classify_config_from",
@@ -54,7 +57,6 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA_VERSION = 1
-_REPORT_SCHEMA_VERSION = 1  # must match MetricsReport.to_dict schema_version
 
 DEFAULTS = {
     "phantom": {
@@ -138,14 +140,19 @@ def resolve_config(user: dict | None) -> dict:
     return doc
 
 
-def load_config(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+def load_config(path=None, sets=()) -> dict:
+    """Resolve the JSON config at path (defaults when None), then the overrides."""
+    user = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                user = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if sets:
+        user = apply_overrides(user, sets)
     return resolve_config(user)
 
 
@@ -248,7 +255,7 @@ def version_info() -> dict:
     return {
         "version": __version__,
         "config_schema_version": CONFIG_SCHEMA_VERSION,
-        "report_schema_version": _REPORT_SCHEMA_VERSION,
+        "report_schema_version": REPORT_SCHEMA_VERSION,
         "defaults": copy.deepcopy(DEFAULTS),
     }
 
@@ -297,7 +304,9 @@ class _Stages:
                 build(tmp)
             except Exception as exc:
                 shutil.rmtree(tmp, ignore_errors=True)
-                raise type(exc)(f"stage {name}: {exc} (hint: {hint})") from exc
+                if isinstance(exc, LungFuseError):
+                    raise type(exc)(f"stage {name}: {exc} (hint: {hint})") from exc
+                raise
             shutil.rmtree(outdir, ignore_errors=True)
             tmp.rename(outdir)
             (outdir / ".complete").write_text("")
@@ -313,16 +322,19 @@ class _Stages:
 # ------------------------------------------------------------- stage work
 
 
+def denoiser_scenes(n_images: int, size: int, seed: int) -> list:
+    """Noise-free synthetic PET scenes for denoiser training, subtypes alternating."""
+    rng = np.random.default_rng(seed)
+    scene_cfg = PhantomConfig(n_patients=2, image_size=size, seed=0, noise_sigma=0.0)
+    return [
+        render_pet(sample_patient(rng, scene_cfg, SUBTYPES[i % 2])["geometry"], size)
+        for i in range(n_images)
+    ]
+
+
 def _train_denoiser_stage(doc: dict, outdir) -> None:
     d = doc["denoise"]
-    rng = np.random.default_rng(d["train_seed"])
-    scene_cfg = PhantomConfig(
-        n_patients=2, image_size=d["train_size"], seed=0, noise_sigma=0.0
-    )
-    clean = [
-        render_pet(sample_patient(rng, scene_cfg, SUBTYPES[i % 2])["geometry"], d["train_size"])
-        for i in range(d["train_images"])
-    ]
+    clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
     weights, _log = train_denoiser(clean, _train_config(doc))
     save_weights(os.path.join(outdir, "weights.json"), weights)
 
@@ -333,6 +345,20 @@ def _denoise_stage(dataset_dir, weights_path, outdir) -> None:
     for row in manifest["rows"]:
         pet = read_pgm(os.path.join(dataset_dir, row["pet"]))
         write_pgm(denoise(weights, pet), os.path.join(outdir, f"{row['id']}_pet.pgm"))
+
+
+def align(fixed, moving, features: str = "gradient"):
+    """Rigidly register moving onto fixed; returns (resampled moving, transform).
+
+    The default matches gradient magnitude: CT and PET intensities do not
+    correspond, but tissue boundaries do.  features="raw" matches the
+    intensities themselves, for same-modality pairs.
+    """
+    if features == "gradient":
+        t = register_rigid(gradient_magnitude(fixed), gradient_magnitude(moving))
+    else:
+        t = register_rigid(fixed, moving)
+    return resample_bilinear(moving, t), t
 
 
 def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
@@ -352,9 +378,7 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
         else:
             pet = read_pgm(os.path.join(pet_dir, f"{row['id']}_pet.pgm"))
         if f["register"]:
-            # match on edges: CT/PET intensities differ but boundaries agree
-            t = register_rigid(gradient_magnitude(ct), gradient_magnitude(pet))
-            pet = resample_bilinear(pet, t)
+            pet, t = align(ct, pet)
         else:
             t = RigidTransform(0.0, 0.0, 0.0, 1.0)
         fused = fuse_wavelet(ct, pet, family=f["family"], levels=f["levels"], rule=rule)
@@ -368,7 +392,7 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
                 "scale": t.scale,
             }
         )
-    _write_json(os.path.join(outdir, "transforms.json"), {"rows": transforms})
+    write_json(os.path.join(outdir, "transforms.json"), {"rows": transforms})
 
 
 def build_mmdataset(dataset_dir, fused_dir, levels: int) -> MMDataset:
@@ -402,10 +426,10 @@ def evaluate_dataset(dataset_dir, fused_dir, doc: dict) -> dict:
 
 def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
     results = evaluate_dataset(dataset_dir, fused_dir, doc)
-    _write_json(
+    write_json(
         os.path.join(outdir, "metrics.json"),
         {
-            "schema_version": _REPORT_SCHEMA_VERSION,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "kind": "pipeline-report",
             "resolved_config": doc,
             "results": {name: rep.to_dict() for name, rep in results.items()},
@@ -413,12 +437,6 @@ def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
     )
     with open(os.path.join(outdir, "comparison.txt"), "w", encoding="utf-8") as fh:
         fh.write(comparison_to_text(results))
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # ------------------------------------------------------------------ runs
@@ -488,16 +506,16 @@ def run_pipeline(doc: dict, out_dir) -> dict:
     report_dir.mkdir()
     shutil.copy2(eval_dir / "metrics.json", report_dir / "metrics.json")
     shutil.copy2(eval_dir / "comparison.txt", report_dir / "comparison.txt")
-    _write_json(report_dir / "resolved_config.json", doc)
+    write_json(report_dir / "resolved_config.json", doc)
     fused_out = report_dir / "fused"
     fused_out.mkdir()
     for p in sorted(pathlib.Path(fused_dir).glob("*.pgm")):
         shutil.copy2(p, fused_out / p.name)
     shutil.copy2(fused_dir / "transforms.json", fused_out / "transforms.json")
-    _write_json(
+    write_json(
         report_dir / "pipeline_log.json",
         {
-            "schema_version": _REPORT_SCHEMA_VERSION,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "kind": "pipeline-log",
             "stages": [
                 {k: s[k] for k in ("stage", "key", "output_hash")} for s in stages.log

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
+from .nnet import sigmoid
 
 __all__ = [
     "ColumnSpec",
@@ -364,15 +365,6 @@ class ImportanceReport:
     first_split: tuple | None = None  # (feature, threshold, gain) of first root
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _best_split(xn, g, h, lam, mcw):
     """Exact greedy scan over all features at one node; None if no gain."""
     n, nf = xn.shape
@@ -405,7 +397,7 @@ def _boost_binary(x, y, cfg: BoostConfig, gains: np.ndarray, record_first):
     f = np.zeros(n)
     first = record_first
     for _ in range(cfg.n_estimators):
-        p = _sigmoid(f)
+        p = sigmoid(f)
         g = p - y
         h = p * (1.0 - p)
         update = np.zeros(n)

@@ -24,15 +24,13 @@ reconstruction at machine precision.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .images import as_image, write_pgm
+from .images import as_image
 
 _SQRT3 = math.sqrt(3.0)
 _FILTERS = {
@@ -189,32 +187,3 @@ def idwt2(pyr: WaveletPyramid) -> np.ndarray:
         out_h, out_w = dims[lev]
         cur = _idwt_level(cur, lh, lv, ld, out_h, out_w, pyr.family)
     return cur
-
-
-def dump_bands(pyr: WaveletPyramid, dirpath) -> None:
-    """Debugging aid: each band as a PGM rescaled to [0,1] plus a JSON sidecar.
-
-    The sidecar records per-band (min, max) so the affine rescale can be
-    undone up to PGM quantization.
-    """
-    os.makedirs(dirpath, exist_ok=True)
-    bands = {"ll": pyr.ll}
-    for lev, (lh, lv, ld) in enumerate(pyr.details, start=1):
-        bands[f"l{lev}_lh"] = lh
-        bands[f"l{lev}_lv"] = lv
-        bands[f"l{lev}_ld"] = ld
-    sidecar = {
-        "family": pyr.family,
-        "levels": pyr.levels,
-        "original_dims": list(pyr.original_dims),
-        "bands": {},
-    }
-    for name, band in bands.items():
-        lo = float(band.min())
-        hi = float(band.max())
-        scaled = np.zeros_like(band) if hi == lo else (band - lo) / (hi - lo)
-        write_pgm(scaled, os.path.join(dirpath, f"{name}.pgm"))
-        sidecar["bands"][name] = {"min": lo, "max": hi}
-    with open(os.path.join(dirpath, "bands.json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lungfuse
+from lungfuse import pipeline as pl
 from lungfuse.cli import main
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm, write_pgm
@@ -104,6 +108,34 @@ def test_fuse_writes_image_and_report(capsys, tmp_path):
     assert img.shape == (64, 64)
     doc = json.loads(report.read_text())
     assert set(doc) >= {"entropy_f", "mi_f_ct", "mi_f_pet", "psnr_vs_ct", "ssim_vs_ct"}
+
+
+def test_fuse_default_matches_pipeline_fused_image(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=2, seed=1), ds)
+    fused = tmp_path / "fused.pgm"
+    rc, _, _ = _run(
+        capsys, "fuse",
+        "--ct", str(ds / "images/pt0000_ct.pgm"),
+        "--pet", str(ds / "images/pt0000_pet.pgm"),
+        "--out", str(fused),
+    )
+    assert rc == 0
+    pl.compute_fused_dir(ds, tmp_path, pl.resolve_config(None))
+    assert fused.read_bytes() == (tmp_path / "pt0000_fused.pgm").read_bytes()
+
+
+def test_fuse_into_missing_directory_exits_3(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=2, seed=1), ds)
+    rc, _, err = _run(
+        capsys, "fuse",
+        "--ct", str(ds / "images/pt0000_ct.pgm"),
+        "--pet", str(ds / "images/pt0000_pet.pgm"),
+        "--out", str(tmp_path / "missing" / "f.pgm"), "--register", "off",
+    )
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_fuse_rejects_bad_ll_rule(capsys, tmp_path):
@@ -259,6 +291,36 @@ def test_run_stage_error_names_stage_and_hints(capsys, tmp_path):
     assert rc == 3  # 24 patients cannot stratify into 13 folds
     assert "stage evaluate" in err
     assert "hint" in err
+
+
+def test_stage_error_outside_taxonomy_keeps_its_type(tmp_path):
+    def build(_outdir):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    with pytest.raises(UnicodeDecodeError):
+        pl._Stages(tmp_path).run("boom", {}, "no hint", build)
+
+
+def test_compare_on_non_utf8_manifest_exits_3(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=2, seed=1), ds)
+    (ds / "manifest.json").write_bytes(b'{"kind": "\xff\xfe"}')
+    rc, _, err = _run(
+        capsys, "compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
+        "--set", "fusion.register=false",
+    )
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    code = "import sys, lungfuse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_evaluate_subcommand_writes_metrics_report(capsys, tmp_path):

@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from lungfuse.errors import ContractError, DataError, FormatError
-from lungfuse.images import (
-    Volume,
-    equalize_contrast,
-    filter_lung_slices,
-    lung_mask,
-    normalize_unit,
-    read_pgm,
-    read_volume,
-    write_pgm,
-    write_volume,
-)
+from lungfuse.errors import ContractError, FormatError
+from lungfuse.images import read_pgm, write_pgm
 
 
 def test_read_pgm_maxval_scaling(tmp_path):
@@ -94,136 +84,3 @@ def test_write_pgm_rejects_out_of_range(tmp_path):
         write_pgm(np.array([[1.5]]), tmp_path / "x.pgm")
     with pytest.raises(ContractError):
         write_pgm(np.array([[-0.1]]), tmp_path / "x.pgm")
-
-
-def test_volume_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    vol = Volume(slices=rng.random((3, 8, 8)), spacing=(0.5, 0.5, 2.0))
-    d = tmp_path / "vol"
-    write_volume(vol, d)
-    back = read_volume(d)
-    assert back.spacing == (0.5, 0.5, 2.0)
-    assert np.max(np.abs(back.slices - vol.slices)) <= 1.0 / 65535
-
-
-def test_read_volume_empty_dir(tmp_path):
-    with pytest.raises(DataError):
-        read_volume(tmp_path)
-
-
-def test_normalize_unit_affine():
-    out = normalize_unit(np.array([[2.0, 4.0], [6.0, 8.0]]))
-    np.testing.assert_allclose(out, [[0.0, 1.0 / 3.0], [2.0 / 3.0, 1.0]])
-
-
-def test_normalize_unit_constant_to_zeros():
-    np.testing.assert_array_equal(normalize_unit(np.full((2, 2), 5.0)), np.zeros((2, 2)))
-
-
-def test_normalize_unit_idempotent():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        img = rng.normal(size=(16, 16))
-        once = normalize_unit(img)
-        np.testing.assert_allclose(normalize_unit(once), once, atol=1e-12)
-        assert once.min() >= 0.0 and once.max() <= 1.0
-
-
-def test_equalize_constant_stays_constant():
-    out = equalize_contrast(np.full((4, 4), 0.3))
-    assert np.all(out == out.flat[0])
-
-
-def test_equalize_two_value_cdf():
-    img = np.array([[0.2, 0.8], [0.2, 0.8]])
-    out = equalize_contrast(img)
-    np.testing.assert_allclose(np.unique(out), [0.5, 1.0])
-
-
-def test_equalize_uniform_ramp_near_identity():
-    ramp = np.arange(256, dtype=np.float64).reshape(16, 16) / 255.0
-    out = equalize_contrast(ramp, bins=256)
-    assert np.max(np.abs(out - ramp)) <= 1.0 / 256 + 1e-12
-
-
-def test_equalize_monotone_on_random_images():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        img = rng.random((12, 12))
-        out = equalize_contrast(img)
-        order = np.argsort(img, axis=None)
-        sorted_out = out.flat[order]
-        assert np.all(np.diff(sorted_out) >= -1e-15)
-
-
-def test_equalize_rejects_bad_bins():
-    with pytest.raises(ContractError):
-        equalize_contrast(np.zeros((2, 2)), bins=1)
-
-
-def _two_ellipse_slice(size=64):
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    cx, cy = size / 2, size / 2
-    img = np.full((size, size), 0.05)
-    body = ((xx - cx) / (size * 0.42)) ** 2 + ((yy - cy) / (size * 0.38)) ** 2 <= 1.0
-    img[body] = 0.85
-    truth = np.zeros((size, size), dtype=bool)
-    for lx in (cx - size * 0.18, cx + size * 0.18):
-        lung = ((xx - lx) / (size * 0.11)) ** 2 + ((yy - cy) / (size * 0.22)) ** 2 <= 1.0
-        img[lung] = 0.15
-        truth |= lung
-    return img, truth
-
-
-def test_lung_mask_two_interior_ellipses():
-    img, truth = _two_ellipse_slice()
-    mask = lung_mask(img)
-    inter = (mask & truth).sum()
-    union = (mask | truth).sum()
-    assert inter / union >= 0.95
-
-
-def test_lung_mask_all_bright_empty():
-    assert lung_mask(np.full((8, 8), 0.9)).sum() == 0
-
-
-def test_lung_mask_border_frame_removed():
-    img = np.full((10, 10), 0.9)
-    img[0, :] = img[-1, :] = img[:, 0] = img[:, -1] = 0.05
-    assert lung_mask(img).sum() == 0
-
-
-def test_lung_mask_small_region_removed():
-    img = np.full((16, 16), 0.9)
-    img[7, 7] = 0.05
-    assert lung_mask(img, min_region_px=8).sum() == 0
-    assert lung_mask(img, min_region_px=1).sum() == 1
-
-
-def test_lung_mask_shift_invariant_after_renormalize():
-    img, _ = _two_ellipse_slice(32)
-    shifted = normalize_unit(img + 3.0)
-    base = normalize_unit(img)
-    np.testing.assert_array_equal(lung_mask(base), lung_mask(shifted))
-
-
-def test_filter_lung_slices_selects_lung_range():
-    img, _ = _two_ellipse_slice(32)
-    blank = np.full((32, 32), 0.9)
-    stack = [blank, blank, img, img, img, blank]
-    vol = Volume(slices=np.stack(stack))
-    kept = filter_lung_slices(vol)
-    assert len(kept) == 3
-    np.testing.assert_array_equal(kept.slices[0], img)
-
-
-def test_filter_lung_slices_none_left():
-    vol = Volume(slices=np.full((3, 8, 8), 0.9))
-    with pytest.raises(DataError, match="no lung slices"):
-        filter_lung_slices(vol)
-
-
-def test_filter_lung_slices_zero_fraction_keeps_all():
-    vol = Volume(slices=np.full((3, 8, 8), 0.9))
-    kept = filter_lung_slices(vol, min_lung_fraction=0.0)
-    assert len(kept) == 3

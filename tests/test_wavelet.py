@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lungfuse.errors import ContractError
-from lungfuse.wavelet import WaveletPyramid, dump_bands, dwt2, idwt2, max_levels
+from lungfuse.wavelet import WaveletPyramid, dwt2, idwt2, max_levels
 
 
 def test_haar_constant_image():
@@ -133,18 +133,3 @@ def test_idwt2_rejects_inconsistent_bands():
 def test_unknown_family_rejected():
     with pytest.raises(ContractError):
         dwt2(np.ones((4, 4)), "sym4", 1)
-
-
-def test_dump_bands_writes_rescale_sidecar(tmp_path):
-    rng = np.random.default_rng(6)
-    pyr = dwt2(rng.random((16, 16)), "haar", 2)
-    d = tmp_path / "bands"
-    dump_bands(pyr, d)
-    names = {p.name for p in d.iterdir()}
-    assert "bands.json" in names
-    assert {"ll.pgm", "l1_lh.pgm", "l2_ld.pgm"} <= names
-    import json
-
-    sidecar = json.loads((d / "bands.json").read_text())
-    assert sidecar["bands"]["ll"]["max"] >= sidecar["bands"]["ll"]["min"]
-    assert sidecar["levels"] == 2
