@@ -7,11 +7,19 @@ center ((w-1)/2, (h-1)/2), a point p maps to
 
 so rotation and scaling pivot about the image center and tx/ty are
 read directly as pixel displacements of the content. Registration
-maximizes normalized cross-correlation over a fixed coarse grid, then
-hill-climbs with step halving. All tie-breaks are deterministic: the
-coarse stage takes the first maximum in lexicographic (tx, ty, theta,
-scale) scan order, the refinement accepts only strict improvements in
-a fixed candidate order.
+maximizes normalized cross-correlation over the overlap of the two
+images (masked NCC) on a fixed coarse grid, then hill-climbs with step
+halving. The coarse grid shifts by whole pixels (SearchBudget.t_max and
+t_step are integral), so for each (theta, scale) the scores at all
+shifts come from zero-padded FFT cross-correlations (Padfield, "Masked
+object registration in the Fourier domain", IEEE TIP 21(5), 2012).
+Cells whose FFT score lies within 1e-9 of the FFT maximum, and cells
+whose variance is too small for the FFT sums to resolve, are scored
+again directly, so the coarse pick and its score are exactly those of
+a per-cell scan. All tie-breaks are deterministic: the coarse stage
+takes the first maximum in lexicographic (tx, ty, theta, scale) scan
+order, the refinement accepts only strict improvements in a fixed
+candidate order.
 """
 
 from __future__ import annotations
@@ -90,6 +98,62 @@ class SearchBudget:
     scale_resolution: float = 0.01
     polish_halvings: int = 2
 
+    def __post_init__(self):
+        # the coarse grid shifts by whole pixels, which the FFT scores need
+        for name in ("t_max", "t_step"):
+            value = float(getattr(self, name))
+            if not value.is_integer():
+                raise ContractError(f"{name} must be a whole number of pixels, got {value}")
+        if self.t_step <= 0 or self.t_max < 0:
+            raise ContractError(
+                f"t_step must be positive and t_max non-negative, got {self.t_step}, {self.t_max}"
+            )
+
+
+def _resample(arr: np.ndarray, t: RigidTransform, out_w: int, out_h: int):
+    """Bilinear resample of arr and the mask of in-bounds source points.
+
+    Returns (image, valid): image samples outside the input are 0;
+    valid marks output pixels whose inverse-mapped source lies within
+    [0, w-1] x [0, h-1].
+    """
+    h, w = arr.shape
+    cx_in, cy_in = (w - 1) / 2.0, (h - 1) / 2.0
+    cx_out, cy_out = (out_w - 1) / 2.0, (out_h - 1) / 2.0
+    # p = R(-theta) (q - c_out - t) / scale + c_in, as outer differences
+    # of 1-D terms; in-place steps keep the IEEE operation order
+    dx = np.arange(out_w, dtype=np.float64) - cx_out - t.tx
+    dy = np.arange(out_h, dtype=np.float64) - cy_out - t.ty
+    c, s = math.cos(-t.theta), math.sin(-t.theta)
+    px = (c * dx)[None, :] - (s * dy)[:, None]
+    px /= t.scale
+    px += cx_in
+    py = (s * dx)[None, :] + (c * dy)[:, None]
+    py /= t.scale
+    py += cy_in
+    valid = (px >= 0) & (px <= w - 1) & (py >= 0) & (py <= h - 1)
+    x0 = np.floor(px)
+    y0 = np.floor(py)
+    fx = np.subtract(px, x0, out=px)
+    fy = np.subtract(py, y0, out=py)
+    # a 2 px zero border turns every out-of-bounds tap into a read of 0
+    padded = np.zeros((h + 4, w + 4))
+    padded[2:-2, 2:-2] = arr
+    row = w + 4
+    idx = np.clip(y0, -2, h, out=y0)
+    idx *= row
+    idx += np.clip(x0, -2, w, out=x0)
+    idx = idx.astype(np.intp)
+    idx += 2 * row + 2
+    gx = 1 - fx
+    gy = 1 - fy
+    out = np.zeros((out_h, out_w))
+    for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
+        tap = padded.take(idx + offset)
+        tap *= wx * wy
+        out += tap
+    return out, valid
+
 
 def resample_bilinear(img, t: RigidTransform, out_dims=None) -> np.ndarray:
     """Inverse-mapping bilinear resampling; out-of-bounds samples are 0.
@@ -104,33 +168,7 @@ def resample_bilinear(img, t: RigidTransform, out_dims=None) -> np.ndarray:
         out_w, out_h = int(out_dims[0]), int(out_dims[1])
         if out_w < 1 or out_h < 1:
             raise ContractError(f"bad out_dims {out_dims}")
-    cx_in, cy_in = (w - 1) / 2.0, (h - 1) / 2.0
-    cx_out, cy_out = (out_w - 1) / 2.0, (out_h - 1) / 2.0
-    qx, qy = np.meshgrid(np.arange(out_w, dtype=np.float64), np.arange(out_h, dtype=np.float64))
-    # p = R(-theta) (q - c_out - t) / scale + c_in
-    dx = qx - cx_out - t.tx
-    dy = qy - cy_out - t.ty
-    c, s = math.cos(-t.theta), math.sin(-t.theta)
-    px = (c * dx - s * dy) / t.scale + cx_in
-    py = (s * dx + c * dy) / t.scale + cy_in
-    x0 = np.floor(px).astype(np.intp)
-    y0 = np.floor(py).astype(np.intp)
-    fx = px - x0
-    fy = py - y0
-    out = np.zeros((out_h, out_w))
-    for ddy, ddx, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (0, 1, fx * (1 - fy)),
-        (1, 0, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xs = x0 + ddx
-        ys = y0 + ddy
-        ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
-        vals = np.zeros_like(out)
-        vals[ok] = arr[ys[ok], xs[ok]]
-        out += wgt * vals
-    return out
+    return _resample(arr, t, out_w, out_h)[0]
 
 
 def ncc(a, b) -> float:
@@ -160,19 +198,6 @@ def _shift_zero_fill(img: np.ndarray, tx: int, ty: int) -> np.ndarray:
     return out
 
 
-def _resample_valid(arr: np.ndarray, t: RigidTransform) -> np.ndarray:
-    """Mask of output pixels whose inverse-mapped source lies in bounds."""
-    h, w = arr.shape
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    qx, qy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dx = qx - cx - t.tx
-    dy = qy - cy - t.ty
-    c, s = math.cos(-t.theta), math.sin(-t.theta)
-    px = (c * dx - s * dy) / t.scale + cx
-    py = (s * dx + c * dy) / t.scale + cy
-    return (px >= 0) & (px <= w - 1) & (py >= 0) & (py <= h - 1)
-
-
 _MIN_VALID_FRACTION = 0.25
 
 
@@ -197,6 +222,116 @@ def _masked_ncc(fixed: np.ndarray, cand: np.ndarray, valid: np.ndarray) -> float
     return float(np.sum(fz * mz)) / (nf * nm)
 
 
+# FFT scores this close to the grid maximum are re-scored directly; the
+# FFT sums differ from the direct ones by ~1e-15 on non-degenerate cells
+_RESCORE_WINDOW = 1e-9
+# a windowed variance below this fraction of the image energy has lost
+# that many digits to cancellation in the FFT sums; score it directly
+_DEGENERATE_VARIANCE = 1e-4
+
+
+def _coarse_axes(sb: SearchBudget):
+    """Integer shifts, angles (rad) and scales of the coarse grid."""
+    shifts = np.arange(-int(sb.t_max), int(sb.t_max) + 1, int(sb.t_step))
+    # round away arange drift so e.g. scale 1.0 is evaluated exactly
+    thetas = np.deg2rad(
+        np.round(np.arange(-sb.theta_max_deg, sb.theta_max_deg + 1e-9, sb.theta_step_deg), 10)
+    )
+    scales = np.round(np.arange(sb.scale_min, sb.scale_max + 1e-9, sb.scale_step), 10)
+    return shifts, thetas, scales
+
+
+def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, scales):
+    """Masked NCC of every coarse cell from FFT correlations.
+
+    For each (theta, scale), moving is resampled once into base with
+    valid mask bv; shifting both by an integer (tx, ty) is then a
+    correlation, so the overlap count and the five sums of masked NCC
+    at all shifts come from six zero-padded FFT cross-correlations
+    (Padfield, "Masked object registration in the Fourier domain",
+    IEEE TIP 21(5), 2012). Returns scores indexed [tx, ty, theta,
+    scale], -inf below the overlap floor, and a mask of the cells whose
+    variances are too small to trust the FFT score.
+    """
+    h, w = fixed.shape
+    reach = int(np.max(np.abs(shifts)))
+    dims = (h + reach, w + reach)  # no circular wrap within the shift range
+    rows, cols = shifts % dims[0], shifts % dims[1]
+
+    def corr(a_hat, b_hat):
+        # 2-D inverse done axis by axis, keeping only the grid's rows
+        # before the second pass
+        part = np.fft.ifft(a_hat * b_hat, axis=0)[rows]
+        return np.fft.irfft(part, n=dims[1], axis=1)[:, cols].T  # [tx, ty]
+
+    floor = _MIN_VALID_FRACTION * fixed.size
+    f_energy = float(np.sum(fixed * fixed))
+    # fixed side, shared by every (theta, scale)
+    ones_hat, f_hat, ff_hat = (
+        np.fft.rfft2(x, s=dims) for x in (np.ones_like(fixed), fixed, fixed * fixed)
+    )
+    scores = np.full((len(shifts), len(shifts), len(thetas), len(scales)), -np.inf)
+    degenerate = np.zeros(scores.shape, dtype=bool)
+    for it, theta in enumerate(thetas):
+        for isc, scale in enumerate(scales):
+            base, valid = _resample(moving, RigidTransform(0.0, 0.0, theta, scale), w, h)
+            bv = valid.astype(np.float64)
+            bm = base * bv
+            m_energy = float(np.sum(bm * bm))
+            # conjugate spectra of the moving side turn products into correlations
+            bv_hat, bm_hat, mm_hat = (
+                np.conj(np.fft.rfft2(x, s=dims)) for x in (bv, bm, bm * bm)
+            )
+            n = np.rint(corr(ones_hat, bv_hat))
+            sf = corr(f_hat, bv_hat)
+            sff = corr(ff_hat, bv_hat)
+            sm = corr(ones_hat, bm_hat)
+            smm = corr(ones_hat, mm_hat)
+            sfm = corr(f_hat, bm_hat)
+            ok = n >= floor
+            n = np.where(ok, n, 1.0)
+            var_f = sff - sf * sf / n
+            var_m = smm - sm * sm / n
+            weak = ok & (
+                (var_f <= _DEGENERATE_VARIANCE * f_energy)
+                | (var_m <= _DEGENERATE_VARIANCE * m_energy)
+            )
+            good = ok & ~weak
+            cov = sfm - sf * sm / n
+            cell = scores[:, :, it, isc]
+            cell[good] = cov[good] / np.sqrt(var_f[good] * var_m[good])
+            degenerate[:, :, it, isc] = weak
+    return scores, degenerate
+
+
+def _coarse_pick(fixed: np.ndarray, moving: np.ndarray, sb: SearchBudget):
+    """First maximum of the direct masked-NCC grid and its direct score.
+
+    Cells are ranked by their FFT scores; every cell the FFT rounding
+    could have misranked against the maximum (within _RESCORE_WINDOW of
+    it, or flagged degenerate) is re-scored directly, so the pick and
+    its score are those of the per-cell search. Ties go to the first
+    cell in lexicographic (tx, ty, theta, scale) order.
+    """
+    h, w = fixed.shape
+    shifts, thetas, scales = _coarse_axes(sb)
+    scores, recheck = _fft_coarse_scores(fixed, moving, shifts, thetas, scales)
+    recheck |= np.isfinite(scores) & (scores >= np.max(scores) - _RESCORE_WINDOW)
+    bases = {}
+    for ix, iy, it, isc in np.argwhere(recheck):
+        if (it, isc) not in bases:
+            t0 = RigidTransform(0.0, 0.0, thetas[it], scales[isc])
+            bases[it, isc] = _resample(moving, t0, w, h)
+        base, base_valid = bases[it, isc]
+        tx, ty = int(shifts[ix]), int(shifts[iy])
+        scores[ix, iy, it, isc] = _masked_ncc(
+            fixed, _shift_zero_fill(base, tx, ty), _shift_zero_fill(base_valid, tx, ty)
+        )
+    ix, iy, it, isc = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    cur = [float(shifts[ix]), float(shifts[iy]), float(thetas[it]), float(scales[isc])]
+    return cur, float(scores[ix, iy, it, isc])
+
+
 def register_rigid(fixed, moving, search: SearchBudget | None = None) -> RigidTransform:
     """Find the rigid transform maximizing NCC(fixed, resample(moving, T))."""
     fixed = as_image(fixed)
@@ -206,44 +341,14 @@ def register_rigid(fixed, moving, search: SearchBudget | None = None) -> RigidTr
     if np.ptp(fixed) == 0.0 or np.ptp(moving) == 0.0:
         raise NumericalError("no correlation signal")
     sb = search or SearchBudget()
-
-    # round away arange drift so e.g. scale 1.0 is evaluated exactly
-    txs = np.round(np.arange(-sb.t_max, sb.t_max + 1e-9, sb.t_step), 10)
-    tys = txs
-    thetas = np.deg2rad(
-        np.round(np.arange(-sb.theta_max_deg, sb.theta_max_deg + 1e-9, sb.theta_step_deg), 10)
-    )
-    scales = np.round(np.arange(sb.scale_min, sb.scale_max + 1e-9, sb.scale_step), 10)
-
-    integral_t = np.allclose(txs, np.rint(txs))
-    scores = np.full((len(txs), len(tys), len(thetas), len(scales)), -np.inf)
-    for it, theta in enumerate(thetas):
-        for isc, scale in enumerate(scales):
-            t0 = RigidTransform(0.0, 0.0, theta, scale)
-            base = resample_bilinear(moving, t0)
-            base_valid = _resample_valid(moving, t0)
-            for ix, tx in enumerate(txs):
-                for iy, ty in enumerate(tys):
-                    if integral_t:
-                        itx, ity = int(round(tx)), int(round(ty))
-                        cand = _shift_zero_fill(base, itx, ity)
-                        valid = _shift_zero_fill(base_valid, itx, ity).astype(bool)
-                    else:
-                        t = RigidTransform(tx, ty, theta, scale)
-                        cand = resample_bilinear(moving, t)
-                        valid = _resample_valid(moving, t)
-                    scores[ix, iy, it, isc] = _masked_ncc(fixed, cand, valid)
-    # first maximum in lexicographic (tx, ty, theta, scale) order
-    flat = int(np.argmax(scores))
-    ix, iy, it, isc = np.unravel_index(flat, scores.shape)
-    cur = [float(txs[ix]), float(tys[iy]), float(thetas[it]), float(scales[isc])]
-    best = float(scores[ix, iy, it, isc])
+    h, w = fixed.shape
+    cur, best = _coarse_pick(fixed, moving, sb)
 
     def evaluate(params) -> float:
         if params[3] <= 0:
             return -np.inf
         t = RigidTransform(params[0], params[1], params[2], params[3])
-        return _masked_ncc(fixed, resample_bilinear(moving, t), _resample_valid(moving, t))
+        return _masked_ncc(fixed, *_resample(moving, t, w, h))
 
     # pattern search: the NCC landscape couples rotation/scale with
     # translation, so explore all +-step combinations, not just axis moves

@@ -149,7 +149,7 @@ def load_config(path=None, sets=()) -> dict:
                 user = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if sets:
         user = apply_overrides(user, sets)
@@ -158,6 +158,8 @@ def load_config(path=None, sets=()) -> dict:
 
 def apply_overrides(user: dict, pairs) -> dict:
     """Apply `section.key=value` strings on top of a raw config document."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(user).__name__}")
     out = copy.deepcopy(user)
     for pair in pairs:
         if "=" not in pair:
@@ -170,7 +172,10 @@ def apply_overrides(user: dict, pairs) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings allowed, e.g. model=logreg
-        out.setdefault(parts[0], {})[parts[1]] = value
+        section = out.setdefault(parts[0], {})
+        if not isinstance(section, dict):
+            raise ConfigError(f'config section "{parts[0]}" must be an object')
+        section[parts[1]] = value
     return out
 
 

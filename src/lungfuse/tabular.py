@@ -10,6 +10,7 @@ exact greedy splits.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -132,46 +133,50 @@ def _load_schema(schema_path):
 def read_table(csv_path, schema_path) -> TabularDataset:
     """Load a CSV with a header row against a schema JSON."""
     cols, label_col, missing, id_col = _load_schema(schema_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{csv_path}: empty CSV") from None
-        expected = {c.name for c in cols} | {label_col} | ({id_col} if id_col else set())
-        unknown = [h for h in header if h not in expected]
-        if unknown:
-            raise FormatError(f"{csv_path}: unexpected columns {unknown}")
-        pos = {h: i for i, h in enumerate(header)}
-        for name in sorted(expected):
-            if name not in pos:
-                raise FormatError(f"{csv_path}: missing column {name!r}")
-        rows, labels, ids = [], [], []
-        for ri, rec in enumerate(reader):
-            if len(rec) != len(header):
-                raise FormatError(f"{csv_path}: row {ri + 1} has {len(rec)} fields")
-            row = []
-            for col in cols:
-                raw = rec[pos[col.name]]
-                if raw == missing:
-                    row.append(None)
-                elif col.kind == "numeric":
-                    try:
-                        row.append(float(raw))
-                    except ValueError:
-                        raise FormatError(
-                            f"{csv_path}: row {ri + 1}, column {col.name!r}: "
-                            f"not numeric: {raw!r}"
-                        ) from None
-                else:
-                    row.append(raw)
-            label = rec[pos[label_col]]
-            if label == missing:
-                raise FormatError(f"{csv_path}: row {ri + 1}: missing label")
-            rows.append(row)
-            labels.append(label)
-            if id_col:
-                ids.append(rec[pos[id_col]])
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{csv_path}: not valid UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{csv_path}: empty CSV") from None
+    expected = {c.name for c in cols} | {label_col} | ({id_col} if id_col else set())
+    unknown = [h for h in header if h not in expected]
+    if unknown:
+        raise FormatError(f"{csv_path}: unexpected columns {unknown}")
+    pos = {h: i for i, h in enumerate(header)}
+    for name in sorted(expected):
+        if name not in pos:
+            raise FormatError(f"{csv_path}: missing column {name!r}")
+    rows, labels, ids = [], [], []
+    for ri, rec in enumerate(reader):
+        if len(rec) != len(header):
+            raise FormatError(f"{csv_path}: row {ri + 1} has {len(rec)} fields")
+        row = []
+        for col in cols:
+            raw = rec[pos[col.name]]
+            if raw == missing:
+                row.append(None)
+            elif col.kind == "numeric":
+                try:
+                    row.append(float(raw))
+                except ValueError:
+                    raise FormatError(
+                        f"{csv_path}: row {ri + 1}, column {col.name!r}: "
+                        f"not numeric: {raw!r}"
+                    ) from None
+            else:
+                row.append(raw)
+        label = rec[pos[label_col]]
+        if label == missing:
+            raise FormatError(f"{csv_path}: row {ri + 1}: missing label")
+        rows.append(row)
+        labels.append(label)
+        if id_col:
+            ids.append(rec[pos[id_col]])
     try:
         return TabularDataset(cols, rows, labels, ids if id_col else None)
     except DataError as exc:

@@ -354,3 +354,29 @@ def test_compare_subcommand_writes_table_and_metrics(capsys, tmp_path):
     assert (out_dir / "comparison.txt").exists()
     doc = json.loads((out_dir / "metrics.json").read_text())
     assert set(doc["results"]) == {"tabular-only", "ct-only", "fused", "multimodal"}
+
+
+def test_describe_on_non_utf8_csv_exits_3(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=2, seed=1), ds)
+    (ds / "tabular.csv").write_bytes(b"\xff\xfe" + (ds / "tabular.csv").read_bytes())
+    rc, _, err = _run(capsys, "describe", "--dataset", str(ds))
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[1]", b'{"phantom": 3}', b'\xff\xfe{"phantom": {}}'],
+    ids=["list-document", "scalar-section", "non-utf8"],
+)
+def test_malformed_config_with_override_exits_2(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    rc, _, err = _run(
+        capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "w"),
+        "--set", "phantom.seed=1",
+    )
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "w").exists()

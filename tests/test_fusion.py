@@ -8,6 +8,12 @@ from lungfuse.fusion import (
     FusionRule,
     RigidTransform,
     SearchBudget,
+    _coarse_axes,
+    _coarse_pick,
+    _fft_coarse_scores,
+    _masked_ncc,
+    _resample,
+    _shift_zero_fill,
     entropy,
     fuse_wavelet,
     fusion_quality,
@@ -18,6 +24,8 @@ from lungfuse.fusion import (
     resample_bilinear,
     ssim,
 )
+from lungfuse.images import gradient_magnitude
+from lungfuse.phantom import PhantomConfig, render_ct, render_pet, sample_patient
 from lungfuse.wavelet import dwt2, idwt2, WaveletPyramid
 
 
@@ -94,6 +102,56 @@ def test_resample_rotation_pivots_at_center():
     assert out[5, 5] == pytest.approx(1.0)
 
 
+def _reference_resample(arr, t, out_w, out_h):
+    """Per-tap masked-gather resampler and valid mask, the reference for _resample."""
+    h, w = arr.shape
+    cx_in, cy_in = (w - 1) / 2.0, (h - 1) / 2.0
+    qx, qy = np.meshgrid(np.arange(out_w, dtype=np.float64), np.arange(out_h, dtype=np.float64))
+    dx = qx - (out_w - 1) / 2.0 - t.tx
+    dy = qy - (out_h - 1) / 2.0 - t.ty
+    c, s = math.cos(-t.theta), math.sin(-t.theta)
+    px = (c * dx - s * dy) / t.scale + cx_in
+    py = (s * dx + c * dy) / t.scale + cy_in
+    x0 = np.floor(px).astype(np.intp)
+    y0 = np.floor(py).astype(np.intp)
+    fx = px - x0
+    fy = py - y0
+    out = np.zeros((out_h, out_w))
+    for ddy, ddx, wgt in (
+        (0, 0, (1 - fx) * (1 - fy)),
+        (0, 1, fx * (1 - fy)),
+        (1, 0, (1 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        xs = x0 + ddx
+        ys = y0 + ddy
+        ok = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+        vals = np.zeros_like(out)
+        vals[ok] = arr[ys[ok], xs[ok]]
+        out += wgt * vals
+    valid = (px >= 0) & (px <= w - 1) & (py >= 0) & (py <= h - 1)
+    return out, valid
+
+
+@pytest.mark.parametrize(
+    "t,out_dims",
+    [
+        (RigidTransform(), (40, 30)),
+        (RigidTransform(1.3, -0.7, 0.03, 1.01), (40, 30)),
+        (RigidTransform(-6.25, 3.5, math.radians(-5.0), 0.9), (40, 30)),
+        (RigidTransform(25.0, -31.0, math.radians(70.0), 0.4), (40, 30)),  # mostly outside
+        (RigidTransform(0.5, 0.5, math.radians(12.0), 1.7), (23, 51)),
+    ],
+)
+def test_resample_matches_reference_bit_for_bit(t, out_dims):
+    img = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 40))
+    out, valid = _resample(img, t, *out_dims)
+    ref, ref_valid = _reference_resample(img, t, *out_dims)
+    assert out.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(valid, ref_valid)
+    assert resample_bilinear(img, t, out_dims).tobytes() == ref.tobytes()
+
+
 def test_transform_inverse_round_trip():
     t = RigidTransform(tx=3.0, ty=-2.0, theta=math.radians(5.0), scale=1.04)
     inv = t.inverse()
@@ -168,6 +226,117 @@ def test_register_respects_custom_budget():
     sb = SearchBudget(t_max=4.0, theta_max_deg=0.0, scale_min=1.0, scale_max=1.0)
     t = register_rigid(img, moving, search=sb)
     assert abs(t.tx - (-2.0)) <= 0.5
+
+
+def _phantom_pair(seed, size, subtype):
+    """Noisy CT and PET of one phantom patient, as `phantom.generate` draws them."""
+    rng = np.random.default_rng(seed)
+    geom = sample_patient(rng, PhantomConfig(image_size=size), subtype)["geometry"]
+    ct = np.clip(render_ct(geom, size) + rng.normal(0.0, 0.02, (size, size)), 0.0, 1.0)
+    pet = np.clip(render_pet(geom, size) + rng.normal(0.0, 0.02, (size, size)), 0.0, 1.0)
+    return ct, pet
+
+
+def _direct_coarse_scores(fixed, moving, shifts, thetas, scales):
+    """Reference grid: one masked NCC per (tx, ty, theta, scale) cell."""
+    h, w = fixed.shape
+    out = np.empty((len(shifts), len(shifts), len(thetas), len(scales)))
+    for it, theta in enumerate(thetas):
+        for isc, scale in enumerate(scales):
+            base, valid = _resample(moving, RigidTransform(0.0, 0.0, theta, scale), w, h)
+            for ix, tx in enumerate(shifts):
+                for iy, ty in enumerate(shifts):
+                    out[ix, iy, it, isc] = _masked_ncc(
+                        fixed,
+                        _shift_zero_fill(base, int(tx), int(ty)),
+                        _shift_zero_fill(valid, int(tx), int(ty)),
+                    )
+    return out
+
+
+def _check_against_direct_grid(fixed, moving):
+    """FFT scores equal the direct ones on every cell not flagged degenerate,
+    and the coarse pick is the direct grid's first maximum, bit for bit."""
+    sb = SearchBudget()
+    shifts, thetas, scales = axes = _coarse_axes(sb)
+    scores, degenerate = _fft_coarse_scores(fixed, moving, *axes)
+    direct = _direct_coarse_scores(fixed, moving, *axes)
+    trusted = ~degenerate
+    finite = np.isfinite(direct)
+    np.testing.assert_array_equal(np.isfinite(scores)[trusted], finite[trusted])
+    assert np.all(scores[trusted & ~finite] == -np.inf)
+    assert np.all(direct[~finite] == -np.inf)
+    both = trusted & finite
+    assert np.max(np.abs(scores[both] - direct[both])) <= 1e-12
+    ix, iy, it, isc = np.unravel_index(int(np.argmax(direct)), direct.shape)
+    cur, best = _coarse_pick(fixed, moving, sb)
+    assert cur == [float(shifts[ix]), float(shifts[iy]), float(thetas[it]), float(scales[isc])]
+    assert best == direct[ix, iy, it, isc]
+    return degenerate, finite
+
+
+@pytest.mark.parametrize("size", [24, 48])
+def test_fft_coarse_scores_match_direct_masked_ncc(size):
+    # at 24 px the default 16 px shift range pushes many cells under the
+    # overlap floor, so the -inf pattern is exercised as well
+    ct, pet = _phantom_pair(5, size, "squamous")
+    degenerate, finite = _check_against_direct_grid(
+        gradient_magnitude(ct), gradient_magnitude(pet)
+    )
+    assert not degenerate.any()
+    if size == 24:
+        assert 0 < np.count_nonzero(~finite) < finite.size
+
+
+def _flat_scene(seed):
+    """Texture only in the left columns: many shifts overlap a constant region."""
+    rng = np.random.default_rng(seed)
+    fixed = np.full((32, 32), 0.5)
+    fixed[:, :6] = rng.random((32, 6))
+    moving = resample_bilinear(fixed, RigidTransform(2.0, 1.0, 0.02, 1.0))
+    moving[:, 10:] = 0.5
+    return fixed, moving
+
+
+def test_fft_coarse_scores_flag_flat_overlaps_as_degenerate():
+    # the direct score is -inf on a zero-variance overlap, while the FFT
+    # sums leave rounding residue there; such cells must be flagged
+    degenerate, _ = _check_against_direct_grid(*_flat_scene(2))
+    assert degenerate.any()
+
+
+def test_register_flat_scene_keeps_direct_pick():
+    fixed, moving = _flat_scene(2)
+    assert repr(register_rigid(fixed, moving)) == (
+        "RigidTransform(tx=-2.0625, ty=-1.0, theta=-0.0021816615649929223, "
+        "scale=0.9975000000000003)"
+    )
+
+
+# exact transforms of the per-cell masked-NCC grid search; any change in
+# a coarse pick or a refinement move changes these digits
+_GOLDEN = [
+    ((0, 64, "adenocarcinoma"),
+     "RigidTransform(tx=2.8125, ty=-1.3125, theta=0.033815754257390127, scale=0.98)"),
+    ((1, 64, "squamous"),
+     "RigidTransform(tx=-1.75, ty=1.1875, theta=0.027270769562411402, scale=1.025)"),
+    ((2, 48, "adenocarcinoma"),
+     "RigidTransform(tx=-1.125, ty=0.5, theta=0.005454153912482272, scale=0.975)"),
+]
+
+
+@pytest.mark.parametrize("pair,expected", _GOLDEN)
+def test_register_golden_transforms(pair, expected):
+    ct, pet = _phantom_pair(*pair)
+    assert repr(register_rigid(gradient_magnitude(ct), gradient_magnitude(pet))) == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"t_step": 1.5}, {"t_max": 2.5}, {"t_step": 0.0}, {"t_step": -2.0}, {"t_max": -4.0}]
+)
+def test_search_budget_rejects_non_integral_or_empty_shift_grid(kwargs):
+    with pytest.raises(ContractError):
+        SearchBudget(**kwargs)
 
 
 # --- fusion ---
