@@ -13,6 +13,16 @@ so every layer preserves spatial dims and the pool/upsample pairs cancel.
 Inputs must have height and width divisible by 4 (two pooling stages) and
 at least 8 (mirror padding needs 2 pixels per axis at the bottleneck).
 
+Inside a batch the activations are channel-major, (c, n, h, w); the
+public (n, 1, h, w) layout is a free transpose at the two ends because
+the network's input and output have one channel.  A convolution is an
+implicit GEMM (Chetlur et al., cuDNN, 2014): the mirror-padded input is
+flattened to (cin, n*(h+2)*(w+2)), where tap (dy, dx) of every output
+pixel lies at the fixed offset dy*(w+2) + dx, so each of the nine taps
+is one (cout, cin) @ (cin, span) product over a shifted slice.  The
+im2col matrix, nine times the input, is never built; backward reads the
+padded input again.
+
 All math is float64.  The backward pass is the exact adjoint of the
 forward pass, including the fold-back of the mirror padding, so finite
 difference checks agree to near machine precision.
@@ -99,43 +109,63 @@ def init_weights(spec: ConvNetSpec, seed=0) -> NetWeights:
     return NetWeights(spec, kernels, biases, rng_seed=seed_val)
 
 
-# low-level layers on (n, c, h, w) batches
+# low-level layers on channel-major (c, n, h, w) batches
 
 
 def _reflect_pad(x):
     return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
 
 
-_OFFSETS = tuple((dy, dx) for dy in range(3) for dx in range(3))
+def _taps(w: int, length: int):
+    """(dy, dx, flat offset) per tap, and how many positions every tap can read."""
+    taps = [(dy, dx, dy * (w + 2) + dx) for dy in range(3) for dx in range(3)]
+    return taps, length - taps[-1][2]
 
 
 def _conv3(x, k, b):
-    """3x3 stride-1 conv with mirror padding.  Returns (out, cols)."""
-    n, cin, h, w = x.shape
+    """3x3 stride-1 conv with mirror padding.  Returns (out, xp).
+
+    xp is the padded input flattened to (cin, n*(h+2)*(w+2)); _conv3_back
+    reads it.  The output pixel at flat padded index p reads tap (dy, dx)
+    at p + dy*(w+2) + dx, so each tap is one matmul over a shifted slice.
+    Positions that straddle a row or image edge are computed and dropped.
+    """
+    cin, n, h, w = x.shape
     cout = k.shape[0]
-    xp = _reflect_pad(x)
-    cols = np.empty((n, cin, 9, h, w))
-    for i, (dy, dx) in enumerate(_OFFSETS):
-        cols[:, :, i] = xp[:, :, dy : dy + h, dx : dx + w]
-    cols2 = cols.reshape(n, cin * 9, h * w)
-    km = k.reshape(cout, cin * 9)
-    out = np.einsum("oc,ncp->nop", km, cols2).reshape(n, cout, h, w)
-    out += b[None, :, None, None]
-    return out, cols2
+    xp = _reflect_pad(x).reshape(cin, -1)
+    taps, span = _taps(w, xp.shape[1])
+    acc = np.zeros((cout, xp.shape[1]))
+    for dy, dx, o in taps:
+        if cin == 1:  # inner dimension 1: broadcasting beats a BLAS call
+            acc[:, :span] += k[:, 0, dy, dx, None] * xp[0, o : o + span]
+        else:
+            acc[:, :span] += k[:, :, dy, dx] @ xp[:, o : o + span]
+    out = acc.reshape(cout, n, h + 2, w + 2)[:, :, :h, :w] + b[:, None, None, None]
+    return out, xp
 
 
-def _conv3_back(gout, cols2, k, xshape):
-    """Gradients of _conv3: returns (gk, gb, gx)."""
-    n, cin, h, w = xshape
-    cout = k.shape[0]
-    gout2 = gout.reshape(n, cout, h * w)
-    gk = np.einsum("nop,ncp->oc", gout2, cols2).reshape(k.shape)
-    gb = gout.sum(axis=(0, 2, 3))
-    km = k.reshape(cout, cin * 9)
-    gcols = np.einsum("oc,nop->ncp", km, gout2).reshape(n, cin, 9, h, w)
-    gxp = np.zeros((n, cin, h + 2, w + 2))
-    for i, (dy, dx) in enumerate(_OFFSETS):
-        gxp[:, :, dy : dy + h, dx : dx + w] += gcols[:, :, i]
+def _conv3_back(gout, xp, k, need_gx=True):
+    """Gradients of _conv3: returns (gk, gb, gx), gx None unless need_gx."""
+    cout, n, h, w = gout.shape
+    cin = k.shape[1]
+    gpad = np.zeros((cout, n, h + 2, w + 2))
+    gpad[:, :, :h, :w] = gout
+    gpad = gpad.reshape(cout, -1)
+    taps, span = _taps(w, gpad.shape[1])
+    g2 = gpad[:, :span]
+    gk = np.empty(k.shape)
+    for dy, dx, o in taps:
+        gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
+    gb = gout.sum(axis=(1, 2, 3))
+    if not need_gx:
+        return gk, gb, None
+    gxp = np.zeros((cin, gpad.shape[1]))
+    for dy, dx, o in taps:
+        if cout == 1:
+            gxp[:, o : o + span] += k[0, :, dy, dx, None] * g2[0]
+        else:
+            gxp[:, o : o + span] += k[:, :, dy, dx].T @ g2
+    gxp = gxp.reshape(cin, n, h + 2, w + 2)
     # fold the padded border back where the mirror read from
     gx = gxp[:, :, 1:-1, 1:-1].copy()
     gx[:, :, 1, :] += gxp[:, :, 0, 1:-1]
@@ -149,22 +179,23 @@ def _conv3_back(gout, cols2, k, xshape):
     return gk, gb, gx
 
 
+def _up2_back(g):
+    """Sum of every 2x2 block."""
+    return (g[..., ::2, ::2] + g[..., ::2, 1::2]) + (g[..., 1::2, ::2] + g[..., 1::2, 1::2])
+
+
 def _pool2(x):
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-
-
-def _pool2_back(g):
-    return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0
+    return _up2_back(x) / 4.0
 
 
 def _up2(x):
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    c, n, h, w = x.shape
+    wide = np.broadcast_to(x[:, :, :, None, :, None], (c, n, h, 2, w, 2))
+    return wide.reshape(c, n, 2 * h, 2 * w)
 
 
-def _up2_back(g):
-    n, c, h, w = g.shape
-    return g.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+def _pool2_back(g):
+    return _up2(g / 4.0)
 
 
 def _check_batch_dims(h: int, w: int) -> None:
@@ -178,39 +209,30 @@ def _forward_batch(weights: NetWeights, x):
     """Forward pass on a (n, 1, h, w) batch; returns (y, cache)."""
     _check_batch_dims(x.shape[2], x.shape[3])
     k, b = weights.kernels, weights.biases
-    z0, cols0 = _conv3(x, k[0], b[0])
-    c0 = relu(z0)
-    p0 = _pool2(c0)
-    z1, cols1 = _conv3(p0, k[1], b[1])
-    c1 = relu(z1)
-    p1 = _pool2(c1)
-    z2, cols2 = _conv3(p1, k[2], b[2])
-    c2 = relu(z2)
-    u2 = _up2(c2)
-    z3, cols3 = _conv3(u2, k[3], b[3])
-    c3 = relu(z3)
-    u3 = _up2(c3)
-    z4, cols4 = _conv3(u3, k[4], b[4])
+    z0, xp0 = _conv3(x.transpose(1, 0, 2, 3), k[0], b[0])
+    z1, xp1 = _conv3(_pool2(relu(z0)), k[1], b[1])
+    z2, xp2 = _conv3(_pool2(relu(z1)), k[2], b[2])
+    z3, xp3 = _conv3(_up2(relu(z2)), k[3], b[3])
+    z4, xp4 = _conv3(_up2(relu(z3)), k[4], b[4])
     y = sigmoid(z4)
-    cache = (x, z0, p0, cols0, z1, p1, cols1, z2, u2, cols2, z3, u3, cols3, z4, cols4, y)
-    return y, cache
+    return y.transpose(1, 0, 2, 3), (z0, xp0, z1, xp1, z2, xp2, z3, xp3, xp4, y)
 
 
 def _backward_batch(weights: NetWeights, cache, target):
     """Gradient of mean squared error wrt every kernel and bias."""
-    x, z0, p0, cols0, z1, p1, cols1, z2, u2, cols2, z3, u3, cols3, z4, cols4, y = cache
+    z0, xp0, z1, xp1, z2, xp2, z3, xp3, xp4, y = cache
     k = weights.kernels
-    gy = 2.0 * (y - target) / y.size
+    gy = 2.0 * (y - target.transpose(1, 0, 2, 3)) / y.size
     gz4 = gy * y * (1.0 - y)
-    gk4, gb4, gu3 = _conv3_back(gz4, cols4, k[4], u3.shape)
+    gk4, gb4, gu3 = _conv3_back(gz4, xp4, k[4])
     gz3 = _up2_back(gu3) * (z3 > 0)
-    gk3, gb3, gu2 = _conv3_back(gz3, cols3, k[3], u2.shape)
+    gk3, gb3, gu2 = _conv3_back(gz3, xp3, k[3])
     gz2 = _up2_back(gu2) * (z2 > 0)
-    gk2, gb2, gp1 = _conv3_back(gz2, cols2, k[2], p1.shape)
+    gk2, gb2, gp1 = _conv3_back(gz2, xp2, k[2])
     gz1 = _pool2_back(gp1) * (z1 > 0)
-    gk1, gb1, gp0 = _conv3_back(gz1, cols1, k[1], p0.shape)
+    gk1, gb1, gp0 = _conv3_back(gz1, xp1, k[1])
     gz0 = _pool2_back(gp0) * (z0 > 0)
-    gk0, gb0, _ = _conv3_back(gz0, cols0, k[0], x.shape)
+    gk0, gb0, _ = _conv3_back(gz0, xp0, k[0], need_gx=False)
     return [(gk0, gb0), (gk1, gb1), (gk2, gb2), (gk3, gb3), (gk4, gb4)]
 
 
@@ -345,7 +367,9 @@ def _encode(a: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype="<f4").tobytes()).decode("ascii")
 
 
-def _decode(s: str, shape, what: str) -> np.ndarray:
+def _decode(s, shape, what: str) -> np.ndarray:
+    if not isinstance(s, str):
+        raise FormatError(f"{what}: expected a base64 string, got {type(s).__name__}")
     try:
         raw = base64.b64decode(s, validate=True)
     except Exception as exc:
@@ -353,7 +377,10 @@ def _decode(s: str, shape, what: str) -> np.ndarray:
     expect = int(np.prod(shape)) * 4
     if len(raw) != expect:
         raise FormatError(f"{what}: expected {expect} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+    a = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+    if not np.all(np.isfinite(a)):
+        raise FormatError(f"{what} contains NaN or Inf")
+    return a
 
 
 def save_weights(path, weights: NetWeights) -> None:
@@ -390,30 +417,39 @@ def load_weights(path) -> NetWeights:
         raise FormatError("not a denoiser weights file")
     if doc.get("format_version") != _WEIGHTS_VERSION:
         raise FormatError(f"unsupported weights version {doc.get('format_version')!r}")
+    for field in ("channels", "layers"):
+        if field not in doc:
+            raise FormatError(f"weights file is missing field {field!r}")
+    layers = doc["layers"]
+    if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
+        raise FormatError("weights file: layers must be a list of objects")
     try:
         spec = ConvNetSpec(tuple(tuple(p) for p in doc["channels"]))
-        layers = doc["layers"]
-    except KeyError as exc:
-        raise FormatError(f"weights file is missing field {exc}") from None
-    except ContractError as exc:
+    except (ContractError, TypeError, ValueError) as exc:
         raise FormatError(f"weights file declares an invalid network: {exc}") from None
     if len(layers) != len(spec.channels):
         raise FormatError(f"expected {len(spec.channels)} layers, got {len(layers)}")
+    epochs = doc.get("epochs_trained", 0)
+    if type(epochs) is not int or epochs < 0:
+        raise FormatError(f"epochs_trained must be a non-negative integer, got {epochs!r}")
     kernels, biases = [], []
     for i, ((cin, cout), layer) in enumerate(zip(spec.channels, layers)):
-        kshape = tuple(layer.get("kernel_shape", ()))
-        bshape = tuple(layer.get("bias_shape", ()))
-        if kshape != (cout, cin, 3, 3):
-            raise FormatError(f"layer {i}: kernel shape {kshape} does not match channels")
-        if bshape != (cout,):
-            raise FormatError(f"layer {i}: bias shape {bshape} does not match channels")
-        kernels.append(_decode(layer["kernel"], kshape, f"layer {i} kernel"))
-        biases.append(_decode(layer["bias"], bshape, f"layer {i} bias"))
+        kshape, bshape = (cout, cin, 3, 3), (cout,)
+        if layer.get("kernel_shape") != list(kshape):
+            raise FormatError(
+                f"layer {i}: kernel shape {layer.get('kernel_shape')} does not match channels"
+            )
+        if layer.get("bias_shape") != list(bshape):
+            raise FormatError(
+                f"layer {i}: bias shape {layer.get('bias_shape')} does not match channels"
+            )
+        kernels.append(_decode(layer.get("kernel"), kshape, f"layer {i} kernel"))
+        biases.append(_decode(layer.get("bias"), bshape, f"layer {i} bias"))
     seed = doc.get("rng_seed")
     return NetWeights(
         spec,
         kernels,
         biases,
         rng_seed=seed if isinstance(seed, int) else None,
-        epochs_trained=int(doc.get("epochs_trained", 0)),
+        epochs_trained=epochs,
     )

@@ -3,8 +3,10 @@
 Stage outputs live under <out>/cache in directories keyed by a content
 hash of the stage's configuration and its inputs' bytes.  A rerun with
 an unchanged config is therefore a sequence of cache hits that rebuilds
-the report bundle byte for byte.  Nothing time-dependent is written to
-the bundle; wall-clock timing and hit/miss status go to stderr only.
+the report bundle byte for byte.  Each entry's .complete marker holds the
+hash of its outputs, and an entry whose files no longer match it is
+rebuilt.  Nothing time-dependent is written to the bundle; wall-clock
+timing, hit/miss status and the denoiser's loss go to stderr only.
 
 The report bundle contains metrics.json (all modality comparisons plus
 the fully resolved config), comparison.txt, resolved_config.json, the
@@ -297,11 +299,13 @@ class _Stages:
     def run(self, name: str, key_doc: dict, hint: str, build):
         key = _hash_doc({"stage": name, "inputs": key_doc})
         outdir = self.cache / f"{name}-{key}"
+        marker = outdir / ".complete"
         started = time.perf_counter()
-        if (outdir / ".complete").exists():
-            hit = True
-        else:
-            hit = False
+        out_hash = _hash_tree(outdir) if marker.exists() else None
+        hit = out_hash is not None and marker.read_bytes() == out_hash.encode()
+        if out_hash is not None and not hit:
+            _say(f"[{name}] cache entry {outdir.name} fails its hash check; rebuilding")
+        if not hit:
             tmp = self.cache / f"{name}-{key}.tmp"
             shutil.rmtree(tmp, ignore_errors=True)
             tmp.mkdir()
@@ -314,8 +318,8 @@ class _Stages:
                 raise
             shutil.rmtree(outdir, ignore_errors=True)
             tmp.rename(outdir)
-            (outdir / ".complete").write_text("")
-        out_hash = _hash_tree(outdir)
+            out_hash = _hash_tree(outdir)
+            marker.write_text(out_hash)
         self.log.append({"stage": name, "key": key, "output_hash": out_hash, "cache_hit": hit})
         _say(
             f"[{name}] {'cache hit' if hit else 'built'} key={key} "
@@ -340,7 +344,8 @@ def denoiser_scenes(n_images: int, size: int, seed: int) -> list:
 def _train_denoiser_stage(doc: dict, outdir) -> None:
     d = doc["denoise"]
     clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
-    weights, _log = train_denoiser(clean, _train_config(doc))
+    weights, log = train_denoiser(clean, _train_config(doc))
+    _say(f"[denoise-train] {len(log)} epochs, loss {log[0]:.4f} -> {log[-1]:.4f}")
     save_weights(os.path.join(outdir, "weights.json"), weights)
 
 

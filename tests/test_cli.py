@@ -1,6 +1,8 @@
+import base64
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 import lungfuse
 from lungfuse import pipeline as pl
 from lungfuse.cli import main
+from lungfuse.denoise import ConvNetSpec, init_weights, save_weights
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm, write_pgm
 from lungfuse.phantom import PhantomConfig, generate
@@ -380,3 +383,79 @@ def test_malformed_config_with_override_exits_2(capsys, tmp_path, content):
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "w").exists()
+
+
+def _nan_payload(n: int) -> str:
+    return base64.b64encode(np.full(n, np.nan, dtype="<f4").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (lambda d: d["layers"][2].pop("kernel"), "layer 2 kernel"),
+        (lambda d: d["layers"].__setitem__(1, 5), "layers"),
+        (lambda d: d.__setitem__("channels", [1, 2]), "invalid network"),
+        (lambda d: d.__setitem__("layers", 3), "layers"),
+        (lambda d: d.__setitem__("epochs_trained", "x"), "epochs_trained"),
+        (lambda d: d["layers"][4].__setitem__("bias", _nan_payload(1)), "layer 4 bias"),
+        (lambda d: d["layers"][0].__setitem__("kernel", _nan_payload(72)), "layer 0 kernel"),
+    ],
+    ids=[
+        "missing-kernel", "scalar-layer", "scalar-channels", "scalar-layers",
+        "string-epochs", "nan-bias", "nan-kernel",
+    ],
+)
+def test_denoise_apply_on_malformed_weights_exits_3(capsys, tmp_path, edit, needle):
+    w = tmp_path / "w.json"
+    save_weights(w, init_weights(ConvNetSpec(), seed=0))
+    doc = json.loads(w.read_text())
+    edit(doc)
+    w.write_text(json.dumps(doc))
+    write_pgm(np.random.default_rng(0).uniform(size=(16, 16)), tmp_path / "in.pgm")
+    rc, _, err = _run(
+        capsys, "denoise-apply", "--weights", str(w),
+        "--in", str(tmp_path / "in.pgm"), "--out", str(tmp_path / "out.pgm"),
+    )
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+    assert not (tmp_path / "out.pgm").exists()
+
+
+@pytest.mark.parametrize("damage", ["flipped-bytes", "empty-marker"])
+def test_run_rebuilds_a_damaged_cache_entry(capsys, tmp_path, damage):
+    out_dir = tmp_path / "w"
+    rc, _, _ = _run(capsys, "run", "--out", str(out_dir), *_FAST)
+    assert rc == 0
+    report_hash = _tree_hash(out_dir / "report")
+    (fuse_dir,) = (out_dir / "cache").glob("fuse-*")
+    pgm = sorted(fuse_dir.glob("*_fused.pgm"))[0]
+    good = pgm.read_bytes()
+    if damage == "flipped-bytes":
+        pgm.write_bytes(good[:-4] + bytes(b ^ 0xFF for b in good[-4:]))
+    else:  # the marker an older version wrote
+        (fuse_dir / ".complete").write_text("")
+    rc, out, err = _run(capsys, "run", "--out", str(out_dir), *_FAST)
+    assert rc == 0
+    hits = {s["stage"]: s["cache_hit"] for s in json.loads(out)["stages"]}
+    assert hits == {"phantom": True, "fuse": False, "evaluate": True}
+    assert "[fuse] cache entry" in err and "fails its hash check" in err
+    assert pgm.read_bytes() == good
+    assert _tree_hash(out_dir / "report") == report_hash
+    rc, out, _ = _run(capsys, "run", "--out", str(out_dir), *_FAST)
+    assert json.loads(out)["cache_hits"] == 3
+
+
+def test_run_reports_denoiser_loss_on_stderr_only(capsys, tmp_path):
+    out_dir = tmp_path / "w"
+    rc, _, err = _run(
+        capsys, "run", "--out", str(out_dir), *_FAST,
+        "--set", "denoise.enabled=true", "--set", "denoise.epochs=3",
+        "--set", "denoise.train_images=8", "--set", "denoise.train_size=16",
+    )
+    assert rc == 0
+    lines = [ln for ln in err.splitlines() if " epochs, loss " in ln]
+    assert len(lines) == 1
+    assert re.fullmatch(r"\[denoise-train\] 3 epochs, loss \d\.\d{4} -> \d\.\d{4}", lines[0])
+    for p in (out_dir / "report").rglob("*"):
+        assert not p.is_file() or b" epochs, loss " not in p.read_bytes()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from lungfuse import denoise as dn
 from lungfuse import nnet
 from lungfuse.errors import ContractError, DataError, FormatError
+from lungfuse.pipeline import denoiser_scenes
 
 
 def _blobs(n, size, seed):
@@ -312,3 +314,120 @@ def test_load_weights_rejects_wrong_payload(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         dn.load_weights(path)
+
+
+# --- convolution layers against the im2col reference ---
+
+
+_OFFSETS = tuple((dy, dx) for dy in range(3) for dx in range(3))
+
+
+def _ref_conv3(x, k, b):
+    """im2col + einsum 3x3 conv on (n, c, h, w); returns (out, cols)."""
+    n, cin, h, w = x.shape
+    cout = k.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    cols = np.empty((n, cin, 9, h, w))
+    for i, (dy, dx) in enumerate(_OFFSETS):
+        cols[:, :, i] = xp[:, :, dy : dy + h, dx : dx + w]
+    cols2 = cols.reshape(n, cin * 9, h * w)
+    out = np.einsum("oc,ncp->nop", k.reshape(cout, cin * 9), cols2).reshape(n, cout, h, w)
+    return out + b[None, :, None, None], cols2
+
+
+def _ref_conv3_back(gout, cols2, k, xshape):
+    n, cin, h, w = xshape
+    cout = k.shape[0]
+    gout2 = gout.reshape(n, cout, h * w)
+    gk = np.einsum("nop,ncp->oc", gout2, cols2).reshape(k.shape)
+    gb = gout.sum(axis=(0, 2, 3))
+    gcols = np.einsum("oc,nop->ncp", k.reshape(cout, cin * 9), gout2).reshape(n, cin, 9, h, w)
+    gxp = np.zeros((n, cin, h + 2, w + 2))
+    for i, (dy, dx) in enumerate(_OFFSETS):
+        gxp[:, :, dy : dy + h, dx : dx + w] += gcols[:, :, i]
+    gx = gxp[:, :, 1:-1, 1:-1].copy()
+    gx[:, :, 1, :] += gxp[:, :, 0, 1:-1]
+    gx[:, :, -2, :] += gxp[:, :, -1, 1:-1]
+    gx[:, :, :, 1] += gxp[:, :, 1:-1, 0]
+    gx[:, :, :, -2] += gxp[:, :, 1:-1, -1]
+    gx[:, :, 1, 1] += gxp[:, :, 0, 0]
+    gx[:, :, 1, -2] += gxp[:, :, 0, -1]
+    gx[:, :, -2, 1] += gxp[:, :, -1, 0]
+    gx[:, :, -2, -2] += gxp[:, :, -1, -1]
+    return gk, gb, gx
+
+
+def _cm(a):
+    """(n, c, h, w) <-> (c, n, h, w)."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
+_CONV_SHAPES = [  # (n, cin, cout, h, w)
+    (1, 1, 8, 8, 12),
+    (3, 1, 8, 16, 24),
+    (2, 8, 16, 16, 24),
+    (1, 16, 16, 8, 8),
+    (2, 8, 1, 12, 8),
+    (1, 1, 1, 8, 12),
+    (2, 3, 5, 24, 16),
+]
+
+
+@pytest.mark.parametrize("n,cin,cout,h,w", _CONV_SHAPES)
+def test_conv3_matches_im2col_reference(n, cin, cout, h, w):
+    rng = np.random.default_rng(n * 1000 + cin * 100 + cout * 10 + h + w)
+    x = rng.normal(size=(n, cin, h, w))
+    k = rng.normal(size=(cout, cin, 3, 3))
+    b = rng.normal(size=cout)
+    g = rng.normal(size=(n, cout, h, w))
+    ref_out, cols = _ref_conv3(x, k, b)
+    out, xp = dn._conv3(_cm(x), k, b)
+    assert out.shape == (cout, n, h, w)
+    assert np.max(np.abs(_cm(out) - ref_out)) < 1e-12
+    rgk, rgb, rgx = _ref_conv3_back(g, cols, k, x.shape)
+    gk, gb, gx = dn._conv3_back(_cm(g), xp, k)
+    assert np.max(np.abs(gk - rgk)) < 1e-12
+    assert np.max(np.abs(gb - rgb)) < 1e-12
+    assert np.max(np.abs(_cm(gx) - rgx)) < 1e-12
+    gk2, gb2, gx2 = dn._conv3_back(_cm(g), xp, k, need_gx=False)
+    assert gx2 is None
+    assert np.array_equal(gk2, gk) and np.array_equal(gb2, gb)
+
+
+@pytest.mark.parametrize("n,cin,cout,h,w", _CONV_SHAPES)
+def test_conv3_back_is_the_adjoint(n, cin, cout, h, w):
+    # with zero bias the conv is linear in x and in k:
+    # <conv(x), g> = <x, gx> = <k, gk>
+    rng = np.random.default_rng(7 + n + cin + cout + h * w)
+    x = rng.normal(size=(cin, n, h, w))
+    k = rng.normal(size=(cout, cin, 3, 3))
+    g = rng.normal(size=(cout, n, h, w))
+    out, xp = dn._conv3(x, k, np.zeros(cout))
+    gk, gb, gx = dn._conv3_back(g, xp, k)
+    lhs = np.vdot(out, g)
+    scale = np.abs(out).sum() * np.abs(g).max()
+    assert abs(lhs - np.vdot(x, gx)) < 1e-12 * scale
+    assert abs(lhs - np.vdot(k, gk)) < 1e-12 * scale
+    assert np.allclose(gb, g.sum(axis=(1, 2, 3)))
+
+
+def test_pool_and_upsample_match_reshape_forms():
+    x = np.random.default_rng(8).normal(size=(3, 2, 8, 12))
+    blocks = x.reshape(3, 2, 4, 2, 6, 2)
+    assert np.array_equal(dn._pool2(x), blocks.mean(axis=(3, 5)))
+    assert np.array_equal(dn._up2_back(x), blocks.sum(axis=(3, 5)))
+    up = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    assert np.array_equal(dn._up2(x), up)
+    assert np.array_equal(dn._pool2_back(x), up / 4.0)
+
+
+def test_trained_weights_file_is_pinned(tmp_path):
+    # sha256 of the weights file for a small fixed config, recorded from
+    # the im2col implementation; float32 storage hides last-bit float64
+    # differences in the summation order
+    clean = denoiser_scenes(8, 32, 7)
+    w, _ = dn.train_denoiser(clean, nnet.TrainConfig(epochs=5, rng_seed=0))
+    path = tmp_path / "w.json"
+    dn.save_weights(path, w)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "aed4667247516cb9e0fb15522c97b252b733ce7e5ba6b3831a77ec56b1e0658a"
