@@ -211,6 +211,16 @@ def mlp_loss_grad(params, x, label_idx, n_classes, mask=None):
     return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
 
 
+def _views(buf, shapes) -> list:
+    """Consecutive reshaped views of a flat buffer, one per shape."""
+    out, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(buf[start : start + size].reshape(shape))
+        start += size
+    return out
+
+
 def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = None) -> MLPModel:
     """Minibatch Adam with inverted dropout on the first hidden layer."""
     spec = spec or MLPSpec()
@@ -225,15 +235,15 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
     h1, h2 = spec.hidden
     c = len(classes)
     rng = np.random.default_rng(cfg.rng_seed)
-    params = [
-        glorot_uniform(rng, (d, h1), d, h1),
-        np.zeros(h1),
-        glorot_uniform(rng, (h1, h2), h1, h2),
-        np.zeros(h2),
-        glorot_uniform(rng, (h2, c), h2, c),
-        np.zeros(c),
-    ]
-    opt = Adam(params, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    # the six parameters (and their gradients) are views of one flat
+    # buffer, so each Adam step is one pass of elementwise ops
+    shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,)]
+    flat = np.zeros(sum(int(np.prod(s)) for s in shapes))
+    gflat = np.empty_like(flat)
+    params, grads = _views(flat, shapes), _views(gflat, shapes)
+    for w in params[::2]:
+        w[...] = glorot_uniform(rng, w.shape, *w.shape)
+    opt = Adam([flat], lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     n = x.shape[0]
     batch = min(cfg.batch_size, n)
     keep = 1.0 - spec.dropout
@@ -244,8 +254,10 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
             mask = None
             if spec.dropout > 0:
                 mask = (rng.uniform(size=(len(idx), h1)) < keep) / keep
-            _, grads = mlp_loss_grad(params, x[idx], yi[idx], c, mask)
-            opt.step(params, grads)
+            _, step_grads = mlp_loss_grad(params, x[idx], yi[idx], c, mask)
+            for dst, src in zip(grads, step_grads):
+                dst[...] = src
+            opt.step([flat], [gflat])
     return MLPModel(classes, spec, params)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,12 @@ __all__ = [
 _DEFAULT_CHANNELS = ((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))
 
 
+def _width(c) -> int:
+    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not float(c).is_integer():
+        raise ContractError(f"channel width must be an integer, got {c!r}")
+    return int(c)
+
+
 @dataclass(frozen=True)
 class ConvNetSpec:
     """Channel plan for the five conv layers, encoder to decoder order."""
@@ -67,7 +74,7 @@ class ConvNetSpec:
     def __post_init__(self):
         if self.kernel_size != 3:
             raise ContractError(f"only 3x3 kernels are supported, got {self.kernel_size}")
-        ch = tuple(tuple(int(c) for c in pair) for pair in self.channels)
+        ch = tuple(tuple(_width(c) for c in pair) for pair in self.channels)
         object.__setattr__(self, "channels", ch)
         if len(ch) != 5:
             raise ContractError(f"expected 5 conv layers, got {len(ch)}")

@@ -1,11 +1,12 @@
 """End-to-end orchestration: dataset, denoising, fusion, evaluation, report.
 
 Stage outputs live under <out>/cache in directories keyed by a content
-hash of the stage's configuration and its inputs' bytes.  A rerun with
-an unchanged config is therefore a sequence of cache hits that rebuilds
-the report bundle byte for byte.  Each entry's .complete marker holds the
-hash of its outputs, and an entry whose files no longer match it is
-rebuilt.  Nothing time-dependent is written to the bundle; wall-clock
+hash of the stage's configuration, its inputs' bytes, the package version
+and its source code.  A rerun of the same code with an unchanged config
+is therefore a sequence of cache hits that rebuilds the report bundle
+byte for byte, and changed code rebuilds every stage.  Each entry's
+.complete marker holds the hash of its outputs, and an entry whose files
+no longer match it is rebuilt.  Nothing time-dependent is written to the bundle; wall-clock
 timing, hit/miss status and the denoiser's loss go to stderr only.
 
 The report bundle contains metrics.json (all modality comparisons plus
@@ -16,8 +17,10 @@ fused images, and pipeline_log.json (stage keys and output hashes).
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -229,8 +232,21 @@ def classify_config_from(doc: dict) -> ClassifyConfig:
     )
 
 
+def _require_int(doc: dict, section: str, key: str, minimum: int) -> None:
+    v = doc[section][key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+        raise ConfigError(f"{section}.{key} must be an integer >= {minimum}, got {v!r}")
+
+
+def _require_number(doc: dict, section: str, key: str) -> None:
+    v = doc[section][key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{section}.{key} must be a finite number, got {v!r}")
+
+
 def _validate(doc: dict) -> None:
-    """Construct every stage config once so bad values fail before any work."""
+    """Type-check the values, then construct every stage config once, so
+    bad values fail before any work."""
     _phantom_config(doc)
     d = doc["denoise"]
     if not isinstance(d["enabled"], bool):
@@ -245,17 +261,28 @@ def _validate(doc: dict) -> None:
     f = doc["fusion"]
     if f["family"] not in ("haar", "db2"):
         raise ConfigError(f'fusion.family must be "haar" or "db2", got {f["family"]!r}')
-    if not isinstance(f["levels"], int) or f["levels"] < 1:
-        raise ConfigError(f'fusion.levels must be a positive integer, got {f["levels"]!r}')
+    _require_int(doc, "fusion", "levels", 1)
     if not isinstance(f["register"], bool):
         raise ConfigError(f'fusion.register must be true or false, got {f["register"]!r}')
     _fusion_rule(doc)
+    for key in ("top_k", "smote_k"):
+        _require_int(doc, "tabular", key, 1)
+    for key in ("epochs", "batch_size", "boost_max_depth", "boost_n_estimators",
+                "logreg_epochs", "feature_levels"):
+        _require_int(doc, "classify", key, 1)
+    _require_int(doc, "classify", "rng_seed", 0)  # numpy seeds are non-negative
+    for key in ("learning_rate", "boost_learning_rate", "logreg_lr", "dropout"):
+        _require_number(doc, "classify", key)
+    hidden = doc["classify"]["hidden"]
+    if not (
+        isinstance(hidden, (list, tuple))
+        and len(hidden) == 2
+        and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in hidden)
+    ):
+        raise ConfigError(f"classify.hidden must be a list of two positive integers, got {hidden!r}")
     classify_config_from(doc)
-    e = doc["evaluate"]
-    if not isinstance(e["k"], int) or e["k"] < 2:
-        raise ConfigError(f'evaluate.k must be an integer >= 2, got {e["k"]!r}')
-    if not isinstance(e["seed"], int):
-        raise ConfigError(f'evaluate.seed must be an integer, got {e["seed"]!r}')
+    _require_int(doc, "evaluate", "k", 2)
+    _require_int(doc, "evaluate", "seed", 0)
 
 
 def version_info() -> dict:
@@ -284,6 +311,18 @@ def _hash_tree(root) -> str:
     return h.hexdigest()[:16]
 
 
+@functools.cache
+def _source_hash() -> str:
+    """sha256 of the package's .py sources, in relative-path order."""
+    root = pathlib.Path(__file__).parent
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        if "__pycache__" not in rel.split("/"):
+            h.update(rel.encode())
+            h.update((root / rel).read_bytes())
+    return h.hexdigest()
+
+
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -297,7 +336,8 @@ class _Stages:
         self.log: list = []
 
     def run(self, name: str, key_doc: dict, hint: str, build):
-        key = _hash_doc({"stage": name, "inputs": key_doc})
+        code = {"version": __version__, "sources": _source_hash()}
+        key = _hash_doc({"stage": name, "inputs": key_doc, "code": code})
         outdir = self.cache / f"{name}-{key}"
         marker = outdir / ".complete"
         started = time.perf_counter()

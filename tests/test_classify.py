@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ def test_mlp_same_seed_identical_weights():
     m2 = cl.train_mlp(x, y, cfg=cfg)
     for a, b in zip(m1.params, m2.params):
         assert np.array_equal(a, b)
+
+
+def test_mlp_params_are_pinned():
+    # recorded while Adam still stepped the six arrays one by one; the
+    # flat parameter buffer must not move a bit
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(70, 6))
+    y = np.array(["a", "b", "c"])[rng.integers(0, 3, 70)]
+    m = cl.train_mlp(x, y, cl.MLPSpec(), TrainConfig(epochs=15, batch_size=32))
+    assert [p.shape for p in m.params] == [(6, 32), (32,), (32, 16), (16,), (16, 3), (3,)]
+    h = hashlib.sha256()
+    for p in m.params:
+        h.update(p.tobytes())
+    assert h.hexdigest() == "57b5382e66a3fddee9b8525ddca7ca49ea7ab1f9bc042dbe9595976fb2da2e34"
 
 
 def test_mlp_gradcheck_dropout_off():

@@ -385,6 +385,34 @@ def test_malformed_config_with_override_exits_2(capsys, tmp_path, content):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "classify.hidden=7",
+        "classify.hidden=[8,true]",
+        "tabular.top_k=2.5",
+        "classify.epochs=1.5",
+        "tabular.smote_k=0",
+        'classify.boost_n_estimators="7"',
+        "classify.boost_learning_rate=x",
+        "classify.boost_max_depth=2.5",
+        'classify.dropout="0.5"',
+        "classify.rng_seed=-3",
+        "evaluate.seed=-1",
+    ],
+)
+def test_bad_classify_or_tabular_value_exits_2_before_any_stage(capsys, tmp_path, override):
+    rc, _, err = _run(
+        capsys, "run", "--out", str(tmp_path / "w"),
+        "--set", "phantom.n_patients=30", "--set", "denoise.enabled=false",
+        "--set", "fusion.register=false", "--set", override,
+    )
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert override.split("=")[0] in err
+    assert not (tmp_path / "w").exists()
+
+
 def _nan_payload(n: int) -> str:
     return base64.b64encode(np.full(n, np.nan, dtype="<f4").tobytes()).decode("ascii")
 
@@ -399,10 +427,11 @@ def _nan_payload(n: int) -> str:
         (lambda d: d.__setitem__("epochs_trained", "x"), "epochs_trained"),
         (lambda d: d["layers"][4].__setitem__("bias", _nan_payload(1)), "layer 4 bias"),
         (lambda d: d["layers"][0].__setitem__("kernel", _nan_payload(72)), "layer 0 kernel"),
+        (lambda d: d["channels"].__setitem__(4, [8, 1.5]), "channel width"),
     ],
     ids=[
         "missing-kernel", "scalar-layer", "scalar-channels", "scalar-layers",
-        "string-epochs", "nan-bias", "nan-kernel",
+        "string-epochs", "nan-bias", "nan-kernel", "fractional-width",
     ],
 )
 def test_denoise_apply_on_malformed_weights_exits_3(capsys, tmp_path, edit, needle):
@@ -459,3 +488,23 @@ def test_run_reports_denoiser_loss_on_stderr_only(capsys, tmp_path):
     assert re.fullmatch(r"\[denoise-train\] 3 epochs, loss \d\.\d{4} -> \d\.\d{4}", lines[0])
     for p in (out_dir / "report").rglob("*"):
         assert not p.is_file() or b" epochs, loss " not in p.read_bytes()
+
+
+def test_run_rebuilds_every_stage_when_the_code_changes(capsys, tmp_path, monkeypatch):
+    out_dir = tmp_path / "w"
+    argv = [
+        "run", "--out", str(out_dir), *_FAST,
+        "--set", "denoise.enabled=true", "--set", "denoise.epochs=2",
+        "--set", "denoise.train_images=8", "--set", "denoise.train_size=16",
+    ]
+    rc, out, _ = _run(capsys, *argv)
+    assert rc == 0
+    metrics = (out_dir / "report" / "metrics.json").read_bytes()
+    rc, out, _ = _run(capsys, *argv)
+    assert json.loads(out)["cache_hits"] == 5
+    monkeypatch.setattr(pl, "_source_hash", lambda: "0" * 64)
+    rc, out, _ = _run(capsys, *argv)
+    assert rc == 0
+    stages = json.loads(out)["stages"]
+    assert len(stages) == 5 and not any(s["cache_hit"] for s in stages)
+    assert (out_dir / "report" / "metrics.json").read_bytes() == metrics

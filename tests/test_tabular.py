@@ -1,10 +1,13 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from lungfuse import tabular as tb
 from lungfuse.errors import ContractError, DataError, FormatError
+from lungfuse.nnet import sigmoid
 
 
 def _toy():
@@ -158,6 +161,68 @@ def test_unseen_category_zero_block_one_warning():
         x = tb.apply_preprocess(p, probe)
     assert len(rec) == 1
     assert np.all(x == 0.0)
+
+
+def _reference_apply(p, ds):
+    """The per-cell loop that apply_preprocess replaced."""
+    out = np.zeros((ds.n_rows, p.width))
+    for ri, row in enumerate(ds.rows):
+        fi = 0
+        for ci, col in enumerate(p.columns):
+            v = row[ci]
+            if col.kind == "numeric":
+                mean, std = p.numeric_stats[col.name]
+                x = mean if v is None else float(v)
+                out[ri, fi] = (x - mean) / std
+                fi += 1
+            else:
+                cats = col.categories
+                val = p.modes[col.name] if v is None else v
+                if val in cats:
+                    out[ri, fi + cats.index(val)] = 1.0
+                else:
+                    warnings.warn(
+                        f"row {ri}, column {col.name!r}: unseen category {val!r} "
+                        "encoded as zeros"
+                    )
+                fi += len(cats)
+    return out
+
+
+def test_apply_preprocess_equals_per_cell_loop():
+    rng = np.random.default_rng(11)
+    fit_cols = [
+        tb.ColumnSpec("a", "numeric"),
+        tb.ColumnSpec("smoke", "categorical", ("never", "former")),
+        tb.ColumnSpec("b", "numeric"),
+        tb.ColumnSpec("stage", "categorical", ("I", "II")),
+    ]
+    wide = [
+        fit_cols[0],
+        tb.ColumnSpec("smoke", "categorical", ("never", "former", "current")),
+        fit_cols[2],
+        tb.ColumnSpec("stage", "categorical", ("I", "II", "III")),
+    ]
+
+    def rows(n, cats1, cats2):
+        out = []
+        for _ in range(n):
+            row = [float(rng.normal(3, 2)), str(rng.choice(cats1)),
+                   float(rng.normal()), str(rng.choice(cats2))]
+            out.append([None if rng.uniform() < 0.2 else v for v in row])
+        return out
+
+    train = tb.TabularDataset(fit_cols, rows(30, ["never", "former"], ["I", "II"]), ["x"] * 30)
+    test = tb.TabularDataset(wide, rows(25, ["never", "current"], ["II", "III"]), ["x"] * 25)
+    p = tb.fit_preprocess(train)
+    results = []
+    for fn in (tb.apply_preprocess, _reference_apply):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            out = fn(p, test)
+        results.append((out.tobytes(), [str(w.message) for w in rec]))
+    assert results[0] == results[1]
+    assert len(results[0][1]) > 2  # unseen values in both categorical columns
 
 
 def test_apply_rejects_schema_mismatch():
@@ -334,6 +399,123 @@ def test_importance_preconditions():
         tb.boosted_importance(x, np.zeros(12))
     with pytest.raises(ContractError):
         tb.boosted_importance(x, np.zeros(5))
+
+
+# The booster sorts once per fit and partitions the sorted rows down the
+# tree.  The functions below are the search it replaced, which sorted every
+# node's rows again; the two must agree bit for bit.
+
+
+def _reference_best_split(xn, g, h, lam, mcw):
+    n, nf = xn.shape
+    if n < 2:
+        return None
+    order = np.argsort(xn, axis=0, kind="stable")
+    xs = np.take_along_axis(xn, order, axis=0)
+    gs = np.cumsum(g[order], axis=0)
+    hs = np.cumsum(h[order], axis=0)
+    gtot, htot = gs[-1], hs[-1]
+    gl, hl = gs[:-1], hs[:-1]
+    gr, hr = gtot - gl, htot - hl
+    valid = (xs[1:] > xs[:-1]) & (hl >= mcw) & (hr >= mcw)
+    if not valid.any():
+        return None
+    gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - gtot**2 / (htot + lam))
+    gain[~valid] = -np.inf
+    flat = int(np.argmax(gain))
+    i, f = divmod(flat, nf)
+    best = float(gain[i, f])
+    if not best > 0.0:
+        return None
+    thr = 0.5 * (xs[i, f] + xs[i + 1, f])
+    return f, float(thr), best
+
+
+def _reference_boost_binary(x, y, cfg, gains, first):
+    n = x.shape[0]
+    f = np.zeros(n)
+    for _ in range(cfg.n_estimators):
+        p = sigmoid(f)
+        g = p - y
+        h = p * (1.0 - p)
+        update = np.zeros(n)
+
+        def grow(idx, depth):
+            split = (
+                _reference_best_split(x[idx], g[idx], h[idx], cfg.reg_lambda, cfg.min_child_weight)
+                if depth < cfg.max_depth
+                else None
+            )
+            if split is None:
+                update[idx] = -g[idx].sum() / (h[idx].sum() + cfg.reg_lambda)
+                return False
+            fi, thr, gain = split
+            gains[fi] += gain
+            if first[0] is None:
+                first[0] = (fi, thr, gain)
+            left = x[idx, fi] <= thr
+            grow(idx[left], depth + 1)
+            grow(idx[~left], depth + 1)
+            return True
+
+        if not grow(np.arange(n), 0):
+            break
+        f += cfg.learning_rate * update
+
+
+def _reference_importance(x, labels, cfg):
+    classes = np.unique(labels)
+    gains, first = np.zeros(x.shape[1]), [None]
+    for c in classes[1:] if len(classes) == 2 else classes:
+        _reference_boost_binary(x, (labels == c).astype(np.float64), cfg, gains, first)
+    return gains, [int(i) for i in np.argsort(-gains, kind="stable")], first[0]
+
+
+def _random_input(rng):
+    x = rng.normal(size=(70, 6))
+    y = (x[:, 1] - x[:, 4] + 0.5 * rng.normal(size=70) > 0).astype(int)
+    return x, y
+
+
+def _tied_input(rng):
+    x = rng.integers(0, 4, size=(80, 5)).astype(np.float64)
+    x[:, 2] = 1.5  # constant column
+    x = np.column_stack([x, x[:, 0]])  # duplicated column
+    y = (x[:, 0] + x[:, 3] + rng.integers(0, 2, 80) > 3).astype(int)
+    return x, y
+
+
+def _three_class_input(rng):
+    y = rng.integers(0, 3, 90)
+    x = np.column_stack([y + rng.normal(size=90), rng.normal(size=(90, 3))])
+    x[:, 2] = np.round(x[:, 2])
+    return x, np.array(["a", "b", "c"])[y]
+
+
+@pytest.mark.parametrize("max_depth", [1, 5, 6])
+@pytest.mark.parametrize("make", [_random_input, _tied_input, _three_class_input],
+                         ids=["random", "ties", "three-class"])
+def test_presorted_booster_equals_per_node_sort(make, max_depth):
+    x, labels = make(np.random.default_rng(max_depth))
+    cfg = tb.BoostConfig(max_depth=max_depth, n_estimators=25)
+    rep = tb.boosted_importance(x, labels, cfg)
+    gains, ranking, first = _reference_importance(x, labels, cfg)
+    assert rep.gains.tobytes() == gains.tobytes()
+    assert rep.ranking == ranking
+    assert rep.first_split == first
+
+
+def test_boosted_importance_gains_are_pinned():
+    # recorded before the presorted search replaced the per-node sort
+    rng = np.random.default_rng(2024)
+    x = rng.normal(size=(90, 10))
+    x[:, 3] = np.round(x[:, 3], 1)
+    x[:, 7] = x[:, 3]
+    y = np.where(x[:, 0] + 0.5 * x[:, 3] + 0.3 * rng.normal(size=90) > 0, "pos", "neg")
+    rep = tb.boosted_importance(x, y, tb.BoostConfig(n_estimators=40))
+    digest = hashlib.sha256(rep.gains.tobytes()).hexdigest()
+    assert digest == "7c2f49094490636e19db609e9e7a8f5433c41e69f63baa34ad34ccf01db16512"
+    assert rep.ranking == [0, 3, 5, 8, 1, 6, 2, 9, 4, 7]
 
 
 def test_select_features_examples():
