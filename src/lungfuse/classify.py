@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .nnet import Adam, TrainConfig, glorot_uniform, relu, softmax
+from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, softmax
 from .tabular import (
     BoostConfig,
     ColumnSpec,
@@ -138,12 +138,12 @@ def _class_index(labels):
     return classes, np.array([lut[v] for v in labels.tolist()])
 
 
-def train_logreg(x, labels, lr: float = 0.5, epochs: int = 200, seed: int = 0):
+def train_logreg(x, labels, lr: float = 0.5, epochs: int = 200):
     """Full-batch gradient descent from zero weights.
 
     Returns (model, losses); losses[0] is evaluated before any update,
-    so with balanced binary labels it equals ln 2.  Deterministic; the
-    seed only names the run (zero init needs no randomness).
+    so with balanced binary labels it equals ln 2.  Deterministic: zero
+    init needs no randomness.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -169,7 +169,9 @@ class MLPSpec:
     dropout: float = 0.5  # first hidden layer only, training time only
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(
+            self, "hidden", tuple(layer_width(h, "hidden width") for h in self.hidden)
+        )
         if len(self.hidden) != 2 or min(self.hidden) < 1:
             raise ContractError(f"hidden must be two positive widths, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:
@@ -243,7 +245,7 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
     params, grads = _views(flat, shapes), _views(gflat, shapes)
     for w in params[::2]:
         w[...] = glorot_uniform(rng, w.shape, *w.shape)
-    opt = Adam([flat], lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam([flat], lr=cfg.learning_rate)
     n = x.shape[0]
     batch = min(cfg.batch_size, n)
     keep = 1.0 - spec.dropout
@@ -427,8 +429,7 @@ class ClassifyConfig:
     levels: int = 2  # wavelet levels for image features
     boost: BoostConfig = field(default_factory=BoostConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    mlp_hidden: tuple = (32, 16)
-    mlp_dropout: float = 0.5
+    mlp: MLPSpec = field(default_factory=MLPSpec)
     logreg_lr: float = 0.5
     logreg_epochs: int = 200
 
@@ -437,10 +438,6 @@ class ClassifyConfig:
             raise ConfigError(f"model must be 'mlp' or 'logreg', got {self.model!r}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        self.mlp_spec()  # fail fast on bad width/dropout
-
-    def mlp_spec(self) -> MLPSpec:
-        return MLPSpec(hidden=tuple(self.mlp_hidden), dropout=self.mlp_dropout)
 
 
 def _assemble(ds: MMDataset, inputs) -> TabularDataset:
@@ -518,11 +515,9 @@ def kfold_evaluate(
         sel = select_features(report, top_k)
         xb_sel = xb[:, sel]
         if cfg.model == "logreg":
-            model, _ = train_logreg(
-                xb_sel, yb, lr=cfg.logreg_lr, epochs=cfg.logreg_epochs, seed=seed
-            )
+            model, _ = train_logreg(xb_sel, yb, lr=cfg.logreg_lr, epochs=cfg.logreg_epochs)
         else:
-            model = train_mlp(xb_sel, yb, cfg.mlp_spec(), cfg.train)
+            model = train_mlp(xb_sel, yb, cfg.mlp, cfg.train)
         pred = predict(model, x_test[:, sel])
         t_idx = np.array([lut[v] for v in labels[test_idx]])
         p_idx = np.array([lut[v] for v in pred])

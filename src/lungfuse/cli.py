@@ -16,11 +16,11 @@ import numpy as np
 
 from . import pipeline as pl
 from .classify import kfold_evaluate
-from .denoise import TrainConfig, denoise as run_denoise, load_weights, save_weights, train_denoiser
+from .denoise import denoise as run_denoise, load_weights, save_weights, train_denoiser
 from .errors import ConfigError, ContractError, DataError, NumericalError
 from .fusion import FusionRule, fuse_wavelet, fusion_quality, ncc
 from .images import read_pgm, write_json, write_pgm
-from .phantom import PhantomConfig, describe, generate
+from .phantom import describe, generate
 from .tabular import apply_preprocess, fit_preprocess, read_table
 
 
@@ -51,17 +51,12 @@ def version_cmd():
 @click.option("--missing-rate", default=0.0, show_default=True)
 def phantom_cmd(n, size, seed, out, balance, noise_sigma, jitter, signal, missing_rate):
     """Generate a synthetic paired CT/PET dataset with ground truth."""
-    cfg = PhantomConfig(
-        n_patients=n,
-        image_size=size,
-        class_balance=balance,
-        noise_sigma=noise_sigma,
-        registration_jitter=jitter,
-        signal_strength=signal,
-        missing_rate=missing_rate,
-        seed=seed,
+    phantom = dict(
+        n_patients=n, image_size=size, class_balance=balance, noise_sigma=noise_sigma,
+        registration_jitter=jitter, signal_strength=signal, missing_rate=missing_rate, seed=seed,
     )
-    _emit(generate(cfg, out))
+    doc = pl.resolve_config({"phantom": phantom})
+    _emit(generate(pl._phantom_config(doc), out))
 
 
 @cli.command("describe")
@@ -162,6 +157,12 @@ def register_cmd(fixed, moving, out, resampled, features):
 def denoise_train_cmd(out, images, n_images, size, train_seed, lr, batch_size, epochs, seed,
                       noise_kind, noise_param):
     """Train the denoising auto-encoder and save its weights."""
+    denoise = dict(
+        learning_rate=lr, batch_size=batch_size, epochs=epochs, rng_seed=seed,
+        noise_kind=noise_kind, noise_param=noise_param, train_images=n_images, train_size=size,
+        train_seed=train_seed,
+    )
+    doc = pl.resolve_config({"denoise": denoise})
     if images is not None:
         paths = sorted(
             os.path.join(images, f) for f in os.listdir(images) if f.endswith(".pgm")
@@ -171,15 +172,7 @@ def denoise_train_cmd(out, images, n_images, size, train_seed, lr, batch_size, e
         clean = [read_pgm(p) for p in paths]
     else:
         clean = pl.denoiser_scenes(n_images, size, train_seed)
-    cfg = TrainConfig(
-        learning_rate=lr,
-        batch_size=batch_size,
-        epochs=epochs,
-        rng_seed=seed,
-        noise_kind=noise_kind,
-        noise_param=noise_param,
-    )
-    weights, log = train_denoiser(clean, cfg)
+    weights, log = train_denoiser(clean, pl._train_config(doc))
     save_weights(out, weights)
     _emit({"weights": out, "epochs": len(log), "first_loss": log[0], "last_loss": log[-1]})
 

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import base64
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError, NumericalError
-from .nnet import Adam, TrainConfig, glorot_uniform, relu, sigmoid
+from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, sigmoid
 
 __all__ = [
     "ConvNetSpec",
@@ -58,23 +57,14 @@ __all__ = [
 _DEFAULT_CHANNELS = ((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))
 
 
-def _width(c) -> int:
-    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not float(c).is_integer():
-        raise ContractError(f"channel width must be an integer, got {c!r}")
-    return int(c)
-
-
 @dataclass(frozen=True)
 class ConvNetSpec:
     """Channel plan for the five conv layers, encoder to decoder order."""
 
     channels: tuple = _DEFAULT_CHANNELS
-    kernel_size: int = 3
 
     def __post_init__(self):
-        if self.kernel_size != 3:
-            raise ContractError(f"only 3x3 kernels are supported, got {self.kernel_size}")
-        ch = tuple(tuple(_width(c) for c in pair) for pair in self.channels)
+        ch = tuple(tuple(layer_width(c, "channel width") for c in pair) for pair in self.channels)
         object.__setattr__(self, "channels", ch)
         if len(ch) != 5:
             raise ContractError(f"expected 5 conv layers, got {len(ch)}")
@@ -324,7 +314,7 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
     weights = init_weights(ConvNetSpec(), rng)
     weights.rng_seed = cfg.rng_seed
     params = weights.params()
-    opt = Adam(params, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(params, lr=cfg.learning_rate)
 
     log = []
     for epoch in range(cfg.epochs):

@@ -9,10 +9,10 @@ so rotation and scaling pivot about the image center and tx/ty are
 read directly as pixel displacements of the content. Registration
 maximizes normalized cross-correlation over the overlap of the two
 images (masked NCC) on a fixed coarse grid, then hill-climbs with step
-halving. The coarse grid shifts by whole pixels (SearchBudget.t_max and
-t_step are integral), so for each (theta, scale) the scores at all
-shifts come from zero-padded FFT cross-correlations (Padfield, "Masked
-object registration in the Fourier domain", IEEE TIP 21(5), 2012).
+halving. The coarse grid shifts by whole pixels, so for each
+(theta, scale) the scores at all shifts come from zero-padded FFT
+cross-correlations (Padfield, "Masked object registration in the
+Fourier domain", IEEE TIP 21(5), 2012).
 Cells whose FFT score lies within 1e-9 of the FFT maximum, and cells
 whose variance is too small for the FFT sums to resolve, are scored
 again directly, so the coarse pick and its score are exactly those of
@@ -51,7 +51,7 @@ class RigidTransform:
             raise ContractError(f"scale must be positive, got {self.scale}")
 
     def inverse(self) -> "RigidTransform":
-        """Inverse in the centered frame (valid when in/out dims agree)."""
+        """Inverse in the centered frame."""
         c, s = math.cos(-self.theta), math.sin(-self.theta)
         inv_s = 1.0 / self.scale
         tx = -inv_s * (c * self.tx - s * self.ty)
@@ -74,63 +74,27 @@ class FusionRule:
             raise ContractError(f"ll_weight_ct must be in [0,1], got {self.ll_weight_ct}")
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Coarse grid extents/steps and refinement resolutions.
-
-    The refinement halves steps down to the stated resolutions, then
-    runs `polish_halvings` further rounds below them: rotation errors
-    couple with sub-resolution translation compensation (0.25 deg of
-    rotation displaces off-center structure by under 0.1 px), and
-    stopping exactly at the nominal resolution leaves theta stuck up
-    to ~0.7 deg from the objective's maximizer on lung-like slices.
-    """
-
-    t_max: float = 16.0
-    t_step: float = 2.0
-    theta_max_deg: float = 6.0
-    theta_step_deg: float = 2.0
-    scale_min: float = 0.9
-    scale_max: float = 1.1
-    scale_step: float = 0.05
-    t_resolution: float = 0.25
-    theta_resolution_deg: float = 0.25
-    scale_resolution: float = 0.01
-    polish_halvings: int = 2
-
-    def __post_init__(self):
-        # the coarse grid shifts by whole pixels, which the FFT scores need
-        for name in ("t_max", "t_step"):
-            value = float(getattr(self, name))
-            if not value.is_integer():
-                raise ContractError(f"{name} must be a whole number of pixels, got {value}")
-        if self.t_step <= 0 or self.t_max < 0:
-            raise ContractError(
-                f"t_step must be positive and t_max non-negative, got {self.t_step}, {self.t_max}"
-            )
-
-
-def _resample(arr: np.ndarray, t: RigidTransform, out_w: int, out_h: int):
-    """Bilinear resample of arr and the mask of in-bounds source points.
+def _resample(arr: np.ndarray, t: RigidTransform):
+    """Bilinear resample of arr at its own size and the mask of in-bounds
+    source points.
 
     Returns (image, valid): image samples outside the input are 0;
     valid marks output pixels whose inverse-mapped source lies within
     [0, w-1] x [0, h-1].
     """
     h, w = arr.shape
-    cx_in, cy_in = (w - 1) / 2.0, (h - 1) / 2.0
-    cx_out, cy_out = (out_w - 1) / 2.0, (out_h - 1) / 2.0
-    # p = R(-theta) (q - c_out - t) / scale + c_in, as outer differences
-    # of 1-D terms; in-place steps keep the IEEE operation order
-    dx = np.arange(out_w, dtype=np.float64) - cx_out - t.tx
-    dy = np.arange(out_h, dtype=np.float64) - cy_out - t.ty
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    # p = R(-theta) (q - c - t) / scale + c, as outer differences of 1-D
+    # terms; in-place steps keep the IEEE operation order
+    dx = np.arange(w, dtype=np.float64) - cx - t.tx
+    dy = np.arange(h, dtype=np.float64) - cy - t.ty
     c, s = math.cos(-t.theta), math.sin(-t.theta)
     px = (c * dx)[None, :] - (s * dy)[:, None]
     px /= t.scale
-    px += cx_in
+    px += cx
     py = (s * dx)[None, :] + (c * dy)[:, None]
     py /= t.scale
-    py += cy_in
+    py += cy
     valid = (px >= 0) & (px <= w - 1) & (py >= 0) & (py <= h - 1)
     x0 = np.floor(px)
     y0 = np.floor(py)
@@ -147,7 +111,7 @@ def _resample(arr: np.ndarray, t: RigidTransform, out_w: int, out_h: int):
     idx += 2 * row + 2
     gx = 1 - fx
     gy = 1 - fy
-    out = np.zeros((out_h, out_w))
+    out = np.zeros((h, w))
     for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
         tap = padded.take(idx + offset)
         tap *= wx * wy
@@ -155,20 +119,10 @@ def _resample(arr: np.ndarray, t: RigidTransform, out_w: int, out_h: int):
     return out, valid
 
 
-def resample_bilinear(img, t: RigidTransform, out_dims=None) -> np.ndarray:
-    """Inverse-mapping bilinear resampling; out-of-bounds samples are 0.
-
-    out_dims is (width, height); defaults to the input dims.
-    """
-    arr = as_image(img)
-    h, w = arr.shape
-    if out_dims is None:
-        out_w, out_h = w, h
-    else:
-        out_w, out_h = int(out_dims[0]), int(out_dims[1])
-        if out_w < 1 or out_h < 1:
-            raise ContractError(f"bad out_dims {out_dims}")
-    return _resample(arr, t, out_w, out_h)[0]
+def resample_bilinear(img, t: RigidTransform) -> np.ndarray:
+    """Inverse-mapping bilinear resampling at the input's size; out-of-bounds
+    samples are 0."""
+    return _resample(as_image(img), t)[0]
 
 
 def ncc(a, b) -> float:
@@ -229,16 +183,23 @@ _RESCORE_WINDOW = 1e-9
 # that many digits to cancellation in the FFT sums; score it directly
 _DEGENERATE_VARIANCE = 1e-4
 
-
-def _coarse_axes(sb: SearchBudget):
-    """Integer shifts, angles (rad) and scales of the coarse grid."""
-    shifts = np.arange(-int(sb.t_max), int(sb.t_max) + 1, int(sb.t_step))
-    # round away arange drift so e.g. scale 1.0 is evaluated exactly
-    thetas = np.deg2rad(
-        np.round(np.arange(-sb.theta_max_deg, sb.theta_max_deg + 1e-9, sb.theta_step_deg), 10)
-    )
-    scales = np.round(np.arange(sb.scale_min, sb.scale_max + 1e-9, sb.scale_step), 10)
-    return shifts, thetas, scales
+# the coarse grid: whole-pixel shifts of +-16 px in 2 px steps (the FFT
+# scores need integral shifts), +-6 deg in 2 deg steps and scale 0.9-1.1
+# in 0.05 steps; rounding removes arange drift so e.g. scale 1.0 is exact
+_SHIFTS = np.arange(-16, 17, 2)
+_THETAS = np.deg2rad(np.round(np.arange(-6.0, 6.0 + 1e-9, 2.0), 10))
+_SCALES = np.round(np.arange(0.9, 1.1 + 1e-9, 0.05), 10)
+# the refinement starts at half the coarse steps and halves them down to
+# these resolutions, then runs _POLISH_HALVINGS further rounds below
+# them: rotation errors couple with sub-resolution translation
+# compensation (0.25 deg of rotation displaces off-center structure by
+# under 0.1 px), and stopping exactly at the nominal resolution leaves
+# theta stuck up to ~0.7 deg from the objective's maximizer on lung-like
+# slices
+_T_RESOLUTION = 0.25
+_THETA_RESOLUTION = math.radians(0.25)
+_SCALE_RESOLUTION = 0.01
+_POLISH_HALVINGS = 2
 
 
 def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, scales):
@@ -274,7 +235,7 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     degenerate = np.zeros(scores.shape, dtype=bool)
     for it, theta in enumerate(thetas):
         for isc, scale in enumerate(scales):
-            base, valid = _resample(moving, RigidTransform(0.0, 0.0, theta, scale), w, h)
+            base, valid = _resample(moving, RigidTransform(0.0, 0.0, theta, scale))
             bv = valid.astype(np.float64)
             bm = base * bv
             m_energy = float(np.sum(bm * bm))
@@ -304,7 +265,7 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     return scores, degenerate
 
 
-def _coarse_pick(fixed: np.ndarray, moving: np.ndarray, sb: SearchBudget):
+def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
     """First maximum of the direct masked-NCC grid and its direct score.
 
     Cells are ranked by their FFT scores; every cell the FFT rounding
@@ -313,15 +274,14 @@ def _coarse_pick(fixed: np.ndarray, moving: np.ndarray, sb: SearchBudget):
     its score are those of the per-cell search. Ties go to the first
     cell in lexicographic (tx, ty, theta, scale) order.
     """
-    h, w = fixed.shape
-    shifts, thetas, scales = _coarse_axes(sb)
+    shifts, thetas, scales = _SHIFTS, _THETAS, _SCALES
     scores, recheck = _fft_coarse_scores(fixed, moving, shifts, thetas, scales)
     recheck |= np.isfinite(scores) & (scores >= np.max(scores) - _RESCORE_WINDOW)
     bases = {}
     for ix, iy, it, isc in np.argwhere(recheck):
         if (it, isc) not in bases:
             t0 = RigidTransform(0.0, 0.0, thetas[it], scales[isc])
-            bases[it, isc] = _resample(moving, t0, w, h)
+            bases[it, isc] = _resample(moving, t0)
         base, base_valid = bases[it, isc]
         tx, ty = int(shifts[ix]), int(shifts[iy])
         scores[ix, iy, it, isc] = _masked_ncc(
@@ -332,7 +292,7 @@ def _coarse_pick(fixed: np.ndarray, moving: np.ndarray, sb: SearchBudget):
     return cur, float(scores[ix, iy, it, isc])
 
 
-def register_rigid(fixed, moving, search: SearchBudget | None = None) -> RigidTransform:
+def register_rigid(fixed, moving) -> RigidTransform:
     """Find the rigid transform maximizing NCC(fixed, resample(moving, T))."""
     fixed = as_image(fixed)
     moving = as_image(moving)
@@ -340,15 +300,13 @@ def register_rigid(fixed, moving, search: SearchBudget | None = None) -> RigidTr
         raise ContractError(f"dimension mismatch {fixed.shape} vs {moving.shape}")
     if np.ptp(fixed) == 0.0 or np.ptp(moving) == 0.0:
         raise NumericalError("no correlation signal")
-    sb = search or SearchBudget()
-    h, w = fixed.shape
-    cur, best = _coarse_pick(fixed, moving, sb)
+    cur, best = _coarse_pick(fixed, moving)
 
     def evaluate(params) -> float:
         if params[3] <= 0:
             return -np.inf
         t = RigidTransform(params[0], params[1], params[2], params[3])
-        return _masked_ncc(fixed, *_resample(moving, t, w, h))
+        return _masked_ncc(fixed, *_resample(moving, t))
 
     # pattern search: the NCC landscape couples rotation/scale with
     # translation, so explore all +-step combinations, not just axis moves
@@ -373,26 +331,23 @@ def register_rigid(fixed, moving, search: SearchBudget | None = None) -> RigidTr
             cur = list(move)
             best = move_score
 
-    step_t = sb.t_step / 2.0
-    step_theta = math.radians(sb.theta_step_deg) / 2.0
-    step_s = sb.scale_step / 2.0
-    res_theta = math.radians(sb.theta_resolution_deg)
+    step_t, step_theta, step_s = 2.0 / 2.0, math.radians(2.0) / 2.0, 0.05 / 2.0
     while True:
-        step_t = max(step_t, sb.t_resolution)
-        step_theta = max(step_theta, res_theta)
-        step_s = max(step_s, sb.scale_resolution)
+        step_t = max(step_t, _T_RESOLUTION)
+        step_theta = max(step_theta, _THETA_RESOLUTION)
+        step_s = max(step_s, _SCALE_RESOLUTION)
         sweep(step_t, step_theta, step_s)
         at_res = (
-            step_t <= sb.t_resolution
-            and step_theta <= res_theta
-            and step_s <= sb.scale_resolution
+            step_t <= _T_RESOLUTION
+            and step_theta <= _THETA_RESOLUTION
+            and step_s <= _SCALE_RESOLUTION
         )
         if at_res:
             break
         step_t /= 2.0
         step_theta /= 2.0
         step_s /= 2.0
-    for _ in range(sb.polish_halvings):
+    for _ in range(_POLISH_HALVINGS):
         step_t /= 2.0
         step_theta /= 2.0
         step_s /= 2.0

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass
@@ -15,9 +21,6 @@ class TrainConfig:
     batch_size: int = 96  # clamped to dataset size
     epochs: int = 30
     rng_seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     noise_kind: str = "gaussian"  # gaussian | poisson
     noise_param: float = 0.1  # sigma for gaussian, count scale for poisson
 
@@ -30,6 +33,17 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.noise_kind not in ("gaussian", "poisson"):
             raise ContractError(f"unknown noise_kind {self.noise_kind!r}")
+
+
+def layer_width(value, what: str) -> int:
+    """A layer width as an int; fractional, boolean or non-numeric widths raise."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not float(value).is_integer()
+    ):
+        raise ContractError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def relu(x):
@@ -60,11 +74,8 @@ def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
 class Adam:
     """Adam with bias correction; updates parameters in place."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -73,11 +84,11 @@ class Adam:
         if len(params) != len(self.m):
             raise ContractError("parameter count changed between Adam steps")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - _BETA1**self.t
+        c2 = 1.0 - _BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)

@@ -33,6 +33,7 @@ from . import __version__
 from .classify import (
     REPORT_SCHEMA_VERSION,
     ClassifyConfig,
+    MLPSpec,
     MMDataset,
     compare_modalities,
     comparison_to_text,
@@ -225,54 +226,54 @@ def classify_config_from(doc: dict) -> ClassifyConfig:
             epochs=c["epochs"],
             rng_seed=c["rng_seed"],
         ),
-        mlp_hidden=tuple(c["hidden"]),
-        mlp_dropout=c["dropout"],
+        mlp=MLPSpec(hidden=tuple(c["hidden"]), dropout=c["dropout"]),
         logreg_lr=c["logreg_lr"],
         logreg_epochs=c["logreg_epochs"],
     )
 
 
-def _require_int(doc: dict, section: str, key: str, minimum: int) -> None:
-    v = doc[section][key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-        raise ConfigError(f"{section}.{key} must be an integer >= {minimum}, got {v!r}")
-
-
-def _require_number(doc: dict, section: str, key: str) -> None:
-    v = doc[section][key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{section}.{key} must be a finite number, got {v!r}")
+# integer settings and their least legal value; numpy seeds are non-negative
+_INTEGERS = {
+    "phantom": {"n_patients": 2, "image_size": 16, "seed": 0},
+    "denoise": {"batch_size": 1, "epochs": 1, "rng_seed": 0, "train_images": 8,
+                "train_size": 16, "train_seed": 0},
+    "fusion": {"levels": 1},
+    "tabular": {"top_k": 1, "smote_k": 1},
+    "classify": {"epochs": 1, "batch_size": 1, "boost_max_depth": 1, "boost_n_estimators": 1,
+                 "logreg_epochs": 1, "feature_levels": 1, "rng_seed": 0},
+    "evaluate": {"k": 2, "seed": 0},
+}
+_NUMBERS = {
+    "phantom": ("class_balance", "noise_sigma", "registration_jitter", "signal_strength",
+                "missing_rate"),
+    "denoise": ("learning_rate", "noise_param"),
+    "fusion": ("ll_weight_ct",),
+    "classify": ("learning_rate", "boost_learning_rate", "logreg_lr", "dropout"),
+}
 
 
 def _validate(doc: dict) -> None:
     """Type-check the values, then construct every stage config once, so
     bad values fail before any work."""
-    _phantom_config(doc)
-    d = doc["denoise"]
-    if not isinstance(d["enabled"], bool):
-        raise ConfigError(f'denoise.enabled must be true or false, got {d["enabled"]!r}')
-    if d["train_images"] < 8:
-        raise ConfigError(f'denoise.train_images must be >= 8, got {d["train_images"]}')
-    if d["train_size"] % 4 or d["train_size"] < 16:
+    for section, minimums in _INTEGERS.items():
+        for key, minimum in minimums.items():
+            v = doc[section][key]
+            if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+                raise ConfigError(f"{section}.{key} must be an integer >= {minimum}, got {v!r}")
+    for section, keys in _NUMBERS.items():
+        for key in keys:
+            v = doc[section][key]
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ConfigError(f"{section}.{key} must be a finite number, got {v!r}")
+    for section, key in (("denoise", "enabled"), ("fusion", "register")):
+        if not isinstance(doc[section][key], bool):
+            raise ConfigError(f"{section}.{key} must be true or false, got {doc[section][key]!r}")
+    if doc["denoise"]["train_size"] % 4:
         raise ConfigError(
-            f'denoise.train_size must be >= 16 and divisible by 4, got {d["train_size"]}'
+            f'denoise.train_size must be divisible by 4, got {doc["denoise"]["train_size"]}'
         )
-    _train_config(doc)
-    f = doc["fusion"]
-    if f["family"] not in ("haar", "db2"):
-        raise ConfigError(f'fusion.family must be "haar" or "db2", got {f["family"]!r}')
-    _require_int(doc, "fusion", "levels", 1)
-    if not isinstance(f["register"], bool):
-        raise ConfigError(f'fusion.register must be true or false, got {f["register"]!r}')
-    _fusion_rule(doc)
-    for key in ("top_k", "smote_k"):
-        _require_int(doc, "tabular", key, 1)
-    for key in ("epochs", "batch_size", "boost_max_depth", "boost_n_estimators",
-                "logreg_epochs", "feature_levels"):
-        _require_int(doc, "classify", key, 1)
-    _require_int(doc, "classify", "rng_seed", 0)  # numpy seeds are non-negative
-    for key in ("learning_rate", "boost_learning_rate", "logreg_lr", "dropout"):
-        _require_number(doc, "classify", key)
+    if doc["fusion"]["family"] not in ("haar", "db2"):
+        raise ConfigError(f'fusion.family must be "haar" or "db2", got {doc["fusion"]["family"]!r}')
     hidden = doc["classify"]["hidden"]
     if not (
         isinstance(hidden, (list, tuple))
@@ -280,9 +281,10 @@ def _validate(doc: dict) -> None:
         and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in hidden)
     ):
         raise ConfigError(f"classify.hidden must be a list of two positive integers, got {hidden!r}")
+    _phantom_config(doc)
+    _train_config(doc)
+    _fusion_rule(doc)
     classify_config_from(doc)
-    _require_int(doc, "evaluate", "k", 2)
-    _require_int(doc, "evaluate", "seed", 0)
 
 
 def version_info() -> dict:

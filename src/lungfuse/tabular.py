@@ -357,15 +357,17 @@ def smote(x, labels, k: int = 5, seed: int = 0):
 
 # --- boosted feature importance ---
 
+# XGBoost's fixed defaults: L2 penalty on leaf weights, and the least
+# hessian a child may carry
+_LAMBDA = 1.0
+_MIN_CHILD_WEIGHT = 1.0
+
 
 @dataclass(frozen=True)
 class BoostConfig:
     learning_rate: float = 0.1
     max_depth: int = 5
     n_estimators: int = 100
-    reg_lambda: float = 1.0
-    min_child_weight: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -381,7 +383,7 @@ class ImportanceReport:
     first_split: tuple | None = None  # (feature, threshold, gain) of first root
 
 
-def _best_split(x, order, g, h, lam, mcw):
+def _best_split(x, order, g, h):
     """Exact greedy scan over all features at one node; None if no gain.
 
     order is the node's (features, rows) index array, each row sorted by
@@ -397,9 +399,10 @@ def _best_split(x, order, g, h, lam, mcw):
     gtot, htot = gs[-1], hs[-1]
     gl, hl = gs[:-1], hs[:-1]
     gr, hr = gtot - gl, htot - hl
-    valid = (xs[1:] > xs[:-1]) & (hl >= mcw) & (hr >= mcw)
+    valid = (xs[1:] > xs[:-1]) & (hl >= _MIN_CHILD_WEIGHT) & (hr >= _MIN_CHILD_WEIGHT)
     if not valid.any():
         return None
+    lam = _LAMBDA
     gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - gtot**2 / (htot + lam))
     gain[~valid] = -np.inf
     flat = int(np.argmax(gain))
@@ -427,14 +430,10 @@ def _boost_binary(x, order0, y, cfg: BoostConfig, gains: np.ndarray, record_firs
         update = np.zeros(n)
 
         def grow(idx, order, depth):
-            split = (
-                _best_split(x, order, g, h, cfg.reg_lambda, cfg.min_child_weight)
-                if depth < cfg.max_depth
-                else None
-            )
+            split = _best_split(x, order, g, h) if depth < cfg.max_depth else None
             if split is None:
                 gsum, hsum = g[idx].sum(), h[idx].sum()
-                update[idx] = -gsum / (hsum + cfg.reg_lambda)
+                update[idx] = -gsum / (hsum + _LAMBDA)
                 return False
             fi, thr, gain = split
             gains[fi] += gain

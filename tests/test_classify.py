@@ -178,6 +178,8 @@ def test_mlp_spec_validation():
         cl.MLPSpec(dropout=1.0)
     with pytest.raises(ContractError):
         cl.MLPSpec(hidden=(0, 4))
+    with pytest.raises(ContractError):
+        cl.MLPSpec(hidden=(7.9, 3))
 
 
 def test_predict_rejects_wrong_width():

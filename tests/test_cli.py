@@ -359,6 +359,38 @@ def test_compare_subcommand_writes_table_and_metrics(capsys, tmp_path):
     assert set(doc["results"]) == {"tabular-only", "ct-only", "fused", "multimodal"}
 
 
+def test_compare_matches_run_report(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, seed=42), ds)
+    rc, _, _ = _run(capsys, "compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
+                    *_FAST)
+    assert rc == 0
+    rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "run"), *_FAST)
+    assert rc == 0
+    cmp, report = tmp_path / "cmp", tmp_path / "run" / "report"
+    for name in ("metrics.json", "comparison.txt"):
+        assert (cmp / name).read_bytes() == (report / name).read_bytes()
+    assert _tree_hash(cmp / "fused") == _tree_hash(report / "fused")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["phantom", "--seed", "-1"], "phantom.seed"),
+        (["denoise-train", "--seed", "-1"], "denoise.rng_seed"),
+        (["denoise-train", "--train-seed", "-1"], "denoise.train_seed"),
+    ],
+)
+def test_standalone_commands_validate_like_run(capsys, tmp_path, argv, key):
+    out = tmp_path / "out"
+    rc, _, err = _run(capsys, *argv, "--out", str(out))
+    assert rc == 2
+    assert err == f"error: {key} must be an integer >= 0, got -1\n"
+    assert not out.exists()
+    rc, _, run_err = _run(capsys, "run", "--out", str(tmp_path / "w"), "--set", f"{key}=-1")
+    assert rc == 2 and run_err == err
+
+
 def test_describe_on_non_utf8_csv_exits_3(capsys, tmp_path):
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=2, seed=1), ds)
@@ -399,6 +431,16 @@ def test_malformed_config_with_override_exits_2(capsys, tmp_path, content):
         'classify.dropout="0.5"',
         "classify.rng_seed=-3",
         "evaluate.seed=-1",
+        "phantom.seed=-1",
+        "denoise.train_seed=-2",
+        "denoise.rng_seed=-1",
+        "phantom.n_patients=abc",
+        "phantom.n_patients=4.5",
+        "phantom.noise_sigma=abc",
+        "denoise.train_images=abc",
+        "denoise.learning_rate=abc",
+        "denoise.noise_param=abc",
+        "fusion.ll_weight_ct=abc",
     ],
 )
 def test_bad_classify_or_tabular_value_exits_2_before_any_stage(capsys, tmp_path, override):

@@ -88,8 +88,6 @@ def test_convnet_spec_validates_chain():
         dn.ConvNetSpec(channels=((1, 8), (4, 16), (16, 16), (16, 8), (8, 1)))
     with pytest.raises(ContractError):
         dn.ConvNetSpec(channels=((2, 8), (8, 16), (16, 16), (16, 8), (8, 1)))
-    with pytest.raises(ContractError):
-        dn.ConvNetSpec(kernel_size=5)
 
 
 def test_init_weights_shapes_and_determinism():

@@ -442,12 +442,13 @@ def _reference_boost_binary(x, y, cfg, gains, first):
 
         def grow(idx, depth):
             split = (
-                _reference_best_split(x[idx], g[idx], h[idx], cfg.reg_lambda, cfg.min_child_weight)
+                # XGBoost's lambda 1 and min child hessian 1
+                _reference_best_split(x[idx], g[idx], h[idx], 1.0, 1.0)
                 if depth < cfg.max_depth
                 else None
             )
             if split is None:
-                update[idx] = -g[idx].sum() / (h[idx].sum() + cfg.reg_lambda)
+                update[idx] = -g[idx].sum() / (h[idx].sum() + 1.0)
                 return False
             fi, thr, gain = split
             gains[fi] += gain
