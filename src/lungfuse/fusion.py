@@ -25,6 +25,7 @@ candidate order.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import product
 
@@ -74,49 +75,80 @@ class FusionRule:
             raise ContractError(f"ll_weight_ct must be in [0,1], got {self.ll_weight_ct}")
 
 
+class _Resampler:
+    """Bilinear resampling of one image, at its own size, under many transforms.
+
+    The zero-padded copy of the image, the centred coordinates and the
+    image-sized work buffers are built once; of the image-sized arrays a
+    call allocates only the image and mask it returns, so results kept
+    by the caller stay valid across later calls.
+    """
+
+    def __init__(self, arr: np.ndarray):
+        h, w = arr.shape
+        self.cx, self.cy = (w - 1) / 2.0, (h - 1) / 2.0
+        self.xc = np.arange(w, dtype=np.float64) - self.cx
+        self.yc = np.arange(h, dtype=np.float64) - self.cy
+        # a 2 px zero border turns every out-of-bounds tap into a read of 0
+        padded = np.zeros((h + 4, w + 4))
+        padded[2:-2, 2:-2] = arr
+        self.flat = padded.ravel()
+        self.px, self.py, self.x0, self.y0, self.gx, self.gy, self.wgt, self.tap = (
+            np.empty((h, w)) for _ in range(8)
+        )
+        self.idx = np.empty((h, w), dtype=np.intp)
+        self.inside = np.empty((h, w), dtype=bool)
+
+    def __call__(self, t: RigidTransform):
+        """Returns (image, valid): image samples outside the input are 0;
+        valid marks output pixels whose inverse-mapped source lies within
+        [0, w-1] x [0, h-1]."""
+        h, w = self.idx.shape
+        px, py, x0, y0 = self.px, self.py, self.x0, self.y0
+        # p = R(-theta) (q - c - t) / scale + c, as outer differences of 1-D
+        # terms; the out= and in-place steps keep the IEEE operation order
+        dx = self.xc - t.tx
+        dy = self.yc - t.ty
+        c, s = math.cos(-t.theta), math.sin(-t.theta)
+        np.subtract((c * dx)[None, :], (s * dy)[:, None], out=px)
+        px /= t.scale
+        px += self.cx
+        np.add((s * dx)[None, :], (c * dy)[:, None], out=py)
+        py /= t.scale
+        py += self.cy
+        inside = self.inside
+        valid = np.greater_equal(px, 0)
+        valid &= np.less_equal(px, w - 1, out=inside)
+        valid &= np.greater_equal(py, 0, out=inside)
+        valid &= np.less_equal(py, h - 1, out=inside)
+        np.floor(px, out=x0)
+        np.floor(py, out=y0)
+        fx = np.subtract(px, x0, out=px)
+        fy = np.subtract(py, y0, out=py)
+        row = w + 4
+        np.clip(y0, -2, h, out=y0)
+        y0 *= row
+        y0 += np.clip(x0, -2, w, out=x0)
+        idx = self.idx
+        np.copyto(idx, y0, casting="unsafe")
+        idx += 2 * row + 2
+        gx = np.subtract(1, fx, out=self.gx)
+        gy = np.subtract(1, fy, out=self.gy)
+        out = np.zeros((h, w))
+        tap, wgt = self.tap, self.wgt
+        for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
+            # every index is in range, so "clip" changes no tap; "raise"
+            # would copy through a temporary instead of writing into tap
+            np.take(self.flat[offset:], idx, out=tap, mode="clip")
+            tap *= np.multiply(wx, wy, out=wgt)
+            out += tap
+        return out, valid
+
+
 def _resample(arr: np.ndarray, t: RigidTransform):
     """Bilinear resample of arr at its own size and the mask of in-bounds
-    source points.
-
-    Returns (image, valid): image samples outside the input are 0;
-    valid marks output pixels whose inverse-mapped source lies within
-    [0, w-1] x [0, h-1].
-    """
-    h, w = arr.shape
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    # p = R(-theta) (q - c - t) / scale + c, as outer differences of 1-D
-    # terms; in-place steps keep the IEEE operation order
-    dx = np.arange(w, dtype=np.float64) - cx - t.tx
-    dy = np.arange(h, dtype=np.float64) - cy - t.ty
-    c, s = math.cos(-t.theta), math.sin(-t.theta)
-    px = (c * dx)[None, :] - (s * dy)[:, None]
-    px /= t.scale
-    px += cx
-    py = (s * dx)[None, :] + (c * dy)[:, None]
-    py /= t.scale
-    py += cy
-    valid = (px >= 0) & (px <= w - 1) & (py >= 0) & (py <= h - 1)
-    x0 = np.floor(px)
-    y0 = np.floor(py)
-    fx = np.subtract(px, x0, out=px)
-    fy = np.subtract(py, y0, out=py)
-    # a 2 px zero border turns every out-of-bounds tap into a read of 0
-    padded = np.zeros((h + 4, w + 4))
-    padded[2:-2, 2:-2] = arr
-    row = w + 4
-    idx = np.clip(y0, -2, h, out=y0)
-    idx *= row
-    idx += np.clip(x0, -2, w, out=x0)
-    idx = idx.astype(np.intp)
-    idx += 2 * row + 2
-    gx = 1 - fx
-    gy = 1 - fy
-    out = np.zeros((h, w))
-    for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
-        tap = padded.take(idx + offset)
-        tap *= wx * wy
-        out += tap
-    return out, valid
+    source points; see _Resampler."""
+    return _Resampler(arr)(t)
 
 
 def resample_bilinear(img, t: RigidTransform) -> np.ndarray:
@@ -211,8 +243,10 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     at all shifts come from six zero-padded FFT cross-correlations
     (Padfield, "Masked object registration in the Fourier domain",
     IEEE TIP 21(5), 2012). Returns scores indexed [tx, ty, theta,
-    scale], -inf below the overlap floor, and a mask of the cells whose
-    variances are too small to trust the FFT score.
+    scale], -inf below the overlap floor, a mask of the cells whose
+    variances are too small to trust the FFT score, and the (base,
+    valid) pair of every (theta, scale) slice holding such a cell or a
+    score within _RESCORE_WINDOW of the maximum, keyed by slice index.
     """
     h, w = fixed.shape
     reach = int(np.max(np.abs(shifts)))
@@ -233,9 +267,16 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     )
     scores = np.full((len(shifts), len(shifts), len(thetas), len(scales)), -np.inf)
     degenerate = np.zeros(scores.shape, dtype=bool)
+    resample = _Resampler(moving)
+    # slice index -> (base, valid, rank) of every slice _coarse_pick may
+    # re-score, so that none is resampled twice: a slice with a degenerate
+    # cell ranks +inf, any other ranks by its top score and is dropped once
+    # that falls out of the window below the best so far
+    kept = {}
+    top = -np.inf
     for it, theta in enumerate(thetas):
         for isc, scale in enumerate(scales):
-            base, valid = _resample(moving, RigidTransform(0.0, 0.0, theta, scale))
+            base, valid = resample(RigidTransform(0.0, 0.0, theta, scale))
             bv = valid.astype(np.float64)
             bm = base * bv
             m_energy = float(np.sum(bm * bm))
@@ -262,7 +303,14 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
             cell = scores[:, :, it, isc]
             cell[good] = cov[good] / np.sqrt(var_f[good] * var_m[good])
             degenerate[:, :, it, isc] = weak
-    return scores, degenerate
+            slice_top = float(np.max(cell))
+            if slice_top > top:
+                top = slice_top
+                kept = {k: v for k, v in kept.items() if v[2] >= top - _RESCORE_WINDOW}
+            rank = np.inf if weak.any() else slice_top
+            if rank >= top - _RESCORE_WINDOW:
+                kept[it, isc] = (base, valid, rank)
+    return scores, degenerate, {k: v[:2] for k, v in kept.items()}
 
 
 def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
@@ -275,13 +323,9 @@ def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
     cell in lexicographic (tx, ty, theta, scale) order.
     """
     shifts, thetas, scales = _SHIFTS, _THETAS, _SCALES
-    scores, recheck = _fft_coarse_scores(fixed, moving, shifts, thetas, scales)
+    scores, recheck, bases = _fft_coarse_scores(fixed, moving, shifts, thetas, scales)
     recheck |= np.isfinite(scores) & (scores >= np.max(scores) - _RESCORE_WINDOW)
-    bases = {}
     for ix, iy, it, isc in np.argwhere(recheck):
-        if (it, isc) not in bases:
-            t0 = RigidTransform(0.0, 0.0, thetas[it], scales[isc])
-            bases[it, isc] = _resample(moving, t0)
         base, base_valid = bases[it, isc]
         tx, ty = int(shifts[ix]), int(shifts[iy])
         scores[ix, iy, it, isc] = _masked_ncc(
@@ -301,12 +345,20 @@ def register_rigid(fixed, moving) -> RigidTransform:
     if np.ptp(fixed) == 0.0 or np.ptp(moving) == 0.0:
         raise NumericalError("no correlation signal")
     cur, best = _coarse_pick(fixed, moving)
+    resample = _Resampler(moving)
+    # the search revisits about a quarter of its candidates; each distinct
+    # one is scored once per call, keyed on its exact bits so that 0.0 and
+    # -0.0 stay apart
+    scored = {}
 
     def evaluate(params) -> float:
         if params[3] <= 0:
             return -np.inf
-        t = RigidTransform(params[0], params[1], params[2], params[3])
-        return _masked_ncc(fixed, *_resample(moving, t))
+        key = struct.pack("4d", *params)
+        if key not in scored:
+            t = RigidTransform(params[0], params[1], params[2], params[3])
+            scored[key] = _masked_ncc(fixed, *resample(t))
+        return scored[key]
 
     # pattern search: the NCC landscape couples rotation/scale with
     # translation, so explore all +-step combinations, not just axis moves

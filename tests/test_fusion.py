@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lungfuse import fusion
 from lungfuse.errors import ContractError, NumericalError
 from lungfuse.fusion import (
     FusionRule,
@@ -135,16 +136,16 @@ def _reference_resample(arr, t, out_w, out_h):
 
 
 # out_dims is (width, height) of the image, which _resample keeps
-@pytest.mark.parametrize(
-    "t,out_dims",
-    [
-        (RigidTransform(), (40, 30)),
-        (RigidTransform(1.3, -0.7, 0.03, 1.01), (40, 30)),
-        (RigidTransform(-6.25, 3.5, math.radians(-5.0), 0.9), (40, 30)),
-        (RigidTransform(25.0, -31.0, math.radians(70.0), 0.4), (40, 30)),  # mostly outside
-        (RigidTransform(0.5, 0.5, math.radians(12.0), 1.7), (23, 51)),
-    ],
-)
+_RESAMPLE_CASES = [
+    (RigidTransform(), (40, 30)),
+    (RigidTransform(1.3, -0.7, 0.03, 1.01), (40, 30)),
+    (RigidTransform(-6.25, 3.5, math.radians(-5.0), 0.9), (40, 30)),
+    (RigidTransform(25.0, -31.0, math.radians(70.0), 0.4), (40, 30)),  # mostly outside
+    (RigidTransform(0.5, 0.5, math.radians(12.0), 1.7), (23, 51)),
+]
+
+
+@pytest.mark.parametrize("t,out_dims", _RESAMPLE_CASES)
 def test_resample_matches_reference_bit_for_bit(t, out_dims):
     img = np.random.default_rng(11).uniform(-1.0, 1.0, out_dims[::-1])
     out, valid = _resample(img, t)
@@ -152,6 +153,24 @@ def test_resample_matches_reference_bit_for_bit(t, out_dims):
     assert out.tobytes() == ref.tobytes()
     np.testing.assert_array_equal(valid, ref_valid)
     assert resample_bilinear(img, t).tobytes() == ref.tobytes()
+
+
+def test_prepared_resampler_reuses_buffers_without_leaking():
+    # all five transforms in sequence through one prepared resampler: each
+    # result matches the reference, and no later call writes into an
+    # image or mask an earlier call returned
+    img = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 40))
+    resample = fusion._Resampler(img)
+    results = []
+    for t, _ in _RESAMPLE_CASES:
+        out, valid = resample(t)
+        ref, ref_valid = _reference_resample(img, t, 40, 30)
+        assert out.tobytes() == ref.tobytes()
+        assert valid.tobytes() == ref_valid.tobytes()
+        results.append((out, valid, out.copy(), valid.copy()))
+    for out, valid, out_then, valid_then in results:
+        assert out.tobytes() == out_then.tobytes()
+        assert valid.tobytes() == valid_then.tobytes()
 
 
 def test_transform_inverse_round_trip():
@@ -214,6 +233,25 @@ def test_register_recovery_randomized():
         assert abs(rec.scale - inv.scale) <= 0.02
 
 
+def test_register_resamples_no_transform_twice(monkeypatch):
+    # the refinement used to revisit about a quarter of its candidates, and
+    # the coarse pick resampled again each slice it re-scored; a refinement
+    # candidate can still land exactly on a grid slice's (0, 0, theta,
+    # scale), which this pair's search does not
+    calls = []
+    resample = fusion._Resampler.__call__
+
+    def counting(self, t):
+        calls.append((t.tx, t.ty, t.theta, t.scale))
+        return resample(self, t)
+
+    monkeypatch.setattr(fusion._Resampler, "__call__", counting)
+    ct, pet = _phantom_pair(0, 64, "adenocarcinoma")
+    register_rigid(gradient_magnitude(ct), gradient_magnitude(pet))
+    assert len(calls) > 200
+    assert len(set(calls)) == len(calls)
+
+
 def test_register_deterministic():
     img = _ct_like(64, seed=4)
     moving = resample_bilinear(img, RigidTransform(tx=2.0, ty=1.0))
@@ -222,13 +260,14 @@ def test_register_deterministic():
     assert t1 == t2
 
 
-def _phantom_pair(seed, size, subtype):
-    """Noisy CT and PET of one phantom patient, as `phantom.generate` draws them."""
+def _phantom_pair(seed, size, subtype, rows=slice(None)):
+    """Noisy CT and PET of one phantom patient, as `phantom.generate` draws them,
+    cropped to `rows`."""
     rng = np.random.default_rng(seed)
     geom = sample_patient(rng, PhantomConfig(image_size=size), subtype)["geometry"]
     ct = np.clip(render_ct(geom, size) + rng.normal(0.0, 0.02, (size, size)), 0.0, 1.0)
     pet = np.clip(render_pet(geom, size) + rng.normal(0.0, 0.02, (size, size)), 0.0, 1.0)
-    return ct, pet
+    return ct[rows], pet[rows]
 
 
 def _direct_coarse_scores(fixed, moving, shifts, thetas, scales):
@@ -251,7 +290,7 @@ def _check_against_direct_grid(fixed, moving):
     """FFT scores equal the direct ones on every cell not flagged degenerate,
     and the coarse pick is the direct grid's first maximum, bit for bit."""
     shifts, thetas, scales = axes = _SHIFTS, _THETAS, _SCALES
-    scores, degenerate = _fft_coarse_scores(fixed, moving, *axes)
+    scores, degenerate, _ = _fft_coarse_scores(fixed, moving, *axes)
     direct = _direct_coarse_scores(fixed, moving, *axes)
     trusted = ~degenerate
     finite = np.isfinite(direct)
@@ -314,6 +353,11 @@ _GOLDEN = [
      "RigidTransform(tx=-1.75, ty=1.1875, theta=0.027270769562411402, scale=1.025)"),
     ((2, 48, "adenocarcinoma"),
      "RigidTransform(tx=-1.125, ty=0.5, theta=0.005454153912482272, scale=0.975)"),
+    ((3, 96, "squamous"),
+     "RigidTransform(tx=-0.5625, ty=-1.375, theta=-0.022907446432425572, scale=1.015)"),
+    # a 64 x 80 crop: rows and columns are not interchangeable
+    ((4, 80, "adenocarcinoma", slice(8, 72)),
+     "RigidTransform(tx=-1.8125, ty=-2.75, theta=0.004363323129985824, scale=0.9799999999999999)"),
 ]
 
 
