@@ -23,6 +23,22 @@ is one (cout, cin) @ (cin, span) product over a shifted slice.  The
 im2col matrix, nine times the input, is never built; backward reads the
 padded input again.
 
+Training runs every step in one workspace (`_Workspace`), allocated once
+for the largest batch and freed when training returns, like cuDNN's
+caller-owned workspace; `forward`, `backward` and `denoise` make one per
+call.  Ops write through `out=` and in place, so no step after the first
+allocates an image-sized array.  As in Chen et al. (arXiv:1604.06174),
+backward keeps only what it needs: each layer's padded input, and each
+ReLU's mask as bool rather than the float pre-activation.  Pooled and
+upsampled activations go straight into the interior of the next padded
+buffer, whose 1 px mirror border is filled in place; the mirror fold-back
+of the input gradient is in place too.  Layer 0's accumulator is also
+layer 4's padded input, then layer 4's input gradient, then layer 0's
+padded output gradient.  Taps that broadcast one channel across many
+(cin == 1 forward, cout == 1 backward) run in column tiles of `_TILE`.
+No operation or its order changes, so results are bit-identical to
+allocating every array afresh.
+
 All math is float64.  The backward pass is the exact adjoint of the
 forward pass, including the fold-back of the mirror padding, so finite
 difference checks agree to near machine precision.
@@ -32,6 +48,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +125,7 @@ def init_weights(spec: ConvNetSpec, seed=0) -> NetWeights:
 
 # low-level layers on channel-major (c, n, h, w) batches
 
-
-def _reflect_pad(x):
-    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+_TILE = 8192  # columns per tile of a broadcast tap, so its product stays small
 
 
 def _taps(w: int, length: int):
@@ -119,52 +134,18 @@ def _taps(w: int, length: int):
     return taps, length - taps[-1][2]
 
 
-def _conv3(x, k, b):
-    """3x3 stride-1 conv with mirror padding.  Returns (out, xp).
-
-    xp is the padded input flattened to (cin, n*(h+2)*(w+2)); _conv3_back
-    reads it.  The output pixel at flat padded index p reads tap (dy, dx)
-    at p + dy*(w+2) + dx, so each tap is one matmul over a shifted slice.
-    Positions that straddle a row or image edge are computed and dropped.
-    """
-    cin, n, h, w = x.shape
-    cout = k.shape[0]
-    xp = _reflect_pad(x).reshape(cin, -1)
-    taps, span = _taps(w, xp.shape[1])
-    acc = np.zeros((cout, xp.shape[1]))
-    for dy, dx, o in taps:
-        if cin == 1:  # inner dimension 1: broadcasting beats a BLAS call
-            acc[:, :span] += k[:, 0, dy, dx, None] * xp[0, o : o + span]
-        else:
-            acc[:, :span] += k[:, :, dy, dx] @ xp[:, o : o + span]
-    out = acc.reshape(cout, n, h + 2, w + 2)[:, :, :h, :w] + b[:, None, None, None]
-    return out, xp
+def _mirror(xp):
+    """Fill the 1 px border of (c, n, h+2, w+2) from its interior, as np.pad's reflect mode."""
+    xp[:, :, 0, 1:-1] = xp[:, :, 2, 1:-1]
+    xp[:, :, -1, 1:-1] = xp[:, :, -3, 1:-1]
+    xp[:, :, :, 0] = xp[:, :, :, 2]
+    xp[:, :, :, -1] = xp[:, :, :, -3]
 
 
-def _conv3_back(gout, xp, k, need_gx=True):
-    """Gradients of _conv3: returns (gk, gb, gx), gx None unless need_gx."""
-    cout, n, h, w = gout.shape
-    cin = k.shape[1]
-    gpad = np.zeros((cout, n, h + 2, w + 2))
-    gpad[:, :, :h, :w] = gout
-    gpad = gpad.reshape(cout, -1)
-    taps, span = _taps(w, gpad.shape[1])
-    g2 = gpad[:, :span]
-    gk = np.empty(k.shape)
-    for dy, dx, o in taps:
-        gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
-    gb = gout.sum(axis=(1, 2, 3))
-    if not need_gx:
-        return gk, gb, None
-    gxp = np.zeros((cin, gpad.shape[1]))
-    for dy, dx, o in taps:
-        if cout == 1:
-            gxp[:, o : o + span] += k[0, :, dy, dx, None] * g2[0]
-        else:
-            gxp[:, o : o + span] += k[:, :, dy, dx].T @ g2
-    gxp = gxp.reshape(cin, n, h + 2, w + 2)
-    # fold the padded border back where the mirror read from
-    gx = gxp[:, :, 1:-1, 1:-1].copy()
+def _fold_mirror(gxp):
+    """Add the border of a padded gradient onto the pixels the mirror copied
+    it from, in place; returns the (c, n, h, w) interior view."""
+    gx = gxp[:, :, 1:-1, 1:-1]
     gx[:, :, 1, :] += gxp[:, :, 0, 1:-1]
     gx[:, :, -2, :] += gxp[:, :, -1, 1:-1]
     gx[:, :, :, 1] += gxp[:, :, 1:-1, 0]
@@ -173,26 +154,125 @@ def _conv3_back(gout, xp, k, need_gx=True):
     gx[:, :, 1, -2] += gxp[:, :, 0, -1]
     gx[:, :, -2, 1] += gxp[:, :, -1, 0]
     gx[:, :, -2, -2] += gxp[:, :, -1, -1]
-    return gk, gb, gx
+    return gx
 
 
-def _up2_back(g):
-    """Sum of every 2x2 block."""
-    return (g[..., ::2, ::2] + g[..., ::2, 1::2]) + (g[..., 1::2, ::2] + g[..., 1::2, 1::2])
+def _add_outer(acc, col, row, tmp):
+    """acc += col[:, None] * row, one column tile at a time through flat tmp."""
+    for a in range(0, row.size, _TILE):
+        b = min(a + _TILE, row.size)
+        t = tmp[: col.size * (b - a)].reshape(col.size, b - a)
+        acc[:, a:b] += np.multiply(col[:, None], row[a:b], out=t)
 
 
-def _pool2(x):
-    return _up2_back(x) / 4.0
+def _conv3_taps(xp, k, acc, tmp=None):
+    """Accumulate a 3x3 conv of the mirror-padded input xp into acc, both
+    (c, n, h+2, w+2) and contiguous; output pixel (y, x) lands at acc[..., y, x].
+
+    Flattened, the output pixel at index p reads tap (dy, dx) at
+    p + dy*(w+2) + dx, so each tap is one matmul over a shifted slice.
+    Positions that straddle a row or image edge are computed and dropped.
+    tmp is optional flat scratch for the per-tap products.
+    """
+    cout, cin = k.shape[:2]
+    xf, af = xp.reshape(cin, -1), acc.reshape(cout, -1)
+    taps, span = _taps(xp.shape[3] - 2, xf.shape[1])
+    if tmp is None:
+        tmp = np.empty(cout * (_TILE if cin == 1 else span))
+    af.fill(0.0)
+    for dy, dx, o in taps:
+        if cin == 1:  # inner dimension 1: broadcasting beats a BLAS call
+            _add_outer(af[:, :span], k[:, 0, dy, dx], xf[0, o : o + span], tmp)
+        else:
+            t = tmp[: cout * span].reshape(cout, span)
+            af[:, :span] += np.matmul(k[:, :, dy, dx], xf[:, o : o + span], out=t)
+    return acc
 
 
-def _up2(x):
+def _conv3(x, k, b):
+    """3x3 stride-1 conv with mirror padding.  Returns (out, xp).
+
+    xp is the padded input flattened to (cin, n*(h+2)*(w+2)); _conv3_back
+    reads it.
+    """
+    cin, n, h, w = x.shape
+    xp = np.empty((cin, n, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x
+    _mirror(xp)
+    acc = _conv3_taps(xp, k, np.empty((k.shape[0], n, h + 2, w + 2)))
+    return acc[:, :, :h, :w] + b[:, None, None, None], xp.reshape(cin, -1)
+
+
+def _conv3_back(gout, xp, k, need_gx=True, *, gpad=None, gxp=None, tmp=None):
+    """Gradients of _conv3: returns (gk, gb, gx), gx None unless need_gx.
+
+    gpad (cout, n, h+2, w+2), gxp (cin, n, h+2, w+2) and flat tmp are
+    optional work buffers; gx is a view of gxp.  gxp may be xp's buffer and
+    tmp may hold gout: each is read before it is overwritten.
+    """
+    cout, n, h, w = gout.shape
+    cin = k.shape[1]
+    if gpad is None:
+        gpad = np.empty((cout, n, h + 2, w + 2))
+    gpad[:, :, h:] = 0.0
+    gpad[:, :, :h, w:] = 0.0
+    gpad[:, :, :h, :w] = gout
+    gb = gout.sum(axis=(1, 2, 3))
+    gf = gpad.reshape(cout, -1)
+    taps, span = _taps(w, gf.shape[1])
+    g2 = gf[:, :span]
+    gk = np.empty(k.shape)
+    for dy, dx, o in taps:
+        gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
+    if not need_gx:
+        return gk, gb, None
+    if gxp is None:
+        gxp = np.empty((cin, n, h + 2, w + 2))
+    if tmp is None:
+        tmp = np.empty(cin * (_TILE if cout == 1 else span))
+    gxf = gxp.reshape(cin, -1)
+    gxf.fill(0.0)
+    for dy, dx, o in taps:
+        if cout == 1:
+            _add_outer(gxf[:, o : o + span], k[0, :, dy, dx], g2[0], tmp)
+        else:
+            t = tmp[: cin * span].reshape(cin, span)
+            gxf[:, o : o + span] += np.matmul(k[:, :, dy, dx].T, g2, out=t)
+    return gk, gb, _fold_mirror(gxp)
+
+
+def _up2_back(g, out=None):
+    """Sum of every 2x2 block.  Given out, the sum is written there and g's
+    odd rows are overwritten with partial sums."""
+    a, b = g[..., ::2, ::2], g[..., ::2, 1::2]
+    c, d = g[..., 1::2, ::2], g[..., 1::2, 1::2]
+    if out is None:
+        return (a + b) + (c + d)
+    np.add(a, b, out=out)
+    out += np.add(c, d, out=c)
+    return out
+
+
+def _pool2(x, out=None):
+    """Mean of every 2x2 block; given out, x's odd rows are overwritten."""
+    s = _up2_back(x, out)
+    return np.divide(s, 4.0, out=s)
+
+
+def _up2(x, out=None):
+    """Nearest-neighbour 2x upsampling, into out when given."""
     c, n, h, w = x.shape
-    wide = np.broadcast_to(x[:, :, :, None, :, None], (c, n, h, 2, w, 2))
-    return wide.reshape(c, n, 2 * h, 2 * w)
+    if out is None:
+        out = np.empty((c, n, 2 * h, 2 * w))
+    for dy in range(2):
+        for dx in range(2):
+            out[..., dy::2, dx::2] = x
+    return out
 
 
-def _pool2_back(g):
-    return _up2(g / 4.0)
+def _pool2_back(g, out=None):
+    """Gradient of _pool2; given out, g is divided by 4 in place."""
+    return _up2(g / 4.0 if out is None else np.divide(g, 4.0, out=g), out)
 
 
 def _check_batch_dims(h: int, w: int) -> None:
@@ -202,35 +282,97 @@ def _check_batch_dims(h: int, w: int) -> None:
         raise ContractError(f"image dims must be at least 8, got {h}x{w}")
 
 
-def _forward_batch(weights: NetWeights, x):
-    """Forward pass on a (n, 1, h, w) batch; returns (y, cache)."""
-    _check_batch_dims(x.shape[2], x.shape[3])
-    k, b = weights.kernels, weights.biases
-    z0, xp0 = _conv3(x.transpose(1, 0, 2, 3), k[0], b[0])
-    z1, xp1 = _conv3(_pool2(relu(z0)), k[1], b[1])
-    z2, xp2 = _conv3(_pool2(relu(z1)), k[2], b[2])
-    z3, xp3 = _conv3(_up2(relu(z2)), k[3], b[3])
-    z4, xp4 = _conv3(_up2(relu(z3)), k[4], b[4])
-    y = sigmoid(z4)
-    return y.transpose(1, 0, 2, 3), (z0, xp0, z1, xp1, z2, xp2, z3, xp3, xp4, y)
+def _view(buf, shape):
+    """The contiguous leading part of a flat buffer, shaped."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
-def _backward_batch(weights: NetWeights, cache, target):
-    """Gradient of mean squared error wrt every kernel and bias."""
-    z0, xp0, z1, xp1, z2, xp2, z3, xp3, xp4, y = cache
-    k = weights.kernels
-    gy = 2.0 * (y - target.transpose(1, 0, 2, 3)) / y.size
-    gz4 = gy * y * (1.0 - y)
-    gk4, gb4, gu3 = _conv3_back(gz4, xp4, k[4])
-    gz3 = _up2_back(gu3) * (z3 > 0)
-    gk3, gb3, gu2 = _conv3_back(gz3, xp3, k[3])
-    gz2 = _up2_back(gu2) * (z2 > 0)
-    gk2, gb2, gp1 = _conv3_back(gz2, xp2, k[2])
-    gz1 = _pool2_back(gp1) * (z1 > 0)
-    gk1, gb1, gp0 = _conv3_back(gz1, xp1, k[1])
-    gz0 = _pool2_back(gp0) * (z0 > 0)
-    gk0, gb0, _ = _conv3_back(gz0, xp0, k[0], need_gx=False)
-    return [(gk0, gb0), (gk1, gb1), (gk2, gb2), (gk3, gb3), (gk4, gb4)]
+class _Workspace:
+    """Every array a training step needs, for batches of up to n h x w images.
+
+    Layer i reads its padded input from xp[i] and accumulates into acc[i],
+    where its bias and ReLU are applied in place.  Backward reuses acc[i]
+    as layer i's padded output gradient and xp[i], once its kernel gradient
+    is taken, as the padded input gradient.  Output gradients and per-tap
+    products go through the flat scratch.  A smaller batch runs in the
+    leading part of each buffer.
+    """
+
+    def __init__(self, spec: ConvNetSpec, n: int, h: int, w: int):
+        _check_batch_dims(h, w)
+        self.channels, self.h, self.w = spec.channels, h, w
+        self.dims = [(h, w), (h // 2, w // 2), (h // 4, w // 4), (h // 2, w // 2), (h, w)]
+        ch = self.channels
+        sizes = [n * (hh + 2) * (ww + 2) for hh, ww in self.dims]
+        big = np.empty(max(ch[0][1], ch[4][0]) * sizes[0])
+        self._xp = [np.empty(c[0] * s) for c, s in zip(ch[:4], sizes)] + [big]
+        self._acc = [big] + [np.empty(c[1] * s) for c, s in zip(ch[1:], sizes[1:])]
+        self._mask = [np.empty(c[1] * n * hh * ww, bool) for c, (hh, ww) in zip(ch, self.dims)]
+        self._y = np.empty(n * h * w)
+        need = [2 * n * h * w]
+        for (cin, cout), s, (hh, ww) in zip(ch, sizes, self.dims):
+            need.append(cout * n * hh * ww)
+            need.append(cout * (_TILE if cin == 1 else s))
+            need.append(cin * (_TILE if cout == 1 else s))
+        self._scratch = np.empty(max(need))
+
+    def _views(self, n: int):
+        pads = [(n, hh + 2, ww + 2) for hh, ww in self.dims]
+        xp = [_view(buf, (c[0],) + p) for buf, c, p in zip(self._xp, self.channels, pads)]
+        acc = [_view(buf, (c[1],) + p) for buf, c, p in zip(self._acc, self.channels, pads)]
+        return xp, acc
+
+    def forward(self, weights: NetWeights, x):
+        """Network output on a (n, 1, h, w) batch, as (1, n, h, w) in the workspace."""
+        n = x.shape[0]
+        xp, acc = self._views(n)
+        xp[0][0, :, 1:-1, 1:-1] = x[:, 0]
+        for i, (k, b) in enumerate(zip(weights.kernels, weights.biases)):
+            _mirror(xp[i])
+            hh, ww = self.dims[i]
+            z = _conv3_taps(xp[i], k, acc[i], self._scratch)[:, :, :hh, :ww]
+            if i < 4:
+                z += b[:, None, None, None]
+                np.greater(z, 0.0, out=_view(self._mask[i], z.shape))
+                relu(z, out=z)
+                (_pool2 if i < 2 else _up2)(z, out=xp[i + 1][:, :, 1:-1, 1:-1])
+        z4 = np.add(z, b[:, None, None, None], out=_view(self._scratch, z.shape))
+        y = _view(self._y, z.shape)
+        zf, yf = z4.reshape(-1), y.reshape(-1)
+        for a in range(0, zf.size, _TILE):
+            yf[a : a + _TILE] = sigmoid(zf[a : a + _TILE])
+        return y
+
+    def loss(self, target) -> float:
+        """Mean squared error of the last forward output against (n, 1, h, w) target."""
+        y = _view(self._y, (1, len(target), self.h, self.w))
+        d = np.subtract(y, target.transpose(1, 0, 2, 3), out=_view(self._scratch, y.shape))
+        return float(np.mean(np.square(d, out=d)))
+
+    def backward(self, weights: NetWeights, target) -> list:
+        """Per-layer (kernel, bias) gradients of the MSE of the last forward pass."""
+        n = len(target)
+        xp, acc = self._views(n)
+        y = _view(self._y, (1, n, self.h, self.w))
+        # 2.0 * (y - t) / y.size * y * (1.0 - y), one op at a time in that order
+        gz = np.subtract(y, target.transpose(1, 0, 2, 3), out=_view(self._scratch, y.shape))
+        np.multiply(2.0, gz, out=gz)
+        np.divide(gz, y.size, out=gz)
+        np.multiply(gz, y, out=gz)
+        gz *= np.subtract(1.0, y, out=_view(self._scratch[y.size :], y.shape))
+        grads = [None] * 5
+        for i in range(4, -1, -1):
+            k = weights.kernels[i]
+            gk, gb, gx = _conv3_back(
+                gz, xp[i].reshape(k.shape[1], -1), k, need_gx=i > 0,
+                gpad=acc[i], gxp=xp[i], tmp=self._scratch,
+            )
+            grads[i] = (gk, gb)
+            if i:
+                gz = _view(self._scratch, (k.shape[1], n) + self.dims[i - 1])
+                (_up2_back if i > 2 else _pool2_back)(gx, out=gz)
+                gz *= _view(self._mask[i - 1], gz.shape)
+        return grads
 
 
 def _as_batch(img) -> np.ndarray:
@@ -244,8 +386,8 @@ def _as_batch(img) -> np.ndarray:
 
 def forward(weights: NetWeights, img) -> np.ndarray:
     """Run the network on one image.  Dims must be divisible by 4."""
-    y, _ = _forward_batch(weights, _as_batch(img))
-    return y[0, 0]
+    x = _as_batch(img)
+    return _Workspace(weights.spec, 1, *x.shape[2:]).forward(weights, x)[0, 0]
 
 
 def backward(weights: NetWeights, img, target) -> list:
@@ -254,8 +396,9 @@ def backward(weights: NetWeights, img, target) -> list:
     t = _as_batch(target)
     if x.shape != t.shape:
         raise ContractError(f"image and target shapes differ: {x.shape[2:]} vs {t.shape[2:]}")
-    y, cache = _forward_batch(weights, x)
-    return _backward_batch(weights, cache, t)
+    ws = _Workspace(weights.spec, 1, *x.shape[2:])
+    ws.forward(weights, x)
+    return ws.backward(weights, t)
 
 
 def loss_mse(pred, target) -> float:
@@ -305,37 +448,39 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
             raise ContractError(f"image {i} has shape {im.shape}, expected {shape}")
         if not np.all(np.isfinite(im)):
             raise ContractError(f"image {i} contains non-finite values")
-    _check_batch_dims(*shape)
-    clean = np.stack(imgs)[:, None]  # (n, 1, h, w)
-    n = clean.shape[0]
+    n = len(imgs)
     batch = min(cfg.batch_size, n)
+    spec = ConvNetSpec()
+    ws = _Workspace(spec, batch, *shape)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    weights = init_weights(ConvNetSpec(), rng)
+    weights = init_weights(spec, rng)
     weights.rng_seed = cfg.rng_seed
     params = weights.params()
     opt = Adam(params, lr=cfg.learning_rate)
 
+    noisy = np.empty((n, 1) + shape)
+    target = np.empty((n, 1) + shape)
     log = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        noisy = np.empty_like(clean)
-        for i in range(n):
-            noisy[i, 0] = add_noise(clean[i, 0], cfg.noise_kind, cfg.noise_param, rng)
+        # noise is drawn in image order; each image is stored at its place
+        # in this epoch's order, so every batch is a contiguous slice
+        slot = np.argsort(rng.permutation(n))
+        for i, im in enumerate(imgs):
+            target[slot[i], 0] = im
+            noisy[slot[i], 0] = add_noise(im, cfg.noise_kind, cfg.noise_param, rng)
         total = 0.0
         for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            xb, tb = noisy[idx], clean[idx]
-            y, cache = _forward_batch(weights, xb)
-            loss = float(np.mean((y - tb) ** 2))
+            xb, tb = noisy[start : start + batch], target[start : start + batch]
+            ws.forward(weights, xb)
+            loss = ws.loss(tb)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss {loss} at epoch {epoch} batch {start // batch}"
                 )
-            grads = _backward_batch(weights, cache, tb)
-            flat = [g for pair in grads for g in pair]
-            opt.step(params, flat)
-            total += loss * len(idx)
+            grads = ws.backward(weights, tb)
+            opt.step(params, [g for pair in grads for g in pair])
+            total += loss * len(xb)
         log.append(total / n)
     weights.epochs_trained += cfg.epochs
     return weights, log

@@ -33,6 +33,11 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.noise_kind not in ("gaussian", "poisson"):
             raise ContractError(f"unknown noise_kind {self.noise_kind!r}")
+        p = self.noise_param
+        if self.noise_kind == "gaussian" and not p >= 0:
+            raise ContractError(f"noise_param (gaussian sigma) must be >= 0, got {p}")
+        if self.noise_kind == "poisson" and not p > 0:
+            raise ContractError(f"noise_param (poisson scale) must be > 0, got {p}")
 
 
 def layer_width(value, what: str) -> int:
@@ -46,8 +51,8 @@ def layer_width(value, what: str) -> int:
     return int(value)
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def sigmoid(x):

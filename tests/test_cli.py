@@ -455,6 +455,23 @@ def test_bad_classify_or_tabular_value_exits_2_before_any_stage(capsys, tmp_path
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [["denoise.noise_param=-0.1"], ["denoise.noise_kind=poisson", "denoise.noise_param=0"]],
+    ids=["gaussian-negative-sigma", "poisson-zero-scale"],
+)
+def test_bad_noise_param_exits_2_before_any_stage(capsys, tmp_path, overrides):
+    argv = ["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=8"]
+    for o in overrides:
+        argv += ["--set", o]
+    rc, _, err = _run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "noise_param" in err
+    assert "[phantom] built" not in err
+    assert not list((tmp_path / "w").glob("cache/phantom-*"))
+
+
 def _nan_payload(n: int) -> str:
     return base64.b64encode(np.full(n, np.nan, dtype="<f4").tobytes()).decode("ascii")
 

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lungfuse import denoise as dn
 from lungfuse import nnet
+from lungfuse import pipeline as pl
 from lungfuse.errors import ContractError, DataError, FormatError
 from lungfuse.pipeline import denoiser_scenes
 
@@ -75,6 +77,12 @@ def test_train_config_validation():
         nnet.TrainConfig(epochs=0)
     with pytest.raises(ContractError):
         nnet.TrainConfig(noise_kind="salt")
+    with pytest.raises(ContractError, match="noise_param"):
+        nnet.TrainConfig(noise_param=-0.1)
+    with pytest.raises(ContractError, match="noise_param"):
+        nnet.TrainConfig(noise_kind="poisson", noise_param=0.0)
+    nnet.TrainConfig(noise_param=0.0)
+    nnet.TrainConfig(noise_kind="poisson", noise_param=50.0)
 
 
 # --- ConvNetSpec / weights plumbing ---
@@ -429,3 +437,180 @@ def test_trained_weights_file_is_pinned(tmp_path):
     dn.save_weights(path, w)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "aed4667247516cb9e0fb15522c97b252b733ce7e5ba6b3831a77ec56b1e0658a"
+
+
+def test_default_weights_file_is_pinned(tmp_path):
+    # sha256 of the weights file the default config trains (24 images of
+    # 64 px, 30 epochs), recorded from the allocating implementation; the
+    # fused F1 values perfbench's study workload checks depend on it
+    pl._train_denoiser_stage(pl.resolve_config(None), tmp_path)
+    digest = hashlib.sha256((tmp_path / "weights.json").read_bytes()).hexdigest()
+    assert digest == "19faf56d8fc9a2ea11b48fbc0de13394c31ae54e595a1f04e6af4e8fe1472e72"
+
+
+def test_training_peak_memory_is_bounded():
+    # one workspace for every step keeps this near 32 MB; fresh arrays per
+    # step would need about 63 MB
+    clean = denoiser_scenes(24, 64, 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dn.train_denoiser(clean, nnet.TrainConfig(epochs=3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6
+
+
+# --- the workspace against the allocating batch passes it replaced ---
+
+
+def _ref_cm_conv3(x, k, b):
+    cin, n, h, w = x.shape
+    cout = k.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect").reshape(cin, -1)
+    taps, span = dn._taps(w, xp.shape[1])
+    acc = np.zeros((cout, xp.shape[1]))
+    for dy, dx, o in taps:
+        if cin == 1:
+            acc[:, :span] += k[:, 0, dy, dx, None] * xp[0, o : o + span]
+        else:
+            acc[:, :span] += k[:, :, dy, dx] @ xp[:, o : o + span]
+    out = acc.reshape(cout, n, h + 2, w + 2)[:, :, :h, :w] + b[:, None, None, None]
+    return out, xp
+
+
+def _ref_cm_conv3_back(gout, xp, k, need_gx=True):
+    cout, n, h, w = gout.shape
+    cin = k.shape[1]
+    gpad = np.zeros((cout, n, h + 2, w + 2))
+    gpad[:, :, :h, :w] = gout
+    gpad = gpad.reshape(cout, -1)
+    taps, span = dn._taps(w, gpad.shape[1])
+    g2 = gpad[:, :span]
+    gk = np.empty(k.shape)
+    for dy, dx, o in taps:
+        gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
+    gb = gout.sum(axis=(1, 2, 3))
+    if not need_gx:
+        return gk, gb, None
+    gxp = np.zeros((cin, gpad.shape[1]))
+    for dy, dx, o in taps:
+        if cout == 1:
+            gxp[:, o : o + span] += k[0, :, dy, dx, None] * g2[0]
+        else:
+            gxp[:, o : o + span] += k[:, :, dy, dx].T @ g2
+    gxp = gxp.reshape(cin, n, h + 2, w + 2)
+    gx = gxp[:, :, 1:-1, 1:-1].copy()
+    gx[:, :, 1, :] += gxp[:, :, 0, 1:-1]
+    gx[:, :, -2, :] += gxp[:, :, -1, 1:-1]
+    gx[:, :, :, 1] += gxp[:, :, 1:-1, 0]
+    gx[:, :, :, -2] += gxp[:, :, 1:-1, -1]
+    gx[:, :, 1, 1] += gxp[:, :, 0, 0]
+    gx[:, :, 1, -2] += gxp[:, :, 0, -1]
+    gx[:, :, -2, 1] += gxp[:, :, -1, 0]
+    gx[:, :, -2, -2] += gxp[:, :, -1, -1]
+    return gk, gb, gx
+
+
+def _ref_up2_back(g):
+    return (g[..., ::2, ::2] + g[..., ::2, 1::2]) + (g[..., 1::2, ::2] + g[..., 1::2, 1::2])
+
+
+def _ref_up2(x):
+    c, n, h, w = x.shape
+    wide = np.broadcast_to(x[:, :, :, None, :, None], (c, n, h, 2, w, 2))
+    return wide.reshape(c, n, 2 * h, 2 * w)
+
+
+def _ref_forward_batch(weights, x):
+    k, b = weights.kernels, weights.biases
+    z0, xp0 = _ref_cm_conv3(x.transpose(1, 0, 2, 3), k[0], b[0])
+    z1, xp1 = _ref_cm_conv3(_ref_up2_back(nnet.relu(z0)) / 4.0, k[1], b[1])
+    z2, xp2 = _ref_cm_conv3(_ref_up2_back(nnet.relu(z1)) / 4.0, k[2], b[2])
+    z3, xp3 = _ref_cm_conv3(_ref_up2(nnet.relu(z2)), k[3], b[3])
+    z4, xp4 = _ref_cm_conv3(_ref_up2(nnet.relu(z3)), k[4], b[4])
+    y = nnet.sigmoid(z4)
+    return y.transpose(1, 0, 2, 3), (z0, xp0, z1, xp1, z2, xp2, z3, xp3, xp4, y)
+
+
+def _ref_backward_batch(weights, cache, target):
+    z0, xp0, z1, xp1, z2, xp2, z3, xp3, xp4, y = cache
+    k = weights.kernels
+    gy = 2.0 * (y - target.transpose(1, 0, 2, 3)) / y.size
+    gz4 = gy * y * (1.0 - y)
+    gk4, gb4, gu3 = _ref_cm_conv3_back(gz4, xp4, k[4])
+    gz3 = _ref_up2_back(gu3) * (z3 > 0)
+    gk3, gb3, gu2 = _ref_cm_conv3_back(gz3, xp3, k[3])
+    gz2 = _ref_up2_back(gu2) * (z2 > 0)
+    gk2, gb2, gp1 = _ref_cm_conv3_back(gz2, xp2, k[2])
+    gz1 = _ref_up2(gp1 / 4.0) * (z1 > 0)
+    gk1, gb1, gp0 = _ref_cm_conv3_back(gz1, xp1, k[1])
+    gz0 = _ref_up2(gp0 / 4.0) * (z0 > 0)
+    gk0, gb0, _ = _ref_cm_conv3_back(gz0, xp0, k[0], need_gx=False)
+    return [(gk0, gb0), (gk1, gb1), (gk2, gb2), (gk3, gb3), (gk4, gb4)]
+
+
+_ODD_SPEC = dn.ConvNetSpec(((1, 4), (4, 6), (6, 5), (5, 3), (3, 1)))
+
+
+def _random_net(spec, seed):
+    # nonzero biases so every layer has ReLUs both on and off
+    w = dn.init_weights(spec, seed)
+    rng = np.random.default_rng(seed + 1)
+    for b in w.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    return w
+
+
+def _step(ws, w, x, t):
+    y = ws.forward(w, x)
+    return y.copy(), ws.loss(t), ws.backward(w, t)
+
+
+@pytest.mark.parametrize(
+    "spec,batches,h,w",
+    [
+        (dn.ConvNetSpec(), (1,), 8, 8),
+        (dn.ConvNetSpec(), (4, 4, 2), 16, 16),
+        (dn.ConvNetSpec(), (3,), 12, 20),
+        (dn.ConvNetSpec(), (2,), 16, 16),
+        (_ODD_SPEC, (3, 1), 16, 12),
+    ],
+    ids=["n1", "partial-last-batch", "h-ne-w", "16x16", "unequal-widths"],
+)
+def test_workspace_matches_allocating_reference(spec, batches, h, w):
+    # one workspace sized for the largest batch serves every batch
+    net = _random_net(spec, h + w)
+    rng = np.random.default_rng(len(batches))
+    ws = dn._Workspace(spec, max(batches), h, w)
+    for m in batches:
+        x = rng.uniform(size=(m, 1, h, w))
+        t = rng.uniform(size=(m, 1, h, w))
+        y, loss, grads = _step(ws, net, x, t)
+        ref_y, cache = _ref_forward_batch(net, x)
+        assert y.shape == (1, m, h, w)
+        assert np.max(np.abs(y.transpose(1, 0, 2, 3) - ref_y)) < 1e-12
+        assert abs(loss - float(np.mean((ref_y - t) ** 2))) < 1e-12
+        for (gk, gb), (rk, rb) in zip(grads, _ref_backward_batch(net, cache, t)):
+            assert np.max(np.abs(gk - rk)) < 1e-12
+            assert np.max(np.abs(gb - rb)) < 1e-12
+
+
+def test_workspace_holding_earlier_data_matches_a_fresh_one():
+    # a reused workspace still holds the last step's values, borders
+    # included; a NaN-filled one holds nothing valid at all
+    net = _random_net(dn.ConvNetSpec(), 3)
+    rng = np.random.default_rng(4)
+    x, t = rng.uniform(size=(2, 2, 1, 16, 12))
+    fresh = _step(dn._Workspace(net.spec, 2, 16, 12), net, x, t)
+    used = dn._Workspace(net.spec, 3, 16, 12)
+    _step(used, net, *rng.uniform(size=(2, 3, 1, 16, 12)))
+    poisoned = dn._Workspace(net.spec, 2, 16, 12)
+    for buf in poisoned._xp + poisoned._acc + poisoned._mask + [poisoned._y, poisoned._scratch]:
+        buf.fill(np.nan)
+    for ws in (used, poisoned):
+        y, loss, grads = _step(ws, net, x, t)
+        assert np.array_equal(y, fresh[0]) and loss == fresh[1]
+        for (gk, gb), (fk, fb) in zip(grads, fresh[2]):
+            assert np.array_equal(gk, fk) and np.array_equal(gb, fb)
