@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, softmax
+from .parallel import parallel_map
 from .tabular import (
     BoostConfig,
     ColumnSpec,
@@ -563,10 +564,12 @@ _COMPARE_CONFIGS = (
 
 def compare_modalities(ds: MMDataset, seed: int = 0, k: int = 5,
                        cfg: ClassifyConfig | None = None) -> dict:
-    """The four-way input comparison, all runs on identical folds."""
-    out = {}
-    for name, inputs in _COMPARE_CONFIGS:
-        out[name] = kfold_evaluate(ds, inputs=inputs, k=k, cfg=cfg, seed=seed)
+    """The four-way input comparison, all runs on identical folds, run by parallel_map."""
+    reports = parallel_map(
+        lambda inputs: kfold_evaluate(ds, inputs=inputs, k=k, cfg=cfg, seed=seed),
+        [inputs for _, inputs in _COMPARE_CONFIGS],
+    )
+    out = {name: rep for (name, _), rep in zip(_COMPARE_CONFIGS, reports)}
     hashes = {r.fold_hash for r in out.values()}
     if len(hashes) != 1:  # same labels + seed must give same folds
         raise ContractError("fold assignments diverged across configurations")

@@ -43,6 +43,7 @@ from .denoise import TrainConfig, denoise, load_weights, save_weights, train_den
 from .errors import ConfigError, LungFuseError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
 from .images import gradient_magnitude, read_pgm, write_json, write_pgm
+from .parallel import parallel_map
 from .phantom import PhantomConfig, SUBTYPES, generate, load_manifest, render_pet, sample_patient
 from .tabular import BoostConfig, read_table, take_rows
 
@@ -417,13 +418,14 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     """Register (optional) and fuse every patient pair into <outdir>.
 
     pet_dir overrides where PET images are read from (the denoise stage
-    output); default is the dataset's own noisy PET images.
+    output); default is the dataset's own noisy PET images.  With
+    registration on, the pairs are shared out over worker processes.
     """
     f = doc["fusion"]
     rule = _fusion_rule(doc)
     manifest = load_manifest(dataset_dir)
-    transforms = []
-    for row in manifest["rows"]:
+
+    def fuse_row(row):
         ct = read_pgm(os.path.join(dataset_dir, row["ct"]))
         if pet_dir is None:
             pet = read_pgm(os.path.join(dataset_dir, row["pet"]))
@@ -435,15 +437,17 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
             t = RigidTransform(0.0, 0.0, 0.0, 1.0)
         fused = fuse_wavelet(ct, pet, family=f["family"], levels=f["levels"], rule=rule)
         write_pgm(fused, os.path.join(outdir, f"{row['id']}_fused.pgm"))
-        transforms.append(
-            {
-                "id": row["id"],
-                "tx": t.tx,
-                "ty": t.ty,
-                "theta_deg": float(np.rad2deg(t.theta)),
-                "scale": t.scale,
-            }
-        )
+        return {
+            "id": row["id"],
+            "tx": t.tx,
+            "ty": t.ty,
+            "theta_deg": float(np.rad2deg(t.theta)),
+            "scale": t.scale,
+        }
+
+    # an unregistered pair takes about a millisecond, less than a worker costs
+    rows = manifest["rows"]
+    transforms = parallel_map(fuse_row, rows) if f["register"] else [fuse_row(r) for r in rows]
     write_json(os.path.join(outdir, "transforms.json"), {"rows": transforms})
 
 

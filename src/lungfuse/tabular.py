@@ -361,6 +361,14 @@ def smote(x, labels, k: int = 5, seed: int = 0):
 # hessian a child may carry
 _LAMBDA = 1.0
 _MIN_CHILD_WEIGHT = 1.0
+# A child whose hessian sum is below this becomes a leaf without a
+# _best_split scan; the test is a sum with slack.  h >= 0, and any order
+# of summing n terms errs by at most about n * 2**-53 relative, far below
+# the 1e-6 slack, so each feature's cumulative total htot is then below
+# 2 * _MIN_CHILD_WEIGHT.  A prefix hl >= _MIN_CHILD_WEIGHT is at most htot
+# (prefix sums of h never decrease), so htot - hl is exact (Sterbenz) and
+# below the minimum: the scan would find no valid split.
+_SPLITTABLE_HESS = 2 * _MIN_CHILD_WEIGHT * (1 - 1e-6)
 
 
 @dataclass(frozen=True)
@@ -429,11 +437,14 @@ def _boost_binary(x, order0, y, cfg: BoostConfig, gains: np.ndarray, record_firs
         h = p * (1.0 - p)
         update = np.zeros(n)
 
+        def leaf(idx):
+            gsum, hsum = g[idx].sum(), h[idx].sum()
+            update[idx] = -gsum / (hsum + _LAMBDA)
+
         def grow(idx, order, depth):
-            split = _best_split(x, order, g, h) if depth < cfg.max_depth else None
+            split = _best_split(x, order, g, h)
             if split is None:
-                gsum, hsum = g[idx].sum(), h[idx].sum()
-                update[idx] = -gsum / (hsum + _LAMBDA)
+                leaf(idx)
                 return False
             fi, thr, gain = split
             gains[fi] += gain
@@ -442,7 +453,10 @@ def _boost_binary(x, order0, y, cfg: BoostConfig, gains: np.ndarray, record_firs
             goes_left = x[:, fi] <= thr
             for side in (goes_left, ~goes_left):
                 child = idx[side[idx]]
-                grow(child, order[side[order]].reshape(len(order), len(child)), depth + 1)
+                if depth + 1 < cfg.max_depth and h[child].sum() >= _SPLITTABLE_HESS:
+                    grow(child, order[side[order]].reshape(len(order), len(child)), depth + 1)
+                else:
+                    leaf(child)
             return True
 
         if not grow(np.arange(n), order0, 0):

@@ -1,0 +1,208 @@
+"""parallel_map: the pooled path against the serial one, and its failure modes.
+
+Each test fixes the CPU count parallel_map sees by patching
+os.sched_getaffinity, so both paths run on any host: {0} gives the
+in-process loop and {0, 1} two forked workers.
+"""
+
+import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
+import warnings
+
+import numpy as np
+import pytest
+
+import lungfuse
+from lungfuse import classify as cl
+from lungfuse import pipeline as pl
+from lungfuse import tabular as tb
+from lungfuse.cli import main
+from lungfuse.errors import NumericalError
+from lungfuse.images import write_pgm
+from lungfuse.parallel import parallel_map
+from lungfuse.phantom import PhantomConfig, generate
+
+SERIAL, POOLED = {0}, {0, 1}
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def _tree_bytes(root) -> dict:
+    root = pathlib.Path(root)
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def test_parallel_map_keeps_order_and_forks_only_with_two_cpus(monkeypatch):
+    _cpus(monkeypatch, SERIAL)
+    assert parallel_map(lambda x: (x * x, os.getpid()), range(5)) == [
+        (x * x, os.getpid()) for x in range(5)
+    ]
+    _cpus(monkeypatch, POOLED)
+    out = parallel_map(lambda x: (x * x, os.getpid()), range(5))
+    assert [v for v, _ in out] == [x * x for x in range(5)]
+    assert os.getpid() not in {pid for _, pid in out}
+    # a map inside a worker runs in that worker
+    inner = parallel_map(lambda x: parallel_map(lambda _: os.getpid(), range(3)), range(2))
+    assert all(len(set(pids)) == 1 for pids in inner)
+    assert multiprocessing.active_children() == []
+
+
+def test_first_failure_raises_and_cancels_tasks_not_started(monkeypatch, tmp_path):
+    _cpus(monkeypatch, POOLED)
+
+    def task(i):
+        if i == 0:
+            raise NumericalError("task 0 failed")
+        time.sleep(0.1)
+        (tmp_path / str(i)).touch()
+
+    with pytest.raises(NumericalError, match="task 0 failed"):
+        parallel_map(task, range(20))
+    assert len(list(tmp_path.iterdir())) < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_fused_dir_and_comparison_are_identical_serial_and_pooled(monkeypatch, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=18, image_size=32, seed=3), ds)
+    doc = pl.resolve_config({"classify": {"model": "logreg"}, "evaluate": {"k": 3}})
+    assert doc["fusion"]["register"]
+    trees, comparisons = [], []
+    for cpus in (SERIAL, POOLED):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"fused-{len(cpus)}"
+        out.mkdir()
+        pl.compute_fused_dir(ds, out, doc)
+        trees.append(_tree_bytes(out))
+        comp = pl.evaluate_dataset(ds, out, doc)
+        comparisons.append({name: rep.to_dict() for name, rep in comp.items()})
+    assert len(trees[0]) == 19  # 18 fused images and transforms.json
+    assert trees[0] == trees[1]
+    assert comparisons[0] == comparisons[1]
+    assert multiprocessing.active_children() == []
+
+
+def _table_with_rare_category(n=24):
+    rng = np.random.default_rng(4)
+    y = np.array([0, 1] * (n // 2))
+    labels = ["adeno" if v == 0 else "squam" for v in y]
+    cols = [
+        tb.ColumnSpec("age", "numeric"),
+        tb.ColumnSpec("site", "categorical", ("upper", "lower", "hilar")),
+    ]
+    rows = [[50.0 + 5.0 * y[i] + rng.normal(), "upper" if i % 3 else "lower"] for i in range(n)]
+    rows[7][1] = "hilar"  # once only: the fold that tests this row never trains on it
+    tab = tb.TabularDataset(cols, rows, labels)
+    images = {m: rng.normal(0, 1, (n, 4)) + y[:, None] for m in ("ct", "fused")}
+    return cl.MMDataset(labels, tab, images)
+
+
+def _fit_seen_categories_only(train):
+    """fit_preprocess with each category set cut to the values the split holds."""
+    seen = {v for row in train.rows for v in row}
+    cols = [
+        tb.ColumnSpec(c.name, c.kind, tuple(v for v in c.categories if v in seen))
+        for c in train.columns
+    ]
+    return tb.fit_preprocess(tb.TabularDataset(cols, train.rows, train.labels))
+
+
+def test_worker_warnings_reach_the_caller_in_task_order(monkeypatch, recwarn):
+    monkeypatch.setattr(cl, "fit_preprocess", _fit_seen_categories_only)
+    ds = _table_with_rare_category()
+    cfg = cl.ClassifyConfig(model="logreg", top_k=4, boost=tb.BoostConfig(n_estimators=5))
+    shown = {}
+    for action in ("always", "default"):
+        seen = []
+        for cpus in (SERIAL, POOLED):
+            _cpus(monkeypatch, cpus)
+            warnings.simplefilter(action)  # a filter change also forgets what was shown
+            recwarn.clear()
+            cl.compare_modalities(ds, seed=1, k=3, cfg=cfg)
+            seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in recwarn])
+        assert seen[1] == seen[0]
+        shown[action] = sum("unseen category 'hilar'" in s[1] for s in seen[0])
+    # tabular-only and multimodal each warn; "default" shows the repeat once
+    assert shown == {"always": 2, "default": 1}
+
+
+def test_worker_error_reaches_the_cli_with_its_type(monkeypatch, capsys, tmp_path):
+    _cpus(monkeypatch, POOLED)
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=4, image_size=32, seed=1), ds)
+    write_pgm(np.full((32, 32), 0.5), ds / "images" / "pt0002_pet.pgm")
+    rc = main(["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_in_run_names_the_stage(monkeypatch, capsys, tmp_path):
+    _cpus(monkeypatch, POOLED)
+
+    def flat(fixed, moving):
+        raise NumericalError("no correlation signal")
+
+    monkeypatch.setattr(pl, "align", flat)
+    rc = main(["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=4",
+               "--set", "denoise.enabled=false"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "error: stage fuse: no correlation signal" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def _children(pid: int) -> set:
+    kids = set()
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            kids.add(int(stat.parent.name))
+    return kids
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigint_during_fuse_exits_2_and_leaves_no_workers(tmp_path):
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    cpus = sorted(os.sched_getaffinity(0))[:2]  # at most 2 workers: the stage lasts seconds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lungfuse.cli", "run", "--out", str(tmp_path / "w"),
+         "--set", "phantom.n_patients=60", "--set", "denoise.enabled=false"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+    try:
+        assert proc.stderr.readline().startswith("[phantom]")
+        # the fuse stage runs next; wait for its workers where there are CPUs for them
+        workers, deadline = set(), time.monotonic() + 10
+        while len(cpus) > 1 and not workers and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        time.sleep(0.3)
+        assert proc.poll() is None, "the fuse stage ended before the interrupt"
+        proc.send_signal(signal.SIGINT)
+        rc = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stderr.close()
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "[fuse]" not in err  # interrupted before the stage finished
+    assert not [pid for pid in workers if pathlib.Path(f"/proc/{pid}").exists()]
