@@ -6,7 +6,8 @@ keeps every number reproducible from this repository alone.  The heads
 are a multinomial logistic regression baseline and a small MLP.  The
 k-fold harness runs the full leakage-safe pipeline inside each fold:
 preprocessing statistics, SMOTE, feature selection and the model are
-all fitted on the training split only.
+all fitted on the training split only.  One fold of one input set is
+one parallel_map task, in `kfold_evaluate` and `compare_modalities` alike.
 """
 
 from __future__ import annotations
@@ -189,29 +190,37 @@ class MLPModel:
 def mlp_loss_grad(params, x, label_idx, n_classes, mask=None):
     """Loss and per-parameter gradients; mask is the (already scaled)
     dropout multiplier for the first hidden layer, or None for off."""
-    w1, b1, w2, b2, w3, b3 = params
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    grads = [np.empty(np.shape(p)) for p in params]
+    p = _mlp_grads(params, x, _one_hot(label_idx, n_classes), mask, grads)
+    loss = float(-np.mean(np.log(p[np.arange(x.shape[0]), label_idx] + 1e-300)))
+    return loss, grads
+
+
+def _mlp_grads(params, x, target, mask, grads) -> np.ndarray:
+    """Write the six gradients of the mean cross-entropy against the
+    one-hot `target` rows into `grads`; returns the class probabilities."""
+    w1, b1, w2, b2, w3, b3 = params
+    gw1, gb1, gw2, gb2, gw3, gb3 = grads
     a1 = x @ w1 + b1
     h1 = relu(a1)
     h1d = h1 if mask is None else h1 * mask
     a2 = h1d @ w2 + b2
     h2 = relu(a2)
     p = softmax(h2 @ w3 + b3)
-    loss = float(-np.mean(np.log(p[np.arange(n), label_idx] + 1e-300)))
-    gz = (p - _one_hot(label_idx, n_classes)) / n
-    gw3 = h2.T @ gz
-    gb3 = gz.sum(axis=0)
+    gz = (p - target) / x.shape[0]
+    np.matmul(h2.T, gz, out=gw3)
+    gz.sum(axis=0, out=gb3)
     ga2 = (gz @ w3.T) * (a2 > 0)
-    gw2 = h1d.T @ ga2
-    gb2 = ga2.sum(axis=0)
+    np.matmul(h1d.T, ga2, out=gw2)
+    ga2.sum(axis=0, out=gb2)
     gh1 = ga2 @ w2.T
     if mask is not None:
-        gh1 = gh1 * mask
-    ga1 = gh1 * (a1 > 0)
-    gw1 = x.T @ ga1
-    gb1 = ga1.sum(axis=0)
-    return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
+        gh1 *= mask
+    gh1 *= a1 > 0
+    np.matmul(x.T, gh1, out=gw1)
+    gh1.sum(axis=0, out=gb1)
+    return p
 
 
 def _views(buf, shapes) -> list:
@@ -250,6 +259,7 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
     n = x.shape[0]
     batch = min(cfg.batch_size, n)
     keep = 1.0 - spec.dropout
+    target = _one_hot(yi, c)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
@@ -257,9 +267,7 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
             mask = None
             if spec.dropout > 0:
                 mask = (rng.uniform(size=(len(idx), h1)) < keep) / keep
-            _, step_grads = mlp_loss_grad(params, x[idx], yi[idx], c, mask)
-            for dst, src in zip(grads, step_grads):
-                dst[...] = src
+            _mlp_grads(params, x[idx], target[idx], mask, grads)
             opt.step([flat], [gflat])
     return MLPModel(classes, spec, params)
 
@@ -443,15 +451,6 @@ class ClassifyConfig:
 
 def _assemble(ds: MMDataset, inputs) -> TabularDataset:
     """One flat table: selected tabular columns plus image feature columns."""
-    if not inputs:
-        raise ConfigError("inputs is empty; select at least one modality")
-    for name in inputs:
-        if name == "tabular":
-            if ds.tabular is None:
-                raise ConfigError("inputs include 'tabular' but the dataset has none")
-        elif name not in ds.images:
-            known = sorted(ds.images) + ["tabular"]
-            raise ConfigError(f"unknown modality {name!r}; dataset has {known}")
     rows = [[] for _ in range(len(ds.labels))]
     columns = []
     for name in inputs:
@@ -479,6 +478,84 @@ def _fingerprint(parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _fit_fold(table: TabularDataset, test_idx, classes, cfg: ClassifyConfig, seed: int):
+    """One fold of the in-fold pipeline; returns (confusion matrix, fingerprint)."""
+    labels = np.asarray(table.labels)
+    lut = {c: i for i, c in enumerate(classes)}
+    train_idx = np.setdiff1d(np.arange(table.n_rows), test_idx)
+    train_ds = take_rows(table, train_idx)
+    test_ds = take_rows(table, test_idx)
+    prep = fit_preprocess(train_ds)
+    x_train = apply_preprocess(prep, train_ds)
+    x_test = apply_preprocess(prep, test_ds)
+    y_train = labels[train_idx]
+    xb, yb = smote(x_train, y_train, k=cfg.smote_k, seed=seed)
+    top_k = min(cfg.top_k, xb.shape[1])
+    report = boosted_importance(xb, yb, cfg.boost)
+    sel = select_features(report, top_k)
+    xb_sel = xb[:, sel]
+    if cfg.model == "logreg":
+        model, _ = train_logreg(xb_sel, yb, lr=cfg.logreg_lr, epochs=cfg.logreg_epochs)
+    else:
+        model = train_mlp(xb_sel, yb, cfg.mlp, cfg.train)
+    pred = predict(model, x_test[:, sel])
+    t_idx = np.array([lut[v] for v in labels[test_idx]])
+    p_idx = np.array([lut[v] for v in pred])
+    cm = confusion_matrix(t_idx, p_idx, len(classes))
+    stats_doc = {"numeric": {k_: list(v) for k_, v in prep.numeric_stats.items()},
+                 "modes": dict(prep.modes)}
+    weight_arrays = [model.w] if isinstance(model, LinearModel) else list(model.params)
+    return cm, _fingerprint(
+        [stats_doc, xb, np.asarray(yb, dtype="U16"), list(map(int, sel))] + weight_arrays
+    )
+
+
+def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
+    """One MetricsReport per input set (a tuple of modality names), all on
+    the same folds.  Each (input set, fold) pair is one parallel_map task,
+    input-set-major, so warnings arrive as a serial run raises them.  A
+    process builds a set's table at its first task of that set."""
+    cfg = cfg or ClassifyConfig()
+    for inputs in input_sets:
+        if not inputs:
+            raise ConfigError("inputs is empty; select at least one modality")
+        for name in inputs:
+            if name == "tabular":
+                if ds.tabular is None:
+                    raise ConfigError("inputs include 'tabular' but the dataset has none")
+            elif name not in ds.images:
+                known = sorted(ds.images) + ["tabular"]
+                raise ConfigError(f"unknown modality {name!r}; dataset has {known}")
+    labels = np.asarray(ds.labels)
+    classes = [c for c in np.unique(labels)]
+    folds = stratified_folds(labels, k, seed)
+    tables = {}  # the input set this process last built -> its table
+
+    def run_fold(task):
+        inputs, test_idx = task
+        if inputs not in tables:
+            tables.clear()
+            tables[inputs] = _assemble(ds, inputs)
+        return _fit_fold(tables[inputs], test_idx, classes, cfg, seed)
+
+    results = parallel_map(run_fold, [(inputs, f) for inputs in input_sets for f in folds])
+    reports = []
+    for i, inputs in enumerate(input_sets):
+        cms, fingerprints = zip(*results[i * k : (i + 1) * k])
+        fold_metrics = [metrics_from_confusion(cm) for cm in cms]
+        pooled_cm = np.sum(cms, axis=0)
+        summary = {}
+        for key in _METRIC_KEYS:
+            vals = np.array([m[key] for m in fold_metrics])
+            summary[key] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
+        reports.append(MetricsReport(
+            classes=classes, confusion=pooled_cm, pooled=metrics_from_confusion(pooled_cm),
+            fold_metrics=fold_metrics, summary=summary, k=k, seed=seed, inputs=inputs,
+            fold_hash=_fold_hash(folds), fold_fingerprints=list(fingerprints),
+        ))
+    return reports
+
+
 def kfold_evaluate(
     ds: MMDataset,
     inputs=("fused", "tabular"),
@@ -490,68 +567,10 @@ def kfold_evaluate(
 
     Inside each fold, on training rows only: fit preprocessing, SMOTE
     balance, rank features with the booster, keep top_k, train the
-    configured head.  Test rows see only the fitted transforms.
+    configured head.  Test rows see only the fitted transforms.  The
+    folds run by parallel_map.
     """
-    cfg = cfg or ClassifyConfig()
-    table = _assemble(ds, tuple(inputs))
-    labels = np.asarray(table.labels)
-    classes = [c for c in np.unique(labels)]
-    lut = {c: i for i, c in enumerate(classes)}
-    folds = stratified_folds(labels, k, seed)
-    all_idx = np.arange(table.n_rows)
-
-    pooled_cm = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    fold_metrics, fingerprints = [], []
-    for test_idx in folds:
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        train_ds = take_rows(table, train_idx)
-        test_ds = take_rows(table, test_idx)
-        prep = fit_preprocess(train_ds)
-        x_train = apply_preprocess(prep, train_ds)
-        x_test = apply_preprocess(prep, test_ds)
-        y_train = labels[train_idx]
-        xb, yb = smote(x_train, y_train, k=cfg.smote_k, seed=seed)
-        top_k = min(cfg.top_k, xb.shape[1])
-        report = boosted_importance(xb, yb, cfg.boost)
-        sel = select_features(report, top_k)
-        xb_sel = xb[:, sel]
-        if cfg.model == "logreg":
-            model, _ = train_logreg(xb_sel, yb, lr=cfg.logreg_lr, epochs=cfg.logreg_epochs)
-        else:
-            model = train_mlp(xb_sel, yb, cfg.mlp, cfg.train)
-        pred = predict(model, x_test[:, sel])
-        t_idx = np.array([lut[v] for v in labels[test_idx]])
-        p_idx = np.array([lut[v] for v in pred])
-        cm = confusion_matrix(t_idx, p_idx, len(classes))
-        pooled_cm += cm
-        fold_metrics.append(metrics_from_confusion(cm))
-        stats_doc = {
-            "numeric": {k_: list(v) for k_, v in prep.numeric_stats.items()},
-            "modes": dict(prep.modes),
-        }
-        weight_arrays = (
-            [model.w] if isinstance(model, LinearModel) else list(model.params)
-        )
-        fingerprints.append(
-            _fingerprint([stats_doc, xb, np.asarray(yb, dtype="U16"), list(map(int, sel))] + weight_arrays)
-        )
-
-    summary = {}
-    for key in _METRIC_KEYS:
-        vals = np.array([m[key] for m in fold_metrics])
-        summary[key] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
-    return MetricsReport(
-        classes=classes,
-        confusion=pooled_cm,
-        pooled=metrics_from_confusion(pooled_cm),
-        fold_metrics=fold_metrics,
-        summary=summary,
-        k=k,
-        seed=seed,
-        inputs=tuple(inputs),
-        fold_hash=_fold_hash(folds),
-        fold_fingerprints=fingerprints,
-    )
+    return _kfold_reports(ds, [tuple(inputs)], k, cfg, seed)[0]
 
 
 _COMPARE_CONFIGS = (
@@ -564,16 +583,9 @@ _COMPARE_CONFIGS = (
 
 def compare_modalities(ds: MMDataset, seed: int = 0, k: int = 5,
                        cfg: ClassifyConfig | None = None) -> dict:
-    """The four-way input comparison, all runs on identical folds, run by parallel_map."""
-    reports = parallel_map(
-        lambda inputs: kfold_evaluate(ds, inputs=inputs, k=k, cfg=cfg, seed=seed),
-        [inputs for _, inputs in _COMPARE_CONFIGS],
-    )
-    out = {name: rep for (name, _), rep in zip(_COMPARE_CONFIGS, reports)}
-    hashes = {r.fold_hash for r in out.values()}
-    if len(hashes) != 1:  # same labels + seed must give same folds
-        raise ContractError("fold assignments diverged across configurations")
-    return out
+    """The four-way input comparison on identical folds; its 4 x k folds run by parallel_map."""
+    reports = _kfold_reports(ds, [inputs for _, inputs in _COMPARE_CONFIGS], k, cfg, seed)
+    return {name: rep for (name, _), rep in zip(_COMPARE_CONFIGS, reports)}
 
 
 def comparison_to_text(comparison: dict) -> str:

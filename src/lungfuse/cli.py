@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 ok, 2 configuration or contract error, 3 data, file
-format or operating-system (file access) error, 4 numerical failure.
+format, operating-system (file access) or dead-worker error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import pipeline as pl
 from .classify import kfold_evaluate
 from .denoise import denoise as run_denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError, ContractError, DataError, NumericalError
+from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError
 from .fusion import FusionRule, fuse_wavelet, fusion_quality, ncc
 from .images import read_pgm, write_json, write_pgm
 from .phantom import describe, generate
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except (DataError, OSError) as exc:  # DataError includes FormatError
+    except (DataError, OSError, WorkerError) as exc:  # DataError includes FormatError
         click.echo(f"error: {exc}", err=True)
         return 3
     except NumericalError as exc:

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError and
-ContractError exit 2, DataError (and FormatError) exit 3,
+ContractError exit 2, DataError (and FormatError) and WorkerError exit 3,
 NumericalError exit 4.
 """
 
@@ -34,3 +34,7 @@ class FormatError(DataError):
 
 class NumericalError(LungFuseError):
     """A computation degenerated (non-finite loss, zero-variance signal)."""
+
+
+class WorkerError(LungFuseError):
+    """A forked worker process died before its task finished."""

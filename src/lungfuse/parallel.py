@@ -6,6 +6,8 @@ this process.  Workers are forked, so they inherit the function and the
 items and only results cross a pipe; they ignore SIGINT, which leaves an
 interrupt to the parent.  Warnings raised in a worker are raised again
 in the parent, in task order, at the code location that raised them.
+A worker that dies (say, killed by the out-of-memory killer) fails the
+map with WorkerError.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import os
 import signal
 import sys
 import warnings
+
+from .errors import WorkerError
 
 __all__ = ["parallel_map"]
 
@@ -38,7 +42,7 @@ def parallel_map(fn, items) -> list:
         return [fn(x) for x in items]
 
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     _TASK = (fn, items)
     pool = None
@@ -60,6 +64,8 @@ def parallel_map(fn, items) -> list:
                 _warn_again(*w)
             results.append(value)
         return results
+    except BrokenProcessPool:  # a worker died: killed, perhaps for want of memory
+        raise WorkerError("a worker process died before its task finished") from None
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -118,6 +118,43 @@ def test_mlp_params_are_pinned():
     assert h.hexdigest() == "57b5382e66a3fddee9b8525ddca7ca49ea7ab1f9bc042dbe9595976fb2da2e34"
 
 
+@pytest.mark.parametrize("dropout", [0.5, 0.0])
+def test_mlp_loss_grad_is_the_training_steps_gradient(monkeypatch, dropout):
+    rng = np.random.default_rng(3)
+    n, batch = 40, 16
+    x = rng.normal(size=(n, 5))
+    y = np.array(["a", "b", "c"])[rng.integers(0, 3, n)]
+    cfg = TrainConfig(epochs=2, batch_size=batch, rng_seed=4)
+    steps = []
+
+    class Recording(cl.Adam):
+        def step(self, params, grads):
+            steps.append((params[0].copy(), grads[0].copy()))
+            super().step(params, grads)
+
+    monkeypatch.setattr(cl, "Adam", Recording)
+    cl.train_mlp(x, y, cl.MLPSpec(hidden=(8, 6), dropout=dropout), cfg)
+    # replay train_mlp's draws: initial weights, then per epoch an order
+    # and per batch a dropout mask
+    replay = np.random.default_rng(cfg.rng_seed)
+    shapes = [(5, 8), (8,), (8, 6), (6,), (6, 3), (3,)]
+    for shape in shapes[::2]:
+        glorot_uniform(replay, shape, *shape)
+    yi = np.unique(y, return_inverse=True)[1]
+    recorded = iter(steps)
+    for _ in range(cfg.epochs):
+        order = replay.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            mask = None
+            if dropout > 0:
+                mask = (replay.uniform(size=(len(idx), 8)) < 1.0 - dropout) / (1.0 - dropout)
+            flat, gflat = next(recorded)
+            _, grads = cl.mlp_loss_grad(cl._views(flat, shapes), x[idx], yi[idx], 3, mask)
+            assert np.concatenate([g.ravel() for g in grads]).tobytes() == gflat.tobytes()
+    assert next(recorded, None) is None
+
+
 def test_mlp_gradcheck_dropout_off():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(7, 4))

@@ -5,6 +5,7 @@ os.sched_getaffinity, so both paths run on any host: {0} gives the
 in-process loop and {0, 1} two forked workers.
 """
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -89,6 +90,20 @@ def test_fused_dir_and_comparison_are_identical_serial_and_pooled(monkeypatch, t
     assert multiprocessing.active_children() == []
 
 
+def test_fold_tasks_are_identical_serial_and_pooled(monkeypatch):
+    ds = _table_with_rare_category(40)
+    cfg = cl.ClassifyConfig()  # the default mlp head
+    seen = []
+    for cpus in (SERIAL, POOLED):
+        _cpus(monkeypatch, cpus)
+        comp = cl.compare_modalities(ds, seed=2, k=5, cfg=cfg)
+        one = cl.kfold_evaluate(ds, inputs=("fused", "tabular"), k=5, cfg=cfg, seed=2)
+        seen.append([json.dumps(rep.to_dict(), sort_keys=True) for rep in [*comp.values(), one]])
+    assert seen[0] == seen[1]
+    assert seen[0][3] == seen[0][4]  # kfold_evaluate's folds are the comparison's multimodal ones
+    assert multiprocessing.active_children() == []
+
+
 def _table_with_rare_category(n=24):
     rng = np.random.default_rng(4)
     y = np.array([0, 1] * (n // 2))
@@ -158,6 +173,35 @@ def test_worker_error_in_run_names_the_stage(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert rc == 4
     assert "error: stage fuse: no correlation signal" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["compare", "run"])
+def test_killed_worker_exits_3_with_one_error_line(monkeypatch, capfd, tmp_path, command):
+    _cpus(monkeypatch, POOLED)
+    caller = os.getpid()
+
+    def killed(fixed, moving):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+        raise AssertionError("the registration ran in the calling process")
+
+    monkeypatch.setattr(pl, "align", killed)
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=4, image_size=32, seed=1), ds)
+    args = {
+        "compare": ["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp")],
+        "run": ["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=4",
+                "--set", "denoise.enabled=false"],
+    }[command]
+    rc = main(args)
+    err = capfd.readouterr().err
+    assert rc == 3
+    errors = [line for line in err.splitlines() if not line.startswith("[")]  # not stage logs
+    stage = "stage fuse: " if command == "run" else ""
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {stage}a worker process died before its task finished")
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
 
