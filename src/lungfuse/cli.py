@@ -6,19 +6,19 @@ format, operating-system (file access) or dead-worker error, 4 numerical failure
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
 import sys
 
 import click
-import numpy as np
 
 from . import pipeline as pl
 from .classify import kfold_evaluate
-from .denoise import denoise as run_denoise, load_weights, save_weights, train_denoiser
+from .denoise import denoise as run_denoise, load_weights
 from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError
-from .fusion import FusionRule, fuse_wavelet, fusion_quality, ncc
+from .fusion import fusion_quality, ncc
 from .images import read_pgm, write_json, write_pgm
 from .phantom import describe, generate
 from .tabular import apply_preprocess, fit_preprocess, read_table
@@ -26,6 +26,20 @@ from .tabular import apply_preprocess, fit_preprocess, read_table
 
 def _emit(doc) -> None:
     click.echo(json.dumps(doc, indent=1, sort_keys=True))
+
+
+def _config_options(fn):
+    """--config and --set, resolved into the pipeline config passed as fn's first argument."""
+
+    @click.option("--config", default=None, type=click.Path(exists=True),
+                  help="pipeline config JSON (defaults used when omitted)")
+    @click.option("--set", "sets", multiple=True, metavar="SECTION.KEY=VALUE",
+                  help="override one config key, e.g. phantom.seed=7")
+    @functools.wraps(fn)
+    def wrapper(config, sets, **kwargs):
+        return fn(pl.load_config(config, sets), **kwargs)
+
+    return wrapper
 
 
 @click.group()
@@ -40,22 +54,10 @@ def version_cmd():
 
 
 @cli.command("phantom")
-@click.option("--n", default=60, show_default=True, help="number of patients")
-@click.option("--size", default=64, show_default=True, help="image size in pixels")
-@click.option("--seed", default=42, show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="output dataset directory")
-@click.option("--balance", default=0.5, show_default=True, help="fraction of adenocarcinoma")
-@click.option("--noise-sigma", default=0.02, show_default=True)
-@click.option("--jitter", default=3.0, show_default=True, help="max CT/PET offset in px")
-@click.option("--signal", default=1.0, show_default=True, help="subtype signal strength")
-@click.option("--missing-rate", default=0.0, show_default=True)
-def phantom_cmd(n, size, seed, out, balance, noise_sigma, jitter, signal, missing_rate):
-    """Generate a synthetic paired CT/PET dataset with ground truth."""
-    phantom = dict(
-        n_patients=n, image_size=size, class_balance=balance, noise_sigma=noise_sigma,
-        registration_jitter=jitter, signal_strength=signal, missing_rate=missing_rate, seed=seed,
-    )
-    doc = pl.resolve_config({"phantom": phantom})
+@_config_options
+def phantom_cmd(doc, out):
+    """Generate a synthetic paired CT/PET dataset with ground truth (phantom.* keys)."""
     _emit(generate(pl._phantom_config(doc), out))
 
 
@@ -66,51 +68,22 @@ def describe_cmd(dataset):
     _emit(describe(dataset))
 
 
-def _parse_ll_rule(text: str):
-    if text == "average":
-        return "average", 0.5
-    if text.startswith("weighted:"):
-        try:
-            return "weighted", float(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad --ll-rule weight in {text!r}") from None
-    raise ConfigError(f'--ll-rule must be "average" or "weighted:W", got {text!r}')
-
-
-_DETAIL_RULES = {"maxabs": "max_abs", "average": "average"}
-
-
 @cli.command("fuse")
 @click.option("--ct", "ct_path", required=True, type=click.Path(exists=True))
 @click.option("--pet", "pet_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--family", default="haar", show_default=True, type=click.Choice(["haar", "db2"]))
-@click.option("--levels", default=1, show_default=True)
-@click.option("--ll-rule", default="average", show_default=True, help='"average" or "weighted:W"')
-@click.option(
-    "--detail-rule",
-    default="maxabs",
-    show_default=True,
-    type=click.Choice(sorted(_DETAIL_RULES)),
-)
-@click.option("--register", "do_register", default="on", show_default=True,
-              type=click.Choice(["on", "off"]), help="rigidly align PET to CT first")
 @click.option("--report", "report_path", default=None, type=click.Path(),
               help="write fusion quality metrics JSON here")
-def fuse_cmd(ct_path, pet_path, out, family, levels, ll_rule, detail_rule, do_register, report_path):
-    """Fuse a CT image and a PET image into one image."""
+@_config_options
+def fuse_cmd(doc, ct_path, pet_path, out, report_path):
+    """Fuse a CT image and a PET image into one image, as the fuse stage does (fusion.* keys)."""
     ct = read_pgm(ct_path)
-    pet = read_pgm(pet_path)
-    ll, weight = _parse_ll_rule(ll_rule)
-    rule = FusionRule(ll_rule=ll, ll_weight_ct=weight, detail_rule=_DETAIL_RULES[detail_rule])
-    if do_register == "on":
-        pet, _ = pl.align(ct, pet)
-    fused = fuse_wavelet(ct, pet, family=family, levels=levels, rule=rule)
+    fused, pet, _ = pl.fuse_pair(ct, read_pgm(pet_path), doc["fusion"], pl._fusion_rule(doc))
     write_pgm(fused, out)
     if report_path is not None:
-        doc = fusion_quality(fused, ct, pet)
-        doc["out"] = os.path.basename(out)
-        write_json(report_path, doc)
+        quality = fusion_quality(fused, ct, pet)
+        quality["out"] = os.path.basename(out)
+        write_json(report_path, quality)
     click.echo(f"fused image written to {out}")
 
 
@@ -126,14 +99,7 @@ def register_cmd(fixed, moving, out, resampled, features):
     """Estimate the rigid transform aligning one image to another."""
     fixed_img = read_pgm(fixed)
     aligned, t = pl.align(fixed_img, read_pgm(moving), features)
-    doc = {
-        "kind": "rigid-transform",
-        "tx": t.tx,
-        "ty": t.ty,
-        "theta_deg": float(np.rad2deg(t.theta)),
-        "scale": t.scale,
-        "ncc": ncc(fixed_img, aligned),
-    }
+    doc = {"kind": "rigid-transform", **pl.transform_doc(t), "ncc": ncc(fixed_img, aligned)}
     write_json(out, doc)
     if resampled is not None:
         write_pgm(aligned, resampled)
@@ -144,36 +110,16 @@ def register_cmd(fixed, moving, out, resampled, features):
 @click.option("--out", required=True, type=click.Path(), help="weights JSON path")
 @click.option("--images", default=None, type=click.Path(exists=True),
               help="directory of clean PGM training images (default: synthetic scenes)")
-@click.option("--n-images", default=24, show_default=True)
-@click.option("--size", default=64, show_default=True)
-@click.option("--train-seed", default=7, show_default=True, help="seed for synthetic scenes")
-@click.option("--lr", default=0.001, show_default=True)
-@click.option("--batch-size", default=96, show_default=True)
-@click.option("--epochs", default=30, show_default=True)
-@click.option("--seed", default=0, show_default=True, help="weight init / shuffling seed")
-@click.option("--noise-kind", default="gaussian", show_default=True,
-              type=click.Choice(["gaussian", "poisson"]))
-@click.option("--noise-param", default=0.1, show_default=True)
-def denoise_train_cmd(out, images, n_images, size, train_seed, lr, batch_size, epochs, seed,
-                      noise_kind, noise_param):
-    """Train the denoising auto-encoder and save its weights."""
-    denoise = dict(
-        learning_rate=lr, batch_size=batch_size, epochs=epochs, rng_seed=seed,
-        noise_kind=noise_kind, noise_param=noise_param, train_images=n_images, train_size=size,
-        train_seed=train_seed,
-    )
-    doc = pl.resolve_config({"denoise": denoise})
+@_config_options
+def denoise_train_cmd(doc, out, images):
+    """Train the denoising auto-encoder (denoise.* keys) and save its weights."""
+    clean = None
     if images is not None:
-        paths = sorted(
-            os.path.join(images, f) for f in os.listdir(images) if f.endswith(".pgm")
-        )
+        paths = sorted(os.path.join(images, f) for f in os.listdir(images) if f.endswith(".pgm"))
         if not paths:
             raise DataError(f"no .pgm files in {images}")
         clean = [read_pgm(p) for p in paths]
-    else:
-        clean = pl.denoiser_scenes(n_images, size, train_seed)
-    weights, log = train_denoiser(clean, pl._train_config(doc))
-    save_weights(out, weights)
+    log = pl._train_denoiser_stage(doc, out, clean)
     _emit({"weights": out, "epochs": len(log), "first_loss": log[0], "last_loss": log[-1]})
 
 
@@ -230,13 +176,11 @@ def _fused_dir(dataset, fused_dir, work_dir, doc) -> str:
 @click.option("--out", required=True, type=click.Path(), help="metrics report JSON path")
 @click.option("--fused-dir", default=None, type=click.Path(exists=True),
               help="reuse precomputed fused images (default: register+fuse now)")
-@click.option("--config", default=None, type=click.Path(exists=True))
-@click.option("--set", "sets", multiple=True, help="override, e.g. classify.model=logreg")
 @click.option("--inputs", default="fused,tabular", show_default=True,
               help="comma-separated modalities: ct, fused, tabular")
-def evaluate_cmd(dataset, out, fused_dir, config, sets, inputs):
+@_config_options
+def evaluate_cmd(doc, dataset, out, fused_dir, inputs):
     """Cross-validated evaluation of one modality combination."""
-    doc = pl.load_config(config, sets)
     fused_dir = _fused_dir(dataset, fused_dir, os.path.dirname(os.path.abspath(out)), doc)
     cfg = pl.classify_config_from(doc)
     ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels)
@@ -252,11 +196,9 @@ def evaluate_cmd(dataset, out, fused_dir, config, sets, inputs):
 @click.option("--dataset", required=True, type=click.Path(exists=True))
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--fused-dir", default=None, type=click.Path(exists=True))
-@click.option("--config", default=None, type=click.Path(exists=True))
-@click.option("--set", "sets", multiple=True)
-def compare_cmd(dataset, out_dir, fused_dir, config, sets):
+@_config_options
+def compare_cmd(doc, dataset, out_dir, fused_dir):
     """Compare tabular-only, CT-only, fused and multimodal classifiers."""
-    doc = pl.load_config(config, sets)
     os.makedirs(out_dir, exist_ok=True)
     fused_dir = _fused_dir(dataset, fused_dir, out_dir, doc)
     pl._evaluate_stage(dataset, fused_dir, doc, out_dir)
@@ -264,14 +206,11 @@ def compare_cmd(dataset, out_dir, fused_dir, config, sets):
 
 
 @cli.command("run")
-@click.option("--config", default=None, type=click.Path(exists=True),
-              help="pipeline config JSON (defaults used when omitted)")
 @click.option("--out", required=True, type=click.Path(), help="working/output directory")
-@click.option("--set", "sets", multiple=True, help="override, e.g. phantom.seed=7")
-def run_cmd(config, out, sets):
+@_config_options
+def run_cmd(doc, out):
     """Run the full pipeline and write a report bundle."""
-    summary = pl.run_pipeline(pl.load_config(config, sets), out)
-    _emit(summary)
+    _emit(pl.run_pipeline(doc, out))
 
 
 def main(argv=None) -> int:

@@ -40,7 +40,7 @@ from .classify import (
     extract_image_features,
 )
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError, LungFuseError
+from .errors import ConfigError, LungFuseError, WorkerError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
 from .images import gradient_magnitude, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
@@ -56,6 +56,8 @@ __all__ = [
     "run_pipeline",
     "version_info",
     "align",
+    "fuse_pair",
+    "transform_doc",
     "denoiser_scenes",
     "compute_fused_dir",
     "evaluate_dataset",
@@ -275,6 +277,9 @@ def _validate(doc: dict) -> None:
         )
     if doc["fusion"]["family"] not in ("haar", "db2"):
         raise ConfigError(f'fusion.family must be "haar" or "db2", got {doc["fusion"]["family"]!r}')
+    weight = doc["fusion"]["ll_weight_ct"]
+    if not 0 <= weight <= 1:
+        raise ConfigError(f"fusion.ll_weight_ct must be in [0, 1], got {weight!r}")
     hidden = doc["classify"]["hidden"]
     if not (
         isinstance(hidden, (list, tuple))
@@ -357,7 +362,9 @@ class _Stages:
             except Exception as exc:
                 shutil.rmtree(tmp, ignore_errors=True)
                 if isinstance(exc, LungFuseError):
-                    raise type(exc)(f"stage {name}: {exc} (hint: {hint})") from exc
+                    # a dead worker is not about the stage's settings
+                    tail = "" if isinstance(exc, WorkerError) else f" (hint: {hint})"
+                    raise type(exc)(f"stage {name}: {exc}{tail}") from exc
                 raise
             shutil.rmtree(outdir, ignore_errors=True)
             tmp.rename(outdir)
@@ -384,12 +391,16 @@ def denoiser_scenes(n_images: int, size: int, seed: int) -> list:
     ]
 
 
-def _train_denoiser_stage(doc: dict, outdir) -> None:
+def _train_denoiser_stage(doc: dict, weights_path, clean=None) -> list:
+    """Train on clean (default: the config's synthetic scenes), save the
+    weights to weights_path and return the per-epoch loss."""
     d = doc["denoise"]
-    clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
+    if clean is None:
+        clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
     weights, log = train_denoiser(clean, _train_config(doc))
     _say(f"[denoise-train] {len(log)} epochs, loss {log[0]:.4f} -> {log[-1]:.4f}")
-    save_weights(os.path.join(outdir, "weights.json"), weights)
+    save_weights(weights_path, weights)
+    return log
 
 
 def _denoise_stage(dataset_dir, weights_path, outdir) -> None:
@@ -414,6 +425,24 @@ def align(fixed, moving, features: str = "gradient"):
     return resample_bilinear(moving, t), t
 
 
+def fuse_pair(ct, pet, fusion: dict, rule: FusionRule):
+    """Align pet onto ct when fusion["register"] is on, then fuse them.
+
+    Returns (fused image, the PET that was fused, transform).
+    """
+    if fusion["register"]:
+        pet, t = align(ct, pet)
+    else:
+        t = RigidTransform(0.0, 0.0, 0.0, 1.0)
+    fused = fuse_wavelet(ct, pet, family=fusion["family"], levels=fusion["levels"], rule=rule)
+    return fused, pet, t
+
+
+def transform_doc(t: RigidTransform) -> dict:
+    """A transform as written to JSON, with its angle in degrees."""
+    return {"tx": t.tx, "ty": t.ty, "theta_deg": float(np.rad2deg(t.theta)), "scale": t.scale}
+
+
 def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     """Register (optional) and fuse every patient pair into <outdir>.
 
@@ -431,19 +460,9 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
             pet = read_pgm(os.path.join(dataset_dir, row["pet"]))
         else:
             pet = read_pgm(os.path.join(pet_dir, f"{row['id']}_pet.pgm"))
-        if f["register"]:
-            pet, t = align(ct, pet)
-        else:
-            t = RigidTransform(0.0, 0.0, 0.0, 1.0)
-        fused = fuse_wavelet(ct, pet, family=f["family"], levels=f["levels"], rule=rule)
+        fused, _, t = fuse_pair(ct, pet, f, rule)
         write_pgm(fused, os.path.join(outdir, f"{row['id']}_fused.pgm"))
-        return {
-            "id": row["id"],
-            "tx": t.tx,
-            "ty": t.ty,
-            "theta_deg": float(np.rad2deg(t.theta)),
-            "scale": t.scale,
-        }
+        return {"id": row["id"], **transform_doc(t)}
 
     # an unregistered pair takes about a millisecond, less than a worker costs
     rows = manifest["rows"]
@@ -523,7 +542,7 @@ def run_pipeline(doc: dict, out_dir) -> dict:
             "denoise-train",
             {"denoise": doc["denoise"]},
             "check the denoise section; lower epochs or learning_rate if unstable",
-            lambda d: _train_denoiser_stage(doc, d),
+            lambda d: _train_denoiser_stage(doc, d / "weights.json"),
         )
         weights_path = weights_dir / "weights.json"
         pet_dir = stages.run(

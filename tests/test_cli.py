@@ -83,7 +83,10 @@ def test_config_file_not_json(capsys, tmp_path):
 
 def test_phantom_then_describe(capsys, tmp_path):
     ds = tmp_path / "ds"
-    rc, out, _ = _run(capsys, "phantom", "--n", "8", "--seed", "3", "--out", str(ds))
+    rc, out, _ = _run(
+        capsys, "phantom", "--set", "phantom.n_patients=8", "--set", "phantom.seed=3",
+        "--out", str(ds),
+    )
     assert rc == 0
     assert json.loads(out)["classes"] == {"adenocarcinoma": 4, "squamous": 4}
     rc, out, _ = _run(capsys, "describe", "--dataset", str(ds))
@@ -102,8 +105,9 @@ def test_fuse_writes_image_and_report(capsys, tmp_path):
         capsys, "fuse",
         "--ct", str(ds / "images/pt0000_ct.pgm"),
         "--pet", str(ds / "images/pt0000_pet.pgm"),
-        "--out", str(fused), "--register", "off",
-        "--ll-rule", "weighted:0.7", "--detail-rule", "average",
+        "--out", str(fused), "--set", "fusion.register=false",
+        "--set", "fusion.ll_rule=weighted", "--set", "fusion.ll_weight_ct=0.7",
+        "--set", "fusion.detail_rule=average",
         "--report", str(report),
     )
     assert rc == 0
@@ -113,7 +117,16 @@ def test_fuse_writes_image_and_report(capsys, tmp_path):
     assert set(doc) >= {"entropy_f", "mi_f_ct", "mi_f_pet", "psnr_vs_ct", "ssim_vs_ct"}
 
 
-def test_fuse_default_matches_pipeline_fused_image(capsys, tmp_path):
+_FUSION = ["fusion.family=db2", "fusion.levels=2", "fusion.ll_rule=weighted",
+           "fusion.ll_weight_ct=0.7", "fusion.detail_rule=average"]
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [[], [*_FUSION, "fusion.register=true"], [*_FUSION, "fusion.register=false"]],
+    ids=["default", "non-default-registered", "non-default-unregistered"],
+)
+def test_fuse_default_matches_pipeline_fused_image(capsys, tmp_path, sets):
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=2, seed=1), ds)
     fused = tmp_path / "fused.pgm"
@@ -121,10 +134,10 @@ def test_fuse_default_matches_pipeline_fused_image(capsys, tmp_path):
         capsys, "fuse",
         "--ct", str(ds / "images/pt0000_ct.pgm"),
         "--pet", str(ds / "images/pt0000_pet.pgm"),
-        "--out", str(fused),
+        "--out", str(fused), *(a for s in sets for a in ("--set", s)),
     )
     assert rc == 0
-    pl.compute_fused_dir(ds, tmp_path, pl.resolve_config(None))
+    pl.compute_fused_dir(ds, tmp_path, pl.load_config(None, sets))
     assert fused.read_bytes() == (tmp_path / "pt0000_fused.pgm").read_bytes()
 
 
@@ -135,7 +148,7 @@ def test_fuse_into_missing_directory_exits_3(capsys, tmp_path):
         capsys, "fuse",
         "--ct", str(ds / "images/pt0000_ct.pgm"),
         "--pet", str(ds / "images/pt0000_pet.pgm"),
-        "--out", str(tmp_path / "missing" / "f.pgm"), "--register", "off",
+        "--out", str(tmp_path / "missing" / "f.pgm"), "--set", "fusion.register=false",
     )
     assert rc == 3
     assert err.startswith("error:") and err.count("\n") == 1
@@ -144,14 +157,18 @@ def test_fuse_into_missing_directory_exits_3(capsys, tmp_path):
 def test_fuse_rejects_bad_ll_rule(capsys, tmp_path):
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=2, seed=1), ds)
-    rc, _, err = _run(
-        capsys, "fuse",
-        "--ct", str(ds / "images/pt0000_ct.pgm"),
-        "--pet", str(ds / "images/pt0000_pet.pgm"),
-        "--out", str(tmp_path / "f.pgm"), "--ll-rule", "weighted:heavy",
-    )
-    assert rc == 2
-    assert "ll-rule" in err
+    for weight in ("heavy", "1.5"):
+        rc, _, err = _run(
+            capsys, "fuse",
+            "--ct", str(ds / "images/pt0000_ct.pgm"),
+            "--pet", str(ds / "images/pt0000_pet.pgm"),
+            "--out", str(tmp_path / "f.pgm"),
+            "--set", "fusion.ll_rule=weighted", "--set", f"fusion.ll_weight_ct={weight}",
+        )
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "fusion.ll_weight_ct" in err
+        assert not (tmp_path / "f.pgm").exists()
 
 
 def test_register_recovers_known_shift(capsys, tmp_path):
@@ -183,7 +200,8 @@ def test_denoise_train_apply_round_trip(capsys, tmp_path):
     w = tmp_path / "w.json"
     rc, out, _ = _run(
         capsys, "denoise-train", "--out", str(w),
-        "--n-images", "8", "--size", "32", "--epochs", "2", "--batch-size", "4",
+        "--set", "denoise.train_images=8", "--set", "denoise.train_size=32",
+        "--set", "denoise.epochs=2", "--set", "denoise.batch_size=4",
     )
     assert rc == 0
     doc = json.loads(out)
@@ -197,6 +215,39 @@ def test_denoise_train_apply_round_trip(capsys, tmp_path):
     )
     assert rc == 0
     assert read_pgm(dn).shape == (64, 64)
+
+
+def _stage_dir(out_dir, stage):
+    (d,) = (out_dir / "cache").glob(f"{stage}-*")
+    return d
+
+
+def test_phantom_writes_the_run_phantom_stage_tree(capsys, tmp_path):
+    # 24 patients, as in _FAST: fewer cannot feed the run's evaluate stage
+    phantom = ["--set", "phantom.n_patients=24", "--set", "phantom.seed=3",
+               "--set", "phantom.image_size=32",
+               "--set", "phantom.missing_rate=0.1", "--set", "phantom.noise_sigma=0.05"]
+    rc, _, _ = _run(capsys, "phantom", *phantom, "--out", str(tmp_path / "ds"))
+    assert rc == 0
+    rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "w"), *_FAST, *phantom)
+    assert rc == 0
+    stage = _stage_dir(tmp_path / "w", "phantom")
+    (stage / ".complete").unlink()
+    assert _tree_hash(tmp_path / "ds") == _tree_hash(stage)
+
+
+def test_denoise_train_writes_the_run_stage_weights(capsys, tmp_path):
+    denoise = ["--set", "denoise.epochs=2", "--set", "denoise.train_images=8",
+               "--set", "denoise.train_size=16", "--set", "denoise.batch_size=4",
+               "--set", "denoise.noise_kind=poisson", "--set", "denoise.train_seed=3"]
+    w = tmp_path / "w.json"
+    rc, _, _ = _run(capsys, "denoise-train", "--out", str(w), *denoise)
+    assert rc == 0
+    rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "w"), *_FAST,
+                    "--set", "denoise.enabled=true", *denoise)
+    assert rc == 0
+    stage = _stage_dir(tmp_path / "w", "denoise-train")
+    assert w.read_bytes() == (stage / "weights.json").read_bytes()
 
 
 def test_preprocess_writes_matrix_and_stats(capsys, tmp_path):
@@ -376,9 +427,9 @@ def test_compare_matches_run_report(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv,key",
     [
-        (["phantom", "--seed", "-1"], "phantom.seed"),
-        (["denoise-train", "--seed", "-1"], "denoise.rng_seed"),
-        (["denoise-train", "--train-seed", "-1"], "denoise.train_seed"),
+        (["phantom", "--set", "phantom.seed=-1"], "phantom.seed"),
+        (["denoise-train", "--set", "denoise.rng_seed=-1"], "denoise.rng_seed"),
+        (["denoise-train", "--set", "denoise.train_seed=-1"], "denoise.train_seed"),
     ],
 )
 def test_standalone_commands_validate_like_run(capsys, tmp_path, argv, key):

@@ -443,7 +443,7 @@ def test_default_weights_file_is_pinned(tmp_path):
     # sha256 of the weights file the default config trains (24 images of
     # 64 px, 30 epochs), recorded from the allocating implementation; the
     # fused F1 values perfbench's study workload checks depend on it
-    pl._train_denoiser_stage(pl.resolve_config(None), tmp_path)
+    pl._train_denoiser_stage(pl.resolve_config(None), tmp_path / "weights.json")
     digest = hashlib.sha256((tmp_path / "weights.json").read_bytes()).hexdigest()
     assert digest == "19faf56d8fc9a2ea11b48fbc0de13394c31ae54e595a1f04e6af4e8fe1472e72"
 

@@ -202,6 +202,7 @@ def test_killed_worker_exits_3_with_one_error_line(monkeypatch, capfd, tmp_path,
     stage = "stage fuse: " if command == "run" else ""
     assert len(errors) == 1
     assert errors[0].startswith(f"error: {stage}a worker process died before its task finished")
+    assert "(hint:" not in err
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
 
