@@ -161,30 +161,23 @@ def preprocess_cmd(csv_path, schema, out_matrix, out_stats):
     click.echo(f"{x.shape[0]} rows x {x.shape[1]} features written to {out_matrix}")
 
 
-def _fused_dir(dataset, fused_dir, work_dir, doc) -> str:
-    """The given --fused-dir, or <work_dir>/fused computed now by the pipeline."""
-    if fused_dir is None:
-        fused_dir = os.path.join(work_dir, "fused")
-        os.makedirs(fused_dir, exist_ok=True)
-        pl.compute_fused_dir(dataset, fused_dir, doc)
-    return fused_dir
-
-
 @cli.command("evaluate")
 @click.option("--dataset", required=True, type=click.Path(exists=True),
               help="dataset directory with manifest.json")
-@click.option("--out", required=True, type=click.Path(), help="metrics report JSON path")
-@click.option("--fused-dir", default=None, type=click.Path(exists=True),
-              help="reuse precomputed fused images (default: register+fuse now)")
+@click.option("--out", required=True, type=click.Path(),
+              help="metrics report JSON path; the stage cache goes beside it")
 @click.option("--inputs", default="fused,tabular", show_default=True,
               help="comma-separated modalities: ct, fused, tabular")
 @_config_options
-def evaluate_cmd(doc, dataset, out, fused_dir, inputs):
-    """Cross-validated evaluation of one modality combination."""
-    fused_dir = _fused_dir(dataset, fused_dir, os.path.dirname(os.path.abspath(out)), doc)
+def evaluate_cmd(doc, dataset, out, inputs):
+    """Cross-validated evaluation of one modality combination, on run's stages up to fuse."""
+    chosen = tuple(s.strip() for s in inputs.split(",") if s.strip())
+    if not chosen or not set(chosen) <= {"ct", "fused", "tabular"}:
+        raise ConfigError(f"--inputs must name one or more of ct, fused, tabular, got {inputs!r}")
+    stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
+    _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)
     cfg = pl.classify_config_from(doc)
     ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels)
-    chosen = tuple(s.strip() for s in inputs.split(",") if s.strip())
     report = kfold_evaluate(
         ds, inputs=chosen, k=doc["evaluate"]["k"], cfg=cfg, seed=doc["evaluate"]["seed"]
     )
@@ -194,15 +187,13 @@ def evaluate_cmd(doc, dataset, out, fused_dir, inputs):
 
 @cli.command("compare")
 @click.option("--dataset", required=True, type=click.Path(exists=True))
-@click.option("--out-dir", required=True, type=click.Path())
-@click.option("--fused-dir", default=None, type=click.Path(exists=True))
+@click.option("--out-dir", required=True, type=click.Path(),
+              help="working directory: report/ and cache/, as run writes them")
 @_config_options
-def compare_cmd(doc, dataset, out_dir, fused_dir):
-    """Compare tabular-only, CT-only, fused and multimodal classifiers."""
-    os.makedirs(out_dir, exist_ok=True)
-    fused_dir = _fused_dir(dataset, fused_dir, out_dir, doc)
-    pl._evaluate_stage(dataset, fused_dir, doc, out_dir)
-    click.echo(pathlib.Path(out_dir, "comparison.txt").read_text(encoding="utf-8"))
+def compare_cmd(doc, dataset, out_dir):
+    """Compare tabular-only, CT-only, fused and multimodal classifiers: run on a given dataset."""
+    summary = pl.run_pipeline(doc, out_dir, dataset=dataset)
+    click.echo(pathlib.Path(summary["report_dir"], "comparison.txt").read_text(encoding="utf-8"))
 
 
 @cli.command("run")

@@ -245,8 +245,8 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     IEEE TIP 21(5), 2012). Returns scores indexed [tx, ty, theta,
     scale], -inf below the overlap floor, a mask of the cells whose
     variances are too small to trust the FFT score, and the (base,
-    valid) pair of every (theta, scale) slice holding such a cell or a
-    score within _RESCORE_WINDOW of the maximum, keyed by slice index.
+    valid) pair of every (theta, scale) slice, keyed by slice index, so
+    that a cell re-scored directly costs no second resample.
     """
     h, w = fixed.shape
     reach = int(np.max(np.abs(shifts)))
@@ -268,15 +268,10 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     scores = np.full((len(shifts), len(shifts), len(thetas), len(scales)), -np.inf)
     degenerate = np.zeros(scores.shape, dtype=bool)
     resample = _Resampler(moving)
-    # slice index -> (base, valid, rank) of every slice _coarse_pick may
-    # re-score, so that none is resampled twice: a slice with a degenerate
-    # cell ranks +inf, any other ranks by its top score and is dropped once
-    # that falls out of the window below the best so far
-    kept = {}
-    top = -np.inf
+    slices = {}
     for it, theta in enumerate(thetas):
         for isc, scale in enumerate(scales):
-            base, valid = resample(RigidTransform(0.0, 0.0, theta, scale))
+            base, valid = slices[it, isc] = resample(RigidTransform(0.0, 0.0, theta, scale))
             bv = valid.astype(np.float64)
             bm = base * bv
             m_energy = float(np.sum(bm * bm))
@@ -303,14 +298,7 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
             cell = scores[:, :, it, isc]
             cell[good] = cov[good] / np.sqrt(var_f[good] * var_m[good])
             degenerate[:, :, it, isc] = weak
-            slice_top = float(np.max(cell))
-            if slice_top > top:
-                top = slice_top
-                kept = {k: v for k, v in kept.items() if v[2] >= top - _RESCORE_WINDOW}
-            rank = np.inf if weak.any() else slice_top
-            if rank >= top - _RESCORE_WINDOW:
-                kept[it, isc] = (base, valid, rank)
-    return scores, degenerate, {k: v[:2] for k, v in kept.items()}
+    return scores, degenerate, slices
 
 
 def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
@@ -323,10 +311,10 @@ def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
     cell in lexicographic (tx, ty, theta, scale) order.
     """
     shifts, thetas, scales = _SHIFTS, _THETAS, _SCALES
-    scores, recheck, bases = _fft_coarse_scores(fixed, moving, shifts, thetas, scales)
+    scores, recheck, slices = _fft_coarse_scores(fixed, moving, shifts, thetas, scales)
     recheck |= np.isfinite(scores) & (scores >= np.max(scores) - _RESCORE_WINDOW)
     for ix, iy, it, isc in np.argwhere(recheck):
-        base, base_valid = bases[it, isc]
+        base, base_valid = slices[it, isc]
         tx, ty = int(shifts[ix]), int(shifts[iy])
         scores[ix, iy, it, isc] = _masked_ncc(
             fixed, _shift_zero_fill(base, tx, ty), _shift_zero_fill(base_valid, tx, ty)

@@ -60,6 +60,7 @@ __all__ = [
     "transform_doc",
     "denoiser_scenes",
     "compute_fused_dir",
+    "fuse_stages",
     "evaluate_dataset",
     "classify_config_from",
     "build_mmdataset",
@@ -255,9 +256,37 @@ _NUMBERS = {
 }
 
 
+def _one_of(*names):
+    return (lambda v: v in names, " or ".join(f'"{n}"' for n in names))
+
+
+# what each value must be beyond its type: a test and its description
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_BY_FOUR = (lambda v: v % 4 == 0, "divisible by 4")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_LIMITS = {
+    "phantom": {"image_size": _BY_FOUR, "class_balance": (lambda v: 0 < v < 1, "in (0, 1)"),
+                "noise_sigma": _NON_NEGATIVE, "registration_jitter": _NON_NEGATIVE,
+                "signal_strength": _NON_NEGATIVE,
+                "missing_rate": (lambda v: 0 <= v < 1, "in [0, 1)")},
+    "denoise": {"enabled": _BOOL, "learning_rate": _POSITIVE, "train_size": _BY_FOUR,
+                "noise_kind": _one_of("gaussian", "poisson")},
+    "fusion": {"family": _one_of("haar", "db2"), "ll_rule": _one_of("average", "weighted"),
+               "ll_weight_ct": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+               "detail_rule": _one_of("max_abs", "average"), "register": _BOOL},
+    "classify": {"model": _one_of("mlp", "logreg"), "learning_rate": _POSITIVE,
+                 "boost_learning_rate": _POSITIVE,
+                 "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+                 "hidden": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                            and all(type(w) is int and w >= 1 for w in v),
+                            "a list of two positive integers")},
+}
+
+
 def _validate(doc: dict) -> None:
-    """Type-check the values, then construct every stage config once, so
-    bad values fail before any work."""
+    """Check every value's type and range, naming its section.key, then
+    construct every stage config once, so bad values fail before any work."""
     for section, minimums in _INTEGERS.items():
         for key, minimum in minimums.items():
             v = doc[section][key]
@@ -268,25 +297,14 @@ def _validate(doc: dict) -> None:
             v = doc[section][key]
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ConfigError(f"{section}.{key} must be a finite number, got {v!r}")
-    for section, key in (("denoise", "enabled"), ("fusion", "register")):
-        if not isinstance(doc[section][key], bool):
-            raise ConfigError(f"{section}.{key} must be true or false, got {doc[section][key]!r}")
-    if doc["denoise"]["train_size"] % 4:
-        raise ConfigError(
-            f'denoise.train_size must be divisible by 4, got {doc["denoise"]["train_size"]}'
-        )
-    if doc["fusion"]["family"] not in ("haar", "db2"):
-        raise ConfigError(f'fusion.family must be "haar" or "db2", got {doc["fusion"]["family"]!r}')
-    weight = doc["fusion"]["ll_weight_ct"]
-    if not 0 <= weight <= 1:
-        raise ConfigError(f"fusion.ll_weight_ct must be in [0, 1], got {weight!r}")
-    hidden = doc["classify"]["hidden"]
-    if not (
-        isinstance(hidden, (list, tuple))
-        and len(hidden) == 2
-        and all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in hidden)
-    ):
-        raise ConfigError(f"classify.hidden must be a list of two positive integers, got {hidden!r}")
+    for section, limits in _LIMITS.items():
+        for key, (test, what) in limits.items():
+            if not test(doc[section][key]):
+                raise ConfigError(f"{section}.{key} must be {what}, got {doc[section][key]!r}")
+    kind, param = doc["denoise"]["noise_kind"], doc["denoise"]["noise_param"]
+    test, what = _POSITIVE if kind == "poisson" else _NON_NEGATIVE  # a count scale or a sigma
+    if not test(param):
+        raise ConfigError(f"denoise.noise_param must be {what} for {kind} noise, got {param!r}")
     _phantom_config(doc)
     _train_config(doc)
     _fusion_rule(doc)
@@ -336,14 +354,14 @@ def _say(msg: str) -> None:
 
 
 class _Stages:
-    """Content-addressed stage cache under <out>/cache."""
+    """Content-addressed stage cache under <out>/cache, made when a stage first builds."""
 
     def __init__(self, out_dir):
         self.cache = pathlib.Path(out_dir) / "cache"
-        self.cache.mkdir(parents=True, exist_ok=True)
         self.log: list = []
 
     def run(self, name: str, key_doc: dict, hint: str, build):
+        """The stage's output directory and the hash of its tree, built unless cached."""
         code = {"version": __version__, "sources": _source_hash()}
         key = _hash_doc({"stage": name, "inputs": key_doc, "code": code})
         outdir = self.cache / f"{name}-{key}"
@@ -356,7 +374,7 @@ class _Stages:
         if not hit:
             tmp = self.cache / f"{name}-{key}.tmp"
             shutil.rmtree(tmp, ignore_errors=True)
-            tmp.mkdir()
+            tmp.mkdir(parents=True)
             try:
                 build(tmp)
             except Exception as exc:
@@ -371,11 +389,9 @@ class _Stages:
             out_hash = _hash_tree(outdir)
             marker.write_text(out_hash)
         self.log.append({"stage": name, "key": key, "output_hash": out_hash, "cache_hit": hit})
-        _say(
-            f"[{name}] {'cache hit' if hit else 'built'} key={key} "
-            f"({time.perf_counter() - started:.1f}s)"
-        )
-        return outdir
+        status = "cache hit" if hit else "built"
+        _say(f"[{name}] {status} key={key} ({time.perf_counter() - started:.1f}s)")
+        return outdir, out_hash
 
 
 # ------------------------------------------------------------- stage work
@@ -517,76 +533,79 @@ def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
 # ------------------------------------------------------------------ runs
 
 
-def run_pipeline(doc: dict, out_dir) -> dict:
-    """Execute all stages into <out_dir>; returns a run summary.
+def fuse_stages(stages: _Stages, doc: dict, dataset=None):
+    """The phantom stage, or the given dataset directory keyed by its tree
+    hash in its place, then denoise-train and denoise-apply (when
+    denoise.enabled) and fuse.  A given dataset's manifest is read first,
+    so a malformed one fails before any directory is made.
 
-    The summary's "stages" list reports cache hits for this invocation;
-    the bundle written to <out_dir>/report is independent of them.
+    Returns (dataset dir, dataset hash, fused dir, fused hash).
     """
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stages = _Stages(out_dir)
-    t0 = time.perf_counter()
+    if dataset is None:
+        dataset, dataset_hash = stages.run(
+            "phantom",
+            {"phantom": doc["phantom"]},
+            "check the phantom section of the config",
+            lambda d: generate(_phantom_config(doc), d),
+        )
+    else:
+        load_manifest(dataset)
+        dataset_hash = _hash_tree(dataset)
 
-    phantom_dir = stages.run(
-        "phantom",
-        {"phantom": doc["phantom"]},
-        "check the phantom section of the config",
-        lambda d: generate(_phantom_config(doc), d),
-    )
-    dataset_hash = _hash_tree(phantom_dir)
-
-    pet_dir = None
+    pet_dir = pet_hash = None
     if doc["denoise"]["enabled"]:
-        weights_dir = stages.run(
+        weights_dir, weights_hash = stages.run(
             "denoise-train",
             {"denoise": doc["denoise"]},
             "check the denoise section; lower epochs or learning_rate if unstable",
             lambda d: _train_denoiser_stage(doc, d / "weights.json"),
         )
-        weights_path = weights_dir / "weights.json"
-        pet_dir = stages.run(
+        pet_dir, pet_hash = stages.run(
             "denoise-apply",
-            {"weights": _hash_tree(weights_dir), "dataset": dataset_hash},
+            {"weights": weights_hash, "dataset": dataset_hash},
             "check the denoiser weights and the dataset images",
-            lambda d: _denoise_stage(phantom_dir, weights_path, d),
+            lambda d: _denoise_stage(dataset, weights_dir / "weights.json", d),
         )
 
-    fused_dir = stages.run(
+    fused_dir, fused_hash = stages.run(
         "fuse",
-        {
-            "dataset": dataset_hash,
-            "pet": None if pet_dir is None else _hash_tree(pet_dir),
-            "fusion": doc["fusion"],
-        },
+        {"dataset": dataset_hash, "pet": pet_hash, "fusion": doc["fusion"]},
         "check the fusion section; input images must share dimensions",
-        lambda d: compute_fused_dir(phantom_dir, d, doc, pet_dir=pet_dir),
+        lambda d: compute_fused_dir(dataset, d, doc, pet_dir=pet_dir),
     )
+    return dataset, dataset_hash, fused_dir, fused_hash
 
-    eval_dir = stages.run(
+
+def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
+    """Execute all stages into <out_dir>; returns a run summary.
+
+    With dataset, that directory takes the phantom stage's place.  The
+    summary's "stages" list reports cache hits for this invocation; the
+    bundle written to <out_dir>/report is independent of them.
+    """
+    t0 = time.perf_counter()
+    out_dir = pathlib.Path(out_dir)
+    stages = _Stages(out_dir)
+    dataset, dataset_hash, fused_dir, fused_hash = fuse_stages(stages, doc, dataset)
+    eval_dir, _ = stages.run(
         "evaluate",
         {
             "dataset": dataset_hash,
-            "fused": _hash_tree(fused_dir),
+            "fused": fused_hash,
             "tabular": doc["tabular"],
             "classify": doc["classify"],
             "evaluate": doc["evaluate"],
         },
         "check the tabular/classify/evaluate sections",
-        lambda d: _evaluate_stage(phantom_dir, fused_dir, doc, d),
+        lambda d: _evaluate_stage(dataset, fused_dir, doc, d),
     )
 
     report_dir = out_dir / "report"
     shutil.rmtree(report_dir, ignore_errors=True)
-    report_dir.mkdir()
-    shutil.copy2(eval_dir / "metrics.json", report_dir / "metrics.json")
-    shutil.copy2(eval_dir / "comparison.txt", report_dir / "comparison.txt")
+    unmarked = shutil.ignore_patterns(".complete")
+    shutil.copytree(eval_dir, report_dir, ignore=unmarked)  # metrics.json, comparison.txt
     write_json(report_dir / "resolved_config.json", doc)
-    fused_out = report_dir / "fused"
-    fused_out.mkdir()
-    for p in sorted(pathlib.Path(fused_dir).glob("*.pgm")):
-        shutil.copy2(p, fused_out / p.name)
-    shutil.copy2(fused_dir / "transforms.json", fused_out / "transforms.json")
+    shutil.copytree(fused_dir, report_dir / "fused", ignore=unmarked)
     write_json(
         report_dir / "pipeline_log.json",
         {

@@ -11,7 +11,7 @@ import pytest
 
 import lungfuse
 from lungfuse import pipeline as pl
-from lungfuse.cli import main
+from lungfuse.cli import cli, main
 from lungfuse.denoise import ConvNetSpec, init_weights, save_weights
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm, write_pgm
@@ -405,8 +405,8 @@ def test_compare_subcommand_writes_table_and_metrics(capsys, tmp_path):
     )
     assert rc == 0
     assert "tabular-only" in out and "multimodal" in out
-    assert (out_dir / "comparison.txt").exists()
-    doc = json.loads((out_dir / "metrics.json").read_text())
+    assert (out_dir / "report" / "comparison.txt").exists()
+    doc = json.loads((out_dir / "report" / "metrics.json").read_text())
     assert set(doc["results"]) == {"tabular-only", "ct-only", "fused", "multimodal"}
 
 
@@ -418,7 +418,7 @@ def test_compare_matches_run_report(capsys, tmp_path):
     assert rc == 0
     rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "run"), *_FAST)
     assert rc == 0
-    cmp, report = tmp_path / "cmp", tmp_path / "run" / "report"
+    cmp, report = tmp_path / "cmp" / "report", tmp_path / "run" / "report"
     for name in ("metrics.json", "comparison.txt"):
         assert (cmp / name).read_bytes() == (report / name).read_bytes()
     assert _tree_hash(cmp / "fused") == _tree_hash(report / "fused")
@@ -618,3 +618,129 @@ def test_run_rebuilds_every_stage_when_the_code_changes(capsys, tmp_path, monkey
     stages = json.loads(out)["stages"]
     assert len(stages) == 5 and not any(s["cache_hit"] for s in stages)
     assert (out_dir / "report" / "metrics.json").read_bytes() == metrics
+
+
+# small denoiser settings that still train and apply it
+_DENOISE = [
+    "--set", "denoise.enabled=true", "--set", "denoise.epochs=2",
+    "--set", "denoise.train_images=8", "--set", "denoise.train_size=16",
+]
+
+
+def _stage_keys(report_dir) -> dict:
+    log = json.loads((pathlib.Path(report_dir) / "pipeline_log.json").read_text())
+    return {s["stage"]: s["key"] for s in log["stages"]}
+
+
+def test_compare_is_run_with_the_dataset_in_the_phantom_stage_place(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    assert _run(capsys, "phantom", "--out", str(ds), *_FAST, *_DENOISE)[0] == 0
+    compare = ["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
+               *_FAST, *_DENOISE]
+    rc, out, _ = _run(capsys, *compare)
+    assert rc == 0
+    rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "run"), *_FAST, *_DENOISE)
+    assert rc == 0
+    cmp, report = tmp_path / "cmp" / "report", tmp_path / "run" / "report"
+    for name in ("metrics.json", "comparison.txt"):
+        assert (cmp / name).read_bytes() == (report / name).read_bytes()
+    assert _tree_hash(cmp / "fused") == _tree_hash(report / "fused")
+    assert out == (report / "comparison.txt").read_text(encoding="utf-8") + "\n"
+    run_keys = _stage_keys(report)
+    assert list(run_keys) == ["phantom", "denoise-train", "denoise-apply", "fuse", "evaluate"]
+    del run_keys["phantom"]
+    assert _stage_keys(cmp) == run_keys
+    rc, _, err = _run(capsys, *compare)
+    assert rc == 0
+    status = re.findall(r"^\[([a-z-]+)\] (cache hit|built) key=", err, re.M)
+    assert status == [(stage, "cache hit") for stage in run_keys]
+
+
+def test_evaluate_reports_run_multimodal_result(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    assert _run(capsys, "phantom", "--out", str(ds), *_FAST, *_DENOISE)[0] == 0
+    out = tmp_path / "ev" / "m.json"
+    out.parent.mkdir()
+    rc, _, _ = _run(capsys, "evaluate", "--dataset", str(ds), "--out", str(out),
+                    "--inputs", "fused,tabular", *_FAST, *_DENOISE)
+    assert rc == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["cache", "m.json"]
+    rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "run"), *_FAST, *_DENOISE)
+    assert rc == 0
+    metrics = json.loads((tmp_path / "run" / "report" / "metrics.json").read_text())
+    assert json.loads(out.read_text()) == metrics["results"]["multimodal"]
+
+
+@pytest.mark.parametrize("inputs", ["bogus", "fused,bogus", "", " , "])
+def test_evaluate_rejects_bad_inputs_before_any_stage(capsys, tmp_path, inputs):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=8, seed=1), ds)
+    out = tmp_path / "m.json"
+    rc, _, err = _run(capsys, "evaluate", "--dataset", str(ds), "--out", str(out),
+                      "--inputs", inputs)
+    assert rc == 2
+    assert err.startswith("error: --inputs ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_warm_run_hashes_each_stage_tree_once(capsys, tmp_path, monkeypatch):
+    argv = ["run", "--out", str(tmp_path / "w"), *_FAST, *_DENOISE]
+    assert _run(capsys, *argv)[0] == 0
+    hashed = []
+    real = pl._hash_tree
+
+    def counting(root):
+        hashed.append(pathlib.Path(root).name)
+        return real(root)
+
+    monkeypatch.setattr(pl, "_hash_tree", counting)
+    rc, out, _ = _run(capsys, *argv)
+    assert rc == 0
+    stages = json.loads(out)["stages"]
+    assert len(stages) == 5 and all(s["cache_hit"] for s in stages)
+    assert hashed == [f"{s['stage']}-{s['key']}" for s in stages]
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        ("fusion.ll_rule=bogus", "must be \"average\" or \"weighted\", got 'bogus'"),
+        ("fusion.detail_rule=bogus", "must be \"max_abs\" or \"average\", got 'bogus'"),
+        ("denoise.noise_kind=bogus", "must be \"gaussian\" or \"poisson\", got 'bogus'"),
+        ("classify.model=bogus", "must be \"mlp\" or \"logreg\", got 'bogus'"),
+        ("classify.dropout=1.5", "must be in [0, 1), got 1.5"),
+        ("phantom.image_size=18", "must be divisible by 4, got 18"),
+        ("phantom.class_balance=1.5", "must be in (0, 1), got 1.5"),
+        ("phantom.noise_sigma=-1", "must be >= 0, got -1"),
+        ("phantom.missing_rate=1", "must be in [0, 1), got 1"),
+        ("phantom.registration_jitter=-1", "must be >= 0, got -1"),
+        ("phantom.signal_strength=-1", "must be >= 0, got -1"),
+        ("denoise.learning_rate=0", "must be > 0, got 0"),
+        ("classify.learning_rate=0", "must be > 0, got 0"),
+        ("classify.boost_learning_rate=0", "must be > 0, got 0"),
+    ],
+)
+def test_bad_config_value_error_names_its_key(capsys, tmp_path, override, message):
+    rc, _, err = _run(capsys, "run", "--out", str(tmp_path / "w"), "--set", override)
+    assert rc == 2
+    assert err == f"error: {override.split('=')[0]} {message}\n"
+    assert not (tmp_path / "w").exists()
+
+
+def _readme_cli_rows() -> dict:
+    """command -> the text of its row in the README's CLI table."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", section, re.M))
+
+
+def test_readme_cli_table_matches_the_commands_and_their_options(capsys):
+    rc, out, _ = _run(capsys, "--help")
+    assert rc == 0
+    listed = re.findall(r"^  ([a-z-]+)  ", out.split("Commands:\n", 1)[1], re.M)
+    rows = _readme_cli_rows()
+    assert sorted(rows) == sorted(listed)
+    for name, text in rows.items():
+        options = {o for p in cli.commands[name].params for o in p.opts}
+        for option in re.findall(r"--[a-z][a-z-]*", text):
+            assert option in options, f"README names {option} for {name}, which lacks it"

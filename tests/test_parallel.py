@@ -153,7 +153,9 @@ def test_worker_error_reaches_the_cli_with_its_type(monkeypatch, capsys, tmp_pat
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=4, image_size=32, seed=1), ds)
     write_pgm(np.full((32, 32), 0.5), ds / "images" / "pt0002_pet.pgm")
-    rc = main(["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp")])
+    # the constant PET must reach registration as it is, not through the denoiser
+    rc = main(["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
+               "--set", "denoise.enabled=false"])
     err = capsys.readouterr().err
     assert rc == 4
     assert err.startswith("error:") and err.count("\n") == 1
@@ -199,9 +201,8 @@ def test_killed_worker_exits_3_with_one_error_line(monkeypatch, capfd, tmp_path,
     err = capfd.readouterr().err
     assert rc == 3
     errors = [line for line in err.splitlines() if not line.startswith("[")]  # not stage logs
-    stage = "stage fuse: " if command == "run" else ""
     assert len(errors) == 1
-    assert errors[0].startswith(f"error: {stage}a worker process died before its task finished")
+    assert errors[0].startswith("error: stage fuse: a worker process died before its task finished")
     assert "(hint:" not in err
     assert "Traceback" not in err
     assert multiprocessing.active_children() == []
