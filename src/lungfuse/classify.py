@@ -451,21 +451,16 @@ class ClassifyConfig:
 
 def _assemble(ds: MMDataset, inputs) -> TabularDataset:
     """One flat table: selected tabular columns plus image feature columns."""
-    rows = [[] for _ in range(len(ds.labels))]
-    columns = []
+    columns, blocks = [], []
     for name in inputs:
         if name == "tabular":
             columns.extend(ds.tabular.columns)
-            for ri, row in enumerate(ds.tabular.rows):
-                rows[ri].extend(row)
+            blocks.append(ds.tabular.values)
         else:
             m = ds.images[name]
-            columns.extend(
-                ColumnSpec(f"img_{name}_{j}", "numeric") for j in range(m.shape[1])
-            )
-            for ri in range(m.shape[0]):
-                rows[ri].extend(float(v) for v in m[ri])
-    return TabularDataset(columns, rows, list(ds.labels))
+            columns.extend(ColumnSpec(f"img_{name}_{j}", "numeric") for j in range(m.shape[1]))
+            blocks.append(m)
+    return TabularDataset(columns, np.hstack(blocks), list(ds.labels))
 
 
 def _fingerprint(parts) -> str:
@@ -513,8 +508,7 @@ def _fit_fold(table: TabularDataset, test_idx, classes, cfg: ClassifyConfig, see
 def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
     """One MetricsReport per input set (a tuple of modality names), all on
     the same folds.  Each (input set, fold) pair is one parallel_map task,
-    input-set-major, so warnings arrive as a serial run raises them.  A
-    process builds a set's table at its first task of that set."""
+    input-set-major, so warnings arrive as a serial run raises them."""
     cfg = cfg or ClassifyConfig()
     for inputs in input_sets:
         if not inputs:
@@ -529,14 +523,10 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
     labels = np.asarray(ds.labels)
     classes = [c for c in np.unique(labels)]
     folds = stratified_folds(labels, k, seed)
-    tables = {}  # the input set this process last built -> its table
 
     def run_fold(task):
         inputs, test_idx = task
-        if inputs not in tables:
-            tables.clear()
-            tables[inputs] = _assemble(ds, inputs)
-        return _fit_fold(tables[inputs], test_idx, classes, cfg, seed)
+        return _fit_fold(_assemble(ds, inputs), test_idx, classes, cfg, seed)
 
     results = parallel_map(run_fold, [(inputs, f) for inputs in input_sets for f in folds])
     reports = []

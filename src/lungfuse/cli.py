@@ -161,6 +161,13 @@ def preprocess_cmd(csv_path, schema, out_matrix, out_stats):
     click.echo(f"{x.shape[0]} rows x {x.shape[1]} features written to {out_matrix}")
 
 
+def _outside(dataset, out, option) -> None:
+    """Refuse an output at or under the dataset, whose tree hash keys every stage."""
+    root, path = pathlib.Path(dataset).resolve(), pathlib.Path(out).resolve()
+    if path == root or root in path.parents:
+        raise ConfigError(f"{option} {out} lies inside --dataset {dataset}; write it elsewhere")
+
+
 @cli.command("evaluate")
 @click.option("--dataset", required=True, type=click.Path(exists=True),
               help="dataset directory with manifest.json")
@@ -170,17 +177,22 @@ def preprocess_cmd(csv_path, schema, out_matrix, out_stats):
               help="comma-separated modalities: ct, fused, tabular")
 @_config_options
 def evaluate_cmd(doc, dataset, out, inputs):
-    """Cross-validated evaluation of one modality combination, on run's stages up to fuse."""
+    """Cross-validated evaluation of one modality combination, on run's stages up to fuse if
+    fused is one of the inputs."""
     chosen = tuple(s.strip() for s in inputs.split(",") if s.strip())
     if not chosen or not set(chosen) <= {"ct", "fused", "tabular"}:
         raise ConfigError(f"--inputs must name one or more of ct, fused, tabular, got {inputs!r}")
-    stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
-    _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)
+    _outside(dataset, out, "--out")
+    fused_dir = None  # the stages up to fuse run only for the fused input
+    if "fused" in chosen:
+        stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
+        _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)
     cfg = pl.classify_config_from(doc)
     ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels)
     report = kfold_evaluate(
         ds, inputs=chosen, k=doc["evaluate"]["k"], cfg=cfg, seed=doc["evaluate"]["seed"]
     )
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_json(out, report.to_dict())
     _emit({"out": out, "summary": report.to_dict()["summary"]})
 
@@ -192,6 +204,7 @@ def evaluate_cmd(doc, dataset, out, inputs):
 @_config_options
 def compare_cmd(doc, dataset, out_dir):
     """Compare tabular-only, CT-only, fused and multimodal classifiers: run on a given dataset."""
+    _outside(dataset, out_dir, "--out-dir")
     summary = pl.run_pipeline(doc, out_dir, dataset=dataset)
     click.echo(pathlib.Path(summary["report_dir"], "comparison.txt").read_text(encoding="utf-8"))
 

@@ -252,7 +252,7 @@ _SEX = ("female", "male")
 
 
 def _patient_tabular(rng, cfg: PhantomConfig, subtype: str):
-    """One clinical + genomic row; returns a list of raw values."""
+    """One clinical + genomic row, categories as their indices."""
     s = cfg.signal_strength
     y = 1.0 if subtype == "squamous" else 0.0
     blend = min(s, 1.0)
@@ -261,8 +261,8 @@ def _patient_tabular(rng, cfg: PhantomConfig, subtype: str):
     probs = probs / probs.sum()
     row = [
         float(rng.normal(63.0, 9.0) + 3.0 * s * y),  # age
-        _SEX[int(rng.integers(2))],
-        _SMOKING[int(rng.choice(3, p=probs))],
+        float(rng.integers(2)),  # sex
+        float(rng.choice(3, p=probs)),  # smoking
         float(max(0.0, rng.normal(18.0, 9.0) + 16.0 * s * y)),  # pack_years
         float(rng.integers(0, 3)),  # ecog
         float(rng.normal(26.0, 4.0)),  # bmi
@@ -331,9 +331,9 @@ def generate(cfg: PhantomConfig, out_dir) -> dict:
         for row in rows:
             for j in range(len(row)):
                 if rng.uniform() < cfg.missing_rate:
-                    row[j] = None
+                    row[j] = np.nan
 
-    table = TabularDataset(_tabular_columns(), rows, labels, ids)
+    table = TabularDataset(_tabular_columns(), np.array(rows), labels, ids)
     write_table(
         os.path.join(out_dir, "tabular.csv"),
         table,
@@ -405,11 +405,7 @@ def describe(dataset_dir) -> dict:
         os.path.join(dataset_dir, manifest["tabular"]),
         os.path.join(dataset_dir, manifest["tabular_schema"]),
     )
-    missing = {c.name: 0 for c in table.columns}
-    for row in table.rows:
-        for col, v in zip(table.columns, row):
-            if v is None:
-                missing[col.name] += 1
+    missing = {c.name: int(n) for c, n in zip(table.columns, np.isnan(table.values).sum(axis=0))}
     return {
         "kind": "phantom-summary",
         "n_patients": len(rows),

@@ -11,7 +11,8 @@ timing, hit/miss status and the denoiser's loss go to stderr only.
 
 The report bundle contains metrics.json (all modality comparisons plus
 the fully resolved config), comparison.txt, resolved_config.json, the
-fused images, and pipeline_log.json (stage keys and output hashes).
+fused images, and pipeline_log.json (the dataset's tree hash, stage keys
+and output hashes).
 """
 
 from __future__ import annotations
@@ -487,6 +488,7 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
 
 
 def build_mmdataset(dataset_dir, fused_dir, levels: int) -> MMDataset:
+    """The dataset's table and image features; with fused_dir None, no fused images are read."""
     manifest = load_manifest(dataset_dir)
     table = read_table(
         os.path.join(dataset_dir, manifest["tabular"]),
@@ -496,16 +498,16 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int) -> MMDataset:
     feats_ct, feats_fused, labels, order = [], [], [], []
     for row in manifest["rows"]:
         ct = read_pgm(os.path.join(dataset_dir, row["ct"]))
-        fused = read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm"))
         feats_ct.append(extract_image_features(ct, levels=levels))
-        feats_fused.append(extract_image_features(fused, levels=levels))
+        if fused_dir is not None:
+            fused = read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm"))
+            feats_fused.append(extract_image_features(fused, levels=levels))
         labels.append(row["label"])
         order.append(by_id[row["tabular_row_id"]] if by_id else len(order))
-    return MMDataset(
-        labels=np.array(labels),
-        tabular=take_rows(table, order),
-        images={"ct": np.array(feats_ct), "fused": np.array(feats_fused)},
-    )
+    images = {"ct": np.array(feats_ct)}
+    if fused_dir is not None:
+        images["fused"] = np.array(feats_fused)
+    return MMDataset(labels=np.array(labels), tabular=take_rows(table, order), images=images)
 
 
 def evaluate_dataset(dataset_dir, fused_dir, doc: dict) -> dict:
@@ -611,6 +613,7 @@ def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
         {
             "schema_version": REPORT_SCHEMA_VERSION,
             "kind": "pipeline-log",
+            "dataset": dataset_hash,
             "stages": [
                 {k: s[k] for k in ("stage", "key", "output_hash")} for s in stages.log
             ],

@@ -66,10 +66,12 @@ class ColumnSpec:
 
 @dataclass
 class TabularDataset:
-    """Rows of mixed numeric/categorical values; None marks missing."""
+    """One float64 matrix, a column per ColumnSpec: a numeric cell holds
+    its value, a categorical cell the index of its value in the column's
+    categories, and NaN marks a missing cell."""
 
     columns: list
-    rows: list
+    values: np.ndarray
     labels: list
     ids: list | None = None
 
@@ -77,38 +79,34 @@ class TabularDataset:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ContractError("duplicate column names")
-        if len(self.labels) != len(self.rows):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
             raise ContractError(
-                f"{len(self.labels)} labels for {len(self.rows)} rows"
+                f"values have shape {self.values.shape}, expected (rows, {len(self.columns)})"
             )
-        if self.ids is not None and len(self.ids) != len(self.rows):
-            raise ContractError(f"{len(self.ids)} ids for {len(self.rows)} rows")
-        for ri, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ContractError(
-                    f"row {ri} has {len(row)} values, expected {len(self.columns)}"
-                )
-            for col, v in zip(self.columns, row):
-                if v is None:
-                    continue
-                if col.kind == "numeric":
-                    if not np.isfinite(v):
-                        raise DataError(f"row {ri}, column {col.name!r}: non-finite value")
-                elif v not in col.categories:
-                    raise DataError(
-                        f"row {ri}, column {col.name!r}: value {v!r} not in declared categories"
-                    )
+        if len(self.labels) != self.n_rows:
+            raise ContractError(f"{len(self.labels)} labels for {self.n_rows} rows")
+        if self.ids is not None and len(self.ids) != self.n_rows:
+            raise ContractError(f"{len(self.ids)} ids for {self.n_rows} rows")
+        for col, v in zip(self.columns, self.values.T):
+            if col.kind == "numeric":
+                bad, what = np.isinf(v), "non-finite value"
+            else:
+                bad = ~np.isnan(v) & ~np.isin(v, np.arange(len(col.categories)))
+                what = f"category index not in [0, {len(col.categories)})"
+            if bad.any():
+                raise DataError(f"row {int(np.argmax(bad))}, column {col.name!r}: {what}")
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.values.shape[0]
 
 
 def take_rows(ds: TabularDataset, indices) -> TabularDataset:
     idx = [int(i) for i in indices]
     return TabularDataset(
         columns=list(ds.columns),
-        rows=[list(ds.rows[i]) for i in idx],
+        values=ds.values[idx],
         labels=[ds.labels[i] for i in idx],
         ids=None if ds.ids is None else [ds.ids[i] for i in idx],
     )
@@ -158,36 +156,39 @@ def read_table(csv_path, schema_path) -> TabularDataset:
     for name in sorted(expected):
         if name not in pos:
             raise FormatError(f"{csv_path}: missing column {name!r}")
+    # a categorical cell parses to its category's index
+    codes = [{c: float(j) for j, c in enumerate(col.categories)} for col in cols]
     rows, labels, ids = [], [], []
-    for ri, rec in enumerate(reader):
+    for ri, rec in enumerate(reader, 1):
         if len(rec) != len(header):
-            raise FormatError(f"{csv_path}: row {ri + 1} has {len(rec)} fields")
+            raise FormatError(f"{csv_path}: row {ri} has {len(rec)} fields")
         row = []
-        for col in cols:
+        for col, code in zip(cols, codes):
             raw = rec[pos[col.name]]
+            where = f"{csv_path}: row {ri}, column {col.name!r}"
             if raw == missing:
-                row.append(None)
-            elif col.kind == "numeric":
-                try:
-                    row.append(float(raw))
-                except ValueError:
-                    raise FormatError(
-                        f"{csv_path}: row {ri + 1}, column {col.name!r}: "
-                        f"not numeric: {raw!r}"
-                    ) from None
+                row.append(np.nan)
+            elif col.kind == "categorical":
+                if raw not in code:
+                    raise FormatError(f"{where}: value {raw!r} not in declared categories")
+                row.append(code[raw])
             else:
-                row.append(raw)
+                try:
+                    v = float(raw)
+                except ValueError:
+                    raise FormatError(f"{where}: not numeric: {raw!r}") from None
+                if not np.isfinite(v):  # NaN is how a missing cell is held
+                    raise FormatError(f"{where}: non-finite value {raw!r}")
+                row.append(v)
         label = rec[pos[label_col]]
         if label == missing:
-            raise FormatError(f"{csv_path}: row {ri + 1}: missing label")
+            raise FormatError(f"{csv_path}: row {ri}: missing label")
         rows.append(row)
         labels.append(label)
         if id_col:
             ids.append(rec[pos[id_col]])
-    try:
-        return TabularDataset(cols, rows, labels, ids if id_col else None)
-    except DataError as exc:
-        raise FormatError(f"{csv_path}: {exc}") from None
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
+    return TabularDataset(cols, values, labels, ids if id_col else None)
 
 
 def write_table(csv_path, ds: TabularDataset, schema_path=None, label_column="label",
@@ -198,15 +199,15 @@ def write_table(csv_path, ds: TabularDataset, schema_path=None, label_column="la
         writer = csv.writer(fh)
         header = ([id_column] if id_column else []) + [c.name for c in ds.columns] + [label_column]
         writer.writerow(header)
-        for ri, row in enumerate(ds.rows):
+        for ri, row in enumerate(ds.values):
             rec = [ds.ids[ri]] if id_column else []
             for col, v in zip(ds.columns, row):
-                if v is None:
+                if np.isnan(v):
                     rec.append(missing)
                 elif col.kind == "numeric":
                     rec.append(repr(float(v)))
                 else:
-                    rec.append(v)
+                    rec.append(col.categories[int(v)])
             rec.append(ds.labels[ri])
             writer.writerow(rec)
     if schema_path is not None:
@@ -248,24 +249,21 @@ def fit_preprocess(train: TabularDataset) -> FittedPreprocessor:
     if not train.columns:
         raise ContractError("need at least 1 column")
     numeric_stats, modes, feature_names = {}, {}, []
-    for ci, col in enumerate(train.columns):
-        observed = [row[ci] for row in train.rows if row[ci] is not None]
-        if not observed:
+    for col, v in zip(train.columns, train.values.T):
+        seen = ~np.isnan(v)
+        if not seen.any():
             raise DataError(f"column {col.name!r} is entirely missing")
         if col.kind == "numeric":
-            mean = float(np.mean(observed))
+            mean = float(np.mean(v[seen]))
             # imputing with the mean leaves the mean unchanged, so the
             # z stats are those of the imputed column
-            filled = [row[ci] if row[ci] is not None else mean for row in train.rows]
-            std = float(np.std(filled))
+            std = float(np.std(np.where(seen, v, mean)))
             numeric_stats[col.name] = (mean, std if std > 0 else 1.0)
             feature_names.append(col.name)
         else:
-            counts = {c: 0 for c in col.categories}
-            for v in observed:
-                counts[v] += 1
-            # ties resolve to the earliest declared category
-            modes[col.name] = max(col.categories, key=lambda c: counts[c])
+            counts = np.bincount(v[seen].astype(np.intp), minlength=len(col.categories))
+            # argmax takes the first maximum: ties go to the earliest declared category
+            modes[col.name] = col.categories[int(np.argmax(counts))]
             feature_names.extend(f"{col.name}={c}" for c in col.categories)
     return FittedPreprocessor(list(train.columns), numeric_stats, modes, feature_names)
 
@@ -284,22 +282,21 @@ def apply_preprocess(p: FittedPreprocessor, ds: TabularDataset) -> np.ndarray:
     out = np.zeros((ds.n_rows, p.width))
     unseen = []  # (row, column index, value), warned in row order below
     fi = 0
-    for ci, col in enumerate(p.columns):
+    for ci, (col, v) in enumerate(zip(p.columns, ds.values.T)):
+        missing = np.isnan(v)
         if col.kind == "numeric":
             mean, std = p.numeric_stats[col.name]
-            vals = np.array([mean if row[ci] is None else float(row[ci]) for row in ds.rows])
-            out[:, fi] = (vals - mean) / std
+            out[:, fi] = (np.where(missing, mean, v) - mean) / std
             fi += 1
         else:
+            # this table's codes, then a missing cell's, -> fit-time slots (-1: unseen)
+            cats = ds.columns[ci].categories
             slot = {c: j for j, c in enumerate(col.categories)}
-            mode = p.modes[col.name]
-            for ri, row in enumerate(ds.rows):
-                val = mode if row[ci] is None else row[ci]
-                j = slot.get(val)
-                if j is None:
-                    unseen.append((ri, ci, val))
-                else:
-                    out[ri, fi + j] = 1.0
+            lut = np.array([slot.get(c, -1) for c in cats] + [slot[p.modes[col.name]]])
+            j = lut[np.where(missing, len(cats), v).astype(np.intp)]
+            hit = np.flatnonzero(j >= 0)
+            out[hit, fi + j[hit]] = 1.0
+            unseen.extend((ri, ci, cats[int(v[ri])]) for ri in np.flatnonzero(j < 0))
             fi += len(slot)
     for ri, ci, val in sorted(unseen, key=lambda u: u[:2]):
         warnings.warn(

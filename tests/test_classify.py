@@ -1,13 +1,17 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from lungfuse import classify as cl
+from lungfuse import pipeline as pl
 from lungfuse import tabular as tb
 from lungfuse.errors import ConfigError, ContractError, DataError
 from lungfuse.nnet import TrainConfig, glorot_uniform
+from lungfuse.phantom import PhantomConfig, generate
 from lungfuse.tabular import BoostConfig
+from tabular_cells import encode
 
 
 # --- image features ---
@@ -313,7 +317,7 @@ def _mm_dataset(n=40, seed=0, margin=4.0):
         [55.0 + 8.0 * y[i] + rng.normal(), "early" if y[i] == 0 else "late"]
         for i in range(n)
     ]
-    tab = tb.TabularDataset(cols, rows, labels)
+    tab = encode(cols, rows, labels)
     return cl.MMDataset(labels, tab, {"ct": ct, "fused": fused})
 
 
@@ -411,6 +415,27 @@ def test_compare_modalities_shares_folds():
     for name in comp:
         assert name in text
     assert "+/-" in text and "sample std" in text
+
+
+def test_compare_modalities_reports_are_pinned(tmp_path):
+    # mixed numeric and categorical columns, missing cells and SMOTE, from
+    # the phantom through the fused images to the four reports
+    from lungfuse import pipeline as pl
+    from lungfuse.phantom import PhantomConfig, generate
+
+    generate(PhantomConfig(n_patients=18, image_size=32, missing_rate=0.2, class_balance=0.4,
+                           seed=5), tmp_path / "d")
+    (tmp_path / "f").mkdir()
+    doc = pl.resolve_config({"fusion": {"register": False}})
+    pl.compute_fused_dir(tmp_path / "d", tmp_path / "f", doc)
+    ds = pl.build_mmdataset(tmp_path / "d", tmp_path / "f", 2)
+    cfg = cl.ClassifyConfig(model="mlp", top_k=8, boost=BoostConfig(n_estimators=10),
+                            train=TrainConfig(epochs=20, batch_size=16, rng_seed=0))
+    comp = cl.compare_modalities(ds, seed=1, k=3, cfg=cfg)
+    blob = json.dumps({name: rep.to_dict() for name, rep in comp.items()}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "562a5f631fd1a3f7b7c22f38614c07949fc9bb3055d56cf5638ffa421b9d6a5f"
+    )
 
 
 def test_mm_dataset_validation():

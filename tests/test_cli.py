@@ -671,6 +671,53 @@ def test_evaluate_reports_run_multimodal_result(capsys, tmp_path):
     assert json.loads(out.read_text()) == metrics["results"]["multimodal"]
 
 
+def test_evaluate_without_fused_runs_no_stage(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    assert _run(capsys, "phantom", "--out", str(ds), *_FAST, *_DENOISE)[0] == 0
+    out = tmp_path / "ev" / "m.json"
+    rc, _, err = _run(capsys, "evaluate", "--dataset", str(ds), "--out", str(out),
+                      "--inputs", "tabular", *_FAST, *_DENOISE)
+    assert rc == 0
+    assert not re.search(r"^\[(denoise|fuse)", err, re.M)
+    assert sorted(p.name for p in out.parent.iterdir()) == ["m.json"]  # no cache/ entry
+    rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "run"), *_FAST, *_DENOISE)
+    assert rc == 0
+    metrics = json.loads((tmp_path / "run" / "report" / "metrics.json").read_text())
+    assert json.loads(out.read_text()) == metrics["results"]["tabular-only"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--out", "{ds}/m.json"],
+    ["evaluate", "--out", "{ds}/sub/m.json", "--inputs", "tabular"],
+    ["compare", "--out-dir", "{ds}"],
+    ["compare", "--out-dir", "{ds}/cmp"],
+])
+def test_output_inside_the_dataset_is_refused(capsys, tmp_path, argv):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=8, image_size=32, seed=1), ds)
+    before = _tree_hash(ds)
+    argv = [a.format(ds=ds) for a in argv]
+    rc, _, err = _run(capsys, argv[0], "--dataset", str(ds), *argv[1:], *_FAST)
+    assert rc == 2
+    assert err == f"error: {argv[1]} {argv[2]} lies inside --dataset {ds}; write it elsewhere\n"
+    assert _tree_hash(ds) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_pipeline_log_names_the_dataset_hash(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, seed=42), ds)
+    rc, _, _ = _run(capsys, "compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
+                    *_FAST)
+    assert rc == 0
+    log = json.loads((tmp_path / "cmp" / "report" / "pipeline_log.json").read_text())
+    assert log["dataset"] == pl._hash_tree(ds)
+    assert _run(capsys, "run", "--out", str(tmp_path / "run"), *_FAST)[0] == 0
+    log = json.loads((tmp_path / "run" / "report" / "pipeline_log.json").read_text())
+    assert log["dataset"] == log["stages"][0]["output_hash"]
+    assert log["stages"][0]["stage"] == "phantom"
+
+
 @pytest.mark.parametrize("inputs", ["bogus", "fused,bogus", "", " , "])
 def test_evaluate_rejects_bad_inputs_before_any_stage(capsys, tmp_path, inputs):
     ds = tmp_path / "ds"

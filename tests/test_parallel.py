@@ -27,6 +27,7 @@ from lungfuse.errors import NumericalError
 from lungfuse.images import write_pgm
 from lungfuse.parallel import parallel_map
 from lungfuse.phantom import PhantomConfig, generate
+from tabular_cells import decode, encode
 
 SERIAL, POOLED = {0}, {0, 1}
 
@@ -114,19 +115,20 @@ def _table_with_rare_category(n=24):
     ]
     rows = [[50.0 + 5.0 * y[i] + rng.normal(), "upper" if i % 3 else "lower"] for i in range(n)]
     rows[7][1] = "hilar"  # once only: the fold that tests this row never trains on it
-    tab = tb.TabularDataset(cols, rows, labels)
+    tab = encode(cols, rows, labels)
     images = {m: rng.normal(0, 1, (n, 4)) + y[:, None] for m in ("ct", "fused")}
     return cl.MMDataset(labels, tab, images)
 
 
 def _fit_seen_categories_only(train):
     """fit_preprocess with each category set cut to the values the split holds."""
-    seen = {v for row in train.rows for v in row}
+    rows = decode(train)
+    seen = {v for row in rows for v in row}
     cols = [
         tb.ColumnSpec(c.name, c.kind, tuple(v for v in c.categories if v in seen))
         for c in train.columns
     ]
-    return tb.fit_preprocess(tb.TabularDataset(cols, train.rows, train.labels))
+    return tb.fit_preprocess(encode(cols, rows, train.labels))
 
 
 def test_worker_warnings_reach_the_caller_in_task_order(monkeypatch, recwarn):

@@ -11,6 +11,7 @@ from lungfuse.errors import ConfigError, DataError, FormatError
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm
 from lungfuse.tabular import read_table
+from tabular_cells import decode
 
 
 def _tree_hash(root) -> str:
@@ -183,7 +184,7 @@ def test_nearest_centroid_on_genes_beats_chance(tmp_path):
     ph.generate(ph.PhantomConfig(n_patients=40, seed=5), tmp_path)
     table = read_table(tmp_path / "tabular.csv", tmp_path / "tabular.schema.json")
     idx = [i for i, c in enumerate(table.columns) if c.name.startswith("gene_")]
-    x = np.array([[row[i] for i in idx] for row in table.rows])
+    x = np.array([[row[i] for i in idx] for row in decode(table)])
     y = np.array(table.labels)
     train, test = np.arange(0, 40, 2), np.arange(1, 40, 2)
     cents = {lab: x[train][y[train] == lab].mean(axis=0) for lab in np.unique(y)}
@@ -208,7 +209,14 @@ def test_missing_rate_injects_missing_cells(tmp_path):
     desc = ph.describe(tmp_path)
     assert desc["total_missing"] > 0
     table = read_table(tmp_path / "tabular.csv", tmp_path / "tabular.schema.json")
-    assert any(v is None for row in table.rows for v in row)
+    assert any(v is None for row in decode(table) for v in row)
+
+
+def test_tabular_csv_with_missing_cells_is_pinned(tmp_path):
+    ph.generate(ph.PhantomConfig(n_patients=20, image_size=16, missing_rate=0.3, seed=6), tmp_path)
+    assert hashlib.sha256((tmp_path / "tabular.csv").read_bytes()).hexdigest() == (
+        "e3a6353c813253d1040e0cff3c373957c9352e93160ff39a1424f0be1da77efe"
+    )
 
 
 def test_describe_summary(tmp_path):

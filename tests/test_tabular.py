@@ -8,6 +8,7 @@ import pytest
 from lungfuse import tabular as tb
 from lungfuse.errors import ContractError, DataError, FormatError
 from lungfuse.nnet import sigmoid
+from tabular_cells import decode, encode
 
 
 def _toy():
@@ -22,7 +23,7 @@ def _toy():
         [3.0, "former", 0.5],
         [2.0, None, 0.5],
     ]
-    return tb.TabularDataset(cols, rows, ["a", "b", "a", "b"], ids=["p0", "p1", "p2", "p3"])
+    return encode(cols, rows, ["a", "b", "a", "b"], ids=["p0", "p1", "p2", "p3"])
 
 
 # --- dataset invariants ---
@@ -31,15 +32,21 @@ def _toy():
 def test_dataset_validates_arity_and_labels():
     cols = [tb.ColumnSpec("x", "numeric")]
     with pytest.raises(ContractError):
-        tb.TabularDataset(cols, [[1.0, 2.0]], ["a"])
+        encode(cols, [[1.0, 2.0]], ["a"])
     with pytest.raises(ContractError):
-        tb.TabularDataset(cols, [[1.0]], ["a", "b"])
+        encode(cols, [[1.0]], ["a", "b"])
     with pytest.raises(DataError):
-        tb.TabularDataset(
+        encode(
             [tb.ColumnSpec("c", "categorical", ("x",))], [["y"]], ["a"]
         )
     with pytest.raises(DataError):
-        tb.TabularDataset(cols, [[float("nan")]], ["a"])
+        encode(cols, [[float("inf")]], ["a"])
+    # NaN is a missing cell; a category is held as an integer index in range
+    assert np.isnan(tb.TabularDataset(cols, [[np.nan]], ["a"]).values[0, 0])
+    cat = [tb.ColumnSpec("c", "categorical", ("x", "y"))]
+    for code in (0.5, -1.0, 2.0, np.inf):
+        with pytest.raises(DataError, match="category index"):
+            tb.TabularDataset(cat, [[code]], ["a"])
 
 
 def test_column_spec_validation():
@@ -59,7 +66,7 @@ def test_take_rows():
     assert sub.n_rows == 2
     assert sub.labels == ["a", "a"]
     assert sub.ids == ["p2", "p0"]
-    assert sub.rows[0][0] == 3.0
+    assert decode(sub)[0][0] == 3.0
 
 
 # --- fit / apply ---
@@ -76,7 +83,7 @@ def test_fit_mean_imputation_population_std():
 
 def test_fit_three_value_example():
     cols = [tb.ColumnSpec("v", "numeric")]
-    ds = tb.TabularDataset(cols, [[1.0], [None], [3.0]], ["a", "a", "b"])
+    ds = encode(cols, [[1.0], [None], [3.0]], ["a", "a", "b"])
     p = tb.fit_preprocess(ds)
     mean, std = p.numeric_stats["v"]
     assert mean == 2.0
@@ -104,14 +111,14 @@ def test_fit_mode_and_onehot_layout():
 
 def test_mode_tie_breaks_to_declared_order():
     cols = [tb.ColumnSpec("c", "categorical", ("b", "a"))]
-    ds = tb.TabularDataset(cols, [["a"], ["b"], [None]], ["x", "y", "x"])
+    ds = encode(cols, [["a"], ["b"], [None]], ["x", "y", "x"])
     p = tb.fit_preprocess(ds)
     assert p.modes["c"] == "b"
 
 
 def test_constant_column_scales_to_zero():
     cols = [tb.ColumnSpec("k", "numeric")]
-    ds = tb.TabularDataset(cols, [[7.0], [7.0], [7.0]], ["a", "a", "b"])
+    ds = encode(cols, [[7.0], [7.0], [7.0]], ["a", "a", "b"])
     p = tb.fit_preprocess(ds)
     assert p.numeric_stats["k"] == (7.0, 1.0)
     assert np.all(tb.apply_preprocess(p, ds) == 0.0)
@@ -121,7 +128,7 @@ def test_apply_on_training_set_is_standardized():
     rng = np.random.default_rng(0)
     cols = [tb.ColumnSpec(f"n{i}", "numeric") for i in range(3)]
     rows = [[float(v) for v in rng.normal(5, 3, 3)] for _ in range(50)]
-    ds = tb.TabularDataset(cols, rows, ["a"] * 50)
+    ds = encode(cols, rows, ["a"] * 50)
     x = tb.apply_preprocess(tb.fit_preprocess(ds), ds)
     assert np.all(np.abs(x.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(x.std(axis=0) - 1.0) < 1e-9)
@@ -130,7 +137,7 @@ def test_apply_on_training_set_is_standardized():
 def test_row_of_means_maps_to_zeros():
     ds = _toy()
     p = tb.fit_preprocess(ds)
-    probe = tb.TabularDataset(
+    probe = encode(
         ds.columns, [[2.0, "never", 0.5]], ["a"]
     )
     x = tb.apply_preprocess(p, probe)
@@ -140,7 +147,7 @@ def test_row_of_means_maps_to_zeros():
 
 def test_all_missing_column_errors_by_name():
     cols = [tb.ColumnSpec("ok", "numeric"), tb.ColumnSpec("gone", "numeric")]
-    ds = tb.TabularDataset(cols, [[1.0, None], [2.0, None]], ["a", "b"])
+    ds = encode(cols, [[1.0, None], [2.0, None]], ["a", "b"])
     with pytest.raises(DataError, match="gone"):
         tb.fit_preprocess(ds)
 
@@ -148,15 +155,15 @@ def test_all_missing_column_errors_by_name():
 def test_fit_needs_two_rows():
     cols = [tb.ColumnSpec("x", "numeric")]
     with pytest.raises(ContractError):
-        tb.fit_preprocess(tb.TabularDataset(cols, [[1.0]], ["a"]))
+        tb.fit_preprocess(encode(cols, [[1.0]], ["a"]))
 
 
 def test_unseen_category_zero_block_one_warning():
     fit_cols = [tb.ColumnSpec("c", "categorical", ("a", "b"))]
-    train = tb.TabularDataset(fit_cols, [["a"], ["b"], ["a"]], ["x", "y", "x"])
+    train = encode(fit_cols, [["a"], ["b"], ["a"]], ["x", "y", "x"])
     p = tb.fit_preprocess(train)
     wide = [tb.ColumnSpec("c", "categorical", ("a", "b", "c"))]
-    probe = tb.TabularDataset(wide, [["c"]], ["x"])
+    probe = encode(wide, [["c"]], ["x"])
     with pytest.warns(UserWarning) as rec:
         x = tb.apply_preprocess(p, probe)
     assert len(rec) == 1
@@ -166,7 +173,7 @@ def test_unseen_category_zero_block_one_warning():
 def _reference_apply(p, ds):
     """The per-cell loop that apply_preprocess replaced."""
     out = np.zeros((ds.n_rows, p.width))
-    for ri, row in enumerate(ds.rows):
+    for ri, row in enumerate(decode(ds)):
         fi = 0
         for ci, col in enumerate(p.columns):
             v = row[ci]
@@ -212,8 +219,8 @@ def test_apply_preprocess_equals_per_cell_loop():
             out.append([None if rng.uniform() < 0.2 else v for v in row])
         return out
 
-    train = tb.TabularDataset(fit_cols, rows(30, ["never", "former"], ["I", "II"]), ["x"] * 30)
-    test = tb.TabularDataset(wide, rows(25, ["never", "current"], ["II", "III"]), ["x"] * 25)
+    train = encode(fit_cols, rows(30, ["never", "former"], ["I", "II"]), ["x"] * 30)
+    test = encode(wide, rows(25, ["never", "current"], ["II", "III"]), ["x"] * 25)
     p = tb.fit_preprocess(train)
     results = []
     for fn in (tb.apply_preprocess, _reference_apply):
@@ -227,7 +234,7 @@ def test_apply_preprocess_equals_per_cell_loop():
 
 def test_apply_rejects_schema_mismatch():
     p = tb.fit_preprocess(_toy())
-    other = tb.TabularDataset(
+    other = encode(
         [tb.ColumnSpec("x", "numeric")], [[1.0]], ["a"]
     )
     with pytest.raises(ContractError):
@@ -239,7 +246,7 @@ def test_fit_statistics_ignore_other_rows():
     train = tb.take_rows(ds, [0, 1, 2])
     p1 = tb.fit_preprocess(train)
     # mutate the held-out row; fitted statistics must be unaffected
-    ds.rows[3][0] = 999.0
+    ds.values[3, 0] = 999.0
     p2 = tb.fit_preprocess(tb.take_rows(ds, [0, 1, 2]))
     assert p1.numeric_stats == p2.numeric_stats
     assert p1.modes == p2.modes
@@ -545,7 +552,7 @@ def test_csv_round_trip(tmp_path):
     assert [c.name for c in back.columns] == [c.name for c in ds.columns]
     assert back.labels == ds.labels
     assert back.ids == ds.ids
-    assert back.rows == ds.rows
+    assert decode(back) == decode(ds)
 
 
 def test_read_table_errors(tmp_path):
@@ -564,7 +571,7 @@ def test_read_table_errors(tmp_path):
     )
     data.write_text("a,c,y\n1.5,u,pos\n")
     ds = tb.read_table(data, schema)
-    assert ds.rows == [[1.5, "u"]]
+    assert decode(ds) == [[1.5, "u"]]
     assert ds.labels == ["pos"]
 
     data.write_text("a,c\n1.5,u\n")
@@ -587,6 +594,18 @@ def test_read_table_errors(tmp_path):
         tb.read_table(data, schema)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_read_table_rejects_non_finite_numbers(tmp_path, cell):
+    # NaN holds a missing cell, so a number that reads as one is refused
+    schema, data = tmp_path / "s.json", tmp_path / "d.csv"
+    schema.write_text(
+        json.dumps({"label_column": "y", "columns": [{"name": "a", "kind": "numeric"}]})
+    )
+    data.write_text(f"a,y\n1.5,pos\n{cell},neg\n")
+    with pytest.raises(FormatError, match="column 'a': non-finite value"):
+        tb.read_table(data, schema)
+
+
 def test_missing_marker_round_trip(tmp_path):
     schema = tmp_path / "s.json"
     data = tmp_path / "d.csv"
@@ -601,4 +620,4 @@ def test_missing_marker_round_trip(tmp_path):
     )
     data.write_text("a,y\nNA,pos\n2.0,neg\n")
     ds = tb.read_table(data, schema)
-    assert ds.rows == [[None], [2.0]]
+    assert decode(ds) == [[None], [2.0]]
