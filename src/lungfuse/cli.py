@@ -180,15 +180,18 @@ def evaluate_cmd(doc, dataset, out, inputs):
     """Cross-validated evaluation of one modality combination, on run's stages up to fuse if
     fused is one of the inputs."""
     chosen = tuple(s.strip() for s in inputs.split(",") if s.strip())
-    if not chosen or not set(chosen) <= {"ct", "fused", "tabular"}:
-        raise ConfigError(f"--inputs must name one or more of ct, fused, tabular, got {inputs!r}")
+    unique = set(chosen)
+    if not chosen or len(unique) < len(chosen) or not unique <= {"ct", "fused", "tabular"}:
+        raise ConfigError(
+            f"--inputs must name one or more of ct, fused, tabular, each once, got {inputs!r}"
+        )
     _outside(dataset, out, "--out")
     fused_dir = None  # the stages up to fuse run only for the fused input
     if "fused" in chosen:
         stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
         _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)
     cfg = pl.classify_config_from(doc)
-    ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels)
+    ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels, ct="ct" in chosen)
     report = kfold_evaluate(
         ds, inputs=chosen, k=doc["evaluate"]["k"], cfg=cfg, seed=doc["evaluate"]["seed"]
     )

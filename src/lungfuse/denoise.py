@@ -165,20 +165,18 @@ def _add_outer(acc, col, row, tmp):
         acc[:, a:b] += np.multiply(col[:, None], row[a:b], out=t)
 
 
-def _conv3_taps(xp, k, acc, tmp=None):
+def _conv3_taps(xp, k, acc, tmp):
     """Accumulate a 3x3 conv of the mirror-padded input xp into acc, both
     (c, n, h+2, w+2) and contiguous; output pixel (y, x) lands at acc[..., y, x].
 
     Flattened, the output pixel at index p reads tap (dy, dx) at
     p + dy*(w+2) + dx, so each tap is one matmul over a shifted slice.
     Positions that straddle a row or image edge are computed and dropped.
-    tmp is optional flat scratch for the per-tap products.
+    tmp is flat scratch for the per-tap products.
     """
     cout, cin = k.shape[:2]
     xf, af = xp.reshape(cin, -1), acc.reshape(cout, -1)
     taps, span = _taps(xp.shape[3] - 2, xf.shape[1])
-    if tmp is None:
-        tmp = np.empty(cout * (_TILE if cin == 1 else span))
     af.fill(0.0)
     for dy, dx, o in taps:
         if cin == 1:  # inner dimension 1: broadcasting beats a BLAS call
@@ -189,31 +187,17 @@ def _conv3_taps(xp, k, acc, tmp=None):
     return acc
 
 
-def _conv3(x, k, b):
-    """3x3 stride-1 conv with mirror padding.  Returns (out, xp).
+def _conv3_back(gout, xp, k, need_gx=True, *, gpad, gxp, tmp):
+    """Gradients of the conv that _conv3_taps computes from xp, the padded
+    input flattened to (cin, n*(h+2)*(w+2)): returns (gk, gb, gx), gx None
+    unless need_gx.
 
-    xp is the padded input flattened to (cin, n*(h+2)*(w+2)); _conv3_back
-    reads it.
-    """
-    cin, n, h, w = x.shape
-    xp = np.empty((cin, n, h + 2, w + 2))
-    xp[:, :, 1:-1, 1:-1] = x
-    _mirror(xp)
-    acc = _conv3_taps(xp, k, np.empty((k.shape[0], n, h + 2, w + 2)))
-    return acc[:, :, :h, :w] + b[:, None, None, None], xp.reshape(cin, -1)
-
-
-def _conv3_back(gout, xp, k, need_gx=True, *, gpad=None, gxp=None, tmp=None):
-    """Gradients of _conv3: returns (gk, gb, gx), gx None unless need_gx.
-
-    gpad (cout, n, h+2, w+2), gxp (cin, n, h+2, w+2) and flat tmp are
-    optional work buffers; gx is a view of gxp.  gxp may be xp's buffer and
-    tmp may hold gout: each is read before it is overwritten.
+    gpad (cout, n, h+2, w+2), gxp (cin, n, h+2, w+2) and flat tmp are work
+    buffers; gx is a view of gxp.  gxp may be xp's buffer and tmp may hold
+    gout: each is read before it is overwritten.
     """
     cout, n, h, w = gout.shape
     cin = k.shape[1]
-    if gpad is None:
-        gpad = np.empty((cout, n, h + 2, w + 2))
     gpad[:, :, h:] = 0.0
     gpad[:, :, :h, w:] = 0.0
     gpad[:, :, :h, :w] = gout
@@ -226,10 +210,6 @@ def _conv3_back(gout, xp, k, need_gx=True, *, gpad=None, gxp=None, tmp=None):
         gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
     if not need_gx:
         return gk, gb, None
-    if gxp is None:
-        gxp = np.empty((cin, n, h + 2, w + 2))
-    if tmp is None:
-        tmp = np.empty(cin * (_TILE if cout == 1 else span))
     gxf = gxp.reshape(cin, -1)
     gxf.fill(0.0)
     for dy, dx, o in taps:
@@ -241,38 +221,33 @@ def _conv3_back(gout, xp, k, need_gx=True, *, gpad=None, gxp=None, tmp=None):
     return gk, gb, _fold_mirror(gxp)
 
 
-def _up2_back(g, out=None):
-    """Sum of every 2x2 block.  Given out, the sum is written there and g's
-    odd rows are overwritten with partial sums."""
+def _up2_back(g, out):
+    """Sum of every 2x2 block, written to out; g's odd rows are overwritten
+    with partial sums."""
     a, b = g[..., ::2, ::2], g[..., ::2, 1::2]
     c, d = g[..., 1::2, ::2], g[..., 1::2, 1::2]
-    if out is None:
-        return (a + b) + (c + d)
     np.add(a, b, out=out)
     out += np.add(c, d, out=c)
     return out
 
 
-def _pool2(x, out=None):
-    """Mean of every 2x2 block; given out, x's odd rows are overwritten."""
+def _pool2(x, out):
+    """Mean of every 2x2 block, written to out; x's odd rows are overwritten."""
     s = _up2_back(x, out)
     return np.divide(s, 4.0, out=s)
 
 
-def _up2(x, out=None):
-    """Nearest-neighbour 2x upsampling, into out when given."""
-    c, n, h, w = x.shape
-    if out is None:
-        out = np.empty((c, n, 2 * h, 2 * w))
+def _up2(x, out):
+    """Nearest-neighbour 2x upsampling into out."""
     for dy in range(2):
         for dx in range(2):
             out[..., dy::2, dx::2] = x
     return out
 
 
-def _pool2_back(g, out=None):
-    """Gradient of _pool2; given out, g is divided by 4 in place."""
-    return _up2(g / 4.0 if out is None else np.divide(g, 4.0, out=g), out)
+def _pool2_back(g, out):
+    """Gradient of _pool2, written to out; g is divided by 4 in place."""
+    return _up2(np.divide(g, 4.0, out=g), out)
 
 
 def _check_batch_dims(h: int, w: int) -> None:

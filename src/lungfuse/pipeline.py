@@ -69,61 +69,85 @@ __all__ = [
 
 CONFIG_SCHEMA_VERSION = 1
 
-DEFAULTS = {
+
+# what a setting's value must be: a test and its description
+def _one_of(*names):
+    return (lambda v: v in names, " or ".join(f'"{n}"' for n in names))
+
+
+def _integer(least):
+    return (lambda v: not isinstance(v, bool) and isinstance(v, int) and v >= least,
+            f"an integer >= {least}")
+
+
+_NUMBER = (lambda v: not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v),
+           "a finite number")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_BY_FOUR = (lambda v: v % 4 == 0, "divisible by 4")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_SEED = _integer(0)  # numpy seeds are non-negative
+
+# section -> key -> (default, test, ...); the tests run in order, type first
+_SETTINGS = {
     "phantom": {
-        "n_patients": 60,
-        "image_size": 64,
-        "class_balance": 0.5,
-        "noise_sigma": 0.02,
-        "registration_jitter": 3.0,
-        "signal_strength": 1.0,
-        "missing_rate": 0.0,
-        "seed": 42,
+        "n_patients": (60, _integer(2)),
+        "image_size": (64, _integer(16), _BY_FOUR),
+        "class_balance": (0.5, _NUMBER, (lambda v: 0 < v < 1, "in (0, 1)")),
+        "noise_sigma": (0.02, _NUMBER, _NON_NEGATIVE),
+        "registration_jitter": (3.0, _NUMBER, _NON_NEGATIVE),
+        "signal_strength": (1.0, _NUMBER, _NON_NEGATIVE),
+        "missing_rate": (0.0, _NUMBER, (lambda v: 0 <= v < 1, "in [0, 1)")),
+        "seed": (42, _SEED),
     },
     "denoise": {
-        "enabled": True,
-        "learning_rate": 0.001,
-        "batch_size": 96,
-        "epochs": 30,
-        "rng_seed": 0,
-        "noise_kind": "gaussian",
-        "noise_param": 0.1,
-        "train_images": 24,
-        "train_size": 64,
-        "train_seed": 7,
+        "enabled": (True, _BOOL),
+        "learning_rate": (0.001, _NUMBER, _POSITIVE),
+        "batch_size": (96, _integer(1)),
+        "epochs": (30, _integer(1)),
+        "rng_seed": (0, _SEED),
+        "noise_kind": ("gaussian", _one_of("gaussian", "poisson")),
+        "noise_param": (0.1, _NUMBER),  # its range depends on noise_kind
+        "train_images": (24, _integer(8)),
+        "train_size": (64, _integer(16), _BY_FOUR),
+        "train_seed": (7, _SEED),
     },
     "fusion": {
-        "family": "haar",
-        "levels": 1,
-        "ll_rule": "average",
-        "ll_weight_ct": 0.5,
-        "detail_rule": "max_abs",
-        "register": True,
+        "family": ("haar", _one_of("haar", "db2")),
+        "levels": (1, _integer(1)),
+        "ll_rule": ("average", _one_of("average", "weighted")),
+        "ll_weight_ct": (0.5, _NUMBER, (lambda v: 0 <= v <= 1, "in [0, 1]")),
+        "detail_rule": ("max_abs", _one_of("max_abs", "average")),
+        "register": (True, _BOOL),
     },
     "tabular": {
-        "smote_k": 5,
-        "top_k": 16,
+        "smote_k": (5, _integer(1)),
+        "top_k": (16, _integer(1)),
     },
     "classify": {
-        "model": "mlp",
-        "feature_levels": 2,
-        "learning_rate": 0.001,
-        "batch_size": 96,
-        "epochs": 300,
-        "rng_seed": 0,
-        "dropout": 0.5,
-        "hidden": [32, 16],
-        "boost_learning_rate": 0.1,
-        "boost_max_depth": 5,
-        "boost_n_estimators": 100,
-        "logreg_lr": 0.5,
-        "logreg_epochs": 200,
+        "model": ("mlp", _one_of("mlp", "logreg")),
+        "feature_levels": (2, _integer(1)),
+        "learning_rate": (0.001, _NUMBER, _POSITIVE),
+        "batch_size": (96, _integer(1)),
+        "epochs": (300, _integer(1)),
+        "rng_seed": (0, _SEED),
+        "dropout": (0.5, _NUMBER, (lambda v: 0 <= v < 1, "in [0, 1)")),
+        "hidden": ([32, 16], (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                              and all(type(w) is int and w >= 1 for w in v),
+                              "a list of two positive integers")),
+        "boost_learning_rate": (0.1, _NUMBER, _POSITIVE),
+        "boost_max_depth": (5, _integer(1)),
+        "boost_n_estimators": (100, _integer(1)),
+        "logreg_lr": (0.5, _NUMBER),
+        "logreg_epochs": (200, _integer(1)),
     },
     "evaluate": {
-        "k": 5,
-        "seed": 42,
+        "k": (5, _integer(2)),
+        "seed": (42, _SEED),
     },
 }
+DEFAULTS = {section: {key: spec[0] for key, spec in keys.items()}
+            for section, keys in _SETTINGS.items()}
 
 
 def resolve_config(user: dict | None) -> dict:
@@ -237,71 +261,15 @@ def classify_config_from(doc: dict) -> ClassifyConfig:
     )
 
 
-# integer settings and their least legal value; numpy seeds are non-negative
-_INTEGERS = {
-    "phantom": {"n_patients": 2, "image_size": 16, "seed": 0},
-    "denoise": {"batch_size": 1, "epochs": 1, "rng_seed": 0, "train_images": 8,
-                "train_size": 16, "train_seed": 0},
-    "fusion": {"levels": 1},
-    "tabular": {"top_k": 1, "smote_k": 1},
-    "classify": {"epochs": 1, "batch_size": 1, "boost_max_depth": 1, "boost_n_estimators": 1,
-                 "logreg_epochs": 1, "feature_levels": 1, "rng_seed": 0},
-    "evaluate": {"k": 2, "seed": 0},
-}
-_NUMBERS = {
-    "phantom": ("class_balance", "noise_sigma", "registration_jitter", "signal_strength",
-                "missing_rate"),
-    "denoise": ("learning_rate", "noise_param"),
-    "fusion": ("ll_weight_ct",),
-    "classify": ("learning_rate", "boost_learning_rate", "logreg_lr", "dropout"),
-}
-
-
-def _one_of(*names):
-    return (lambda v: v in names, " or ".join(f'"{n}"' for n in names))
-
-
-# what each value must be beyond its type: a test and its description
-_POSITIVE = (lambda v: v > 0, "> 0")
-_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-_BY_FOUR = (lambda v: v % 4 == 0, "divisible by 4")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_LIMITS = {
-    "phantom": {"image_size": _BY_FOUR, "class_balance": (lambda v: 0 < v < 1, "in (0, 1)"),
-                "noise_sigma": _NON_NEGATIVE, "registration_jitter": _NON_NEGATIVE,
-                "signal_strength": _NON_NEGATIVE,
-                "missing_rate": (lambda v: 0 <= v < 1, "in [0, 1)")},
-    "denoise": {"enabled": _BOOL, "learning_rate": _POSITIVE, "train_size": _BY_FOUR,
-                "noise_kind": _one_of("gaussian", "poisson")},
-    "fusion": {"family": _one_of("haar", "db2"), "ll_rule": _one_of("average", "weighted"),
-               "ll_weight_ct": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-               "detail_rule": _one_of("max_abs", "average"), "register": _BOOL},
-    "classify": {"model": _one_of("mlp", "logreg"), "learning_rate": _POSITIVE,
-                 "boost_learning_rate": _POSITIVE,
-                 "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
-                 "hidden": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                            and all(type(w) is int and w >= 1 for w in v),
-                            "a list of two positive integers")},
-}
-
-
 def _validate(doc: dict) -> None:
     """Check every value's type and range, naming its section.key, then
     construct every stage config once, so bad values fail before any work."""
-    for section, minimums in _INTEGERS.items():
-        for key, minimum in minimums.items():
+    for section, keys in _SETTINGS.items():
+        for key, (_, *tests) in keys.items():
             v = doc[section][key]
-            if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-                raise ConfigError(f"{section}.{key} must be an integer >= {minimum}, got {v!r}")
-    for section, keys in _NUMBERS.items():
-        for key in keys:
-            v = doc[section][key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ConfigError(f"{section}.{key} must be a finite number, got {v!r}")
-    for section, limits in _LIMITS.items():
-        for key, (test, what) in limits.items():
-            if not test(doc[section][key]):
-                raise ConfigError(f"{section}.{key} must be {what}, got {doc[section][key]!r}")
+            for test, what in tests:
+                if not test(v):
+                    raise ConfigError(f"{section}.{key} must be {what}, got {v!r}")
     kind, param = doc["denoise"]["noise_kind"], doc["denoise"]["noise_param"]
     test, what = _POSITIVE if kind == "poisson" else _NON_NEGATIVE  # a count scale or a sigma
     if not test(param):
@@ -487,26 +455,27 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     write_json(os.path.join(outdir, "transforms.json"), {"rows": transforms})
 
 
-def build_mmdataset(dataset_dir, fused_dir, levels: int) -> MMDataset:
-    """The dataset's table and image features; with fused_dir None, no fused images are read."""
+def build_mmdataset(dataset_dir, fused_dir, levels: int, ct: bool = True) -> MMDataset:
+    """The dataset's table and image features; CT images are read only when
+    ct is true, and fused images only when fused_dir is given."""
     manifest = load_manifest(dataset_dir)
     table = read_table(
         os.path.join(dataset_dir, manifest["tabular"]),
         os.path.join(dataset_dir, manifest["tabular_schema"]),
     )
     by_id = {pid: i for i, pid in enumerate(table.ids)} if table.ids else None
-    feats_ct, feats_fused, labels, order = [], [], [], []
+    feats = {name: [] for name, on in (("ct", ct), ("fused", fused_dir is not None)) if on}
+    labels, order = [], []
     for row in manifest["rows"]:
-        ct = read_pgm(os.path.join(dataset_dir, row["ct"]))
-        feats_ct.append(extract_image_features(ct, levels=levels))
+        if ct:
+            img = read_pgm(os.path.join(dataset_dir, row["ct"]))
+            feats["ct"].append(extract_image_features(img, levels=levels))
         if fused_dir is not None:
-            fused = read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm"))
-            feats_fused.append(extract_image_features(fused, levels=levels))
+            img = read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm"))
+            feats["fused"].append(extract_image_features(img, levels=levels))
         labels.append(row["label"])
         order.append(by_id[row["tabular_row_id"]] if by_id else len(order))
-    images = {"ct": np.array(feats_ct)}
-    if fused_dir is not None:
-        images["fused"] = np.array(feats_fused)
+    images = {name: np.array(f) for name, f in feats.items()}
     return MMDataset(labels=np.array(labels), tabular=take_rows(table, order), images=images)
 
 

@@ -791,3 +791,54 @@ def test_readme_cli_table_matches_the_commands_and_their_options(capsys):
         options = {o for p in cli.commands[name].params for o in p.opts}
         for option in re.findall(r"--[a-z][a-z-]*", text):
             assert option in options, f"README names {option} for {name}, which lacks it"
+
+
+def test_readme_default_table_matches_the_defaults():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Pipeline configuration\n", 1)[1].split("\n## ", 1)[0]
+
+    def value(raw):
+        try:
+            return json.loads(raw)
+        except json.JSONDecodeError:
+            return raw  # a bare string, e.g. haar
+
+    table = {
+        name: {key: value(raw) for key, raw in re.findall(r"(\w+) (\[[^\]]*\]|[^,]+)", keys)}
+        for name, keys in re.findall(r"^\| `([a-z]+)` \| (.*) \|$", section, re.M)
+    }
+    assert table == pl.DEFAULTS
+
+
+@pytest.mark.parametrize("inputs,ct_reads", [("tabular", 0), ("fused,tabular", 24), ("ct", 24)])
+def test_evaluate_reads_ct_images_only_for_its_inputs(capsys, tmp_path, monkeypatch,
+                                                      inputs, ct_reads):
+    # _FAST fuses in this process without registration: the fuse stage reads
+    # each CT once, and the dataset's features read it again only for ct
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, image_size=32, seed=3), ds)
+    reads = []
+    real = pl.read_pgm
+
+    def counting(path):
+        reads.append(pathlib.Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(pl, "read_pgm", counting)
+    rc, _, err = _run(capsys, "evaluate", "--dataset", str(ds), "--out", str(tmp_path / "m.json"),
+                    "--inputs", inputs, *_FAST)
+    assert rc == 0, err
+    assert sum(name.endswith("_ct.pgm") for name in reads) == ct_reads
+
+
+@pytest.mark.parametrize("inputs", ["fused,fused", "tabular, ct,tabular"])
+def test_evaluate_refuses_a_repeated_input_before_any_stage(capsys, tmp_path, inputs):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=8, seed=1), ds)
+    rc, _, err = _run(capsys, "evaluate", "--dataset", str(ds),
+                      "--out", str(tmp_path / "ev" / "m.json"), "--inputs", inputs)
+    assert rc == 2
+    assert err == ("error: --inputs must name one or more of ct, fused, tabular, each once, "
+                   f"got {inputs!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -368,6 +369,37 @@ def _cm(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
+def _scratch(k, cells):
+    """Flat scratch for the per-tap products of kernel k over cells padded pixels."""
+    return np.empty(max(k.shape[:2]) * max(dn._TILE, cells))
+
+
+def _conv3(x, k, b):
+    """3x3 conv of a (c, n, h, w) batch through dn._conv3_taps, with its
+    buffers allocated here.  Returns (out, xp), xp the flat padded input."""
+    cin, n, h, w = x.shape
+    xp = np.empty((cin, n, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x
+    dn._mirror(xp)
+    acc = dn._conv3_taps(xp, k, np.empty((k.shape[0], n, h + 2, w + 2)), _scratch(k, xp[0].size))
+    return acc[:, :, :h, :w] + b[:, None, None, None], xp.reshape(cin, -1)
+
+
+def _conv3_back(gout, xp, k, need_gx=True):
+    """dn._conv3_back with its work buffers allocated here."""
+    cout, n, h, w = gout.shape
+    pad = (n, h + 2, w + 2)
+    return dn._conv3_back(
+        gout, xp, k, need_gx, gpad=np.empty((cout,) + pad),
+        gxp=np.empty((k.shape[1],) + pad), tmp=_scratch(k, math.prod(pad)),
+    )
+
+
+def _into(op, x, shape):
+    """A pool or upsample op on a copy of x, which it may overwrite, into a new (shape) array."""
+    return op(x.copy(), np.empty(shape))
+
+
 _CONV_SHAPES = [  # (n, cin, cout, h, w)
     (1, 1, 8, 8, 12),
     (3, 1, 8, 16, 24),
@@ -387,15 +419,15 @@ def test_conv3_matches_im2col_reference(n, cin, cout, h, w):
     b = rng.normal(size=cout)
     g = rng.normal(size=(n, cout, h, w))
     ref_out, cols = _ref_conv3(x, k, b)
-    out, xp = dn._conv3(_cm(x), k, b)
+    out, xp = _conv3(_cm(x), k, b)
     assert out.shape == (cout, n, h, w)
     assert np.max(np.abs(_cm(out) - ref_out)) < 1e-12
     rgk, rgb, rgx = _ref_conv3_back(g, cols, k, x.shape)
-    gk, gb, gx = dn._conv3_back(_cm(g), xp, k)
+    gk, gb, gx = _conv3_back(_cm(g), xp, k)
     assert np.max(np.abs(gk - rgk)) < 1e-12
     assert np.max(np.abs(gb - rgb)) < 1e-12
     assert np.max(np.abs(_cm(gx) - rgx)) < 1e-12
-    gk2, gb2, gx2 = dn._conv3_back(_cm(g), xp, k, need_gx=False)
+    gk2, gb2, gx2 = _conv3_back(_cm(g), xp, k, need_gx=False)
     assert gx2 is None
     assert np.array_equal(gk2, gk) and np.array_equal(gb2, gb)
 
@@ -408,8 +440,8 @@ def test_conv3_back_is_the_adjoint(n, cin, cout, h, w):
     x = rng.normal(size=(cin, n, h, w))
     k = rng.normal(size=(cout, cin, 3, 3))
     g = rng.normal(size=(cout, n, h, w))
-    out, xp = dn._conv3(x, k, np.zeros(cout))
-    gk, gb, gx = dn._conv3_back(g, xp, k)
+    out, xp = _conv3(x, k, np.zeros(cout))
+    gk, gb, gx = _conv3_back(g, xp, k)
     lhs = np.vdot(out, g)
     scale = np.abs(out).sum() * np.abs(g).max()
     assert abs(lhs - np.vdot(x, gx)) < 1e-12 * scale
@@ -420,11 +452,11 @@ def test_conv3_back_is_the_adjoint(n, cin, cout, h, w):
 def test_pool_and_upsample_match_reshape_forms():
     x = np.random.default_rng(8).normal(size=(3, 2, 8, 12))
     blocks = x.reshape(3, 2, 4, 2, 6, 2)
-    assert np.array_equal(dn._pool2(x), blocks.mean(axis=(3, 5)))
-    assert np.array_equal(dn._up2_back(x), blocks.sum(axis=(3, 5)))
+    assert np.array_equal(_into(dn._pool2, x, (3, 2, 4, 6)), blocks.mean(axis=(3, 5)))
+    assert np.array_equal(_into(dn._up2_back, x, (3, 2, 4, 6)), blocks.sum(axis=(3, 5)))
     up = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-    assert np.array_equal(dn._up2(x), up)
-    assert np.array_equal(dn._pool2_back(x), up / 4.0)
+    assert np.array_equal(_into(dn._up2, x, up.shape), up)
+    assert np.array_equal(_into(dn._pool2_back, x, up.shape), up / 4.0)
 
 
 def test_trained_weights_file_is_pinned(tmp_path):
