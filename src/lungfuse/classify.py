@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
+from .images import as_image
 from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, softmax
 from .parallel import parallel_map
 from .tabular import (
@@ -26,6 +27,7 @@ from .tabular import (
     ColumnSpec,
     TabularDataset,
     apply_preprocess,
+    as_rows,
     boosted_importance,
     fit_preprocess,
     select_features,
@@ -76,13 +78,9 @@ def extract_image_features(fused, levels: int = 2) -> np.ndarray:
     lh, lv, ld bands; then the same pair for the final ll band; then a
     flattened 8x8 block-mean grid.  Length = 2 (3 levels + 1) + 64.
     """
-    img = np.asarray(fused, dtype=np.float64)
-    if img.ndim != 2:
-        raise ContractError(f"expected a 2D image, got shape {img.shape}")
+    img = as_image(fused)
     if img.shape[0] < 16 or img.shape[1] < 16:
         raise ContractError(f"image must be at least 16x16, got {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ContractError("image contains non-finite values")
     if img.min() < 0.0 or img.max() > 1.0:
         raise ContractError("image values must lie in [0, 1]")
     if levels < 1:
@@ -147,12 +145,8 @@ def train_logreg(x, labels, lr: float = 0.5, epochs: int = 200):
     so with balanced binary labels it equals ln 2.  Deterministic: zero
     init needs no randomness.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ContractError(f"expected a 2D matrix, got shape {x.shape}")
+    x, labels = as_rows(x, labels)
     classes, yi = _class_index(labels)
-    if len(yi) != x.shape[0]:
-        raise ContractError(f"{len(yi)} labels for {x.shape[0]} rows")
     w = np.zeros((x.shape[1] + 1, len(classes)))
     losses = []
     for _ in range(epochs):
@@ -237,12 +231,8 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
     """Minibatch Adam with inverted dropout on the first hidden layer."""
     spec = spec or MLPSpec()
     cfg = cfg or TrainConfig()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ContractError(f"expected a 2D matrix, got shape {x.shape}")
+    x, labels = as_rows(x, labels)
     classes, yi = _class_index(labels)
-    if len(yi) != x.shape[0]:
-        raise ContractError(f"{len(yi)} labels for {x.shape[0]} rows")
     d = x.shape[1]
     h1, h2 = spec.hidden
     c = len(classes)

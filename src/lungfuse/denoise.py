@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError, NumericalError
+from .images import as_image, as_image_pair, read_json
 from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, sigmoid
 
 __all__ = [
@@ -350,37 +351,22 @@ class _Workspace:
         return grads
 
 
-def _as_batch(img) -> np.ndarray:
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 2:
-        raise ContractError(f"expected a 2D image, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ContractError("image contains non-finite values")
-    return a[None, None]
-
-
 def forward(weights: NetWeights, img) -> np.ndarray:
     """Run the network on one image.  Dims must be divisible by 4."""
-    x = _as_batch(img)
+    x = as_image(img)[None, None]
     return _Workspace(weights.spec, 1, *x.shape[2:]).forward(weights, x)[0, 0]
 
 
 def backward(weights: NetWeights, img, target) -> list:
     """Per-layer (kernel, bias) gradients of the MSE against target."""
-    x = _as_batch(img)
-    t = _as_batch(target)
-    if x.shape != t.shape:
-        raise ContractError(f"image and target shapes differ: {x.shape[2:]} vs {t.shape[2:]}")
-    ws = _Workspace(weights.spec, 1, *x.shape[2:])
-    ws.forward(weights, x)
-    return ws.backward(weights, t)
+    img, target = as_image_pair(img, target)
+    ws = _Workspace(weights.spec, 1, *img.shape)
+    ws.forward(weights, img[None, None])
+    return ws.backward(weights, target[None, None])
 
 
 def loss_mse(pred, target) -> float:
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ContractError(f"shape mismatch {p.shape} vs {t.shape}")
+    p, t = as_image_pair(pred, target)
     return float(np.mean((p - t) ** 2))
 
 
@@ -412,17 +398,13 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
     epoch e.  Requires at least 8 images of a common size.
     """
     cfg = cfg or TrainConfig()
-    imgs = [np.asarray(im, dtype=np.float64) for im in clean_images]
+    imgs = [as_image(im) for im in clean_images]
     if len(imgs) < 8:
         raise DataError(f"need at least 8 clean images, got {len(imgs)}")
     shape = imgs[0].shape
     for i, im in enumerate(imgs):
-        if im.ndim != 2:
-            raise ContractError(f"image {i} is not 2D (shape {im.shape})")
         if im.shape != shape:
             raise ContractError(f"image {i} has shape {im.shape}, expected {shape}")
-        if not np.all(np.isfinite(im)):
-            raise ContractError(f"image {i} contains non-finite values")
     n = len(imgs)
     batch = min(cfg.batch_size, n)
     spec = ConvNetSpec()
@@ -463,9 +445,7 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
 
 def denoise(weights: NetWeights, img) -> np.ndarray:
     """Denoise an image of any size by mirror-padding to a valid shape."""
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 2:
-        raise ContractError(f"expected a 2D image, got shape {a.shape}")
+    a = as_image(img)
     h, w = a.shape
     ht = max(-(-h // 4) * 4, 8)
     wt = max(-(-w // 4) * 4, 8)
@@ -525,11 +505,7 @@ def save_weights(path, weights: NetWeights) -> None:
 
 
 def load_weights(path) -> NetWeights:
-    try:
-        with open(path, encoding="ascii") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"weights file is not valid JSON: {exc}") from None
+    doc = read_json(path, "weights file", encoding="ascii")  # the writer's encoding
     if not isinstance(doc, dict) or doc.get("format") != _WEIGHTS_FORMAT:
         raise FormatError("not a denoiser weights file")
     if doc.get("format_version") != _WEIGHTS_VERSION:

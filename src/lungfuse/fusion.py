@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .images import as_image
+from .images import as_image, as_image_pair
 from .wavelet import WaveletPyramid, dwt2, idwt2
 
 
@@ -159,10 +159,7 @@ def resample_bilinear(img, t: RigidTransform) -> np.ndarray:
 
 def ncc(a, b) -> float:
     """Normalized cross-correlation of two equal-sized images."""
-    a = as_image(a)
-    b = as_image(b)
-    if a.shape != b.shape:
-        raise ContractError(f"dimension mismatch {a.shape} vs {b.shape}")
+    a, b = as_image_pair(a, b)
     az = a - a.mean()
     bz = b - b.mean()
     na = np.sqrt(np.sum(az * az))
@@ -326,10 +323,7 @@ def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
 
 def register_rigid(fixed, moving) -> RigidTransform:
     """Find the rigid transform maximizing NCC(fixed, resample(moving, T))."""
-    fixed = as_image(fixed)
-    moving = as_image(moving)
-    if fixed.shape != moving.shape:
-        raise ContractError(f"dimension mismatch {fixed.shape} vs {moving.shape}")
+    fixed, moving = as_image_pair(fixed, moving)
     if np.ptp(fixed) == 0.0 or np.ptp(moving) == 0.0:
         raise NumericalError("no correlation signal")
     cur, best = _coarse_pick(fixed, moving)
@@ -404,10 +398,7 @@ def fuse_wavelet(
     (max_abs picks the operand with the larger magnitude, ties go to CT).
     Output is clamped to [0, 1] since band mixing can overshoot.
     """
-    ct = as_image(ct)
-    pet = as_image(pet_registered)
-    if ct.shape != pet.shape:
-        raise ContractError(f"dimension mismatch {ct.shape} vs {pet.shape}")
+    ct, pet = as_image_pair(ct, pet_registered)
     rule = rule or FusionRule()
     p_ct = dwt2(ct, family, levels)
     p_pet = dwt2(pet, family, levels)
@@ -448,10 +439,7 @@ def entropy(img, bins: int = 256) -> float:
 
 def mutual_information(a, b, bins: int = 64) -> float:
     """MI in bits from the joint (bins x bins) intensity histogram."""
-    a = as_image(a)
-    b = as_image(b)
-    if a.shape != b.shape:
-        raise ContractError(f"dimension mismatch {a.shape} vs {b.shape}")
+    a, b = as_image_pair(a, b)
     ia = np.minimum((np.clip(a, 0.0, 1.0) * bins).astype(np.intp), bins - 1)
     ib = np.minimum((np.clip(b, 0.0, 1.0) * bins).astype(np.intp), bins - 1)
     joint = np.bincount((ia * bins + ib).ravel(), minlength=bins * bins).reshape(bins, bins)
@@ -465,10 +453,7 @@ def mutual_information(a, b, bins: int = 64) -> float:
 
 def psnr(a, b, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical images."""
-    a = as_image(a)
-    b = as_image(b)
-    if a.shape != b.shape:
-        raise ContractError(f"dimension mismatch {a.shape} vs {b.shape}")
+    a, b = as_image_pair(a, b)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -477,10 +462,7 @@ def psnr(a, b, peak: float = 1.0) -> float:
 
 def ssim(a, b, window: int = 8) -> float:
     """Mean SSIM over sliding uniform windows, C1=0.01^2, C2=0.03^2."""
-    a = as_image(a)
-    b = as_image(b)
-    if a.shape != b.shape:
-        raise ContractError(f"dimension mismatch {a.shape} vs {b.shape}")
+    a, b = as_image_pair(a, b)
     if min(a.shape) < window:
         raise ContractError(f"image smaller than {window}x{window} SSIM window")
     c1 = 0.01**2

@@ -31,6 +31,14 @@ def as_image(data) -> np.ndarray:
     return arr
 
 
+def as_image_pair(a, b):
+    """Two images of one shape, each checked by as_image."""
+    a, b = as_image(a), as_image(b)
+    if a.shape != b.shape:
+        raise ContractError(f"dimension mismatch {a.shape} vs {b.shape}")
+    return a, b
+
+
 class _PgmScanner:
     """Tokenizer over PGM header bytes, tracking byte offsets for errors."""
 
@@ -60,7 +68,6 @@ class _PgmScanner:
         return self.buf[start : self.pos]
 
     def int_token(self, what: str) -> int:
-        start_after_sep = None
         self.skip_separators()
         start_after_sep = self.pos
         tok = self.token()
@@ -124,6 +131,15 @@ def gradient_magnitude(img) -> np.ndarray:
     arr = as_image(img)
     gy, gx = np.gradient(arr)
     return np.hypot(gx, gy)
+
+
+def read_json(path, what: str, error=FormatError, encoding: str = "utf-8"):
+    """The JSON document at path; error names `what` when it does not parse."""
+    with open(path, encoding=encoding) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from None
 
 
 def write_json(path, doc) -> None:

@@ -23,16 +23,16 @@ A dataset directory contains:
 
 from __future__ import annotations
 
-import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
 from .fusion import RigidTransform
-from .images import read_pgm, write_json, write_pgm
+from .images import read_json, read_pgm, write_json, write_pgm
 from .nnet import sigmoid
 from .tabular import ColumnSpec, TabularDataset, read_table, write_table
 
@@ -372,21 +372,39 @@ def generate(cfg: PhantomConfig, out_dir) -> dict:
     return {"dir": str(out_dir), "n_patients": cfg.n_patients, "classes": counts}
 
 
-def _require(path, what):
-    if not os.path.exists(path):
-        raise DataError(f"{what} not found: {path}")
-    return path
+_STRING = (lambda v: isinstance(v, str), "a string")
+# relative, with no '..' part: the dataset's tree hash, which keys every stage, covers the file
+_PATH = (lambda v: isinstance(v, str) and v != "" and not os.path.isabs(v)
+         and ".." not in re.split(r"[/\\]", v), "a relative path with no '..' part")
+_FIELDS = {"tabular": _PATH, "tabular_schema": _PATH,
+           "image_size": (lambda v: type(v) is int, "an integer"),
+           "rows": (lambda v: isinstance(v, list) and v and all(isinstance(r, dict) for r in v),
+                    "a non-empty list of objects")}
+_ROW_FIELDS = {"id": _STRING, "label": _STRING, "ct": _PATH, "pet": _PATH,
+               "tabular_row_id": _STRING}
+
+
+def _check_fields(obj: dict, fields: dict, where: str) -> None:
+    for key, (test, what) in fields.items():
+        if key not in obj or not test(obj[key]):
+            got = f"{obj[key]!r:.60}" if key in obj else "nothing"
+            raise FormatError(f"manifest {where}{key} must be {what}, got {got}")
 
 
 def load_manifest(dataset_dir) -> dict:
-    path = _require(os.path.join(dataset_dir, "manifest.json"), "manifest")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"manifest is not valid JSON: {exc}") from None
-    if doc.get("kind") != "phantom-manifest":
+    """The dataset's manifest, with every field that a reader uses checked."""
+    path = os.path.join(dataset_dir, "manifest.json")
+    if not os.path.exists(path):
+        raise DataError(f"manifest not found: {path}")
+    doc = read_json(path, "manifest")
+    if not isinstance(doc, dict) or doc.get("kind") != "phantom-manifest":
         raise FormatError(f"{path}: not a phantom manifest")
+    _check_fields(doc, _FIELDS, "")
+    for i, row in enumerate(doc["rows"]):
+        _check_fields(row, _ROW_FIELDS, f"rows[{i}].")
+    ids = [row["id"] for row in doc["rows"]]
+    if len(set(ids)) < len(ids):
+        raise FormatError("manifest rows must have unique ids")
     return doc
 
 

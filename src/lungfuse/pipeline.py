@@ -6,8 +6,10 @@ and its source code.  A rerun of the same code with an unchanged config
 is therefore a sequence of cache hits that rebuilds the report bundle
 byte for byte, and changed code rebuilds every stage.  Each entry's
 .complete marker holds the hash of its outputs, and an entry whose files
-no longer match it is rebuilt.  Nothing time-dependent is written to the bundle; wall-clock
-timing, hit/miss status and the denoiser's loss go to stderr only.
+no longer match it is rebuilt.  Entries and the bundle are built apart and
+published by one rename, so runs may share <out> at the same time.  Nothing
+time-dependent is written to the bundle; wall-clock timing, hit/miss status
+and the denoiser's loss go to stderr only.
 
 The report bundle contains metrics.json (all modality comparisons plus
 the fully resolved config), comparison.txt, resolved_config.json, the
@@ -17,6 +19,7 @@ and output hashes).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -41,9 +44,9 @@ from .classify import (
     extract_image_features,
 )
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError, LungFuseError, WorkerError
+from .errors import ConfigError, DataError, LungFuseError, WorkerError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
-from .images import gradient_magnitude, read_pgm, write_json, write_pgm
+from .images import gradient_magnitude, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
 from .phantom import PhantomConfig, SUBTYPES, generate, load_manifest, render_pet, sample_patient
 from .tabular import BoostConfig, read_table, take_rows
@@ -180,15 +183,10 @@ def load_config(path=None, sets=()) -> dict:
     user = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                user = json.load(fh)
+            user = read_json(path, f"config {path}", ConfigError)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if sets:
-        user = apply_overrides(user, sets)
-    return resolve_config(user)
+    return resolve_config(apply_overrides(user, sets))
 
 
 def apply_overrides(user: dict, pairs) -> dict:
@@ -296,10 +294,11 @@ def _hash_doc(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _hash_tree(root) -> str:
+def _hash_tree(root, pattern: str = "*") -> str:
+    """sha256 of the files under root matching pattern, .complete aside, in path order."""
     h = hashlib.sha256()
     root = pathlib.Path(root)
-    for p in sorted(root.rglob("*")):
+    for p in sorted(root.rglob(pattern)):
         if p.is_file() and p.name != ".complete":
             h.update(p.relative_to(root).as_posix().encode())
             h.update(p.read_bytes())
@@ -308,18 +307,42 @@ def _hash_tree(root) -> str:
 
 @functools.cache
 def _source_hash() -> str:
-    """sha256 of the package's .py sources, in relative-path order."""
-    root = pathlib.Path(__file__).parent
-    h = hashlib.sha256()
-    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
-        if "__pycache__" not in rel.split("/"):
-            h.update(rel.encode())
-            h.update((root / rel).read_bytes())
-    return h.hexdigest()
+    return _hash_tree(pathlib.Path(__file__).parent, "*.py")
 
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _intact(entry) -> bool:
+    """Whether a cache entry's .complete marker holds the hash of its tree."""
+    try:
+        return (entry / ".complete").read_bytes() == _hash_tree(entry).encode()
+    except OSError:
+        return False
+
+
+def _build_apart(dest: pathlib.Path, build, keep=lambda: False) -> bool:
+    """Build in a directory of this process's own, then rename it to dest, so runs
+    sharing a directory never see half-built trees.  What dest held is deleted
+    first, unless keep() chooses it: then the new tree is dropped and this returns False."""
+    tmp = dest.with_name(f".{dest.name}-{os.urandom(8).hex()}")  # no entry's name starts with "."
+    tmp.mkdir(parents=True)
+    try:
+        build(tmp)
+        while True:
+            try:
+                tmp.rename(dest)
+                return True
+            except OSError:
+                if not dest.exists():
+                    raise
+            if keep():
+                return False
+            with contextlib.suppress(FileNotFoundError):  # another run may move it first
+                shutil.rmtree(dest.rename(tmp.with_name(tmp.name + "-old")))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 class _Stages:
@@ -334,29 +357,25 @@ class _Stages:
         code = {"version": __version__, "sources": _source_hash()}
         key = _hash_doc({"stage": name, "inputs": key_doc, "code": code})
         outdir = self.cache / f"{name}-{key}"
-        marker = outdir / ".complete"
         started = time.perf_counter()
-        out_hash = _hash_tree(outdir) if marker.exists() else None
-        hit = out_hash is not None and marker.read_bytes() == out_hash.encode()
-        if out_hash is not None and not hit:
-            _say(f"[{name}] cache entry {outdir.name} fails its hash check; rebuilding")
+        hit = _intact(outdir)
         if not hit:
-            tmp = self.cache / f"{name}-{key}.tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            tmp.mkdir(parents=True)
-            try:
-                build(tmp)
+            if (outdir / ".complete").exists():
+                _say(f"[{name}] cache entry {outdir.name} fails its hash check; rebuilding")
+
+            def build_marked(d):
+                build(d)
+                (d / ".complete").write_text(_hash_tree(d))
+
+            try:  # another run may publish the same entry first; then it is a hit
+                hit = not _build_apart(outdir, build_marked, keep=lambda: _intact(outdir))
             except Exception as exc:
-                shutil.rmtree(tmp, ignore_errors=True)
                 if isinstance(exc, LungFuseError):
                     # a dead worker is not about the stage's settings
                     tail = "" if isinstance(exc, WorkerError) else f" (hint: {hint})"
                     raise type(exc)(f"stage {name}: {exc}{tail}") from exc
                 raise
-            shutil.rmtree(outdir, ignore_errors=True)
-            tmp.rename(outdir)
-            out_hash = _hash_tree(outdir)
-            marker.write_text(out_hash)
+        out_hash = (outdir / ".complete").read_text()
         self.log.append({"stage": name, "key": key, "output_hash": out_hash, "cache_hit": hit})
         status = "cache hit" if hit else "built"
         _say(f"[{name}] {status} key={key} ({time.perf_counter() - started:.1f}s)")
@@ -467,6 +486,8 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int, ct: bool = True) -> MMD
     feats = {name: [] for name, on in (("ct", ct), ("fused", fused_dir is not None)) if on}
     labels, order = [], []
     for row in manifest["rows"]:
+        if by_id and row["tabular_row_id"] not in by_id:
+            raise DataError(f"tabular_row_id {row['tabular_row_id']!r} is not in the table")
         if ct:
             img = read_pgm(os.path.join(dataset_dir, row["ct"]))
             feats["ct"].append(extract_image_features(img, levels=levels))
@@ -571,23 +592,19 @@ def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
         lambda d: _evaluate_stage(dataset, fused_dir, doc, d),
     )
 
-    report_dir = out_dir / "report"
-    shutil.rmtree(report_dir, ignore_errors=True)
     unmarked = shutil.ignore_patterns(".complete")
-    shutil.copytree(eval_dir, report_dir, ignore=unmarked)  # metrics.json, comparison.txt
-    write_json(report_dir / "resolved_config.json", doc)
-    shutil.copytree(fused_dir, report_dir / "fused", ignore=unmarked)
-    write_json(
-        report_dir / "pipeline_log.json",
-        {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "pipeline-log",
-            "dataset": dataset_hash,
-            "stages": [
-                {k: s[k] for k in ("stage", "key", "output_hash")} for s in stages.log
-            ],
-        },
-    )
+
+    def assemble(d):
+        shutil.copytree(eval_dir, d, ignore=unmarked, dirs_exist_ok=True)  # metrics, comparison
+        write_json(d / "resolved_config.json", doc)
+        shutil.copytree(fused_dir, d / "fused", ignore=unmarked)
+        log = [{k: s[k] for k in ("stage", "key", "output_hash")} for s in stages.log]
+        write_json(d / "pipeline_log.json", {"schema_version": REPORT_SCHEMA_VERSION,
+                                             "kind": "pipeline-log", "dataset": dataset_hash,
+                                             "stages": log})
+
+    report_dir = out_dir / "report"
+    _build_apart(report_dir, assemble)
     _say(f"[report] bundle at {report_dir} ({time.perf_counter() - t0:.1f}s total)")
     return {
         "report_dir": str(report_dir),

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
+from .images import read_json
 from .nnet import sigmoid
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "take_rows",
     "fit_preprocess",
     "apply_preprocess",
+    "as_rows",
     "smote",
     "boosted_importance",
     "select_features",
@@ -116,11 +118,7 @@ def take_rows(ds: TabularDataset, indices) -> TabularDataset:
 
 
 def _load_schema(schema_path):
-    try:
-        with open(schema_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"schema is not valid JSON: {exc}") from None
+    doc = read_json(schema_path, "schema")
     if not isinstance(doc, dict) or "columns" not in doc or "label_column" not in doc:
         raise FormatError("schema must declare 'columns' and 'label_column'")
     try:
@@ -307,6 +305,17 @@ def apply_preprocess(p: FittedPreprocessor, ds: TabularDataset) -> np.ndarray:
     return out
 
 
+def as_rows(x, labels):
+    """x as a 2D float64 matrix and labels as an array with one label per row."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
+    if x.ndim != 2:
+        raise ContractError(f"expected a 2D matrix, got shape {x.shape}")
+    if len(labels) != x.shape[0]:
+        raise ContractError(f"{len(labels)} labels for {x.shape[0]} rows")
+    return x, labels
+
+
 # --- SMOTE ---
 
 
@@ -317,12 +326,7 @@ def smote(x, labels, k: int = 5, seed: int = 0):
     p + u (q - p) for a random minority point p, one of its k nearest
     same-class neighbours q, and u ~ Uniform(0, 1).
     """
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2:
-        raise ContractError(f"expected a 2D matrix, got shape {x.shape}")
-    if len(labels) != x.shape[0]:
-        raise ContractError(f"{len(labels)} labels for {x.shape[0]} rows")
+    x, labels = as_rows(x, labels)
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     classes = list(dict.fromkeys(labels.tolist()))  # first-appearance order
@@ -469,12 +473,7 @@ def boosted_importance(x, labels, cfg: BoostConfig | None = None) -> ImportanceR
     summed across the runs.
     """
     cfg = cfg or BoostConfig()
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2:
-        raise ContractError(f"expected a 2D matrix, got shape {x.shape}")
-    if len(labels) != x.shape[0]:
-        raise ContractError(f"{len(labels)} labels for {x.shape[0]} rows")
+    x, labels = as_rows(x, labels)
     if x.shape[0] < 10:
         raise DataError(f"need at least 10 rows, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -367,6 +368,47 @@ def test_compare_on_non_utf8_manifest_exits_3(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+_MANIFEST_FAULTS = {
+    "object-label": lambda d, ds: d["rows"][0].__setitem__("label", {"x": 1}),
+    "string-rows": lambda d, ds: d.__setitem__("rows", "pt0000"),
+    "row-without-ct": lambda d, ds: d["rows"][0].pop("ct"),
+    "absolute-pet": lambda d, ds: d["rows"][0].__setitem__(
+        "pet", str(ds.parent / "outside" / "pet.pgm")),
+    "dotdot-pet": lambda d, ds: d["rows"][0].__setitem__("pet", "../outside/pet.pgm"),
+    "repeated-id": lambda d, ds: d["rows"][1].__setitem__("id", "pt0000"),
+    "number-tabular": lambda d, ds: d.__setitem__("tabular", 5),
+    "unknown-tabular-row-id": lambda d, ds: d["rows"][0].__setitem__("tabular_row_id", "nobody"),
+}
+
+
+@pytest.mark.parametrize(
+    "fault,command",
+    [(None, "describe"), (None, "evaluate")]
+    + [(f, c) for f in _MANIFEST_FAULTS for c in ("describe", "evaluate")
+       # describe reads no table row by its id
+       if (f, c) != ("unknown-tabular-row-id", "describe")],
+)
+def test_malformed_manifest_exits_3_with_one_line(capsys, tmp_path, fault, command):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, image_size=32, seed=1), ds)
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside" / "pet.pgm").write_bytes((ds / "images/pt0000_pet.pgm").read_bytes())
+    if fault is not None:
+        doc = json.loads((ds / "manifest.json").read_text())
+        _MANIFEST_FAULTS[fault](doc, ds)
+        (ds / "manifest.json").write_text(json.dumps(doc))
+    argv = ["describe", "--dataset", str(ds)]
+    if command == "evaluate":
+        argv = ["evaluate", "--dataset", str(ds), "--out", str(tmp_path / "ev" / "m.json"),
+                "--inputs", "tabular", "--set", "classify.model=logreg", "--set", "evaluate.k=2"]
+    rc, _, err = _run(capsys, *argv)
+    if fault is None:
+        assert rc == 0
+    else:
+        assert rc == 3
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_import_loads_no_scipy():
     src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
     code = "import sys, lungfuse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -561,6 +603,23 @@ def test_denoise_apply_on_malformed_weights_exits_3(capsys, tmp_path, edit, need
     assert not (tmp_path / "out.pgm").exists()
 
 
+def test_denoise_apply_rejects_a_weights_file_that_is_not_ascii(capsys, tmp_path):
+    # the writer emits ASCII, and the reader accepts only that: this file is valid UTF-8 JSON
+    w = tmp_path / "w.json"
+    save_weights(w, init_weights(ConvNetSpec(), seed=0))
+    doc = json.loads(w.read_text())
+    doc["\u00e9"] = 0
+    w.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    write_pgm(np.random.default_rng(0).uniform(size=(16, 16)), tmp_path / "in.pgm")
+    rc, _, err = _run(
+        capsys, "denoise-apply", "--weights", str(w),
+        "--in", str(tmp_path / "in.pgm"), "--out", str(tmp_path / "out.pgm"),
+    )
+    assert rc == 3
+    assert err.startswith("error: weights file is not valid JSON") and err.count("\n") == 1
+    assert not (tmp_path / "out.pgm").exists()
+
+
 @pytest.mark.parametrize("damage", ["flipped-bytes", "empty-marker"])
 def test_run_rebuilds_a_damaged_cache_entry(capsys, tmp_path, damage):
     out_dir = tmp_path / "w"
@@ -728,6 +787,29 @@ def test_evaluate_rejects_bad_inputs_before_any_stage(capsys, tmp_path, inputs):
     assert rc == 2
     assert err.startswith("error: --inputs ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_runs_into_one_out_at_once_all_succeed(capsys, tmp_path):
+    # three runs, more than a 2-CPU host has cores, each racing the others for every
+    # cache entry and for report/
+    argv = ["run", "--set", "phantom.n_patients=24", "--set", "denoise.epochs=2",
+            "--set", "fusion.register=false", "--set", "classify.model=logreg",
+            "--set", "evaluate.k=2"]
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "lungfuse.cli", *argv, "--out", str(tmp_path / "w")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(3)
+    ]
+    errs = [p.communicate(timeout=120)[1] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0, 0], errs
+    assert _run(capsys, *argv, "--out", str(tmp_path / "solo"))[0] == 0
+    assert _tree_hash(tmp_path / "w" / "report") == _tree_hash(tmp_path / "solo" / "report")
+    # each run built in a directory of its own, and none is left behind
+    assert not list((tmp_path / "w").glob(".*")) and not list((tmp_path / "w").glob("cache/.*"))
 
 
 def test_warm_run_hashes_each_stage_tree_once(capsys, tmp_path, monkeypatch):
