@@ -14,14 +14,20 @@ import sys
 
 import click
 
-from . import pipeline as pl
-from .classify import kfold_evaluate
-from .denoise import denoise as run_denoise, load_weights
-from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError
-from .fusion import fusion_quality, ncc
-from .images import read_pgm, write_json, write_pgm
-from .phantom import describe, generate
-from .tabular import apply_preprocess, fit_preprocess, read_table
+# BLAS at one thread, set before numpy first loads: the forked workers
+# and denoise-train's second thread use the other CPUs.  A value the user
+# set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import pipeline as pl  # noqa: E402
+from .classify import kfold_evaluate  # noqa: E402
+from .denoise import denoise as run_denoise, load_weights  # noqa: E402
+from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError  # noqa: E402
+from .fusion import fusion_quality, ncc  # noqa: E402
+from .images import read_pgm, write_json, write_pgm  # noqa: E402
+from .phantom import describe, generate  # noqa: E402
+from .tabular import apply_preprocess, fit_preprocess, read_table  # noqa: E402
 
 
 def _emit(doc) -> None:

@@ -23,21 +23,27 @@ is one (cout, cin) @ (cin, span) product over a shifted slice.  The
 im2col matrix, nine times the input, is never built; backward reads the
 padded input again.
 
-Training runs every step in one workspace (`_Workspace`), allocated once
-for the largest batch and freed when training returns, like cuDNN's
-caller-owned workspace; `forward`, `backward` and `denoise` make one per
-call.  Ops write through `out=` and in place, so no step after the first
-allocates an image-sized array.  As in Chen et al. (arXiv:1604.06174),
-backward keeps only what it needs: each layer's padded input, and each
-ReLU's mask as bool rather than the float pre-activation.  Pooled and
-upsampled activations go straight into the interior of the next padded
-buffer, whose 1 px mirror border is filled in place; the mirror fold-back
-of the input gradient is in place too.  Layer 0's accumulator is also
-layer 4's padded input, then layer 4's input gradient, then layer 0's
-padded output gradient.  Taps that broadcast one channel across many
-(cin == 1 forward, cout == 1 backward) run in column tiles of `_TILE`.
-No operation or its order changes, so results are bit-identical to
-allocating every array afresh.
+Training runs each batch as two halves, the first ceil(b/2) images and
+the rest, and steps on the sum of their gradients, each taken against
+the whole batch's MSE (Goyal et al., arXiv:1706.02677).  The second half
+runs on a helper thread when two CPUs are usable (`parallel.run_pair`);
+numpy releases the GIL in BLAS calls and ufunc loops, so the halves
+overlap.  The split is made on one CPU too, so results do not depend on
+the CPU count.  Each half runs in its own workspace (`_Workspace`),
+allocated once for half the largest batch and freed when training
+returns, like cuDNN's caller-owned workspace; `forward`, `backward` and
+`denoise` make one per call.  Ops write through `out=` and in place, so
+no step after the first allocates an image-sized array.  As in Chen et
+al. (arXiv:1604.06174), backward keeps only what it needs: each layer's
+padded input, and each ReLU's mask as bool rather than the float
+pre-activation.  Pooled and upsampled activations go straight into the
+interior of the next padded buffer, whose 1 px mirror border is filled
+in place; the mirror fold-back of the input gradient is in place too.
+Layer 0's accumulator is also layer 4's padded input, then layer 4's
+input gradient, then layer 0's padded output gradient.  Taps that
+broadcast one channel across many (cin == 1 forward, cout == 1 backward)
+run in column tiles of `_TILE`.  No operation or its order changes, so
+results are bit-identical to allocating every array afresh.
 
 All math is float64.  The backward pass is the exact adjoint of the
 forward pass, including the fold-back of the mirror padding, so finite
@@ -47,6 +53,7 @@ difference checks agree to near machine precision.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -56,6 +63,7 @@ import numpy as np
 from .errors import ContractError, DataError, FormatError, NumericalError
 from .images import as_image, as_image_pair, read_json
 from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, sigmoid
+from .parallel import run_pair
 
 __all__ = [
     "ConvNetSpec",
@@ -325,15 +333,16 @@ class _Workspace:
         d = np.subtract(y, target.transpose(1, 0, 2, 3), out=_view(self._scratch, y.shape))
         return float(np.mean(np.square(d, out=d)))
 
-    def backward(self, weights: NetWeights, target) -> list:
-        """Per-layer (kernel, bias) gradients of the MSE of the last forward pass."""
+    def backward(self, weights: NetWeights, target, size: int | None = None) -> list:
+        """Per-layer (kernel, bias) gradients of the last forward pass's part
+        of an MSE over size pixels (by default, over this batch's own)."""
         n = len(target)
         xp, acc = self._views(n)
         y = _view(self._y, (1, n, self.h, self.w))
-        # 2.0 * (y - t) / y.size * y * (1.0 - y), one op at a time in that order
+        # 2.0 * (y - t) / size * y * (1.0 - y), one op at a time in that order
         gz = np.subtract(y, target.transpose(1, 0, 2, 3), out=_view(self._scratch, y.shape))
         np.multiply(2.0, gz, out=gz)
-        np.divide(gz, y.size, out=gz)
+        np.divide(gz, size or y.size, out=gz)
         np.multiply(gz, y, out=gz)
         gz *= np.subtract(1.0, y, out=_view(self._scratch[y.size :], y.shape))
         grads = [None] * 5
@@ -391,6 +400,16 @@ def add_noise(img, kind: str = "gaussian", param: float = 0.1, rng=None) -> np.n
     return np.clip(noisy, 0.0, 1.0)
 
 
+def _half_step(ws: _Workspace, weights: NetWeights, x, t, size: int):
+    """(MSE, gradients of its part of an MSE over size pixels) of one half
+    batch; an empty half gives (0.0, None), a non-finite MSE no gradients."""
+    if not len(x):
+        return 0.0, None
+    ws.forward(weights, x)
+    loss = ws.loss(t)
+    return loss, ws.backward(weights, t, size) if np.isfinite(loss) else None
+
+
 def train_denoiser(clean_images, cfg: TrainConfig | None = None):
     """Train on clean images with fresh noise drawn every epoch.
 
@@ -408,7 +427,7 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
     n = len(imgs)
     batch = min(cfg.batch_size, n)
     spec = ConvNetSpec()
-    ws = _Workspace(spec, batch, *shape)
+    wss = [_Workspace(spec, -(-batch // 2), *shape) for _ in range(2)]
 
     rng = np.random.default_rng(cfg.rng_seed)
     weights = init_weights(spec, rng)
@@ -428,16 +447,23 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
             noisy[slot[i], 0] = add_noise(im, cfg.noise_kind, cfg.noise_param, rng)
         total = 0.0
         for start in range(0, n, batch):
-            xb, tb = noisy[start : start + batch], target[start : start + batch]
-            ws.forward(weights, xb)
-            loss = ws.loss(tb)
+            stop = min(start + batch, n)
+            mid = start + -(-(stop - start) // 2)
+            size = (stop - start) * shape[0] * shape[1]
+            (la, ga), (lb, gb) = run_pair(
+                *(functools.partial(_half_step, ws, weights, noisy[a:b], target[a:b], size)
+                  for ws, (a, b) in zip(wss, ((start, mid), (mid, stop))))
+            )
+            loss = (la * (mid - start) + lb * (stop - mid)) / (stop - start)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss {loss} at epoch {epoch} batch {start // batch}"
                 )
-            grads = ws.backward(weights, tb)
-            opt.step(params, [g for pair in grads for g in pair])
-            total += loss * len(xb)
+            for (ka, ba), (kb, bb) in zip(ga, gb or ()):
+                ka += kb
+                ba += bb
+            opt.step(params, [g for pair in ga for g in pair])
+            total += loss * (stop - start)
         log.append(total / n)
     weights.epochs_trained += cfg.epochs
     return weights, log

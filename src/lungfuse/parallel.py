@@ -1,4 +1,5 @@
-"""Order-preserving map over independent tasks in forked worker processes.
+"""Order-preserving map over independent tasks in forked worker processes,
+and a pair of calls on two threads.
 
 One worker per CPU this process may run on (Linux; elsewhere one), never
 more than there are tasks.  With fewer than two workers the map runs in
@@ -7,7 +8,9 @@ items and only results cross a pipe; they ignore SIGINT, which leaves an
 interrupt to the parent.  Warnings raised in a worker are raised again
 in the parent, in task order, at the code location that raised them.
 A worker that dies (say, killed by the out-of-memory killer) fails the
-map with WorkerError.
+map with WorkerError.  run_pair, for numpy work that releases the GIL,
+uses a helper thread under the same rule and joins it before it returns,
+so no thread is alive when a map forks.
 """
 
 from __future__ import annotations
@@ -15,15 +18,23 @@ from __future__ import annotations
 import os
 import signal
 import sys
+import threading
 import warnings
 
 from .errors import WorkerError
 
-__all__ = ["parallel_map"]
+__all__ = ["parallel_map", "run_pair"]
 
 # (fn, items) of the map in progress; forked workers inherit it, and a
 # map started while it is set (inside a worker, or by fn itself) runs serially
 _TASK = None
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 inside a map, and on platforms without the call."""
+    if _TASK is not None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def parallel_map(fn, items) -> list:
@@ -35,10 +46,8 @@ def parallel_map(fn, items) -> list:
     """
     global _TASK
     items = list(items)
-    # CPUs this process may run on; platforms without the call run serially
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items))
-    if workers < 2 or _TASK is not None:
+    workers = min(_cpus(), len(items))
+    if workers < 2:
         return [fn(x) for x in items]
 
     import multiprocessing
@@ -70,6 +79,34 @@ def parallel_map(fn, items) -> list:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         _TASK = None
+
+
+def run_pair(f, g) -> tuple:
+    """(f(), g()), with g on a helper thread when two CPUs are usable.
+
+    Returns or raises only after the thread has ended.  f's exception
+    comes first; g's is raised here.
+    """
+    if _cpus() < 2:
+        return f(), g()
+    out = []
+
+    def call_g():
+        try:
+            out.append((g(), None))
+        except BaseException as exc:
+            out.append((None, exc))
+
+    thread = threading.Thread(target=call_g)
+    thread.start()
+    try:
+        a = f()
+    finally:
+        thread.join()
+    b, exc = out[0]
+    if exc is not None:
+        raise exc
+    return a, b
 
 
 def _start_worker() -> None:

@@ -47,6 +47,7 @@ __all__ = [
     "apply_point",
     "sample_patient",
     "load_manifest",
+    "table_rows",
 ]
 
 SUBTYPES = ("adenocarcinoma", "squamous")
@@ -408,6 +409,19 @@ def load_manifest(dataset_dir) -> dict:
     return doc
 
 
+def table_rows(manifest: dict, table: TabularDataset) -> list:
+    """For each manifest row, the index of its row in the dataset's table
+    (the row's own index when the table has no id column)."""
+    rows = manifest["rows"]
+    if not table.ids:
+        return list(range(len(rows)))
+    by_id = {pid: i for i, pid in enumerate(table.ids)}
+    for row in rows:
+        if row["tabular_row_id"] not in by_id:
+            raise DataError(f"tabular_row_id {row['tabular_row_id']!r} is not in the table")
+    return [by_id[row["tabular_row_id"]] for row in rows]
+
+
 def describe(dataset_dir) -> dict:
     """Deterministic summary of a generated dataset directory."""
     manifest = load_manifest(dataset_dir)
@@ -423,6 +437,7 @@ def describe(dataset_dir) -> dict:
         os.path.join(dataset_dir, manifest["tabular"]),
         os.path.join(dataset_dir, manifest["tabular_schema"]),
     )
+    table_rows(manifest, table)
     missing = {c.name: int(n) for c, n in zip(table.columns, np.isnan(table.values).sum(axis=0))}
     return {
         "kind": "phantom-summary",

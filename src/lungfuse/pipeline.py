@@ -44,11 +44,13 @@ from .classify import (
     extract_image_features,
 )
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError, DataError, LungFuseError, WorkerError
+from .errors import ConfigError, LungFuseError, WorkerError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
 from .images import gradient_magnitude, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
-from .phantom import PhantomConfig, SUBTYPES, generate, load_manifest, render_pet, sample_patient
+from .phantom import (
+    PhantomConfig, SUBTYPES, generate, load_manifest, render_pet, sample_patient, table_rows,
+)
 from .tabular import BoostConfig, read_table, take_rows
 
 __all__ = [
@@ -482,12 +484,10 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int, ct: bool = True) -> MMD
         os.path.join(dataset_dir, manifest["tabular"]),
         os.path.join(dataset_dir, manifest["tabular_schema"]),
     )
-    by_id = {pid: i for i, pid in enumerate(table.ids)} if table.ids else None
+    order = table_rows(manifest, table)
     feats = {name: [] for name, on in (("ct", ct), ("fused", fused_dir is not None)) if on}
-    labels, order = [], []
+    labels = []
     for row in manifest["rows"]:
-        if by_id and row["tabular_row_id"] not in by_id:
-            raise DataError(f"tabular_row_id {row['tabular_row_id']!r} is not in the table")
         if ct:
             img = read_pgm(os.path.join(dataset_dir, row["ct"]))
             feats["ct"].append(extract_image_features(img, levels=levels))
@@ -495,7 +495,6 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int, ct: bool = True) -> MMD
             img = read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm"))
             feats["fused"].append(extract_image_features(img, levels=levels))
         labels.append(row["label"])
-        order.append(by_id[row["tabular_row_id"]] if by_id else len(order))
     images = {name: np.array(f) for name, f in feats.items()}
     return MMDataset(labels=np.array(labels), tabular=take_rows(table, order), images=images)
 

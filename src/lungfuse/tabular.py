@@ -55,6 +55,8 @@ class ColumnSpec:
     categories: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ContractError(f"column {self.name!r}: name must be a string")
         if self.kind not in _KINDS:
             raise ContractError(f"column {self.name!r}: unknown kind {self.kind!r}")
         object.__setattr__(self, "categories", tuple(self.categories))
@@ -130,7 +132,11 @@ def _load_schema(schema_path):
         raise FormatError(f"bad column declaration in schema: {exc}") from None
     except ContractError as exc:
         raise FormatError(str(exc)) from None
-    return cols, doc["label_column"], doc.get("missing", ""), doc.get("id_column")
+    label_col, missing, id_col = doc["label_column"], doc.get("missing", ""), doc.get("id_column")
+    if not (isinstance(label_col, str) and isinstance(missing, str)
+            and isinstance(id_col, (str, type(None)))):
+        raise FormatError("schema: label_column, missing and id_column must be strings")
+    return cols, label_col, missing, id_col
 
 
 def read_table(csv_path, schema_path) -> TabularDataset:

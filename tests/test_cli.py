@@ -384,9 +384,7 @@ _MANIFEST_FAULTS = {
 @pytest.mark.parametrize(
     "fault,command",
     [(None, "describe"), (None, "evaluate")]
-    + [(f, c) for f in _MANIFEST_FAULTS for c in ("describe", "evaluate")
-       # describe reads no table row by its id
-       if (f, c) != ("unknown-tabular-row-id", "describe")],
+    + [(f, c) for f in _MANIFEST_FAULTS for c in ("describe", "evaluate")],
 )
 def test_malformed_manifest_exits_3_with_one_line(capsys, tmp_path, fault, command):
     ds = tmp_path / "ds"
@@ -407,6 +405,41 @@ def test_malformed_manifest_exits_3_with_one_line(capsys, tmp_path, fault, comma
     else:
         assert rc == 3
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+_SCHEMA_FAULTS = {
+    "list-column-name": (lambda d: d["columns"][0].__setitem__("name", ["age"]), "['age']"),
+    "list-label-column": (lambda d: d.__setitem__("label_column", ["subtype"]), "label_column"),
+    "list-id-column": (lambda d: d.__setitem__("id_column", ["id"]), "id_column"),
+}
+
+
+@pytest.mark.parametrize("fault", _SCHEMA_FAULTS)
+def test_schema_name_not_a_string_exits_3_naming_it(capsys, tmp_path, fault):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=6, image_size=32, seed=1), ds)
+    doc = json.loads((ds / "tabular.schema.json").read_text())
+    mutate, named = _SCHEMA_FAULTS[fault]
+    mutate(doc)
+    (ds / "tabular.schema.json").write_text(json.dumps(doc))
+    rc, _, err = _run(capsys, "describe", "--dataset", str(ds))
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_runs_blas_at_one_thread_unless_set(preset):
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, lungfuse.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == (preset or "1")
 
 
 def test_cli_import_loads_no_scipy():

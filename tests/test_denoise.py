@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from lungfuse import denoise as dn
 from lungfuse import nnet
 from lungfuse import pipeline as pl
-from lungfuse.errors import ContractError, DataError, FormatError
+from lungfuse.errors import ContractError, DataError, FormatError, NumericalError
 from lungfuse.pipeline import denoiser_scenes
 
 
@@ -492,6 +494,54 @@ def test_training_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 45e6
+
+
+# --- each batch as two halves, on one thread or two ---
+
+
+def _on_cpus(monkeypatch, cpus):
+    # the CPU count parallel.run_pair sees: {0} runs both halves in the
+    # caller, {0, 1} the second on a helper thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def _default_training():
+    doc = pl.resolve_config(None)
+    d = doc["denoise"]
+    return denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"]), pl._train_config(doc)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "default",
+        (16, 32, nnet.TrainConfig(batch_size=7, epochs=3)),
+        (8, 32, nnet.TrainConfig(batch_size=1, epochs=2)),
+    ],
+    ids=["default", "batch7", "batch1"],
+)
+def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
+    clean, cfg = _default_training() if case == "default" else (denoiser_scenes(*case[:2], 7), case[2])
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        _on_cpus(monkeypatch, cpus)
+        runs.append(dn.train_denoiser(clean, cfg))
+    (one, log1), (two, log2) = runs
+    assert log1 == log2
+    for a, b in zip(one.params(), two.params()):
+        assert np.array_equal(a, b)
+
+
+def test_training_leaves_no_thread_behind(monkeypatch):
+    _on_cpus(monkeypatch, {0, 1})
+    clean = denoiser_scenes(8, 32, 7)
+    before = threading.active_count()
+    dn.train_denoiser(clean, nnet.TrainConfig(epochs=1))
+    assert threading.active_count() == before
+    monkeypatch.setattr(dn._Workspace, "loss", lambda ws, t: float("nan"))
+    with pytest.raises(NumericalError, match="non-finite training loss nan at epoch 0 batch 0"):
+        dn.train_denoiser(clean, nnet.TrainConfig(epochs=1))
+    assert threading.active_count() == before
 
 
 # --- the workspace against the allocating batch passes it replaced ---

@@ -1,8 +1,9 @@
-"""parallel_map: the pooled path against the serial one, and its failure modes.
+"""parallel_map: the pooled path against the serial one, and its failure
+modes; run_pair on one thread and on two.
 
-Each test fixes the CPU count parallel_map sees by patching
-os.sched_getaffinity, so both paths run on any host: {0} gives the
-in-process loop and {0, 1} two forked workers.
+Each test fixes the CPU count these see by patching os.sched_getaffinity,
+so both paths run on any host: {0} gives the in-process loop and {0, 1}
+two forked workers, or run_pair's helper thread.
 """
 
 import json
@@ -12,6 +13,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -25,7 +27,7 @@ from lungfuse import tabular as tb
 from lungfuse.cli import main
 from lungfuse.errors import NumericalError
 from lungfuse.images import write_pgm
-from lungfuse.parallel import parallel_map
+from lungfuse.parallel import parallel_map, run_pair
 from lungfuse.phantom import PhantomConfig, generate
 from tabular_cells import decode, encode
 
@@ -103,6 +105,25 @@ def test_fold_tasks_are_identical_serial_and_pooled(monkeypatch):
     assert seen[0] == seen[1]
     assert seen[0][3] == seen[0][4]  # kfold_evaluate's folds are the comparison's multimodal ones
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [SERIAL, POOLED], ids=["serial", "threaded"])
+def test_run_pair_returns_both_and_raises_g_after_joining(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    threads = []
+
+    def g():
+        threads.append(threading.current_thread())
+        raise NumericalError("from g")
+
+    assert run_pair(lambda: 1, lambda: 2) == (1, 2)
+    with pytest.raises(NumericalError, match="from g"):
+        run_pair(lambda: 1, g)
+    assert (threads[0] is threading.main_thread()) == (cpus == SERIAL)
+    with pytest.raises(ZeroDivisionError):  # f's error comes first
+        run_pair(lambda: 1 / 0, g)
+    assert threading.active_count() == before
 
 
 def _table_with_rare_category(n=24):
