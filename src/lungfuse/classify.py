@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -130,12 +130,10 @@ def logreg_loss_grad(w, x, label_idx, n_classes):
 
 
 def _class_index(labels):
-    labels = np.asarray(labels)
-    classes = [c for c in np.unique(labels)]
+    classes, idx = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise DataError("need at least 2 classes")
-    lut = {c: i for i, c in enumerate(classes)}
-    return classes, np.array([lut[v] for v in labels.tolist()])
+    return classes.tolist(), idx
 
 
 def train_logreg(x, labels, lr: float = 0.5, epochs: int = 200):
@@ -352,21 +350,14 @@ class MetricsReport:
     notes: str = _NOTES
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "metrics-report",
-            "classes": list(self.classes),
-            "confusion_matrix": self.confusion.tolist(),
-            "pooled": self.pooled,
-            "fold_metrics": self.fold_metrics,
-            "summary": self.summary,
-            "k": self.k,
-            "seed": self.seed,
-            "inputs": list(self.inputs),
-            "fold_hash": self.fold_hash,
-            "fold_fingerprints": list(self.fold_fingerprints),
-            "notes": self.notes,
-        }
+        doc = {"schema_version": REPORT_SCHEMA_VERSION, "kind": "metrics-report"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "confusion":
+                doc["confusion_matrix"] = value.tolist()
+            else:
+                doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
 
 # --- folds ---
@@ -383,7 +374,7 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list:
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
-    for c in np.unique(labels):
+    for c in np.unique(labels).tolist():  # labels as the data holds them, not numpy scalars
         idx = np.flatnonzero(labels == c)
         if len(idx) < k:
             raise DataError(f"class {c!r} has {len(idx)} rows; stratified {k}-fold needs >= {k}")
@@ -391,11 +382,6 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list:
         for i, row in enumerate(idx):
             folds[i % k].append(int(row))
     return [np.array(sorted(f)) for f in folds]
-
-
-def _fold_hash(folds) -> str:
-    doc = json.dumps([f.tolist() for f in folds]).encode()
-    return hashlib.sha256(doc).hexdigest()[:16]
 
 
 # --- the multi-modal dataset and harness ---
@@ -511,8 +497,9 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
                 known = sorted(ds.images) + ["tabular"]
                 raise ConfigError(f"unknown modality {name!r}; dataset has {known}")
     labels = np.asarray(ds.labels)
-    classes = [c for c in np.unique(labels)]
+    classes = np.unique(labels).tolist()
     folds = stratified_folds(labels, k, seed)
+    fold_hash = _fingerprint([[f.tolist() for f in folds]])
 
     def run_fold(task):
         inputs, test_idx = task
@@ -531,7 +518,7 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
         reports.append(MetricsReport(
             classes=classes, confusion=pooled_cm, pooled=metrics_from_confusion(pooled_cm),
             fold_metrics=fold_metrics, summary=summary, k=k, seed=seed, inputs=inputs,
-            fold_hash=_fold_hash(folds), fold_fingerprints=list(fingerprints),
+            fold_hash=fold_hash, fold_fingerprints=list(fingerprints),
         ))
     return reports
 

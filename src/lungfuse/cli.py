@@ -195,7 +195,9 @@ def evaluate_cmd(doc, dataset, out, inputs):
     fused_dir = None  # the stages up to fuse run only for the fused input
     if "fused" in chosen:
         stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
-        _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)
+        _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)  # checks both wavelet depths
+    elif "ct" in chosen:
+        pl._check_levels(doc, dataset, ("classify.feature_levels",))
     cfg = pl.classify_config_from(doc)
     ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels, ct="ct" in chosen)
     report = kfold_evaluate(

@@ -145,28 +145,19 @@ class _Resampler:
         return out, valid
 
 
-def _resample(arr: np.ndarray, t: RigidTransform):
-    """Bilinear resample of arr at its own size and the mask of in-bounds
-    source points; see _Resampler."""
-    return _Resampler(arr)(t)
-
-
 def resample_bilinear(img, t: RigidTransform) -> np.ndarray:
     """Inverse-mapping bilinear resampling at the input's size; out-of-bounds
     samples are 0."""
-    return _resample(as_image(img), t)[0]
+    return _Resampler(as_image(img))(t)[0]
 
 
 def ncc(a, b) -> float:
     """Normalized cross-correlation of two equal-sized images."""
     a, b = as_image_pair(a, b)
-    az = a - a.mean()
-    bz = b - b.mean()
-    na = np.sqrt(np.sum(az * az))
-    nb = np.sqrt(np.sum(bz * bz))
-    if na == 0.0 or nb == 0.0:
+    score = _masked_ncc(a, b, np.ones(a.shape, dtype=bool))
+    if score == -np.inf:
         raise NumericalError("no correlation signal")
-    return float(np.sum(az * bz) / (na * nb))
+    return score
 
 
 def _shift_zero_fill(img: np.ndarray, tx: int, ty: int) -> np.ndarray:
@@ -218,24 +209,25 @@ _DEGENERATE_VARIANCE = 1e-4
 _SHIFTS = np.arange(-16, 17, 2)
 _THETAS = np.deg2rad(np.round(np.arange(-6.0, 6.0 + 1e-9, 2.0), 10))
 _SCALES = np.round(np.arange(0.9, 1.1 + 1e-9, 0.05), 10)
-# the refinement starts at half the coarse steps and halves them down to
-# these resolutions, then runs _POLISH_HALVINGS further rounds below
-# them: rotation errors couple with sub-resolution translation
-# compensation (0.25 deg of rotation displaces off-center structure by
-# under 0.1 px), and stopping exactly at the nominal resolution leaves
-# theta stuck up to ~0.7 deg from the objective's maximizer on lung-like
-# slices
-_T_RESOLUTION = 0.25
-_THETA_RESOLUTION = math.radians(0.25)
-_SCALE_RESOLUTION = 0.01
-_POLISH_HALVINGS = 2
+# the refinement's (translation, rotation, scale) steps: half the coarse
+# steps, halved down to 0.25 px, 0.25 deg and 0.01 (scale holds there),
+# then two further halvings below them: rotation errors couple with
+# sub-resolution translation compensation (0.25 deg of rotation displaces
+# off-center structure by under 0.1 px), and stopping exactly at the
+# nominal resolution leaves theta stuck up to ~0.7 deg from the
+# objective's maximizer on lung-like slices
+_STEPS = tuple(
+    (2.0 / 2**i, math.radians(2.0) / 2**i, s)
+    for i, s in enumerate((0.05 / 2, 0.05 / 4, 0.01, 0.01 / 2, 0.01 / 4), 1)
+)
 
 
-def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, scales):
-    """Masked NCC of every coarse cell from FFT correlations.
+def _fft_coarse_scores(fixed: np.ndarray, resample: _Resampler):
+    """Masked NCC of every coarse cell (_SHIFTS^2 x _THETAS x _SCALES)
+    from FFT correlations.
 
-    For each (theta, scale), moving is resampled once into base with
-    valid mask bv; shifting both by an integer (tx, ty) is then a
+    For each (theta, scale), the moving image is resampled once into
+    base with valid mask bv; shifting both by an integer (tx, ty) is then a
     correlation, so the overlap count and the five sums of masked NCC
     at all shifts come from six zero-padded FFT cross-correlations
     (Padfield, "Masked object registration in the Fourier domain",
@@ -245,6 +237,7 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     valid) pair of every (theta, scale) slice, keyed by slice index, so
     that a cell re-scored directly costs no second resample.
     """
+    shifts, thetas, scales = _SHIFTS, _THETAS, _SCALES
     h, w = fixed.shape
     reach = int(np.max(np.abs(shifts)))
     dims = (h + reach, w + reach)  # no circular wrap within the shift range
@@ -264,7 +257,6 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     )
     scores = np.full((len(shifts), len(shifts), len(thetas), len(scales)), -np.inf)
     degenerate = np.zeros(scores.shape, dtype=bool)
-    resample = _Resampler(moving)
     slices = {}
     for it, theta in enumerate(thetas):
         for isc, scale in enumerate(scales):
@@ -298,7 +290,7 @@ def _fft_coarse_scores(fixed: np.ndarray, moving: np.ndarray, shifts, thetas, sc
     return scores, degenerate, slices
 
 
-def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
+def _coarse_pick(fixed: np.ndarray, resample: _Resampler):
     """First maximum of the direct masked-NCC grid and its direct score.
 
     Cells are ranked by their FFT scores; every cell the FFT rounding
@@ -308,7 +300,7 @@ def _coarse_pick(fixed: np.ndarray, moving: np.ndarray):
     cell in lexicographic (tx, ty, theta, scale) order.
     """
     shifts, thetas, scales = _SHIFTS, _THETAS, _SCALES
-    scores, recheck, slices = _fft_coarse_scores(fixed, moving, shifts, thetas, scales)
+    scores, recheck, slices = _fft_coarse_scores(fixed, resample)
     recheck |= np.isfinite(scores) & (scores >= np.max(scores) - _RESCORE_WINDOW)
     for ix, iy, it, isc in np.argwhere(recheck):
         base, base_valid = slices[it, isc]
@@ -326,8 +318,8 @@ def register_rigid(fixed, moving) -> RigidTransform:
     fixed, moving = as_image_pair(fixed, moving)
     if np.ptp(fixed) == 0.0 or np.ptp(moving) == 0.0:
         raise NumericalError("no correlation signal")
-    cur, best = _coarse_pick(fixed, moving)
     resample = _Resampler(moving)
+    cur, best = _coarse_pick(fixed, resample)
     # the search revisits about a quarter of its candidates; each distinct
     # one is scored once per call, keyed on its exact bits so that 0.0 and
     # -0.0 stay apart
@@ -344,8 +336,7 @@ def register_rigid(fixed, moving) -> RigidTransform:
 
     # pattern search: the NCC landscape couples rotation/scale with
     # translation, so explore all +-step combinations, not just axis moves
-    def sweep(step_t: float, step_theta: float, step_s: float):
-        nonlocal cur, best
+    for step_t, step_theta, step_s in _STEPS:
         while True:
             move = None
             move_score = best
@@ -361,31 +352,8 @@ def register_rigid(fixed, moving) -> RigidTransform:
                     move_score = score
                     move = cand
             if move is None:
-                return
-            cur = list(move)
-            best = move_score
-
-    step_t, step_theta, step_s = 2.0 / 2.0, math.radians(2.0) / 2.0, 0.05 / 2.0
-    while True:
-        step_t = max(step_t, _T_RESOLUTION)
-        step_theta = max(step_theta, _THETA_RESOLUTION)
-        step_s = max(step_s, _SCALE_RESOLUTION)
-        sweep(step_t, step_theta, step_s)
-        at_res = (
-            step_t <= _T_RESOLUTION
-            and step_theta <= _THETA_RESOLUTION
-            and step_s <= _SCALE_RESOLUTION
-        )
-        if at_res:
-            break
-        step_t /= 2.0
-        step_theta /= 2.0
-        step_s /= 2.0
-    for _ in range(_POLISH_HALVINGS):
-        step_t /= 2.0
-        step_theta /= 2.0
-        step_s /= 2.0
-        sweep(step_t, step_theta, step_s)
+                break
+            cur, best = move, move_score
     return RigidTransform(cur[0], cur[1], cur[2], cur[3])
 
 

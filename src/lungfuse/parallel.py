@@ -9,8 +9,9 @@ interrupt to the parent.  Warnings raised in a worker are raised again
 in the parent, in task order, at the code location that raised them.
 A worker that dies (say, killed by the out-of-memory killer) fails the
 map with WorkerError.  run_pair, for numpy work that releases the GIL,
-uses a helper thread under the same rule and joins it before it returns,
-so no thread is alive when a map forks.
+uses a helper thread under the same rule, and only while BLAS runs at
+one thread, so that the two calls do not compete with BLAS threads; it
+joins the thread before it returns, so no thread is alive when a map forks.
 """
 
 from __future__ import annotations
@@ -82,12 +83,14 @@ def parallel_map(fn, items) -> list:
 
 
 def run_pair(f, g) -> tuple:
-    """(f(), g()), with g on a helper thread when two CPUs are usable.
+    """(f(), g()), with g on a helper thread when two CPUs are usable and
+    OPENBLAS_NUM_THREADS (OMP_NUM_THREADS when that is unset) is "1".
 
     Returns or raises only after the thread has ended.  f's exception
     comes first; g's is raised here.
     """
-    if _cpus() < 2:
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if _cpus() < 2 or blas != "1":
         return f(), g()
     out = []
 

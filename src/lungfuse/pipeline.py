@@ -52,6 +52,7 @@ from .phantom import (
     PhantomConfig, SUBTYPES, generate, load_manifest, render_pet, sample_patient, table_rows,
 )
 from .tabular import BoostConfig, read_table, take_rows
+from .wavelet import max_levels
 
 __all__ = [
     "DEFAULTS",
@@ -278,6 +279,19 @@ def _validate(doc: dict) -> None:
     _train_config(doc)
     _fusion_rule(doc)
     classify_config_from(doc)
+
+
+def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feature_levels")):
+    """Refuse a wavelet depth that the images cannot take, before any stage
+    runs: phantom.image_size wide, or a given dataset manifest's image_size."""
+    size = doc["phantom"]["image_size"] if dataset is None else load_manifest(dataset)["image_size"]
+    most = max_levels(size, size)
+    for name in keys:
+        section, key = name.split(".")
+        if doc[section][key] > most:
+            raise ConfigError(
+                f"{name} must be at most {most} for {size}x{size} images, got {doc[section][key]}"
+            )
 
 
 def version_info() -> dict:
@@ -527,11 +541,13 @@ def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
 def fuse_stages(stages: _Stages, doc: dict, dataset=None):
     """The phantom stage, or the given dataset directory keyed by its tree
     hash in its place, then denoise-train and denoise-apply (when
-    denoise.enabled) and fuse.  A given dataset's manifest is read first,
-    so a malformed one fails before any directory is made.
+    denoise.enabled) and fuse.  The wavelet depths are checked and a given
+    dataset's manifest is read first, so a bad depth or a malformed
+    manifest fails before any directory is made.
 
     Returns (dataset dir, dataset hash, fused dir, fused hash).
     """
+    _check_levels(doc, dataset)
     if dataset is None:
         dataset, dataset_hash = stages.run(
             "phantom",
@@ -540,7 +556,6 @@ def fuse_stages(stages: _Stages, doc: dict, dataset=None):
             lambda d: generate(_phantom_config(doc), d),
         )
     else:
-        load_manifest(dataset)
         dataset_hash = _hash_tree(dataset)
 
     pet_dir = pet_hash = None

@@ -291,6 +291,14 @@ def test_stratified_folds_seeded():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
+def test_stratified_folds_names_the_short_class_as_the_data_holds_it():
+    with pytest.raises(DataError) as exc:
+        cl.stratified_folds(np.array(["adenocarcinoma"] * 4 + ["squamous"] * 5), 5)
+    assert str(exc.value) == "class 'adenocarcinoma' has 4 rows; stratified 5-fold needs >= 5"
+    with pytest.raises(DataError, match=r"^class 1 has 2 rows;"):
+        cl.stratified_folds(np.array([0, 0, 0, 1, 1]), 3)
+
+
 def test_stratified_folds_errors():
     with pytest.raises(DataError):
         cl.stratified_folds(np.array(["a"] * 10 + ["b"] * 3), 5, seed=0)

@@ -947,6 +947,32 @@ def test_evaluate_reads_ct_images_only_for_its_inputs(capsys, tmp_path, monkeypa
     assert sum(name.endswith("_ct.pgm") for name in reads) == ct_reads
 
 
+@pytest.mark.parametrize("key", ["fusion.levels", "classify.feature_levels"])
+def test_run_refuses_a_wavelet_depth_the_phantom_cannot_take(capsys, tmp_path, key):
+    rc, _, err = _run(capsys, "run", "--out", str(tmp_path / "w"),
+                      "--set", "phantom.n_patients=10", "--set", "phantom.image_size=16",
+                      "--set", f"{key}=5")
+    assert rc == 2
+    assert err == f"error: {key} must be at most 4 for 16x16 images, got 5\n"
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "ct"], "classify.feature_levels"),
+    (["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "fused"], "fusion.levels"),
+    (["compare", "--out-dir", "{tmp}/cmp"], "classify.feature_levels"),
+])
+def test_a_wavelet_depth_the_dataset_cannot_take_exits_2_before_any_stage(capsys, tmp_path,
+                                                                          argv, key):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=8, image_size=16, seed=1), ds)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    rc, _, err = _run(capsys, *argv, "--dataset", str(ds), *_FAST, "--set", f"{key}=5")
+    assert rc == 2
+    assert err == f"error: {key} must be at most 4 for 16x16 images, got 5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
 @pytest.mark.parametrize("inputs", ["fused,fused", "tabular, ct,tabular"])
 def test_evaluate_refuses_a_repeated_input_before_any_stage(capsys, tmp_path, inputs):
     ds = tmp_path / "ds"

@@ -521,6 +521,7 @@ def _default_training():
     ids=["default", "batch7", "batch1"],
 )
 def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run_pair's threaded path needs it
     clean, cfg = _default_training() if case == "default" else (denoiser_scenes(*case[:2], 7), case[2])
     runs = []
     for cpus in ({0}, {0, 1}):
@@ -533,6 +534,7 @@ def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
 
 
 def test_training_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run_pair's threaded path needs it
     _on_cpus(monkeypatch, {0, 1})
     clean = denoiser_scenes(8, 32, 7)
     before = threading.active_count()

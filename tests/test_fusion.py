@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from lungfuse.errors import ContractError, NumericalError
 from lungfuse.fusion import (
     FusionRule,
     RigidTransform,
+    _Resampler,
     _SCALES,
     _SHIFTS,
     _THETAS,
     _coarse_pick,
     _fft_coarse_scores,
     _masked_ncc,
-    _resample,
     _shift_zero_fill,
     entropy,
     fuse_wavelet,
@@ -105,7 +106,7 @@ def test_resample_rotation_pivots_at_center():
 
 
 def _reference_resample(arr, t, out_w, out_h):
-    """Per-tap masked-gather resampler and valid mask, the reference for _resample."""
+    """Per-tap masked-gather resampler and valid mask, the reference for _Resampler."""
     h, w = arr.shape
     cx_in, cy_in = (w - 1) / 2.0, (h - 1) / 2.0
     qx, qy = np.meshgrid(np.arange(out_w, dtype=np.float64), np.arange(out_h, dtype=np.float64))
@@ -135,7 +136,7 @@ def _reference_resample(arr, t, out_w, out_h):
     return out, valid
 
 
-# out_dims is (width, height) of the image, which _resample keeps
+# out_dims is (width, height) of the image, which _Resampler keeps
 _RESAMPLE_CASES = [
     (RigidTransform(), (40, 30)),
     (RigidTransform(1.3, -0.7, 0.03, 1.01), (40, 30)),
@@ -148,7 +149,7 @@ _RESAMPLE_CASES = [
 @pytest.mark.parametrize("t,out_dims", _RESAMPLE_CASES)
 def test_resample_matches_reference_bit_for_bit(t, out_dims):
     img = np.random.default_rng(11).uniform(-1.0, 1.0, out_dims[::-1])
-    out, valid = _resample(img, t)
+    out, valid = _Resampler(img)(t)
     ref, ref_valid = _reference_resample(img, t, *out_dims)
     assert out.tobytes() == ref.tobytes()
     np.testing.assert_array_equal(valid, ref_valid)
@@ -252,6 +253,47 @@ def test_register_resamples_no_transform_twice(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_register_builds_one_resampler(monkeypatch):
+    # the coarse grid and the refinement resample the same moving image
+    built = []
+    init = fusion._Resampler.__init__
+
+    def counting(self, arr):
+        built.append(arr)
+        init(self, arr)
+
+    monkeypatch.setattr(fusion._Resampler, "__init__", counting)
+    ct, pet = _phantom_pair(0, 64, "adenocarcinoma")
+    register_rigid(gradient_magnitude(ct), gradient_magnitude(pet))
+    assert len(built) == 1
+
+
+def _halving_steps():
+    """The refinement's steps as the search used to derive them: half the
+    coarse steps, halved to 0.25 px, 0.25 deg and 0.01 with each step held
+    at its floor, then two more halvings."""
+    floors = (0.25, math.radians(0.25), 0.01)
+    step = [2.0 / 2.0, math.radians(2.0) / 2.0, 0.05 / 2.0]
+    steps = []
+    while True:
+        step = [max(v, lo) for v, lo in zip(step, floors)]
+        steps.append(tuple(step))
+        if all(v <= lo for v, lo in zip(step, floors)):
+            break
+        step = [v / 2.0 for v in step]
+    for _ in range(2):
+        step = [v / 2.0 for v in step]
+        steps.append(tuple(step))
+    return steps
+
+
+def test_step_table_is_the_halving_schedule():
+    expected = _halving_steps()
+    assert len(fusion._STEPS) == len(expected) == 5
+    for got, want in zip(fusion._STEPS, expected):
+        assert struct.pack("3d", *got) == struct.pack("3d", *want)
+
+
 def test_register_deterministic():
     img = _ct_like(64, seed=4)
     moving = resample_bilinear(img, RigidTransform(tx=2.0, ty=1.0))
@@ -275,7 +317,7 @@ def _direct_coarse_scores(fixed, moving, shifts, thetas, scales):
     out = np.empty((len(shifts), len(shifts), len(thetas), len(scales)))
     for it, theta in enumerate(thetas):
         for isc, scale in enumerate(scales):
-            base, valid = _resample(moving, RigidTransform(0.0, 0.0, theta, scale))
+            base, valid = _Resampler(moving)(RigidTransform(0.0, 0.0, theta, scale))
             for ix, tx in enumerate(shifts):
                 for iy, ty in enumerate(shifts):
                     out[ix, iy, it, isc] = _masked_ncc(
@@ -290,7 +332,7 @@ def _check_against_direct_grid(fixed, moving):
     """FFT scores equal the direct ones on every cell not flagged degenerate,
     and the coarse pick is the direct grid's first maximum, bit for bit."""
     shifts, thetas, scales = axes = _SHIFTS, _THETAS, _SCALES
-    scores, degenerate, _ = _fft_coarse_scores(fixed, moving, *axes)
+    scores, degenerate, _ = _fft_coarse_scores(fixed, _Resampler(moving))
     direct = _direct_coarse_scores(fixed, moving, *axes)
     trusted = ~degenerate
     finite = np.isfinite(direct)
@@ -300,7 +342,7 @@ def _check_against_direct_grid(fixed, moving):
     both = trusted & finite
     assert np.max(np.abs(scores[both] - direct[both])) <= 1e-12
     ix, iy, it, isc = np.unravel_index(int(np.argmax(direct)), direct.shape)
-    cur, best = _coarse_pick(fixed, moving)
+    cur, best = _coarse_pick(fixed, _Resampler(moving))
     assert cur == [float(shifts[ix]), float(shifts[iy]), float(thetas[it]), float(scales[isc])]
     assert best == direct[ix, iy, it, isc]
     return degenerate, finite
@@ -502,3 +544,34 @@ def test_ncc_bounds_and_self():
     img = _ct_like(16, seed=22)
     assert ncc(img, img) == pytest.approx(1.0)
     assert ncc(img, 1.0 - img) == pytest.approx(-1.0)
+
+
+def _reference_ncc(a, b):
+    """Whole-image NCC written out on the 2-D arrays."""
+    az = a - a.mean()
+    bz = b - b.mean()
+    na = np.sqrt(np.sum(az * az))
+    nb = np.sqrt(np.sum(bz * bz))
+    if na == 0.0 or nb == 0.0:
+        raise NumericalError("no correlation signal")
+    return float(np.sum(az * bz) / (na * nb))
+
+
+def test_ncc_matches_the_whole_image_formula_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(1, 70, 2))
+        a = rng.random((h, w))
+        b = rng.random((h, w)) if rng.random() < 0.5 else resample_bilinear(
+            a, RigidTransform(rng.normal(), rng.normal(), 0.1 * rng.normal(), 1.0)
+        )
+        try:
+            want = _reference_ncc(a, b)
+        except NumericalError:
+            with pytest.raises(NumericalError, match="no correlation signal"):
+                ncc(a, b)
+            continue
+        assert struct.pack("d", ncc(a, b)) == struct.pack("d", want)
+    flat = np.full((16, 16), 0.5)
+    with pytest.raises(NumericalError, match="no correlation signal"):
+        ncc(flat, _ct_like(16, seed=22))

@@ -110,6 +110,7 @@ def test_fold_tasks_are_identical_serial_and_pooled(monkeypatch):
 @pytest.mark.parametrize("cpus", [SERIAL, POOLED], ids=["serial", "threaded"])
 def test_run_pair_returns_both_and_raises_g_after_joining(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     before = threading.active_count()
     threads = []
 
@@ -124,6 +125,23 @@ def test_run_pair_returns_both_and_raises_g_after_joining(monkeypatch, cpus):
     with pytest.raises(ZeroDivisionError):  # f's error comes first
         run_pair(lambda: 1 / 0, g)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "openblas,omp,threaded",
+    [(None, None, False), ("1", None, True), (None, "1", True), ("2", "1", False), ("4", None, False)],
+)
+def test_run_pair_uses_its_thread_only_with_blas_at_one_thread(monkeypatch, openblas, omp, threaded):
+    # BLAS threads of their own would compete with the helper thread for the CPUs
+    _cpus(monkeypatch, POOLED)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    f_thread, g_thread = run_pair(threading.current_thread, threading.current_thread)
+    assert f_thread is threading.current_thread()
+    assert (g_thread is not f_thread) == threaded
 
 
 def _table_with_rare_category(n=24):
