@@ -57,6 +57,7 @@ __all__ = [
     "kfold_evaluate",
     "compare_modalities",
     "comparison_to_text",
+    "fingerprint",
 ]
 
 REPORT_SCHEMA_VERSION = 1
@@ -374,7 +375,9 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list:
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
-    for c in np.unique(labels).tolist():  # labels as the data holds them, not numpy scalars
+    # np.unique's order, as plain values: its first call imports numpy.ma, which would
+    # then count in the peak memory of every run (pipeline checks the folds first)
+    for c in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == c)
         if len(idx) < k:
             raise DataError(f"class {c!r} has {len(idx)} rows; stratified {k}-fold needs >= {k}")
@@ -439,7 +442,9 @@ def _assemble(ds: MMDataset, inputs) -> TabularDataset:
     return TabularDataset(columns, np.hstack(blocks), list(ds.labels))
 
 
-def _fingerprint(parts) -> str:
+def fingerprint(parts) -> str:
+    """sha256[:16] of parts in order, arrays as raw bytes and the rest as sorted-key
+    JSON: the one hash of stage keys, fold hashes and fold fingerprints."""
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
@@ -476,7 +481,7 @@ def _fit_fold(table: TabularDataset, test_idx, classes, cfg: ClassifyConfig, see
     stats_doc = {"numeric": {k_: list(v) for k_, v in prep.numeric_stats.items()},
                  "modes": dict(prep.modes)}
     weight_arrays = [model.w] if isinstance(model, LinearModel) else list(model.params)
-    return cm, _fingerprint(
+    return cm, fingerprint(
         [stats_doc, xb, np.asarray(yb, dtype="U16"), list(map(int, sel))] + weight_arrays
     )
 
@@ -499,7 +504,7 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
     labels = np.asarray(ds.labels)
     classes = np.unique(labels).tolist()
     folds = stratified_folds(labels, k, seed)
-    fold_hash = _fingerprint([[f.tolist() for f in folds]])
+    fold_hash = fingerprint([[f.tolist() for f in folds]])
 
     def run_fold(task):
         inputs, test_idx = task

@@ -26,7 +26,7 @@ from .denoise import denoise as run_denoise, load_weights  # noqa: E402
 from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError  # noqa: E402
 from .fusion import fusion_quality, ncc  # noqa: E402
 from .images import read_pgm, write_json, write_pgm  # noqa: E402
-from .phantom import describe, generate  # noqa: E402
+from .phantom import PhantomConfig, describe, generate  # noqa: E402
 from .tabular import apply_preprocess, fit_preprocess, read_table  # noqa: E402
 
 
@@ -64,7 +64,7 @@ def version_cmd():
 @_config_options
 def phantom_cmd(doc, out):
     """Generate a synthetic paired CT/PET dataset with ground truth (phantom.* keys)."""
-    _emit(generate(pl._phantom_config(doc), out))
+    _emit(generate(PhantomConfig(**doc["phantom"]), out))
 
 
 @cli.command("describe")
@@ -84,7 +84,7 @@ def describe_cmd(dataset):
 def fuse_cmd(doc, ct_path, pet_path, out, report_path):
     """Fuse a CT image and a PET image into one image, as the fuse stage does (fusion.* keys)."""
     ct = read_pgm(ct_path)
-    fused, pet, _ = pl.fuse_pair(ct, read_pgm(pet_path), doc["fusion"], pl._fusion_rule(doc))
+    fused, pet, _ = pl.fuse_pair(ct, read_pgm(pet_path), doc["fusion"])
     write_pgm(fused, out)
     if report_path is not None:
         quality = fusion_quality(fused, ct, pet)
@@ -195,9 +195,11 @@ def evaluate_cmd(doc, dataset, out, inputs):
     fused_dir = None  # the stages up to fuse run only for the fused input
     if "fused" in chosen:
         stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
-        _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)  # checks both wavelet depths
-    elif "ct" in chosen:
-        pl._check_levels(doc, dataset, ("classify.feature_levels",))
+        _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)  # checks depths and folds
+    else:
+        if "ct" in chosen:
+            pl._check_levels(doc, dataset, ("classify.feature_levels",))
+        pl._check_folds(doc, dataset)
     cfg = pl.classify_config_from(doc)
     ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels, ct="ct" in chosen)
     report = kfold_evaluate(

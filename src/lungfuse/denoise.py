@@ -259,13 +259,6 @@ def _pool2_back(g, out):
     return _up2(np.divide(g, 4.0, out=g), out)
 
 
-def _check_batch_dims(h: int, w: int) -> None:
-    if h % 4 or w % 4:
-        raise ContractError(f"image dims must be divisible by 4, got {h}x{w}")
-    if h < 8 or w < 8:
-        raise ContractError(f"image dims must be at least 8, got {h}x{w}")
-
-
 def _view(buf, shape):
     """The contiguous leading part of a flat buffer, shaped."""
     return buf[: math.prod(shape)].reshape(shape)
@@ -283,7 +276,10 @@ class _Workspace:
     """
 
     def __init__(self, spec: ConvNetSpec, n: int, h: int, w: int):
-        _check_batch_dims(h, w)
+        if h % 4 or w % 4:
+            raise ContractError(f"image dims must be divisible by 4, got {h}x{w}")
+        if h < 8 or w < 8:
+            raise ContractError(f"image dims must be at least 8, got {h}x{w}")
         self.channels, self.h, self.w = spec.channels, h, w
         self.dims = [(h, w), (h // 2, w // 2), (h // 4, w // 4), (h // 2, w // 2), (h, w)]
         ch = self.channels

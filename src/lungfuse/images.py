@@ -39,63 +39,36 @@ def as_image_pair(a, b):
     return a, b
 
 
-class _PgmScanner:
-    """Tokenizer over PGM header bytes, tracking byte offsets for errors."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def skip_separators(self):
-        # whitespace and '#' comments are legal separators in the header
-        while self.pos < len(self.buf):
-            c = self.buf[self.pos : self.pos + 1]
-            if c in b" \t\r\n":
-                self.pos += 1
-            elif c == b"#":
-                nl = self.buf.find(b"\n", self.pos)
-                self.pos = len(self.buf) if nl < 0 else nl + 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self.skip_separators()
-        start = self.pos
-        while self.pos < len(self.buf) and self.buf[self.pos : self.pos + 1] not in b" \t\r\n":
-            self.pos += 1
-        if self.pos == start:
-            raise FormatError("unexpected end of PGM header", offset=start)
-        return self.buf[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        self.skip_separators()
-        start_after_sep = self.pos
-        tok = self.token()
-        if not re.fullmatch(rb"\d+", tok):
-            raise FormatError(f"invalid {what} {tok!r} in PGM header", offset=start_after_sep)
-        return int(tok)
+# whitespace and '#' comments to the end of a line separate the header's
+# fields; the group is the field, empty only at the end of the file
+_PGM_FIELD = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))*([^ \t\r\n]*)")
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 65535, big-endian 16-bit) as floats in [0,1]."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    sc = _PgmScanner(buf)
     if buf[:2] != b"P5":
         raise FormatError(f"not a binary PGM (magic {buf[:2]!r})", offset=0)
-    sc.pos = 2
-    width = sc.int_token("width")
-    height = sc.int_token("height")
-    maxval_at = sc.pos
-    maxval = sc.int_token("maxval")
+    pos, values = 2, []
+    for what in ("width", "height", "maxval"):
+        m = _PGM_FIELD.match(buf, pos)
+        if not m[1]:
+            raise FormatError("unexpected end of PGM header", offset=m.start(1))
+        if not m[1].isdigit():
+            raise FormatError(f"invalid {what} {m[1]!r} in PGM header", offset=m.start(1))
+        values.append(int(m[1]))
+        maxval_at, pos = pos, m.end()  # maxval's offset is before its separators
+    width, height, maxval = values
     if width < 1 or height < 1:
         raise FormatError(f"zero or negative dimension {width}x{height}", offset=3)
     if maxval != PGM_MAXVAL:
         raise FormatError(f"unsupported maxval {maxval}, expected {PGM_MAXVAL}", offset=maxval_at)
-    # exactly one whitespace byte separates the header from the payload
-    if sc.pos >= len(buf) or buf[sc.pos : sc.pos + 1] not in b" \t\r\n":
-        raise FormatError("missing separator before pixel payload", offset=sc.pos)
-    payload_at = sc.pos + 1
+    # exactly one whitespace byte separates the header from the payload; a
+    # field ends at whitespace or at the end of the file
+    if pos == len(buf):
+        raise FormatError("missing separator before pixel payload", offset=pos)
+    payload_at = pos + 1
     need = width * height * 2
     payload = buf[payload_at : payload_at + need]
     if len(payload) < need:

@@ -39,6 +39,7 @@ from .tabular import ColumnSpec, TabularDataset, read_table, write_table
 __all__ = [
     "PhantomConfig",
     "SUBTYPES",
+    "class_labels",
     "generate",
     "describe",
     "render_ct",
@@ -159,12 +160,6 @@ def mask_from_geometry(geom: dict, size: int) -> np.ndarray:
     return mask
 
 
-def _jitter_transform(rec: dict) -> RigidTransform:
-    return RigidTransform(
-        tx=rec["tx"], ty=rec["ty"], theta=math.radians(rec["theta_deg"]), scale=rec["scale"]
-    )
-
-
 def sample_patient(rng, cfg: PhantomConfig, subtype: str) -> dict:
     """Draw one patient's geometry, jitter and plant parameters."""
     size = cfg.image_size
@@ -208,14 +203,15 @@ def sample_patient(rng, cfg: PhantomConfig, subtype: str) -> dict:
         "theta_deg": rng.uniform(-2.0, 2.0),
         "scale": rng.uniform(0.97, 1.03),
     }
-    t = _jitter_transform(jitter)
+    t = RigidTransform(jitter["tx"], jitter["ty"], math.radians(jitter["theta_deg"]),
+                       jitter["scale"])
     glow_center = apply_point(t, size, [cx, cy])
     hotspot_center = apply_point(t, size, tumor_center)
     boost = s if is_squamous else 0.0
     pet = {
         "glow_center": glow_center,
         "glow_axes": [body_axes[0] * t.scale, body_axes[1] * t.scale],
-        "glow_phi": math.radians(jitter["theta_deg"]),
+        "glow_phi": t.theta,
         "lungs": [
             {
                 "center": apply_point(t, size, lung["center"]),
@@ -287,6 +283,13 @@ def _tabular_columns():
     return cols
 
 
+def class_labels(n_patients: int, class_balance: float) -> list:
+    """The patients' subtypes before generate shuffles them: a class_balance
+    share of adenocarcinoma, rounded, and at least one patient of each."""
+    n_adeno = min(max(round(n_patients * class_balance), 1), n_patients - 1)
+    return [SUBTYPES[0]] * n_adeno + [SUBTYPES[1]] * (n_patients - n_adeno)
+
+
 def generate(cfg: PhantomConfig, out_dir) -> dict:
     """Write a complete dataset directory; returns a small summary.
 
@@ -298,9 +301,7 @@ def generate(cfg: PhantomConfig, out_dir) -> dict:
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "truth"), exist_ok=True)
 
-    n_adeno = round(cfg.n_patients * cfg.class_balance)
-    n_adeno = min(max(n_adeno, 1), cfg.n_patients - 1)  # both classes present
-    subtypes = [SUBTYPES[0]] * n_adeno + [SUBTYPES[1]] * (cfg.n_patients - n_adeno)
+    subtypes = class_labels(cfg.n_patients, cfg.class_balance)
     rng.shuffle(subtypes)
 
     rows, labels, ids, patients, manifest_rows = [], [], [], [], []

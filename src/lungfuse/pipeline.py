@@ -19,8 +19,10 @@ and output hashes).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -42,16 +44,19 @@ from .classify import (
     compare_modalities,
     comparison_to_text,
     extract_image_features,
+    fingerprint,
+    stratified_folds,
 )
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError, LungFuseError, WorkerError
+from .errors import ConfigError, DataError, LungFuseError, WorkerError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
 from .images import gradient_magnitude, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
 from .phantom import (
-    PhantomConfig, SUBTYPES, generate, load_manifest, render_pet, sample_patient, table_rows,
+    PhantomConfig, SUBTYPES, class_labels, generate, load_manifest, render_pet, sample_patient,
+    table_rows,
 )
-from .tabular import BoostConfig, read_table, take_rows
+from .tabular import BOOST_MIN_ROWS, BoostConfig, read_table, take_rows
 from .wavelet import max_levels
 
 __all__ = [
@@ -215,27 +220,10 @@ def apply_overrides(user: dict, pairs) -> dict:
     return out
 
 
-def _phantom_config(doc: dict) -> PhantomConfig:
-    return PhantomConfig(**doc["phantom"])
-
-
-def _train_config(doc: dict) -> TrainConfig:
-    d = doc["denoise"]
-    return TrainConfig(
-        learning_rate=d["learning_rate"],
-        batch_size=d["batch_size"],
-        epochs=d["epochs"],
-        rng_seed=d["rng_seed"],
-        noise_kind=d["noise_kind"],
-        noise_param=d["noise_param"],
-    )
-
-
-def _fusion_rule(doc: dict) -> FusionRule:
-    f = doc["fusion"]
-    return FusionRule(
-        ll_rule=f["ll_rule"], ll_weight_ct=f["ll_weight_ct"], detail_rule=f["detail_rule"]
-    )
+def _train_config(section: dict) -> TrainConfig:
+    """The section's keys that are TrainConfig fields: six in denoise, four in classify."""
+    names = {f.name for f in dataclasses.fields(TrainConfig)}
+    return TrainConfig(**{key: v for key, v in section.items() if key in names})
 
 
 def classify_config_from(doc: dict) -> ClassifyConfig:
@@ -250,12 +238,7 @@ def classify_config_from(doc: dict) -> ClassifyConfig:
             max_depth=c["boost_max_depth"],
             n_estimators=c["boost_n_estimators"],
         ),
-        train=TrainConfig(
-            learning_rate=c["learning_rate"],
-            batch_size=c["batch_size"],
-            epochs=c["epochs"],
-            rng_seed=c["rng_seed"],
-        ),
+        train=_train_config(c),
         mlp=MLPSpec(hidden=tuple(c["hidden"]), dropout=c["dropout"]),
         logreg_lr=c["logreg_lr"],
         logreg_epochs=c["logreg_epochs"],
@@ -263,8 +246,9 @@ def classify_config_from(doc: dict) -> ClassifyConfig:
 
 
 def _validate(doc: dict) -> None:
-    """Check every value's type and range, naming its section.key, then
-    construct every stage config once, so bad values fail before any work."""
+    """Check every value's type and range, naming its section.key, so bad
+    values fail before any work.  The stage configs' own checks are a
+    subset, for library callers."""
     for section, keys in _SETTINGS.items():
         for key, (_, *tests) in keys.items():
             v = doc[section][key]
@@ -275,10 +259,6 @@ def _validate(doc: dict) -> None:
     test, what = _POSITIVE if kind == "poisson" else _NON_NEGATIVE  # a count scale or a sigma
     if not test(param):
         raise ConfigError(f"denoise.noise_param must be {what} for {kind} noise, got {param!r}")
-    _phantom_config(doc)
-    _train_config(doc)
-    _fusion_rule(doc)
-    classify_config_from(doc)
 
 
 def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feature_levels")):
@@ -294,6 +274,34 @@ def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feat
             )
 
 
+def _check_folds(doc: dict, dataset=None) -> None:
+    """Refuse folds the evaluate stage cannot train on, before any stage runs:
+    folds of the labels phantom.* deals, or of a given dataset's manifest rows.
+    SMOTE grows each class of a training fold to the majority, from at least
+    2 rows, and the booster then needs BOOST_MIN_ROWS rows."""
+    k = doc["evaluate"]["k"]
+    if dataset is None:
+        p = doc["phantom"]
+        labels = class_labels(p["n_patients"], p["class_balance"])
+        error, names = ConfigError, (f"phantom.n_patients={p['n_patients']}, phantom.class_balance"
+                                     f"={p['class_balance']} and evaluate.k={k} leave")
+    else:
+        labels = [row["label"] for row in load_manifest(dataset)["rows"]]
+        error, names = DataError, f"evaluate.k={k} on dataset {dataset} leaves"
+    try:
+        for test in stratified_folds(labels, k, doc["evaluate"]["seed"]):
+            counts = collections.Counter(labels) - collections.Counter(labels[i] for i in test)
+            most = max(counts.values())
+            for c, n in sorted(counts.items()):
+                if n < 2 and n < most:
+                    raise DataError(f"class {c!r} has {n} training rows; SMOTE needs at least 2")
+            if len(counts) * most < BOOST_MIN_ROWS:
+                raise DataError(f"SMOTE balances a training fold to {len(counts) * most} rows; "
+                                f"the booster needs at least {BOOST_MIN_ROWS}")
+    except DataError as exc:
+        raise error(f"{names} folds the evaluate stage cannot train on: {exc}") from None
+
+
 def version_info() -> dict:
     return {
         "version": __version__,
@@ -304,10 +312,6 @@ def version_info() -> dict:
 
 
 # ---------------------------------------------------------------- caching
-
-
-def _hash_doc(doc) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _hash_tree(root, pattern: str = "*") -> str:
@@ -371,7 +375,7 @@ class _Stages:
     def run(self, name: str, key_doc: dict, hint: str, build):
         """The stage's output directory and the hash of its tree, built unless cached."""
         code = {"version": __version__, "sources": _source_hash()}
-        key = _hash_doc({"stage": name, "inputs": key_doc, "code": code})
+        key = fingerprint([{"stage": name, "inputs": key_doc, "code": code}])
         outdir = self.cache / f"{name}-{key}"
         started = time.perf_counter()
         hit = _intact(outdir)
@@ -417,7 +421,7 @@ def _train_denoiser_stage(doc: dict, weights_path, clean=None) -> list:
     d = doc["denoise"]
     if clean is None:
         clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
-    weights, log = train_denoiser(clean, _train_config(doc))
+    weights, log = train_denoiser(clean, _train_config(d))
     _say(f"[denoise-train] {len(log)} epochs, loss {log[0]:.4f} -> {log[-1]:.4f}")
     save_weights(weights_path, weights)
     return log
@@ -445,8 +449,9 @@ def align(fixed, moving, features: str = "gradient"):
     return resample_bilinear(moving, t), t
 
 
-def fuse_pair(ct, pet, fusion: dict, rule: FusionRule):
-    """Align pet onto ct when fusion["register"] is on, then fuse them.
+def fuse_pair(ct, pet, fusion: dict):
+    """Align pet onto ct when fusion["register"] is on, then fuse them by the
+    section's wavelet and rules.
 
     Returns (fused image, the PET that was fused, transform).
     """
@@ -454,6 +459,7 @@ def fuse_pair(ct, pet, fusion: dict, rule: FusionRule):
         pet, t = align(ct, pet)
     else:
         t = RigidTransform(0.0, 0.0, 0.0, 1.0)
+    rule = FusionRule(fusion["ll_rule"], fusion["ll_weight_ct"], fusion["detail_rule"])
     fused = fuse_wavelet(ct, pet, family=fusion["family"], levels=fusion["levels"], rule=rule)
     return fused, pet, t
 
@@ -471,7 +477,6 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     registration on, the pairs are shared out over worker processes.
     """
     f = doc["fusion"]
-    rule = _fusion_rule(doc)
     manifest = load_manifest(dataset_dir)
 
     def fuse_row(row):
@@ -480,7 +485,7 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
             pet = read_pgm(os.path.join(dataset_dir, row["pet"]))
         else:
             pet = read_pgm(os.path.join(pet_dir, f"{row['id']}_pet.pgm"))
-        fused, _, t = fuse_pair(ct, pet, f, rule)
+        fused, _, t = fuse_pair(ct, pet, f)
         write_pgm(fused, os.path.join(outdir, f"{row['id']}_fused.pgm"))
         return {"id": row["id"], **transform_doc(t)}
 
@@ -541,19 +546,21 @@ def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
 def fuse_stages(stages: _Stages, doc: dict, dataset=None):
     """The phantom stage, or the given dataset directory keyed by its tree
     hash in its place, then denoise-train and denoise-apply (when
-    denoise.enabled) and fuse.  The wavelet depths are checked and a given
-    dataset's manifest is read first, so a bad depth or a malformed
-    manifest fails before any directory is made.
+    denoise.enabled) and fuse.  The wavelet depths and the evaluate stage's
+    folds are checked and a given dataset's manifest is read first, so a bad
+    depth, too few rows for the folds or a malformed manifest fails before
+    any directory is made.
 
     Returns (dataset dir, dataset hash, fused dir, fused hash).
     """
     _check_levels(doc, dataset)
+    _check_folds(doc, dataset)
     if dataset is None:
         dataset, dataset_hash = stages.run(
             "phantom",
             {"phantom": doc["phantom"]},
             "check the phantom section of the config",
-            lambda d: generate(_phantom_config(doc), d),
+            lambda d: generate(PhantomConfig(**doc["phantom"]), d),
         )
     else:
         dataset_hash = _hash_tree(dataset)

@@ -471,6 +471,9 @@ def _boost_binary(x, order0, y, cfg: BoostConfig, gains: np.ndarray, record_firs
         f += cfg.learning_rate * update
 
 
+BOOST_MIN_ROWS = 10  # the fewest rows boosted_importance ranks features on
+
+
 def boosted_importance(x, labels, cfg: BoostConfig | None = None) -> ImportanceReport:
     """Total second-order split gain per feature, XGBoost style.
 
@@ -480,8 +483,8 @@ def boosted_importance(x, labels, cfg: BoostConfig | None = None) -> ImportanceR
     """
     cfg = cfg or BoostConfig()
     x, labels = as_rows(x, labels)
-    if x.shape[0] < 10:
-        raise DataError(f"need at least 10 rows, got {x.shape[0]}")
+    if x.shape[0] < BOOST_MIN_ROWS:
+        raise DataError(f"need at least {BOOST_MIN_ROWS} rows, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise DataError("feature matrix contains non-finite values")
     classes = np.unique(labels)

@@ -24,6 +24,7 @@ reconstruction at machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,6 @@ _FILTERS = {
     / (4.0 * math.sqrt(2.0)),
 }
 
-_matrix_cache: dict = {}
-
 
 def _fold_index(i: int, n: int) -> int:
     # half-sample mirror: ... x1 x0 | x0 x1 ... xn-1 | xn-1 xn-2 ...
@@ -49,12 +48,9 @@ def _fold_index(i: int, n: int) -> int:
     return i
 
 
+@functools.cache
 def _matrices(family: str, n: int):
     """Analysis matrix and its inverse for an even-length axis."""
-    key = (family, n)
-    hit = _matrix_cache.get(key)
-    if hit is not None:
-        return hit
     lo = _FILTERS[family]
     taps = len(lo)
     hi = ((-1.0) ** np.arange(taps)) * lo[::-1]
@@ -66,9 +62,7 @@ def _matrices(family: str, n: int):
             src = _fold_index(start + j, n)
             a[k, src] += lo[j]
             a[half + k, src] += hi[j]
-    inv = np.linalg.inv(a)
-    _matrix_cache[key] = (a, inv)
-    return a, inv
+    return a, np.linalg.inv(a)
 
 
 @dataclass

@@ -14,6 +14,7 @@ import lungfuse
 from lungfuse import pipeline as pl
 from lungfuse.cli import cli, main
 from lungfuse.denoise import ConvNetSpec, init_weights, save_weights
+from lungfuse.errors import DataError
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm, write_pgm
 from lungfuse.phantom import PhantomConfig, generate
@@ -339,13 +340,63 @@ def test_run_report_bundle_contents(capsys, tmp_path):
     assert "cache_hit" not in json.dumps(log)  # nothing run-specific in the bundle
 
 
-def test_run_stage_error_names_stage_and_hints(capsys, tmp_path):
-    rc, _, err = _run(
-        capsys, "run", "--out", str(tmp_path / "w"), *_FAST, "--set", "evaluate.k=13"
-    )
-    assert rc == 3  # 24 patients cannot stratify into 13 folds
+def test_run_stage_error_names_stage_and_hints(capsys, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise DataError("no comparison")
+
+    monkeypatch.setattr(pl, "compare_modalities", fail)
+    rc, _, err = _run(capsys, "run", "--out", str(tmp_path / "w"), *_FAST)
+    assert rc == 3
     assert "stage evaluate" in err
     assert "hint" in err
+
+
+@pytest.mark.parametrize("sets,reason", [
+    (["phantom.n_patients=12", "denoise.enabled=false"], "a training fold to 8 rows"),
+    (["phantom.class_balance=0.05", "denoise.enabled=false", "fusion.register=false"],
+     "class 'adenocarcinoma' has 3 rows; stratified 5-fold needs >= 5"),
+    (["phantom.n_patients=10", "phantom.class_balance=0.3", "evaluate.k=2",
+      "denoise.enabled=false", "fusion.register=false"],
+     "class 'adenocarcinoma' has 1 training rows; SMOTE needs at least 2"),
+    (["phantom.n_patients=24", "evaluate.k=13"], "stratified 13-fold needs >= 13"),
+])
+def test_run_refuses_folds_the_evaluate_stage_cannot_train_before_any_stage(capsys, tmp_path,
+                                                                            sets, reason):
+    argv = ["run", "--out", str(tmp_path / "w")]
+    for s in sets:
+        argv += ["--set", s]
+    rc, _, err = _run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: phantom.n_patients=") and err.count("\n") == 1
+    assert "phantom.class_balance=" in err and "evaluate.k=" in err and reason in err
+    assert not (tmp_path / "w").exists()  # no [phantom] or [fuse] stage ran
+
+
+def test_run_on_folds_smote_just_balances_to_the_booster_minimum(capsys, tmp_path):
+    # 5 + 11 patients, 2 folds: 2 + 5 training rows, balanced to 5 + 5 = 10
+    rc, _, err = _run(capsys, "run", "--out", str(tmp_path / "w"),
+                      "--set", "phantom.n_patients=16", "--set", "phantom.class_balance=0.3",
+                      "--set", "evaluate.k=2", "--set", "denoise.enabled=false",
+                      "--set", "fusion.register=false")
+    assert rc == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--out-dir", "{tmp}/cmp"],
+    ["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "fused,tabular"],
+    ["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "ct"],
+    ["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "tabular"],
+])
+def test_a_dataset_too_small_for_the_folds_exits_3_before_any_stage(capsys, tmp_path, argv):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=12, image_size=32, seed=1), ds)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    rc, _, err = _run(capsys, *argv, "--dataset", str(ds), "--set", "fusion.register=false")
+    assert rc == 3
+    assert err == (f"error: evaluate.k=5 on dataset {ds} leaves folds the evaluate stage cannot "
+                   "train on: SMOTE balances a training fold to 8 rows; the booster needs at "
+                   "least 10\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
 def test_stage_error_outside_taxonomy_keeps_its_type(tmp_path):
@@ -983,3 +1034,106 @@ def test_evaluate_refuses_a_repeated_input_before_any_stage(capsys, tmp_path, in
     assert err == ("error: --inputs must name one or more of ct, fused, tabular, each once, "
                    f"got {inputs!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+# seeded faults in every file a dataset command reads
+_BAD_VALUES = [None, True, -1, 0, 2.5, 1e308, float("nan"), "", "x", "../x", "/abs", [], [1], {},
+               {"x": 1}]
+_BAD_CELLS = ["", "nan", "inf", "x", "1e999", "-3", "squamous", "male", '"', "pt0000", "a,b"]
+
+
+def _json_nodes(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for k, v in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_nodes(v, path + (k,))
+
+
+def _mutate_json(rng, text: str) -> str:
+    """One value of the document replaced, or one key or item deleted."""
+    doc = json.loads(text)
+    paths = list(_json_nodes(doc))
+    path = paths[rng.integers(len(paths))]
+    value = _BAD_VALUES[rng.integers(len(_BAD_VALUES))]
+    if not path:
+        return json.dumps(value)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if rng.integers(4) == 0:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _mutate_csv(rng, text: str) -> str:
+    """One cell replaced, one line dropped, or the file cut short."""
+    lines = text.split("\n")
+    i = int(rng.integers(len(lines)))
+    op = rng.integers(4)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        return text[: rng.integers(len(text))]
+    else:
+        cells = lines[i].split(",")
+        cells[rng.integers(len(cells))] = _BAD_CELLS[rng.integers(len(_BAD_CELLS))]
+        lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _mutate_header(rng, data: bytes) -> bytes:
+    """One byte of the PGM header replaced."""
+    at = int(rng.integers(data.index(b"65535") + 6))
+    byte = b"P5 \n#0123456789x"[rng.integers(16)] if rng.integers(2) else int(rng.integers(256))
+    return data[:at] + bytes([byte]) + data[at + 1 :]
+
+
+def test_seeded_malformed_inputs_exit_with_a_code_and_one_line(capsys, tmp_path):
+    ds, w = tmp_path / "ds", tmp_path / "w.json"
+    generate(PhantomConfig(n_patients=24, image_size=16, seed=4), ds)
+    save_weights(w, init_weights(ConvNetSpec(), seed=0))
+    ct = ds / "images" / "pt0000_ct.pgm"
+    commands = {
+        "describe": ["describe", "--dataset", str(ds)],
+        "evaluate": ["evaluate", "--dataset", str(ds), "--out", str(tmp_path / "ev" / "m.json"),
+                     "--inputs", "ct,tabular", "--set", "evaluate.k=2",
+                     "--set", "classify.model=logreg", "--set", "classify.logreg_epochs=5",
+                     "--set", "classify.boost_n_estimators=2",
+                     "--set", "classify.boost_max_depth=2"],
+        "preprocess": ["preprocess", "--csv", str(ds / "tabular.csv"),
+                       "--schema", str(ds / "tabular.schema.json"),
+                       "--out-matrix", str(tmp_path / "x.csv")],
+        "fuse": ["fuse", "--ct", str(ct), "--pet", str(ds / "images" / "pt0000_pet.pgm"),
+                 "--out", str(tmp_path / "f.pgm"), "--set", "fusion.register=false"],
+        "denoise-apply": ["denoise-apply", "--weights", str(w), "--in", str(ct),
+                          "--out", str(tmp_path / "d.pgm")],
+    }
+    # each file, its mutation and the commands that read it
+    targets = [
+        (ds / "manifest.json", _mutate_json, ["describe", "evaluate"]),
+        (ds / "tabular.schema.json", _mutate_json, ["describe", "evaluate", "preprocess"]),
+        (ds / "tabular.csv", _mutate_csv, ["describe", "evaluate", "preprocess"]),
+        (ct, _mutate_header, ["describe", "evaluate", "fuse", "denoise-apply"]),
+        (w, _mutate_json, ["denoise-apply"]),
+    ]
+    rng = np.random.default_rng(19)
+    codes = []
+    for case in range(600):
+        path, mutate, readers = targets[case % len(targets)]
+        original = path.read_bytes()
+        if path.suffix == ".pgm":
+            path.write_bytes(mutate(rng, original))
+        else:
+            path.write_text(mutate(rng, original.decode()))
+        command = readers[rng.integers(len(readers))]
+        rc, _, err = _run(capsys, *commands[command])
+        path.write_bytes(original)
+        assert rc in (0, 2, 3, 4), (case, command, err)
+        if rc:
+            assert err.startswith("error:") and err.count("\n") == 1, (case, command, err)
+        else:
+            assert "error:" not in err, (case, command, err)
+        codes.append(rc)
+    assert {0, 3} <= set(codes)

@@ -192,11 +192,11 @@ def test_worker_warnings_reach_the_caller_in_task_order(monkeypatch, recwarn):
 def test_worker_error_reaches_the_cli_with_its_type(monkeypatch, capsys, tmp_path):
     _cpus(monkeypatch, POOLED)
     ds = tmp_path / "ds"
-    generate(PhantomConfig(n_patients=4, image_size=32, seed=1), ds)
+    generate(PhantomConfig(n_patients=20, image_size=32, seed=1), ds)  # enough for 2 folds
     write_pgm(np.full((32, 32), 0.5), ds / "images" / "pt0002_pet.pgm")
     # the constant PET must reach registration as it is, not through the denoiser
     rc = main(["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
-               "--set", "denoise.enabled=false"])
+               "--set", "denoise.enabled=false", "--set", "evaluate.k=2"])
     err = capsys.readouterr().err
     assert rc == 4
     assert err.startswith("error:") and err.count("\n") == 1
@@ -211,8 +211,8 @@ def test_worker_error_in_run_names_the_stage(monkeypatch, capsys, tmp_path):
         raise NumericalError("no correlation signal")
 
     monkeypatch.setattr(pl, "align", flat)
-    rc = main(["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=4",
-               "--set", "denoise.enabled=false"])
+    rc = main(["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=20",
+               "--set", "denoise.enabled=false", "--set", "evaluate.k=2"])
     err = capsys.readouterr().err
     assert rc == 4
     assert "error: stage fuse: no correlation signal" in err
@@ -232,13 +232,13 @@ def test_killed_worker_exits_3_with_one_error_line(monkeypatch, capfd, tmp_path,
 
     monkeypatch.setattr(pl, "align", killed)
     ds = tmp_path / "ds"
-    generate(PhantomConfig(n_patients=4, image_size=32, seed=1), ds)
+    generate(PhantomConfig(n_patients=20, image_size=32, seed=1), ds)  # enough for 2 folds
     args = {
         "compare": ["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp")],
-        "run": ["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=4",
+        "run": ["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=20",
                 "--set", "denoise.enabled=false"],
     }[command]
-    rc = main(args)
+    rc = main(args + ["--set", "evaluate.k=2"])
     err = capfd.readouterr().err
     assert rc == 3
     errors = [line for line in err.splitlines() if not line.startswith("[")]  # not stage logs
