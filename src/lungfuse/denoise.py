@@ -40,10 +40,13 @@ pre-activation.  Pooled and upsampled activations go straight into the
 interior of the next padded buffer, whose 1 px mirror border is filled
 in place; the mirror fold-back of the input gradient is in place too.
 Layer 0's accumulator is also layer 4's padded input, then layer 4's
-input gradient, then layer 0's padded output gradient.  Taps that
-broadcast one channel across many (cin == 1 forward, cout == 1 backward)
-run in column tiles of `_TILE`.  No operation or its order changes, so
-results are bit-identical to allocating every array afresh.
+input gradient, then layer 0's padded output gradient.  Where a side has
+one channel (layer 0's input, layer 4's output) a per-tap product would
+have an inner or outer dimension of 1; there the nine shifted slices are
+copied into a (9, `_TILE`) block in the scratch, so layer 0's forward and
+kernel gradient and layer 4's input gradient are one GEMM per column tile,
+im2col a tile at a time.  A workspace that holds an earlier step's data
+gives the same bits as a fresh one.
 
 All math is float64.  The backward pass is the exact adjoint of the
 forward pass, including the fold-back of the mirror padding, so finite
@@ -134,7 +137,7 @@ def init_weights(spec: ConvNetSpec, seed=0) -> NetWeights:
 
 # low-level layers on channel-major (c, n, h, w) batches
 
-_TILE = 8192  # columns per tile of a broadcast tap, so its product stays small
+_TILE = 8192  # columns per tap block of a one-channel side, so the block stays in cache
 
 
 def _taps(w: int, length: int):
@@ -166,12 +169,15 @@ def _fold_mirror(gxp):
     return gx
 
 
-def _add_outer(acc, col, row, tmp):
-    """acc += col[:, None] * row, one column tile at a time through flat tmp."""
-    for a in range(0, row.size, _TILE):
-        b = min(a + _TILE, row.size)
-        t = tmp[: col.size * (b - a)].reshape(col.size, b - a)
-        acc[:, a:b] += np.multiply(col[:, None], row[a:b], out=t)
+def _tap_blocks(src, taps, length: int, tmp):
+    """(a, b, block) per column tile [a, b) of [0, length), where the (9, b - a)
+    block in flat tmp holds src[a + o : b + o] for each tap's offset o."""
+    for a in range(0, length, _TILE):
+        b = min(a + _TILE, length)
+        block = tmp[: 9 * (b - a)].reshape(9, b - a)
+        for row, (*_, o) in zip(block, taps):
+            row[:] = src[a + o : b + o]
+        yield a, b, block
 
 
 def _conv3_taps(xp, k, acc, tmp):
@@ -181,18 +187,20 @@ def _conv3_taps(xp, k, acc, tmp):
     Flattened, the output pixel at index p reads tap (dy, dx) at
     p + dy*(w+2) + dx, so each tap is one matmul over a shifted slice.
     Positions that straddle a row or image edge are computed and dropped.
-    tmp is flat scratch for the per-tap products.
+    tmp is flat scratch for the per-tap products, or for the tap blocks of
+    one input channel: one (cout, 9) @ (9, T) product per column tile.
     """
     cout, cin = k.shape[:2]
     xf, af = xp.reshape(cin, -1), acc.reshape(cout, -1)
     taps, span = _taps(xp.shape[3] - 2, xf.shape[1])
+    if cin == 1:
+        for a, b, block in _tap_blocks(xf[0], taps, span, tmp):
+            np.matmul(k[:, 0].reshape(cout, 9), block, out=af[:, a:b])
+        return acc
     af.fill(0.0)
     for dy, dx, o in taps:
-        if cin == 1:  # inner dimension 1: broadcasting beats a BLAS call
-            _add_outer(af[:, :span], k[:, 0, dy, dx], xf[0, o : o + span], tmp)
-        else:
-            t = tmp[: cout * span].reshape(cout, span)
-            af[:, :span] += np.matmul(k[:, :, dy, dx], xf[:, o : o + span], out=t)
+        t = tmp[: cout * span].reshape(cout, span)
+        af[:, :span] += np.matmul(k[:, :, dy, dx], xf[:, o : o + span], out=t)
     return acc
 
 
@@ -214,17 +222,31 @@ def _conv3_back(gout, xp, k, need_gx=True, *, gpad, gxp, tmp):
     gf = gpad.reshape(cout, -1)
     taps, span = _taps(w, gf.shape[1])
     g2 = gf[:, :span]
-    gk = np.empty(k.shape)
-    for dy, dx, o in taps:
-        gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
+    if cin == 1:
+        gk = np.zeros((cout, 9))
+        for a, b, block in _tap_blocks(xp[0], taps, span, tmp):
+            gk += g2[:, a:b] @ block.T
+        gk = gk.reshape(k.shape)
+    else:
+        gk = np.empty(k.shape)
+        for dy, dx, o in taps:
+            gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
     if not need_gx:
         return gk, gb, None
     gxf = gxp.reshape(cin, -1)
-    gxf.fill(0.0)
-    for dy, dx, o in taps:
-        if cout == 1:
-            _add_outer(gxf[:, o : o + span], k[0, :, dy, dx], g2[0], tmp)
-        else:
+    if cout == 1:
+        # gx[:, q] sums k[0, :, t] * g[q - o_t] over the taps t.  Behind a zero
+        # margin of m = o_8 (gf is zero past span, which gives the right one),
+        # g[q - o_t] lies m - o_t = o_(8 - t) past q: the taps in reverse.
+        m = taps[-1][2]
+        g = tmp[: m + gf.shape[1]]
+        g[:m] = 0.0
+        g[m:] = gf[0]
+        for a, b, block in _tap_blocks(g, taps[::-1], gxf.shape[1], tmp[g.size :]):
+            np.matmul(k[0].reshape(cin, 9), block, out=gxf[:, a:b])
+    else:
+        gxf.fill(0.0)
+        for dy, dx, o in taps:
             t = tmp[: cin * span].reshape(cin, span)
             gxf[:, o : o + span] += np.matmul(k[:, :, dy, dx].T, g2, out=t)
     return gk, gb, _fold_mirror(gxp)
@@ -270,9 +292,9 @@ class _Workspace:
     Layer i reads its padded input from xp[i] and accumulates into acc[i],
     where its bias and ReLU are applied in place.  Backward reuses acc[i]
     as layer i's padded output gradient and xp[i], once its kernel gradient
-    is taken, as the padded input gradient.  Output gradients and per-tap
-    products go through the flat scratch.  A smaller batch runs in the
-    leading part of each buffer.
+    is taken, as the padded input gradient.  Output gradients, per-tap
+    products and tap blocks go through the flat scratch.  A smaller batch
+    runs in the leading part of each buffer.
     """
 
     def __init__(self, spec: ConvNetSpec, n: int, h: int, w: int):
@@ -292,8 +314,10 @@ class _Workspace:
         need = [2 * n * h * w]
         for (cin, cout), s, (hh, ww) in zip(ch, sizes, self.dims):
             need.append(cout * n * hh * ww)
-            need.append(cout * (_TILE if cin == 1 else s))
-            need.append(cin * (_TILE if cout == 1 else s))
+            block = 9 * min(_TILE, s)
+            need.append(block if cin == 1 else cout * s)
+            # with one output channel: the block and the gradient behind its margin
+            need.append(block + s + 2 * ww + 6 if cout == 1 else cin * s)
         self._scratch = np.empty(max(need))
 
     def _views(self, n: int):

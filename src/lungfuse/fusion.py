@@ -126,9 +126,10 @@ class _Resampler:
         fx = np.subtract(px, x0, out=px)
         fy = np.subtract(py, y0, out=py)
         row = w + 4
-        np.clip(y0, -2, h, out=y0)
+        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
+        np.minimum(np.maximum(y0, -2, out=y0), h, out=y0)
         y0 *= row
-        y0 += np.clip(x0, -2, w, out=x0)
+        y0 += np.minimum(np.maximum(x0, -2, out=x0), w, out=x0)
         idx = self.idx
         np.copyto(idx, y0, casting="unsafe")
         idx += 2 * row + 2
@@ -139,7 +140,7 @@ class _Resampler:
         for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
             # every index is in range, so "clip" changes no tap; "raise"
             # would copy through a temporary instead of writing into tap
-            np.take(self.flat[offset:], idx, out=tap, mode="clip")
+            self.flat[offset:].take(idx, out=tap, mode="clip")
             tap *= np.multiply(wx, wy, out=wgt)
             out += tap
         return out, valid
@@ -182,18 +183,20 @@ def _masked_ncc(fixed: np.ndarray, cand: np.ndarray, valid: np.ndarray) -> float
     and bias the registration optimum; candidates with too little valid
     overlap score -inf.
     """
-    n = int(valid.sum())
+    n = np.count_nonzero(valid)
     if n < _MIN_VALID_FRACTION * fixed.size:
         return -np.inf
-    f = fixed[valid]
-    m = cand[valid]
-    fz = f - f.mean()
-    mz = m - m.mean()
-    nf = float(np.sqrt(np.sum(fz * fz)))
-    nm = float(np.sqrt(np.sum(mz * mz)))
+    # np.add.reduce is the pairwise sum that .mean() and np.sum take,
+    # called without their Python wrappers; the gathers are fresh copies
+    fz = fixed[valid]
+    fz -= np.add.reduce(fz) / n
+    mz = cand[valid]
+    mz -= np.add.reduce(mz) / n
+    nf = float(np.sqrt(np.add.reduce(fz * fz)))
+    nm = float(np.sqrt(np.add.reduce(mz * mz)))
     if nf == 0.0 or nm == 0.0:
         return -np.inf
-    return float(np.sum(fz * mz)) / (nf * nm)
+    return float(np.add.reduce(fz * mz)) / (nf * nm)
 
 
 # FFT scores this close to the grid maximum are re-scored directly; the

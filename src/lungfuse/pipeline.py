@@ -277,8 +277,9 @@ def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feat
 def _check_folds(doc: dict, dataset=None) -> None:
     """Refuse folds the evaluate stage cannot train on, before any stage runs:
     folds of the labels phantom.* deals, or of a given dataset's manifest rows.
-    SMOTE grows each class of a training fold to the majority, from at least
-    2 rows, and the booster then needs BOOST_MIN_ROWS rows."""
+    The labels must hold 2 classes.  SMOTE grows each class of a training fold
+    to the majority, from at least 2 rows, and the booster then needs
+    BOOST_MIN_ROWS rows."""
     k = doc["evaluate"]["k"]
     if dataset is None:
         p = doc["phantom"]
@@ -289,6 +290,8 @@ def _check_folds(doc: dict, dataset=None) -> None:
         labels = [row["label"] for row in load_manifest(dataset)["rows"]]
         error, names = DataError, f"evaluate.k={k} on dataset {dataset} leaves"
     try:
+        if len(set(labels)) < 2:
+            raise DataError(f"every label is {labels[0]!r}; the classifiers need 2 classes")
         for test in stratified_folds(labels, k, doc["evaluate"]["seed"]):
             counts = collections.Counter(labels) - collections.Counter(labels[i] for i in test)
             most = max(counts.values())
@@ -427,11 +430,23 @@ def _train_denoiser_stage(doc: dict, weights_path, clean=None) -> list:
     return log
 
 
+def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str) -> np.ndarray:
+    """A manifest row's "ct" or "pet" image, refused unless it is the
+    manifest's image_size square."""
+    path = os.path.join(dataset_dir, row[key])
+    img = read_pgm(path)
+    size = manifest["image_size"]
+    if img.shape != (size, size):
+        raise DataError(f"{path} has shape {img.shape}, not the manifest's image_size "
+                        f"{(size, size)}")
+    return img
+
+
 def _denoise_stage(dataset_dir, weights_path, outdir) -> None:
     weights = load_weights(weights_path)
     manifest = load_manifest(dataset_dir)
     for row in manifest["rows"]:
-        pet = read_pgm(os.path.join(dataset_dir, row["pet"]))
+        pet = _dataset_image(dataset_dir, manifest, row, "pet")
         write_pgm(denoise(weights, pet), os.path.join(outdir, f"{row['id']}_pet.pgm"))
 
 
@@ -480,9 +495,9 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     manifest = load_manifest(dataset_dir)
 
     def fuse_row(row):
-        ct = read_pgm(os.path.join(dataset_dir, row["ct"]))
+        ct = _dataset_image(dataset_dir, manifest, row, "ct")
         if pet_dir is None:
-            pet = read_pgm(os.path.join(dataset_dir, row["pet"]))
+            pet = _dataset_image(dataset_dir, manifest, row, "pet")
         else:
             pet = read_pgm(os.path.join(pet_dir, f"{row['id']}_pet.pgm"))
         fused, _, t = fuse_pair(ct, pet, f)
@@ -508,7 +523,7 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int, ct: bool = True) -> MMD
     labels = []
     for row in manifest["rows"]:
         if ct:
-            img = read_pgm(os.path.join(dataset_dir, row["ct"]))
+            img = _dataset_image(dataset_dir, manifest, row, "ct")
             feats["ct"].append(extract_image_features(img, levels=levels))
         if fused_dir is not None:
             img = read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm"))

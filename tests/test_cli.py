@@ -399,6 +399,34 @@ def test_a_dataset_too_small_for_the_folds_exits_3_before_any_stage(capsys, tmp_
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
+def test_a_one_label_dataset_exits_3_before_any_stage(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, image_size=32, seed=1), ds)
+    doc = json.loads((ds / "manifest.json").read_text())
+    for row in doc["rows"]:
+        row["label"] = "squamous"
+    (ds / "manifest.json").write_text(json.dumps(doc))
+    rc, _, err = _run(capsys, "compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
+                      "--set", "fusion.register=false", "--set", "denoise.enabled=false",
+                      "--set", "evaluate.k=2")
+    assert rc == 3
+    assert err == (f"error: evaluate.k=2 on dataset {ds} leaves folds the evaluate stage cannot "
+                   "train on: every label is 'squamous'; the classifiers need 2 classes\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_a_dataset_image_off_the_manifest_size_exits_3_naming_it(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, image_size=16, seed=4), ds)
+    ct = ds / "images" / "pt0000_ct.pgm"
+    write_pgm(read_pgm(ct)[:, :11], ct)
+    rc, _, err = _run(capsys, "evaluate", "--dataset", str(ds), "--out", str(tmp_path / "m.json"),
+                      "--inputs", "ct,tabular", "--set", "evaluate.k=2",
+                      "--set", "classify.model=logreg")
+    assert rc == 3
+    assert err == f"error: {ct} has shape (16, 11), not the manifest's image_size (16, 16)\n"
+
+
 def test_stage_error_outside_taxonomy_keeps_its_type(tmp_path):
     def build(_outdir):
         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")

@@ -698,3 +698,80 @@ def test_workspace_holding_earlier_data_matches_a_fresh_one():
         assert np.array_equal(y, fresh[0]) and loss == fresh[1]
         for (gk, gb), (fk, fb) in zip(grads, fresh[2]):
             assert np.array_equal(gk, fk) and np.array_equal(gb, fb)
+
+
+# --- the one-channel tap blocks against the broadcast loops they replaced ---
+
+
+def _add_outer(acc, col, row, tmp):
+    """acc += col[:, None] * row, one column tile at a time through flat tmp."""
+    for a in range(0, row.size, dn._TILE):
+        b = min(a + dn._TILE, row.size)
+        t = tmp[: col.size * (b - a)].reshape(col.size, b - a)
+        acc[:, a:b] += np.multiply(col[:, None], row[a:b], out=t)
+
+
+def _broadcast_conv3(xp, k):
+    """A one-input-channel conv of the padded (1, n, h+2, w+2) xp as nine
+    broadcast taps; returns the flat (cout, L) accumulator."""
+    taps, span = dn._taps(xp.shape[3] - 2, xp[0].size)
+    af = np.zeros((k.shape[0], xp[0].size))
+    tmp = np.empty(k.shape[0] * dn._TILE)
+    for dy, dx, o in taps:
+        _add_outer(af[:, :span], k[:, 0, dy, dx], xp.reshape(-1)[o : o + span], tmp)
+    return af
+
+
+def _broadcast_back(g, xpf, k):
+    """(kernel gradient, padded input gradient) of a conv with one input
+    channel (nine GEMVs) or one output channel (nine broadcast taps)."""
+    cout, n, h, w = g.shape
+    cin = k.shape[1]
+    gf = np.zeros((cout, n, h + 2, w + 2))
+    gf[:, :, :h, :w] = g
+    gf = gf.reshape(cout, -1)
+    taps, span = dn._taps(w, gf.shape[1])
+    g2 = gf[:, :span]
+    gk = np.empty(k.shape)
+    for dy, dx, o in taps:
+        gk[:, :, dy, dx] = g2 @ xpf[:, o : o + span].T
+    gxf = np.zeros((cin, gf.shape[1]))
+    if cout == 1:
+        tmp = np.empty(cin * dn._TILE)
+        for dy, dx, o in taps:
+            _add_outer(gxf[:, o : o + span], k[0, :, dy, dx], g2[0], tmp)
+    return gk, gxf.reshape(cin, n, h + 2, w + 2)
+
+
+@pytest.mark.parametrize(
+    "n,h,w",
+    [(12, 64, 64), (1, 8, 12), (2, 64, 64)],
+    ids=["default-half-batch", "span-below-tile", "span-just-past-tile"],
+)
+@pytest.mark.parametrize("cin,cout", [(1, 8), (8, 1)], ids=["layer0", "layer4"])
+def test_one_channel_tap_blocks_match_broadcast_taps(n, h, w, cin, cout):
+    rng = np.random.default_rng(n + h + w + cin)
+    x = rng.normal(size=(cin, n, h, w))
+    k = rng.normal(size=(cout, cin, 3, 3))
+    g = rng.normal(size=(cout, n, h, w))
+    xp = np.empty((cin, n, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x
+    dn._mirror(xp)
+    xpf = xp.reshape(cin, -1)
+    # room for the tap blocks and the margined gradient, NaN so no path
+    # can read what it did not write
+    tmp = np.full(9 * dn._TILE + 9 * xpf.shape[1], np.nan)
+    acc = np.empty((cout, n, h + 2, w + 2))
+    out = dn._conv3_taps(xp, k, acc, tmp)[:, :, :h, :w]
+    gk, _, gx = dn._conv3_back(
+        g, xpf, k, gpad=np.empty(acc.shape), gxp=np.empty(xp.shape), tmp=tmp
+    )
+    ref_gk, ref_gxp = _broadcast_back(g, xpf, k)
+    gscale = np.abs(g).sum() * np.abs(xpf).max()
+    assert np.max(np.abs(gk - ref_gk)) <= 1e-12 * gscale
+    if cin == 1:
+        ref = _broadcast_conv3(xp, k).reshape(cout, n, h + 2, w + 2)[:, :, :h, :w]
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.abs(k).sum() * np.abs(xpf).max()
+    else:
+        ref_gx = dn._fold_mirror(ref_gxp)
+        assert np.max(np.abs(gx - ref_gx)) <= 1e-12 * np.abs(k).sum() * np.abs(g).max()

@@ -575,3 +575,99 @@ def test_ncc_matches_the_whole_image_formula_bit_for_bit():
     flat = np.full((16, 16), 0.5)
     with pytest.raises(NumericalError, match="no correlation signal"):
         ncc(flat, _ct_like(16, seed=22))
+
+
+# --- the refinement's per-candidate kernels against their numpy-wrapper forms ---
+
+
+def _clip_resample(r, t):
+    """_Resampler.__call__ through np.clip and np.take: the reference for r(t)."""
+    h, w = r.idx.shape
+    px, py, x0, y0 = r.px, r.py, r.x0, r.y0
+    dx = r.xc - t.tx
+    dy = r.yc - t.ty
+    c, s = math.cos(-t.theta), math.sin(-t.theta)
+    np.subtract((c * dx)[None, :], (s * dy)[:, None], out=px)
+    px /= t.scale
+    px += r.cx
+    np.add((s * dx)[None, :], (c * dy)[:, None], out=py)
+    py /= t.scale
+    py += r.cy
+    inside = r.inside
+    valid = np.greater_equal(px, 0)
+    valid &= np.less_equal(px, w - 1, out=inside)
+    valid &= np.greater_equal(py, 0, out=inside)
+    valid &= np.less_equal(py, h - 1, out=inside)
+    np.floor(px, out=x0)
+    np.floor(py, out=y0)
+    fx = np.subtract(px, x0, out=px)
+    fy = np.subtract(py, y0, out=py)
+    row = w + 4
+    np.clip(y0, -2, h, out=y0)
+    y0 *= row
+    y0 += np.clip(x0, -2, w, out=x0)
+    idx = r.idx
+    np.copyto(idx, y0, casting="unsafe")
+    idx += 2 * row + 2
+    gx = np.subtract(1, fx, out=r.gx)
+    gy = np.subtract(1, fy, out=r.gy)
+    out = np.zeros((h, w))
+    tap, wgt = r.tap, r.wgt
+    for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
+        np.take(r.flat[offset:], idx, out=tap, mode="clip")
+        tap *= np.multiply(wx, wy, out=wgt)
+        out += tap
+    return out, valid
+
+
+def _wrapper_masked_ncc(fixed, cand, valid):
+    """_masked_ncc through .mean() and np.sum: the reference for its sums."""
+    n = int(valid.sum())
+    if n < fusion._MIN_VALID_FRACTION * fixed.size:
+        return -np.inf
+    f = fixed[valid]
+    m = cand[valid]
+    fz = f - f.mean()
+    mz = m - m.mean()
+    nf = float(np.sqrt(np.sum(fz * fz)))
+    nm = float(np.sqrt(np.sum(mz * mz)))
+    if nf == 0.0 or nm == 0.0:
+        return -np.inf
+    return float(np.sum(fz * mz)) / (nf * nm)
+
+
+def _candidates(rng, w):
+    """Seeded transforms: near the identity, as the refinement tries them,
+    and far, with shifts past the border and scales 0.3-3."""
+    for _ in range(30):
+        yield RigidTransform(*rng.uniform(-4, 4, 2), rng.uniform(-0.15, 0.15), rng.uniform(0.9, 1.1))
+    for _ in range(20):
+        yield RigidTransform(
+            *rng.uniform(-1.5 * w, 1.5 * w, 2), rng.uniform(-math.pi, math.pi),
+            math.exp(rng.uniform(math.log(0.3), math.log(3.0))),
+        )
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [(0, 24, "squamous"), (1, 64, "adenocarcinoma"), (2, 96, "squamous"),
+     (4, 80, "adenocarcinoma", slice(8, 72)), "flat"],
+    ids=["24px", "64px", "96px", "64x80", "flat"],
+)
+def test_candidate_kernels_match_their_wrapper_forms_bit_for_bit(scene):
+    if scene == "flat":
+        fixed, moving = _flat_scene(3)
+    else:
+        fixed, moving = (gradient_magnitude(a) for a in _phantom_pair(*scene))
+    resample, reference = _Resampler(moving), _Resampler(moving)
+    scores = []
+    for t in _candidates(np.random.default_rng(31), moving.shape[1]):
+        out, valid = resample(t)
+        ref, ref_valid = _clip_resample(reference, t)
+        assert out.tobytes() == ref.tobytes()
+        assert valid.tobytes() == ref_valid.tobytes()
+        score = _masked_ncc(fixed, out, valid)
+        assert struct.pack("d", score) == struct.pack("d", _wrapper_masked_ncc(fixed, ref, ref_valid))
+        scores.append(score)
+    # both branches of the overlap floor are taken
+    assert 0 < sum(s == -np.inf for s in scores) < len(scores)
