@@ -94,11 +94,28 @@ def extract_image_features(fused, levels: int = 2) -> np.ndarray:
             feats.append(float(np.mean(band**2)))
     feats.append(float(np.mean(np.abs(pyr.ll))))
     feats.append(float(np.mean(pyr.ll**2)))
+    return np.concatenate([feats, _block_means(img).ravel()])
+
+
+def _block_means(img) -> np.ndarray:
+    """The 8x8 grid of cell means over np.array_split's cells.
+
+    Along each axis the first n % 8 cells are one pixel longer than the
+    rest, so the grid is up to four blocks of equal cells.  Each block's
+    cells are copied to contiguous rows and reduced on their own, which
+    sums each cell in the order cell.mean() does.
+    """
     grid = np.empty((8, 8))
-    for i, strip in enumerate(np.array_split(img, 8, axis=0)):
-        for j, cell in enumerate(np.array_split(strip, 8, axis=1)):
-            grid[i, j] = cell.mean()
-    return np.concatenate([feats, grid.ravel()])
+    # per axis: (first cell, end cell, first pixel, cell length) of each run
+    runs = [((0, n % 8, 0, n // 8 + 1), (n % 8, 8, n % 8 * (n // 8 + 1), n // 8))
+            for n in img.shape]
+    for i0, i1, y, sa in runs[0]:
+        for j0, j1, x, sb in runs[1]:
+            na, nb = i1 - i0, j1 - j0
+            if na and nb:
+                blk = img[y : y + na * sa, x : x + nb * sb].reshape(na, sa, nb, sb)
+                grid[i0:i1, j0:j1] = blk.transpose(0, 2, 1, 3).reshape(na, nb, sa * sb).mean(axis=2)
+    return grid
 
 
 # --- logistic regression baseline ---
@@ -185,34 +202,56 @@ def mlp_loss_grad(params, x, label_idx, n_classes, mask=None):
     dropout multiplier for the first hidden layer, or None for off."""
     x = np.asarray(x, dtype=np.float64)
     grads = [np.empty(np.shape(p)) for p in params]
-    p = _mlp_grads(params, x, _one_hot(label_idx, n_classes), mask, grads)
+    work = _MLPWork(x.shape[0], params)
+    p = _mlp_grads(params, x, _one_hot(label_idx, n_classes), mask, grads, work)
     loss = float(-np.mean(np.log(p[np.arange(x.shape[0]), label_idx] + 1e-300)))
     return loss, grads
 
 
-def _mlp_grads(params, x, target, mask, grads) -> np.ndarray:
+class _MLPWork:
+    """The arrays of one MLP step on n rows: the batch and its dropout mask,
+    filled by train_mlp, and the activations _mlp_grads writes."""
+
+    def __init__(self, n: int, params):
+        (d, h1), (h2, c) = params[0].shape, params[4].shape
+        self.x, self.target, self.mask = np.empty((n, d)), np.empty((n, c)), np.empty((n, h1))
+        self.a1, self.h1, self.gh1 = np.empty((n, h1)), np.empty((n, h1)), np.empty((n, h1))
+        self.a2, self.h2, self.ga2 = np.empty((n, h2)), np.empty((n, h2)), np.empty((n, h2))
+        self.p, self.gz = np.empty((n, c)), np.empty((n, c))
+        self.on1, self.on2 = np.empty((n, h1), bool), np.empty((n, h2), bool)
+
+
+def _mlp_grads(params, x, target, mask, grads, work: _MLPWork) -> np.ndarray:
     """Write the six gradients of the mean cross-entropy against the
-    one-hot `target` rows into `grads`; returns the class probabilities."""
+    one-hot `target` rows into `grads`; returns the class probabilities,
+    which live in `work`."""
     w1, b1, w2, b2, w3, b3 = params
     gw1, gb1, gw2, gb2, gw3, gb3 = grads
-    a1 = x @ w1 + b1
-    h1 = relu(a1)
-    h1d = h1 if mask is None else h1 * mask
-    a2 = h1d @ w2 + b2
-    h2 = relu(a2)
-    p = softmax(h2 @ w3 + b3)
-    gz = (p - target) / x.shape[0]
+    a1 = np.matmul(x, w1, out=work.a1)
+    a1 += b1
+    h1 = relu(a1, out=work.h1)
+    if mask is not None:
+        h1 *= mask
+    a2 = np.matmul(h1, w2, out=work.a2)
+    a2 += b2
+    h2 = relu(a2, out=work.h2)
+    p = np.matmul(h2, w3, out=work.p)
+    p += b3
+    softmax(p, out=p)
+    gz = np.subtract(p, target, out=work.gz)
+    gz /= x.shape[0]
     np.matmul(h2.T, gz, out=gw3)
-    gz.sum(axis=0, out=gb3)
-    ga2 = (gz @ w3.T) * (a2 > 0)
-    np.matmul(h1d.T, ga2, out=gw2)
-    ga2.sum(axis=0, out=gb2)
-    gh1 = ga2 @ w2.T
+    np.add.reduce(gz, axis=0, out=gb3)
+    ga2 = np.matmul(gz, w3.T, out=work.ga2)
+    ga2 *= np.greater(a2, 0, out=work.on2)
+    np.matmul(h1.T, ga2, out=gw2)
+    np.add.reduce(ga2, axis=0, out=gb2)
+    gh1 = np.matmul(ga2, w2.T, out=work.gh1)
     if mask is not None:
         gh1 *= mask
-    gh1 *= a1 > 0
+    gh1 *= np.greater(a1, 0, out=work.on1)
     np.matmul(x.T, gh1, out=gw1)
-    gh1.sum(axis=0, out=gb1)
+    np.add.reduce(gh1, axis=0, out=gb1)
     return p
 
 
@@ -249,14 +288,21 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
     batch = min(cfg.batch_size, n)
     keep = 1.0 - spec.dropout
     target = _one_hot(yi, c)
+    # one work set per batch length: the full batches and a shorter last one
+    works = {m: _MLPWork(m, params) for m in {batch, n - (n - 1) // batch * batch}}
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
+            work = works[len(idx)]
+            x.take(idx, axis=0, out=work.x)
+            target.take(idx, axis=0, out=work.target)
             mask = None
             if spec.dropout > 0:
-                mask = (rng.uniform(size=(len(idx), h1)) < keep) / keep
-            _mlp_grads(params, x[idx], target[idx], mask, grads)
+                # uniform(0, 1) draws are 0 + 1 * random(), the same doubles
+                mask = rng.random(out=work.mask)
+                np.divide(np.less(mask, keep, out=work.on1), keep, out=mask)
+            _mlp_grads(params, work.x, work.target, mask, grads, work)
             opt.step([flat], [gflat])
     return MLPModel(classes, spec, params)
 

@@ -65,10 +65,12 @@ def sigmoid(x):
     return out
 
 
-def softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(z, out=None):
+    """Softmax over the last axis; out, which may be z, receives it if given."""
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -84,6 +86,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._tmp = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, params, grads) -> None:
         if len(params) != len(self.m):
@@ -91,9 +94,15 @@ class Adam:
         self.t += 1
         c1 = 1.0 - _BETA1**self.t
         c2 = 1.0 - _BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._tmp):
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps) after the moment
+            # updates, each operation as written and in that order
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += np.multiply(1.0 - _BETA1, g, out=a)
             v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+            np.multiply(1.0 - _BETA2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+            np.sqrt(np.divide(v, c2, out=b), out=b)
+            b += _EPS
+            p -= np.divide(a, b, out=a)

@@ -48,6 +48,7 @@ __all__ = [
     "apply_point",
     "sample_patient",
     "load_manifest",
+    "check_image_size",
     "table_rows",
 ]
 
@@ -423,6 +424,16 @@ def table_rows(manifest: dict, table: TabularDataset) -> list:
     return [by_id[row["tabular_row_id"]] for row in rows]
 
 
+def check_image_size(img, path, manifest: dict) -> np.ndarray:
+    """img, read from a manifest row's path, refused unless it is the
+    manifest's image_size square."""
+    size = manifest["image_size"]
+    if img.shape != (size, size):
+        raise DataError(f"{path} has shape {img.shape}, not the manifest's image_size "
+                        f"{(size, size)}")
+    return img
+
+
 def describe(dataset_dir) -> dict:
     """Deterministic summary of a generated dataset directory."""
     manifest = load_manifest(dataset_dir)
@@ -432,8 +443,9 @@ def describe(dataset_dir) -> dict:
         counts[r["label"]] = counts.get(r["label"], 0) + 1
     ct_means, pet_means = [], []
     for r in rows:
-        ct_means.append(float(np.mean(read_pgm(os.path.join(dataset_dir, r["ct"])))))
-        pet_means.append(float(np.mean(read_pgm(os.path.join(dataset_dir, r["pet"])))))
+        for key, means in (("ct", ct_means), ("pet", pet_means)):
+            path = os.path.join(dataset_dir, r[key])
+            means.append(float(np.mean(check_image_size(read_pgm(path), path, manifest))))
     table = read_table(
         os.path.join(dataset_dir, manifest["tabular"]),
         os.path.join(dataset_dir, manifest["tabular_schema"]),

@@ -53,8 +53,8 @@ from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, re
 from .images import gradient_magnitude, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
 from .phantom import (
-    PhantomConfig, SUBTYPES, class_labels, generate, load_manifest, render_pet, sample_patient,
-    table_rows,
+    PhantomConfig, SUBTYPES, check_image_size, class_labels, generate, load_manifest, render_pet,
+    sample_patient, table_rows,
 )
 from .tabular import BOOST_MIN_ROWS, BoostConfig, read_table, take_rows
 from .wavelet import max_levels
@@ -434,12 +434,7 @@ def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str) -> np.ndarr
     """A manifest row's "ct" or "pet" image, refused unless it is the
     manifest's image_size square."""
     path = os.path.join(dataset_dir, row[key])
-    img = read_pgm(path)
-    size = manifest["image_size"]
-    if img.shape != (size, size):
-        raise DataError(f"{path} has shape {img.shape}, not the manifest's image_size "
-                        f"{(size, size)}")
-    return img
+    return check_image_size(read_pgm(path), path, manifest)
 
 
 def _denoise_stage(dataset_dir, weights_path, outdir) -> None:

@@ -398,28 +398,41 @@ class ImportanceReport:
     first_split: tuple | None = None  # (feature, threshold, gain) of first root
 
 
-def _best_split(x, order, g, h):
+def _best_split(xt, offsets, order, gh):
     """Exact greedy scan over all features at one node; None if no gain.
 
-    order is the node's (features, rows) index array, each row sorted by
-    that feature's value, ties by row index.
+    xt is the feature matrix transposed and flattened, so xt[offsets[f] + r]
+    is feature f of row r, and gh is g + 1j*h.  order is the node's
+    (features, rows) index array, each row sorted by that feature's value,
+    ties by row index.
     """
     nf, n = order.shape
     if n < 2:
         return None
     cols = order.T
-    xs = x[cols, np.arange(nf)]
-    gs = np.cumsum(g[cols], axis=0)
-    hs = np.cumsum(h[cols], axis=0)
+    xs = xt.take(cols + offsets)
+    # complex addition adds the real and the imaginary parts apart, so one
+    # complex cumsum has the bits of a cumsum of g and of a cumsum of h
+    ghs = np.cumsum(gh.take(cols), axis=0)
+    gs, hs = ghs.real, ghs.imag
     gtot, htot = gs[-1], hs[-1]
     gl, hl = gs[:-1], hs[:-1]
-    gr, hr = gtot - gl, htot - hl
+    hr = htot - hl
     valid = (xs[1:] > xs[:-1]) & (hl >= _MIN_CHILD_WEIGHT) & (hr >= _MIN_CHILD_WEIGHT)
     if not valid.any():
         return None
+    # 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - gtot**2 / (htot + lam)), in place
     lam = _LAMBDA
-    gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - gtot**2 / (htot + lam))
-    gain[~valid] = -np.inf
+    gain = np.square(gl)
+    gain /= hl + lam
+    gr = np.subtract(gtot, gl)
+    gr *= gr
+    hr += lam
+    gr /= hr
+    gain += gr
+    gain -= gtot**2 / (htot + lam)
+    gain *= 0.5
+    np.copyto(gain, -np.inf, where=~valid)
     flat = int(np.argmax(gain))
     i, f = divmod(flat, nf)
     best = float(gain[i, f])
@@ -435,13 +448,15 @@ def _boost_binary(x, order0, y, cfg: BoostConfig, gains: np.ndarray, record_firs
     order0 is the stable per-feature argsort of all rows.  Each node
     carries it filtered to the node's rows, so no node sorts again.
     """
-    n = x.shape[0]
+    n, nf = x.shape
+    xt, offsets = x.T.ravel(), np.arange(nf) * n
     f = np.zeros(n)
     first = record_first
     for _ in range(cfg.n_estimators):
         p = sigmoid(f)
         g = p - y
         h = p * (1.0 - p)
+        gh = g + 1j * h
         update = np.zeros(n)
 
         def leaf(idx):
@@ -449,7 +464,7 @@ def _boost_binary(x, order0, y, cfg: BoostConfig, gains: np.ndarray, record_firs
             update[idx] = -gsum / (hsum + _LAMBDA)
 
         def grow(idx, order, depth):
-            split = _best_split(x, order, g, h)
+            split = _best_split(xt, offsets, order, gh)
             if split is None:
                 leaf(idx)
                 return False
@@ -458,10 +473,11 @@ def _boost_binary(x, order0, y, cfg: BoostConfig, gains: np.ndarray, record_firs
             if first[0] is None:
                 first[0] = (fi, thr, gain)
             goes_left = x[:, fi] <= thr
-            for side in (goes_left, ~goes_left):
+            sorted_left = goes_left.take(order)
+            for side, sorted_side in ((goes_left, sorted_left), (~goes_left, ~sorted_left)):
                 child = idx[side[idx]]
                 if depth + 1 < cfg.max_depth and h[child].sum() >= _SPLITTABLE_HESS:
-                    grow(child, order[side[order]].reshape(len(order), len(child)), depth + 1)
+                    grow(child, np.compress(sorted_side.ravel(), order).reshape(nf, -1), depth + 1)
                 else:
                     leaf(child)
             return True

@@ -41,6 +41,26 @@ def test_features_scale_linearly_and_quadratically():
     assert np.allclose(v2[energies], 0.25 * v1[energies])
 
 
+def _reference_grid(img):
+    """The 8x8 block-mean grid as one mean per np.array_split cell."""
+    grid = np.empty((8, 8))
+    for i, strip in enumerate(np.array_split(img, 8, axis=0)):
+        for j, cell in enumerate(np.array_split(strip, 8, axis=1)):
+            grid[i, j] = cell.mean()
+    return grid
+
+
+def test_feature_grid_equals_array_split_cell_means():
+    rng = np.random.default_rng(22)
+    sizes = [(h, h) for h in range(16, 141)]
+    sizes += [(h, w) for h, w in rng.integers(16, 141, size=(40, 2))]
+    sizes += [(16, 140), (140, 16), (17, 23), (64, 71)]
+    for h, w in sizes:
+        img = rng.uniform(size=(h, w))
+        got = cl.extract_image_features(img, levels=1)[-64:]
+        assert got.tobytes() == _reference_grid(img).tobytes(), (h, w)
+
+
 def test_features_validate_input():
     with pytest.raises(ContractError):
         cl.extract_image_features(np.zeros((8, 8)))
@@ -120,6 +140,71 @@ def test_mlp_params_are_pinned():
     for p in m.params:
         h.update(p.tobytes())
     assert h.hexdigest() == "57b5382e66a3fddee9b8525ddca7ca49ea7ab1f9bc042dbe9595976fb2da2e34"
+
+
+def _reference_train_mlp(x, labels, spec, cfg):
+    """train_mlp's parameters from the same draws, with a fresh array per
+    operation and Adam's step written out (lr 0.001 is TrainConfig's)."""
+    classes, yi = np.unique(labels, return_inverse=True)
+    (n, d), (h1, h2), c = x.shape, spec.hidden, len(classes)
+    rng = np.random.default_rng(cfg.rng_seed)
+    shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,)]
+    flat = np.zeros(sum(int(np.prod(s)) for s in shapes))
+    params = cl._views(flat, shapes)
+    for w in params[::2]:
+        w[...] = glorot_uniform(rng, w.shape, *w.shape)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    batch, keep, target = min(cfg.batch_size, n), 1.0 - spec.dropout, np.eye(c)[yi]
+    t = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            mask = None
+            if spec.dropout > 0:
+                mask = (rng.uniform(size=(len(idx), h1)) < keep) / keep
+            w1, b1, w2, b2, w3, b3 = params
+            xb = x[idx]
+            a1 = xb @ w1 + b1
+            r1 = np.maximum(a1, 0.0)
+            r1d = r1 if mask is None else r1 * mask
+            a2 = r1d @ w2 + b2
+            r2 = np.maximum(a2, 0.0)
+            z = r2 @ w3 + b3
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            gz = (e / e.sum(axis=-1, keepdims=True) - target[idx]) / len(idx)
+            ga2 = (gz @ w3.T) * (a2 > 0)
+            gh1 = ga2 @ w2.T
+            if mask is not None:
+                gh1 *= mask
+            gh1 *= a1 > 0
+            g = np.concatenate([(xb.T @ gh1).ravel(), gh1.sum(axis=0), (r1d.T @ ga2).ravel(),
+                                ga2.sum(axis=0), (r2.T @ gz).ravel(), gz.sum(axis=0)])
+            t += 1
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            flat -= cfg.learning_rate * (m / (1.0 - 0.9**t)) / (
+                np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    return params
+
+
+@pytest.mark.parametrize("n,batch,n_classes,dropout", [
+    (40, 16, 2, 0.5),  # a ragged last batch of 8
+    (40, 16, 3, 0.0),
+    (30, 64, 3, 0.5),  # one batch of every row
+    (33, 32, 3, 0.5),  # a last batch of one row
+    (48, 48, 2, 0.0),
+])
+def test_train_mlp_equals_the_step_written_out(n, batch, n_classes, dropout):
+    rng = np.random.default_rng(n + batch)
+    x = rng.normal(size=(n, 7))
+    y = np.array(["a", "b", "c"][:n_classes])[np.arange(n) % n_classes]
+    spec, cfg = cl.MLPSpec(hidden=(12, 5), dropout=dropout), TrainConfig(epochs=4, batch_size=batch)
+    model = cl.train_mlp(x, y, spec, cfg)
+    ref = _reference_train_mlp(x, y, spec, cfg)
+    assert [p.tobytes() for p in model.params] == [p.tobytes() for p in ref]
 
 
 @pytest.mark.parametrize("dropout", [0.5, 0.0])

@@ -427,6 +427,17 @@ def test_a_dataset_image_off_the_manifest_size_exits_3_naming_it(capsys, tmp_pat
     assert err == f"error: {ct} has shape (16, 11), not the manifest's image_size (16, 16)\n"
 
 
+def test_describe_refuses_a_dataset_image_off_the_manifest_size_as_evaluate_does(
+        capsys, tmp_path):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, image_size=16, seed=4), ds)
+    ct = ds / "images" / "pt0000_ct.pgm"
+    write_pgm(read_pgm(ct)[:, :11], ct)
+    rc, out, err = _run(capsys, "describe", "--dataset", str(ds))
+    assert (rc, out) == (3, "")
+    assert err == f"error: {ct} has shape (16, 11), not the manifest's image_size (16, 16)\n"
+
+
 def test_stage_error_outside_taxonomy_keeps_its_type(tmp_path):
     def build(_outdir):
         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")

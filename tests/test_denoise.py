@@ -371,9 +371,15 @@ def _cm(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
-def _scratch(k, cells):
-    """Flat scratch for the per-tap products of kernel k over cells padded pixels."""
-    return np.empty(max(k.shape[:2]) * max(dn._TILE, cells))
+def _scratch(k, cells, w):
+    """Flat scratch for kernel k over cells padded pixels of rows w + 2 wide,
+    sized as dn._Workspace sizes its own: the per-tap products, a
+    one-channel input's tap block, and a one-channel output's gradient
+    behind its margin with the tap block after it."""
+    cout, cin = k.shape[:2]
+    block = 9 * min(dn._TILE, cells)
+    return np.empty(max(block if cin == 1 else cout * cells,
+                        block + cells + 2 * w + 6 if cout == 1 else cin * cells))
 
 
 def _conv3(x, k, b):
@@ -383,7 +389,7 @@ def _conv3(x, k, b):
     xp = np.empty((cin, n, h + 2, w + 2))
     xp[:, :, 1:-1, 1:-1] = x
     dn._mirror(xp)
-    acc = dn._conv3_taps(xp, k, np.empty((k.shape[0], n, h + 2, w + 2)), _scratch(k, xp[0].size))
+    acc = dn._conv3_taps(xp, k, np.empty((k.shape[0], n, h + 2, w + 2)), _scratch(k, xp[0].size, w))
     return acc[:, :, :h, :w] + b[:, None, None, None], xp.reshape(cin, -1)
 
 
@@ -393,7 +399,7 @@ def _conv3_back(gout, xp, k, need_gx=True):
     pad = (n, h + 2, w + 2)
     return dn._conv3_back(
         gout, xp, k, need_gx, gpad=np.empty((cout,) + pad),
-        gxp=np.empty((k.shape[1],) + pad), tmp=_scratch(k, math.prod(pad)),
+        gxp=np.empty((k.shape[1],) + pad), tmp=_scratch(k, math.prod(pad), w),
     )
 
 
@@ -410,6 +416,7 @@ _CONV_SHAPES = [  # (n, cin, cout, h, w)
     (2, 8, 1, 12, 8),
     (1, 1, 1, 8, 12),
     (2, 3, 5, 24, 16),
+    (2, 1, 8, 64, 64),  # padded cells just past _TILE, a tap block longer than cout * cells
 ]
 
 

@@ -513,6 +513,40 @@ def test_presorted_booster_equals_per_node_sort(make, max_depth):
     assert rep.first_split == first
 
 
+def _wide_input(rng, nf, labels=("a",) * 58 + ("b",) * 12):
+    """The shape of an evaluate fold's booster input: SMOTE balances the
+    rows, so the interpolated ones sit between same-class neighbours."""
+    y = np.array(labels)
+    x = rng.normal(size=(len(y), nf)) + (y == "b")[:, None] * np.linspace(1.0, 0.0, nf)
+    x[:, ::4] = np.round(x[:, ::4], 1)  # ties inside a column
+    return tb.smote(x, y, seed=nf)
+
+
+def _wide_duplicated_input(rng):
+    x, y = _wide_input(rng, 19)
+    n = len(y)
+    # copies of columns 4..0 come first, in reversed order, between constant columns
+    return np.column_stack([np.full(n, 1.5), x[:, 4::-1], x, np.zeros(n)]), y
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: _wide_input(rng, 19),
+    lambda rng: _wide_input(rng, 78),
+    lambda rng: _wide_input(rng, 97),
+    _wide_duplicated_input,
+    lambda rng: _wide_input(rng, 40, ("a",) * 40 + ("b",) * 24 + ("c",) * 12),
+], ids=["n116-f19", "n116-f78", "n116-f97", "duplicated-reversed-constant", "three-class"])
+def test_booster_on_wide_inputs_equals_per_node_sort(make):
+    x, labels = make(np.random.default_rng(22))
+    assert x.shape[0] in (116, 120)
+    cfg = tb.BoostConfig()
+    rep = tb.boosted_importance(x, labels, cfg)
+    gains, ranking, first = _reference_importance(x, labels, cfg)
+    assert rep.gains.tobytes() == gains.tobytes()
+    assert rep.ranking == ranking
+    assert rep.first_split == first
+
+
 def test_boosted_importance_gains_are_pinned():
     # recorded before the presorted search replaced the per-node sort
     rng = np.random.default_rng(2024)
