@@ -193,7 +193,6 @@ class MLPSpec:
 @dataclass
 class MLPModel:
     classes: list
-    spec: MLPSpec
     params: list  # [w1, b1, w2, b2, w3, b3]
 
 
@@ -304,7 +303,7 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
                 np.divide(np.less(mask, keep, out=work.on1), keep, out=mask)
             _mlp_grads(params, work.x, work.target, mask, grads, work)
             opt.step([flat], [gflat])
-    return MLPModel(classes, spec, params)
+    return MLPModel(classes, params)
 
 
 def predict_proba(model, x) -> np.ndarray:
@@ -460,9 +459,8 @@ class ClassifyConfig:
     model: str = "mlp"  # mlp | logreg
     top_k: int = 16
     smote_k: int = 5
-    levels: int = 2  # wavelet levels for image features
     boost: BoostConfig = field(default_factory=BoostConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=300))
     mlp: MLPSpec = field(default_factory=MLPSpec)
     logreg_lr: float = 0.5
     logreg_epochs: int = 200

@@ -74,6 +74,14 @@ def describe_cmd(dataset):
     _emit(describe(dataset))
 
 
+def _image_pair(first, second):
+    """The images in two files, refused unless they have one shape."""
+    a, b = read_pgm(first), read_pgm(second)
+    if a.shape != b.shape:
+        raise DataError(f"dimension mismatch: {first} is {a.shape}, {second} is {b.shape}")
+    return a, b
+
+
 @cli.command("fuse")
 @click.option("--ct", "ct_path", required=True, type=click.Path(exists=True))
 @click.option("--pet", "pet_path", required=True, type=click.Path(exists=True))
@@ -83,13 +91,15 @@ def describe_cmd(dataset):
 @_config_options
 def fuse_cmd(doc, ct_path, pet_path, out, report_path):
     """Fuse a CT image and a PET image into one image, as the fuse stage does (fusion.* keys)."""
-    ct = read_pgm(ct_path)
-    fused, pet, _ = pl.fuse_pair(ct, read_pgm(pet_path), doc["fusion"])
+    ct, pet = _image_pair(ct_path, pet_path)
+    fused, pet, _ = pl.fuse_pair(ct, pet, doc["fusion"])
+    try:  # the report is made before either file is written
+        quality = fusion_quality(fused, ct, pet) if report_path is not None else None
+    except ContractError as exc:
+        raise DataError(f"{ct_path} and {pet_path}: {exc}") from None
     write_pgm(fused, out)
     if report_path is not None:
-        quality = fusion_quality(fused, ct, pet)
-        quality["out"] = os.path.basename(out)
-        write_json(report_path, quality)
+        write_json(report_path, {**quality, "out": os.path.basename(out)})
     click.echo(f"fused image written to {out}")
 
 
@@ -103,8 +113,8 @@ def fuse_cmd(doc, ct_path, pet_path, out, report_path):
               help="match intensities or edge strength (robust across modalities)")
 def register_cmd(fixed, moving, out, resampled, features):
     """Estimate the rigid transform aligning one image to another."""
-    fixed_img = read_pgm(fixed)
-    aligned, t = pl.align(fixed_img, read_pgm(moving), features)
+    fixed_img, moving_img = _image_pair(fixed, moving)
+    aligned, t = pl.align(fixed_img, moving_img, features)
     doc = {"kind": "rigid-transform", **pl.transform_doc(t), "ncc": ncc(fixed_img, aligned)}
     write_json(out, doc)
     if resampled is not None:
@@ -150,7 +160,10 @@ def denoise_apply_cmd(weights, in_path, out):
 def preprocess_cmd(csv_path, schema, out_matrix, out_stats):
     """Impute, standardize and one-hot encode a clinical/genomic table."""
     table = read_table(csv_path, schema)
-    fitted = fit_preprocess(table)
+    try:
+        fitted = fit_preprocess(table)
+    except (ContractError, DataError) as exc:  # too few rows, or a column left empty
+        raise DataError(f"{csv_path}: {exc}") from None
     x = apply_preprocess(fitted, table)
     with open(out_matrix, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(fitted.feature_names) + "\n")
@@ -200,11 +213,10 @@ def evaluate_cmd(doc, dataset, out, inputs):
         if "ct" in chosen:
             pl._check_levels(doc, dataset, ("classify.feature_levels",))
         pl._check_folds(doc, dataset)
-    cfg = pl.classify_config_from(doc)
-    ds = pl.build_mmdataset(dataset, fused_dir, cfg.levels, ct="ct" in chosen)
-    report = kfold_evaluate(
-        ds, inputs=chosen, k=doc["evaluate"]["k"], cfg=cfg, seed=doc["evaluate"]["seed"]
-    )
+    ds = pl.build_mmdataset(dataset, fused_dir, doc["classify"]["feature_levels"],
+                            ct="ct" in chosen)
+    report = kfold_evaluate(ds, inputs=chosen, k=doc["evaluate"]["k"],
+                            cfg=pl.classify_config_from(doc), seed=doc["evaluate"]["seed"])
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_json(out, report.to_dict())
     _emit({"out": out, "summary": report.to_dict()["summary"]})

@@ -1,6 +1,6 @@
 """Convolutional denoising auto-encoder, implemented directly on ndarrays.
 
-Architecture (fixed topology, configurable channel widths):
+Architecture (fixed topology and channel widths, 1 -> 8 -> 16 -> 16 -> 8 -> 1):
 
     conv 3x3 -> relu -> meanpool 2x2
     conv 3x3 -> relu -> meanpool 2x2
@@ -59,13 +59,13 @@ import base64
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError, NumericalError
 from .images import as_image, as_image_pair, read_json
-from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, sigmoid
+from .nnet import Adam, TrainConfig, glorot_uniform, relu, sigmoid
 from .parallel import run_pair
 
 __all__ = [
@@ -83,28 +83,12 @@ __all__ = [
     "load_weights",
 ]
 
-_DEFAULT_CHANNELS = ((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))
-
-
 @dataclass(frozen=True)
 class ConvNetSpec:
-    """Channel plan for the five conv layers, encoder to decoder order."""
+    """The (in, out) channels of the five conv layers, encoder to decoder
+    order: the one plan every network and weights file has."""
 
-    channels: tuple = _DEFAULT_CHANNELS
-
-    def __post_init__(self):
-        ch = tuple(tuple(layer_width(c, "channel width") for c in pair) for pair in self.channels)
-        object.__setattr__(self, "channels", ch)
-        if len(ch) != 5:
-            raise ContractError(f"expected 5 conv layers, got {len(ch)}")
-        for pair in ch:
-            if len(pair) != 2 or pair[0] < 1 or pair[1] < 1:
-                raise ContractError(f"bad channel pair {pair}")
-        if ch[0][0] != 1 or ch[-1][1] != 1:
-            raise ContractError("network must map 1 channel to 1 channel")
-        for a, b in zip(ch[:-1], ch[1:]):
-            if a[1] != b[0]:
-                raise ContractError(f"channel chain breaks between {a} and {b}")
+    channels: tuple = field(default=((1, 8), (8, 16), (16, 16), (16, 8), (8, 1)), init=False)
 
 
 @dataclass
@@ -556,16 +540,14 @@ def load_weights(path) -> NetWeights:
         raise FormatError("not a denoiser weights file")
     if doc.get("format_version") != _WEIGHTS_VERSION:
         raise FormatError(f"unsupported weights version {doc.get('format_version')!r}")
-    for field in ("channels", "layers"):
-        if field not in doc:
-            raise FormatError(f"weights file is missing field {field!r}")
-    layers = doc["layers"]
+    layers = doc.get("layers")
     if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
         raise FormatError("weights file: layers must be a list of objects")
-    try:
-        spec = ConvNetSpec(tuple(tuple(p) for p in doc["channels"]))
-    except (ContractError, TypeError, ValueError) as exc:
-        raise FormatError(f"weights file declares an invalid network: {exc}") from None
+    spec = ConvNetSpec()
+    found, plan = json.dumps(doc.get("channels")), json.dumps(spec.channels)  # 1.0 is not 1
+    if found != plan:
+        raise FormatError(f"weights file declares an invalid network: channels {found} "
+                          f"are not the channel width plan {plan}")
     if len(layers) != len(spec.channels):
         raise FormatError(f"expected {len(spec.channels)} layers, got {len(layers)}")
     epochs = doc.get("epochs_trained", 0)

@@ -62,13 +62,10 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class FusionRule:
-    ll_rule: str = "average"  # "average" | "weighted"
-    ll_weight_ct: float = 0.5  # used by "weighted"
+    ll_weight_ct: float = 0.5  # LL = w * CT + (1 - w) * PET
     detail_rule: str = "max_abs"  # "max_abs" | "average"
 
     def __post_init__(self):
-        if self.ll_rule not in ("average", "weighted"):
-            raise ContractError(f"unknown ll_rule {self.ll_rule!r}")
         if self.detail_rule not in ("max_abs", "average"):
             raise ContractError(f"unknown detail_rule {self.detail_rule!r}")
         if not 0.0 <= self.ll_weight_ct <= 1.0:
@@ -365,7 +362,7 @@ def fuse_wavelet(
 ) -> np.ndarray:
     """Per-band wavelet fusion: decompose both, combine bands, reconstruct.
 
-    LL combines per rule.ll_rule; detail coefficients per rule.detail_rule
+    LL is w * CT + (1 - w) * PET, w = rule.ll_weight_ct; detail coefficients per rule.detail_rule
     (max_abs picks the operand with the larger magnitude, ties go to CT).
     Output is clamped to [0, 1] since band mixing can overshoot.
     """
@@ -373,11 +370,8 @@ def fuse_wavelet(
     rule = rule or FusionRule()
     p_ct = dwt2(ct, family, levels)
     p_pet = dwt2(pet, family, levels)
-    if rule.ll_rule == "average":
-        ll = (p_ct.ll + p_pet.ll) / 2.0
-    else:
-        w = rule.ll_weight_ct
-        ll = w * p_ct.ll + (1.0 - w) * p_pet.ll
+    w = rule.ll_weight_ct
+    ll = w * p_ct.ll + (1.0 - w) * p_pet.ll
     details = []
     for (clh, clv, cld), (plh, plv, pld) in zip(p_ct.details, p_pet.details):
         triple = []
@@ -408,9 +402,10 @@ def entropy(img, bins: int = 256) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def mutual_information(a, b, bins: int = 64) -> float:
-    """MI in bits from the joint (bins x bins) intensity histogram."""
+def mutual_information(a, b) -> float:
+    """MI in bits from the joint 64 x 64 intensity histogram."""
     a, b = as_image_pair(a, b)
+    bins = 64
     ia = np.minimum((np.clip(a, 0.0, 1.0) * bins).astype(np.intp), bins - 1)
     ib = np.minimum((np.clip(b, 0.0, 1.0) * bins).astype(np.intp), bins - 1)
     joint = np.bincount((ia * bins + ib).ravel(), minlength=bins * bins).reshape(bins, bins)
@@ -422,24 +417,22 @@ def mutual_information(a, b, bins: int = 64) -> float:
     return float(np.sum(pj[nz] * np.log2(pj[nz] / outer[nz])))
 
 
-def psnr(a, b, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; +inf for identical images."""
+def psnr(a, b) -> float:
+    """Peak signal-to-noise ratio in dB against a peak of 1; +inf for identical images."""
     a, b = as_image_pair(a, b)
     mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(peak * peak / mse))
+    return float("inf") if mse == 0.0 else float(10.0 * np.log10(1.0 / mse))
 
 
-def ssim(a, b, window: int = 8) -> float:
-    """Mean SSIM over sliding uniform windows, C1=0.01^2, C2=0.03^2."""
+def ssim(a, b) -> float:
+    """Mean SSIM over sliding uniform 8x8 windows, C1=0.01^2, C2=0.03^2."""
     a, b = as_image_pair(a, b)
-    if min(a.shape) < window:
-        raise ContractError(f"image smaller than {window}x{window} SSIM window")
+    if min(a.shape) < 8:
+        raise ContractError("image smaller than 8x8 SSIM window")
     c1 = 0.01**2
     c2 = 0.03**2
-    wa = np.lib.stride_tricks.sliding_window_view(a, (window, window))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (window, window))
+    wa = np.lib.stride_tricks.sliding_window_view(a, (8, 8))
+    wb = np.lib.stride_tricks.sliding_window_view(b, (8, 8))
     mu_a = wa.mean(axis=(2, 3))
     mu_b = wb.mean(axis=(2, 3))
     var_a = (wa**2).mean(axis=(2, 3)) - mu_a**2

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import shutil
 import sys
 import time
@@ -126,7 +127,6 @@ _SETTINGS = {
     "fusion": {
         "family": ("haar", _one_of("haar", "db2")),
         "levels": (1, _integer(1)),
-        "ll_rule": ("average", _one_of("average", "weighted")),
         "ll_weight_ct": (0.5, _NUMBER, (lambda v: 0 <= v <= 1, "in [0, 1]")),
         "detail_rule": ("max_abs", _one_of("max_abs", "average")),
         "register": (True, _BOOL),
@@ -232,7 +232,6 @@ def classify_config_from(doc: dict) -> ClassifyConfig:
         model=c["model"],
         top_k=t["top_k"],
         smote_k=t["smote_k"],
-        levels=c["feature_levels"],
         boost=BoostConfig(
             learning_rate=c["boost_learning_rate"],
             max_depth=c["boost_max_depth"],
@@ -345,11 +344,28 @@ def _intact(entry) -> bool:
         return False
 
 
+def _gone(host: str, pid: str) -> bool:
+    """Whether the process that named a build directory has ended: known only
+    for this host's, and only on POSIX, where signal 0 tests a pid."""
+    try:
+        if os.name == "posix" and host == platform.node():
+            os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (ValueError, OverflowError, OSError):  # no pid, or alive under another user
+        pass
+    return False
+
+
 def _build_apart(dest: pathlib.Path, build, keep=lambda: False) -> bool:
     """Build in a directory of this process's own, then rename it to dest, so runs
     sharing a directory never see half-built trees.  What dest held is deleted
-    first, unless keep() chooses it: then the new tree is dropped and this returns False."""
-    tmp = dest.with_name(f".{dest.name}-{os.urandom(8).hex()}")  # no entry's name starts with "."
+    first, unless keep() chooses it: then the new tree is dropped and this returns False.
+    The build directories that killed runs left beside dest are deleted first."""
+    for old in dest.parent.glob(".*@*@*@*"):  # no entry's name starts with "." or holds "@"
+        if _gone(*old.name.split("@")[1:3]):
+            shutil.rmtree(old, ignore_errors=True)
+    tmp = dest.with_name(f".{dest.name}@{platform.node()}@{os.getpid()}@{os.urandom(4).hex()}")
     tmp.mkdir(parents=True)
     try:
         build(tmp)
@@ -469,7 +485,7 @@ def fuse_pair(ct, pet, fusion: dict):
         pet, t = align(ct, pet)
     else:
         t = RigidTransform(0.0, 0.0, 0.0, 1.0)
-    rule = FusionRule(fusion["ll_rule"], fusion["ll_weight_ct"], fusion["detail_rule"])
+    rule = FusionRule(fusion["ll_weight_ct"], fusion["detail_rule"])
     fused = fuse_wavelet(ct, pet, family=fusion["family"], levels=fusion["levels"], rule=rule)
     return fused, pet, t
 
@@ -530,9 +546,9 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int, ct: bool = True) -> MMD
 
 def evaluate_dataset(dataset_dir, fused_dir, doc: dict) -> dict:
     """Modality comparison on one dataset; returns name -> MetricsReport."""
-    cfg = classify_config_from(doc)
-    ds = build_mmdataset(dataset_dir, fused_dir, cfg.levels)
-    return compare_modalities(ds, seed=doc["evaluate"]["seed"], k=doc["evaluate"]["k"], cfg=cfg)
+    ds = build_mmdataset(dataset_dir, fused_dir, doc["classify"]["feature_levels"])
+    return compare_modalities(ds, seed=doc["evaluate"]["seed"], k=doc["evaluate"]["k"],
+                              cfg=classify_config_from(doc))
 
 
 def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
@@ -593,7 +609,7 @@ def fuse_stages(stages: _Stages, doc: dict, dataset=None):
     fused_dir, fused_hash = stages.run(
         "fuse",
         {"dataset": dataset_hash, "pet": pet_hash, "fusion": doc["fusion"]},
-        "check the fusion section; input images must share dimensions",
+        "check the fusion section; a flat CT or PET image has no correlation signal",
         lambda d: compute_fused_dir(dataset, d, doc, pet_dir=pet_dir),
     )
     return dataset, dataset_hash, fused_dir, fused_hash

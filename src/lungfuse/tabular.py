@@ -195,40 +195,38 @@ def read_table(csv_path, schema_path) -> TabularDataset:
     return TabularDataset(cols, values, labels, ids if id_col else None)
 
 
-def write_table(csv_path, ds: TabularDataset, schema_path=None, label_column="label",
-                missing="", id_column=None) -> None:
-    if id_column and ds.ids is None:
-        raise ContractError("id_column given but dataset has no ids")
+def write_table(csv_path, ds: TabularDataset, schema_path, label_column: str,
+                id_column: str) -> None:
+    """The table as CSV (ids first, labels last, missing cells empty) and its schema JSON."""
+    if ds.ids is None:
+        raise ContractError("the dataset has no ids to write")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ([id_column] if id_column else []) + [c.name for c in ds.columns] + [label_column]
-        writer.writerow(header)
+        writer.writerow([id_column] + [c.name for c in ds.columns] + [label_column])
         for ri, row in enumerate(ds.values):
-            rec = [ds.ids[ri]] if id_column else []
+            rec = [ds.ids[ri]]
             for col, v in zip(ds.columns, row):
                 if np.isnan(v):
-                    rec.append(missing)
+                    rec.append("")
                 elif col.kind == "numeric":
                     rec.append(repr(float(v)))
                 else:
                     rec.append(col.categories[int(v)])
             rec.append(ds.labels[ri])
             writer.writerow(rec)
-    if schema_path is not None:
-        doc = {
-            "label_column": label_column,
-            "missing": missing,
-            "columns": [
-                {"name": c.name, "kind": c.kind}
-                | ({"categories": list(c.categories)} if c.kind == "categorical" else {})
-                for c in ds.columns
-            ],
-        }
-        if id_column:
-            doc["id_column"] = id_column
-        with open(schema_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    doc = {
+        "label_column": label_column,
+        "missing": "",
+        "columns": [
+            {"name": c.name, "kind": c.kind}
+            | ({"categories": list(c.categories)} if c.kind == "categorical" else {})
+            for c in ds.columns
+        ],
+        "id_column": id_column,
+    }
+    with open(schema_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 # --- preprocessing ---

@@ -3,9 +3,11 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -108,8 +110,7 @@ def test_fuse_writes_image_and_report(capsys, tmp_path):
         "--ct", str(ds / "images/pt0000_ct.pgm"),
         "--pet", str(ds / "images/pt0000_pet.pgm"),
         "--out", str(fused), "--set", "fusion.register=false",
-        "--set", "fusion.ll_rule=weighted", "--set", "fusion.ll_weight_ct=0.7",
-        "--set", "fusion.detail_rule=average",
+        "--set", "fusion.ll_weight_ct=0.7", "--set", "fusion.detail_rule=average",
         "--report", str(report),
     )
     assert rc == 0
@@ -119,8 +120,8 @@ def test_fuse_writes_image_and_report(capsys, tmp_path):
     assert set(doc) >= {"entropy_f", "mi_f_ct", "mi_f_pet", "psnr_vs_ct", "ssim_vs_ct"}
 
 
-_FUSION = ["fusion.family=db2", "fusion.levels=2", "fusion.ll_rule=weighted",
-           "fusion.ll_weight_ct=0.7", "fusion.detail_rule=average"]
+_FUSION = ["fusion.family=db2", "fusion.levels=2", "fusion.ll_weight_ct=0.7",
+           "fusion.detail_rule=average"]
 
 
 @pytest.mark.parametrize(
@@ -156,7 +157,7 @@ def test_fuse_into_missing_directory_exits_3(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_fuse_rejects_bad_ll_rule(capsys, tmp_path):
+def test_fuse_rejects_bad_ll_weight(capsys, tmp_path):
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=2, seed=1), ds)
     for weight in ("heavy", "1.5"):
@@ -165,7 +166,7 @@ def test_fuse_rejects_bad_ll_rule(capsys, tmp_path):
             "--ct", str(ds / "images/pt0000_ct.pgm"),
             "--pet", str(ds / "images/pt0000_pet.pgm"),
             "--out", str(tmp_path / "f.pgm"),
-            "--set", "fusion.ll_rule=weighted", "--set", f"fusion.ll_weight_ct={weight}",
+            "--set", f"fusion.ll_weight_ct={weight}",
         )
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1
@@ -270,6 +271,50 @@ def test_preprocess_writes_matrix_and_stats(capsys, tmp_path):
     doc = json.loads(stats.read_text())
     assert doc["feature_names"] == header
     assert "age" in doc["numeric_stats"]
+
+
+def _one_error_line_naming(err, *paths):
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(str(p) in err for p in paths), err
+
+
+@pytest.mark.parametrize("command", ["fuse", "register"])
+def test_a_pair_of_two_sizes_exits_3_naming_both_files(capsys, tmp_path, command):
+    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    write_pgm(np.random.default_rng(0).uniform(size=(32, 32)), a)
+    write_pgm(np.random.default_rng(1).uniform(size=(16, 16)), b)
+    argv = {"fuse": ["--ct", a, "--pet", b, "--report", tmp_path / "q.json"],
+            "register": ["--fixed", a, "--moving", b, "--resampled", tmp_path / "r.pgm"]}
+    rc, _, err = _run(capsys, command, *map(str, argv[command]), "--out", str(tmp_path / "o"))
+    assert rc == 3
+    _one_error_line_naming(err, a, b)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
+def test_fuse_report_on_images_below_the_ssim_window_exits_3_writing_nothing(capsys, tmp_path):
+    ct, pet = tmp_path / "ct.pgm", tmp_path / "pet.pgm"
+    write_pgm(np.random.default_rng(0).uniform(size=(6, 6)), ct)
+    write_pgm(np.random.default_rng(1).uniform(size=(6, 6)), pet)
+    rc, _, err = _run(capsys, "fuse", "--ct", str(ct), "--pet", str(pet),
+                      "--out", str(tmp_path / "f.pgm"), "--report", str(tmp_path / "q.json"),
+                      "--set", "fusion.register=false")
+    assert rc == 3
+    _one_error_line_naming(err, ct, pet)
+    assert "SSIM window" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.pgm", "pet.pgm"]
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_preprocess_on_fewer_than_2_rows_exits_3_naming_the_csv(capsys, tmp_path, rows):
+    schema, csv_path = tmp_path / "s.json", tmp_path / "t.csv"
+    schema.write_text(json.dumps({"label_column": "y",
+                                  "columns": [{"name": "a", "kind": "numeric"}]}))
+    csv_path.write_text("a,y\n" + "1.5,p\n" * rows)
+    rc, _, err = _run(capsys, "preprocess", "--csv", str(csv_path), "--schema", str(schema),
+                      "--out-matrix", str(tmp_path / "X.csv"), "--out-stats", str(tmp_path / "S.json"))
+    assert rc == 3
+    _one_error_line_naming(err, csv_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "t.csv"]
 
 
 def test_exit_code_for_data_errors(capsys, tmp_path):
@@ -703,10 +748,12 @@ def _nan_payload(n: int) -> str:
         (lambda d: d["layers"][4].__setitem__("bias", _nan_payload(1)), "layer 4 bias"),
         (lambda d: d["layers"][0].__setitem__("kernel", _nan_payload(72)), "layer 0 kernel"),
         (lambda d: d["channels"].__setitem__(4, [8, 1.5]), "channel width"),
+        (lambda d: d.__setitem__("channels", [[1, 4], [4, 16], [16, 16], [16, 8], [8, 1]]),
+         "channel width plan"),
     ],
     ids=[
         "missing-kernel", "scalar-layer", "scalar-channels", "scalar-layers",
-        "string-epochs", "nan-bias", "nan-kernel", "fractional-width",
+        "string-epochs", "nan-bias", "nan-kernel", "fractional-width", "other-plan",
     ],
 )
 def test_denoise_apply_on_malformed_weights_exits_3(capsys, tmp_path, edit, needle):
@@ -935,6 +982,49 @@ def test_runs_into_one_out_at_once_all_succeed(capsys, tmp_path):
     assert not list((tmp_path / "w").glob(".*")) and not list((tmp_path / "w").glob("cache/.*"))
 
 
+def test_a_killed_runs_build_directory_goes_with_the_next_run(capsys, tmp_path):
+    argv = ["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=24",
+            "--set", "fusion.register=false", "--set", "classify.model=logreg",
+            "--set", "evaluate.k=2"]
+    cache = tmp_path / "w" / "cache"
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "lungfuse.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(cache.glob(".denoise-train-*")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        proc.kill()  # SIGKILL: the run cleans nothing up
+        proc.wait(timeout=10)
+    assert [p.name.split("@")[2] for p in cache.glob(".denoise-train-*")] == [str(proc.pid)]
+    host = platform.node()
+    live = cache / f".fuse-0@{host}@{os.getpid()}@00"  # this test's own process
+    elsewhere = cache / f".fuse-0@not-{host}@{proc.pid}@00"
+    live.mkdir()
+    elsewhere.mkdir()
+    assert _run(capsys, *argv)[0] == 0
+    assert sorted(cache.glob(".*")) == sorted([live, elsewhere])
+
+
+def test_ll_rule_is_an_unknown_key_and_ll_weight_ct_always_applies(capsys, tmp_path):
+    rc, _, err = _run(capsys, "run", "--out", str(tmp_path / "w"),
+                      "--set", "fusion.ll_rule=average")
+    assert rc == 2
+    assert err.startswith('error: unknown config key "ll_rule" in section "fusion"')
+    assert not (tmp_path / "w").exists()
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=2, seed=1), ds)
+    images = []
+    for sets in ([], ["--set", "fusion.ll_weight_ct=0.9"]):
+        out = tmp_path / f"f{len(sets)}.pgm"
+        assert _run(capsys, "fuse", "--ct", str(ds / "images/pt0000_ct.pgm"),
+                    "--pet", str(ds / "images/pt0000_pet.pgm"), "--out", str(out), *sets)[0] == 0
+        images.append(out.read_bytes())
+    assert images[0] != images[1]
+
+
 def test_warm_run_hashes_each_stage_tree_once(capsys, tmp_path, monkeypatch):
     argv = ["run", "--out", str(tmp_path / "w"), *_FAST, *_DENOISE]
     assert _run(capsys, *argv)[0] == 0
@@ -956,7 +1046,6 @@ def test_warm_run_hashes_each_stage_tree_once(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "override,message",
     [
-        ("fusion.ll_rule=bogus", "must be \"average\" or \"weighted\", got 'bogus'"),
         ("fusion.detail_rule=bogus", "must be \"max_abs\" or \"average\", got 'bogus'"),
         ("denoise.noise_kind=bogus", "must be \"gaussian\" or \"poisson\", got 'bogus'"),
         ("classify.model=bogus", "must be \"mlp\" or \"logreg\", got 'bogus'"),

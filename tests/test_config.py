@@ -1,12 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from lungfuse import pipeline as pl
+from lungfuse.classify import ClassifyConfig, train_mlp
+from lungfuse.denoise import ConvNetSpec
 from lungfuse.errors import ConfigError
-from lungfuse.fusion import FusionRule
+from lungfuse.fusion import FusionRule, mutual_information, psnr, ssim
 from lungfuse.nnet import TrainConfig
 from lungfuse.phantom import PhantomConfig
+from lungfuse.tabular import write_table
 
 # values of every JSON type, on and around each setting's bounds
 _BATTERY = (
@@ -35,7 +39,32 @@ def test_every_value_resolve_config_accepts_builds_every_stage_config(kind):
         PhantomConfig(**doc["phantom"])
         TrainConfig(**{k: d[k] for k in ("learning_rate", "batch_size", "epochs", "rng_seed",
                                          "noise_kind", "noise_param")})
-        FusionRule(ll_rule=f["ll_rule"], ll_weight_ct=f["ll_weight_ct"],
-                   detail_rule=f["detail_rule"])
+        FusionRule(ll_weight_ct=f["ll_weight_ct"], detail_rule=f["detail_rule"])
         pl.classify_config_from(doc)
     assert accepted > len(_KEYS)  # each key takes several of the values
+
+
+def test_library_defaults_are_the_pipeline_defaults():
+    # a Python caller that builds a stage config with no arguments computes
+    # what the pipeline computes under the default settings
+    doc = pl.resolve_config(None)
+    f = doc["fusion"]
+    assert PhantomConfig(**doc["phantom"]) == PhantomConfig()
+    assert pl._train_config(doc["denoise"]) == TrainConfig()
+    assert FusionRule(f["ll_weight_ct"], f["detail_rule"]) == FusionRule()
+    assert pl.classify_config_from(doc) == ClassifyConfig()
+
+
+def test_removed_library_options_are_gone():
+    img = np.full((8, 8), 0.5)
+    for call in (lambda: ClassifyConfig(levels=2),
+                 lambda: ConvNetSpec(channels=((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))),
+                 lambda: FusionRule(ll_rule="average"),
+                 lambda: psnr(img, img, peak=2.0),
+                 lambda: ssim(img, img, window=4),
+                 lambda: mutual_information(img, img, bins=32),
+                 lambda: write_table("t.csv", None)):  # schema, label and id column required
+        with pytest.raises(TypeError):
+            call()
+    model = train_mlp(np.eye(4), ["a", "b", "a", "b"], cfg=TrainConfig(epochs=1))
+    assert not hasattr(model, "spec")

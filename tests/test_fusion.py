@@ -414,7 +414,7 @@ def test_register_golden_transforms(pair, expected):
 
 def test_fuse_identical_inputs_is_identity():
     img = _ct_like(64, seed=6)
-    for rule in (FusionRule(), FusionRule(ll_rule="weighted", ll_weight_ct=0.3)):
+    for rule in (FusionRule(), FusionRule(ll_weight_ct=0.3)):
         fused = fuse_wavelet(img, img, rule=rule)
         assert np.max(np.abs(fused - img)) < 1e-6
 
@@ -461,9 +461,38 @@ def test_fuse_dimension_mismatch():
 
 def test_fuse_rejects_bad_rule():
     with pytest.raises(ContractError):
-        FusionRule(ll_rule="median")
+        FusionRule(detail_rule="median")
     with pytest.raises(ContractError):
         FusionRule(ll_weight_ct=1.5)
+
+
+def _average_ll_fusion(ct, pet, family, levels, detail_rule):
+    """The fusion with LL as (CT + PET) / 2, the rule ll_weight_ct=0.5 replaced."""
+    p_ct, p_pet = dwt2(ct, family, levels), dwt2(pet, family, levels)
+    details = [
+        tuple(np.where(np.abs(c) >= np.abs(p), c, p) if detail_rule == "max_abs" else (c + p) / 2.0
+              for c, p in zip(ct_bands, pet_bands))
+        for ct_bands, pet_bands in zip(p_ct.details, p_pet.details)
+    ]
+    fused = WaveletPyramid(family=family, levels=levels, ll=(p_ct.ll + p_pet.ll) / 2.0,
+                           details=details, original_dims=p_ct.original_dims)
+    return np.clip(idwt2(fused), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("family", ["haar", "db2"])
+@pytest.mark.parametrize("detail_rule", ["max_abs", "average"])
+def test_half_ll_weight_is_the_average_rule_bit_for_bit(family, detail_rule):
+    # 0.5 * a + 0.5 * b and (a + b) / 2 round alike: halving is exact
+    rule = FusionRule(ll_weight_ct=0.5, detail_rule=detail_rule)
+    for seed, size in ((0, 36), (1, 44), (2, 52), (3, 64)):
+        ct, pet = _phantom_pair(seed, size, ("adenocarcinoma", "squamous")[seed % 2])
+        moved = resample_bilinear(pet, RigidTransform(1.3, -0.7, 0.05, 1.02))
+        for p in (pet, moved):
+            for levels in (1, 2, 3):
+                fused = fuse_wavelet(ct, p, family=family, levels=levels, rule=rule)
+                assert fused.tobytes() == _average_ll_fusion(
+                    ct, p, family, levels, detail_rule
+                ).tobytes(), (seed, size, levels)
 
 
 def test_fused_mi_exceeds_cross_mi():
@@ -498,7 +527,7 @@ def test_entropy_two_level_one_bit():
 def test_mi_self_identity_matched_bins():
     rng = np.random.default_rng(15)
     img = rng.random((32, 32))
-    assert abs(mutual_information(img, img, bins=64) - entropy(img, bins=64)) < 1e-9
+    assert abs(mutual_information(img, img) - entropy(img, bins=64)) < 1e-9
 
 
 def test_mi_independent_near_zero():
