@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .images import as_image
-from .nnet import Adam, TrainConfig, glorot_uniform, layer_width, relu, softmax
+from .nnet import Adam, TrainConfig, glorot_uniform, relu, softmax
 from .parallel import parallel_map
+from .settings import DEFAULTS, check_fields
 from .tabular import (
     BoostConfig,
     ColumnSpec,
@@ -181,13 +182,8 @@ class MLPSpec:
     dropout: float = 0.5  # first hidden layer only, training time only
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "hidden", tuple(layer_width(h, "hidden width") for h in self.hidden)
-        )
-        if len(self.hidden) != 2 or min(self.hidden) < 1:
-            raise ContractError(f"hidden must be two positive widths, got {self.hidden}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_fields(self, ContractError, "classify")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
 
 @dataclass
@@ -466,10 +462,7 @@ class ClassifyConfig:
     logreg_epochs: int = 200
 
     def __post_init__(self):
-        if self.model not in ("mlp", "logreg"):
-            raise ConfigError(f"model must be 'mlp' or 'logreg', got {self.model!r}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        check_fields(self, ConfigError, "classify", "tabular")
 
 
 def _assemble(ds: MMDataset, inputs) -> TabularDataset:
@@ -577,7 +570,7 @@ def kfold_evaluate(
     inputs=("fused", "tabular"),
     k: int = 5,
     cfg: ClassifyConfig | None = None,
-    seed: int = 0,
+    seed: int = DEFAULTS["evaluate"]["seed"],
 ) -> MetricsReport:
     """Stratified k-fold evaluation of the full in-fold pipeline.
 
@@ -597,7 +590,7 @@ _COMPARE_CONFIGS = (
 )
 
 
-def compare_modalities(ds: MMDataset, seed: int = 0, k: int = 5,
+def compare_modalities(ds: MMDataset, seed: int = DEFAULTS["evaluate"]["seed"], k: int = 5,
                        cfg: ClassifyConfig | None = None) -> dict:
     """The four-way input comparison on identical folds; its 4 x k folds run by parallel_map."""
     reports = _kfold_reports(ds, [inputs for _, inputs in _COMPARE_CONFIGS], k, cfg, seed)

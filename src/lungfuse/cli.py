@@ -22,7 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import pipeline as pl  # noqa: E402
 from .classify import kfold_evaluate  # noqa: E402
-from .denoise import denoise as run_denoise, load_weights  # noqa: E402
+from .denoise import check_dims, denoise as run_denoise, load_weights  # noqa: E402
 from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError  # noqa: E402
 from .fusion import fusion_quality, ncc  # noqa: E402
 from .images import read_pgm, write_json, write_pgm  # noqa: E402
@@ -135,6 +135,14 @@ def denoise_train_cmd(doc, out, images):
         if not paths:
             raise DataError(f"no .pgm files in {images}")
         clean = [read_pgm(p) for p in paths]
+        for p, img in zip(paths, clean):  # refused before training, naming the file
+            try:
+                check_dims(*img.shape)
+            except ContractError as exc:
+                raise DataError(f"{p}: {exc}") from None
+            if img.shape != clean[0].shape:
+                raise DataError(f"dimension mismatch: {p} is {img.shape}, {paths[0]} is "
+                                f"{clean[0].shape}; the training images need one shape")
     log = pl._train_denoiser_stage(doc, out, clean)
     _emit({"weights": out, "epochs": len(log), "first_loss": log[0], "last_loss": log[-1]})
 

@@ -67,6 +67,7 @@ from .errors import ContractError, DataError, FormatError, NumericalError
 from .images import as_image, as_image_pair, read_json
 from .nnet import Adam, TrainConfig, glorot_uniform, relu, sigmoid
 from .parallel import run_pair
+from .settings import check, noise_param_rule, rules
 
 __all__ = [
     "ConvNetSpec",
@@ -76,6 +77,7 @@ __all__ = [
     "forward",
     "backward",
     "loss_mse",
+    "check_dims",
     "add_noise",
     "train_denoiser",
     "denoise",
@@ -270,6 +272,14 @@ def _view(buf, shape):
     return buf[: math.prod(shape)].reshape(shape)
 
 
+def check_dims(h: int, w: int) -> None:
+    """Refuse dims the two pooling stages and the bottleneck's mirror padding cannot take."""
+    if h % 4 or w % 4:
+        raise ContractError(f"image dims must be divisible by 4, got {h}x{w}")
+    if h < 8 or w < 8:
+        raise ContractError(f"image dims must be at least 8, got {h}x{w}")
+
+
 class _Workspace:
     """Every array a training step needs, for batches of up to n h x w images.
 
@@ -282,10 +292,7 @@ class _Workspace:
     """
 
     def __init__(self, spec: ConvNetSpec, n: int, h: int, w: int):
-        if h % 4 or w % 4:
-            raise ContractError(f"image dims must be divisible by 4, got {h}x{w}")
-        if h < 8 or w < 8:
-            raise ContractError(f"image dims must be at least 8, got {h}x{w}")
+        check_dims(h, w)
         self.channels, self.h, self.w = spec.channels, h, w
         self.dims = [(h, w), (h // 2, w // 2), (h // 4, w // 4), (h // 2, w // 2), (h, w)]
         ch = self.channels
@@ -389,18 +396,14 @@ def add_noise(img, kind: str = "gaussian", param: float = 0.1, rng=None) -> np.n
     gaussian: additive N(0, param^2).  poisson: photon counting at
     param expected counts per unit intensity.  Output is clipped to [0, 1].
     """
+    check("kind", kind, rules("denoise", "noise_kind"), ContractError)
+    check("param", param, (*rules("denoise", "noise_param"), noise_param_rule(kind)), ContractError)
     a = np.asarray(img, dtype=np.float64)
     rng = np.random.default_rng(rng)
     if kind == "gaussian":
-        if param < 0:
-            raise ContractError(f"gaussian sigma must be >= 0, got {param}")
         noisy = a + rng.normal(0.0, 1.0, a.shape) * param if param > 0 else a.copy()
-    elif kind == "poisson":
-        if param <= 0:
-            raise ContractError(f"poisson scale must be > 0, got {param}")
-        noisy = rng.poisson(np.clip(a, 0.0, None) * param) / param
     else:
-        raise ContractError(f"unknown noise kind {kind!r}")
+        noisy = rng.poisson(np.clip(a, 0.0, None) * param) / param
     return np.clip(noisy, 0.0, 1.0)
 
 

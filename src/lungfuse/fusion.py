@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .images import as_image, as_image_pair
+from .settings import check_fields
 from .wavelet import WaveletPyramid, dwt2, idwt2
 
 
@@ -66,10 +67,7 @@ class FusionRule:
     detail_rule: str = "max_abs"  # "max_abs" | "average"
 
     def __post_init__(self):
-        if self.detail_rule not in ("max_abs", "average"):
-            raise ContractError(f"unknown detail_rule {self.detail_rule!r}")
-        if not 0.0 <= self.ll_weight_ct <= 1.0:
-            raise ContractError(f"ll_weight_ct must be in [0,1], got {self.ll_weight_ct}")
+        check_fields(self, ContractError, "fusion")
 
 
 class _Resampler:

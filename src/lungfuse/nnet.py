@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
+from .settings import check, check_fields, noise_param_rule
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
 _BETA1 = 0.9
@@ -25,30 +25,8 @@ class TrainConfig:
     noise_param: float = 0.1  # sigma for gaussian, count scale for poisson
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
-        if self.noise_kind not in ("gaussian", "poisson"):
-            raise ContractError(f"unknown noise_kind {self.noise_kind!r}")
-        p = self.noise_param
-        if self.noise_kind == "gaussian" and not p >= 0:
-            raise ContractError(f"noise_param (gaussian sigma) must be >= 0, got {p}")
-        if self.noise_kind == "poisson" and not p > 0:
-            raise ContractError(f"noise_param (poisson scale) must be > 0, got {p}")
-
-
-def layer_width(value, what: str) -> int:
-    """A layer width as an int; fractional, boolean or non-numeric widths raise."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not float(value).is_integer()
-    ):
-        raise ContractError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+        check_fields(self, ContractError, "denoise")
+        check("noise_param", self.noise_param, [noise_param_rule(self.noise_kind)], ContractError)
 
 
 def relu(x, out=None):

@@ -34,6 +34,7 @@ from .errors import ConfigError, DataError, FormatError
 from .fusion import RigidTransform
 from .images import read_json, read_pgm, write_json, write_pgm
 from .nnet import sigmoid
+from .settings import check_fields
 from .tabular import ColumnSpec, TabularDataset, read_table, write_table
 
 __all__ = [
@@ -69,22 +70,7 @@ class PhantomConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_patients < 2:
-            raise ConfigError(f"n_patients must be >= 2, got {self.n_patients}")
-        if self.image_size % 4 or self.image_size < 16:
-            raise ConfigError(
-                f"image_size must be >= 16 and divisible by 4, got {self.image_size}"
-            )
-        if not 0.0 < self.class_balance < 1.0:
-            raise ConfigError(f"class_balance must be in (0, 1), got {self.class_balance}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.registration_jitter < 0:
-            raise ConfigError(f"registration_jitter must be >= 0, got {self.registration_jitter}")
-        if self.signal_strength < 0:
-            raise ConfigError(f"signal_strength must be >= 0, got {self.signal_strength}")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
+        check_fields(self, ConfigError, "phantom")
 
 
 def _grid(size):

@@ -26,7 +26,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import pathlib
 import platform
@@ -57,6 +56,7 @@ from .phantom import (
     PhantomConfig, SUBTYPES, check_image_size, class_labels, generate, load_manifest, render_pet,
     sample_patient, table_rows,
 )
+from .settings import DEFAULTS, check, noise_param_rule, rules
 from .tabular import BOOST_MIN_ROWS, BoostConfig, read_table, take_rows
 from .wavelet import max_levels
 
@@ -80,85 +80,6 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA_VERSION = 1
-
-
-# what a setting's value must be: a test and its description
-def _one_of(*names):
-    return (lambda v: v in names, " or ".join(f'"{n}"' for n in names))
-
-
-def _integer(least):
-    return (lambda v: not isinstance(v, bool) and isinstance(v, int) and v >= least,
-            f"an integer >= {least}")
-
-
-_NUMBER = (lambda v: not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v),
-           "a finite number")
-_POSITIVE = (lambda v: v > 0, "> 0")
-_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-_BY_FOUR = (lambda v: v % 4 == 0, "divisible by 4")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_SEED = _integer(0)  # numpy seeds are non-negative
-
-# section -> key -> (default, test, ...); the tests run in order, type first
-_SETTINGS = {
-    "phantom": {
-        "n_patients": (60, _integer(2)),
-        "image_size": (64, _integer(16), _BY_FOUR),
-        "class_balance": (0.5, _NUMBER, (lambda v: 0 < v < 1, "in (0, 1)")),
-        "noise_sigma": (0.02, _NUMBER, _NON_NEGATIVE),
-        "registration_jitter": (3.0, _NUMBER, _NON_NEGATIVE),
-        "signal_strength": (1.0, _NUMBER, _NON_NEGATIVE),
-        "missing_rate": (0.0, _NUMBER, (lambda v: 0 <= v < 1, "in [0, 1)")),
-        "seed": (42, _SEED),
-    },
-    "denoise": {
-        "enabled": (True, _BOOL),
-        "learning_rate": (0.001, _NUMBER, _POSITIVE),
-        "batch_size": (96, _integer(1)),
-        "epochs": (30, _integer(1)),
-        "rng_seed": (0, _SEED),
-        "noise_kind": ("gaussian", _one_of("gaussian", "poisson")),
-        "noise_param": (0.1, _NUMBER),  # its range depends on noise_kind
-        "train_images": (24, _integer(8)),
-        "train_size": (64, _integer(16), _BY_FOUR),
-        "train_seed": (7, _SEED),
-    },
-    "fusion": {
-        "family": ("haar", _one_of("haar", "db2")),
-        "levels": (1, _integer(1)),
-        "ll_weight_ct": (0.5, _NUMBER, (lambda v: 0 <= v <= 1, "in [0, 1]")),
-        "detail_rule": ("max_abs", _one_of("max_abs", "average")),
-        "register": (True, _BOOL),
-    },
-    "tabular": {
-        "smote_k": (5, _integer(1)),
-        "top_k": (16, _integer(1)),
-    },
-    "classify": {
-        "model": ("mlp", _one_of("mlp", "logreg")),
-        "feature_levels": (2, _integer(1)),
-        "learning_rate": (0.001, _NUMBER, _POSITIVE),
-        "batch_size": (96, _integer(1)),
-        "epochs": (300, _integer(1)),
-        "rng_seed": (0, _SEED),
-        "dropout": (0.5, _NUMBER, (lambda v: 0 <= v < 1, "in [0, 1)")),
-        "hidden": ([32, 16], (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                              and all(type(w) is int and w >= 1 for w in v),
-                              "a list of two positive integers")),
-        "boost_learning_rate": (0.1, _NUMBER, _POSITIVE),
-        "boost_max_depth": (5, _integer(1)),
-        "boost_n_estimators": (100, _integer(1)),
-        "logreg_lr": (0.5, _NUMBER),
-        "logreg_epochs": (200, _integer(1)),
-    },
-    "evaluate": {
-        "k": (5, _integer(2)),
-        "seed": (42, _SEED),
-    },
-}
-DEFAULTS = {section: {key: spec[0] for key, spec in keys.items()}
-            for section, keys in _SETTINGS.items()}
 
 
 def resolve_config(user: dict | None) -> dict:
@@ -238,26 +159,20 @@ def classify_config_from(doc: dict) -> ClassifyConfig:
             n_estimators=c["boost_n_estimators"],
         ),
         train=_train_config(c),
-        mlp=MLPSpec(hidden=tuple(c["hidden"]), dropout=c["dropout"]),
+        mlp=MLPSpec(hidden=c["hidden"], dropout=c["dropout"]),
         logreg_lr=c["logreg_lr"],
         logreg_epochs=c["logreg_epochs"],
     )
 
 
 def _validate(doc: dict) -> None:
-    """Check every value's type and range, naming its section.key, so bad
-    values fail before any work.  The stage configs' own checks are a
-    subset, for library callers."""
-    for section, keys in _SETTINGS.items():
-        for key, (_, *tests) in keys.items():
-            v = doc[section][key]
-            for test, what in tests:
-                if not test(v):
-                    raise ConfigError(f"{section}.{key} must be {what}, got {v!r}")
-    kind, param = doc["denoise"]["noise_kind"], doc["denoise"]["noise_param"]
-    test, what = _POSITIVE if kind == "poisson" else _NON_NEGATIVE  # a count scale or a sigma
-    if not test(param):
-        raise ConfigError(f"denoise.noise_param must be {what} for {kind} noise, got {param!r}")
+    """Check every value against its settings rules, naming its section.key, so bad values
+    fail before any work.  The stage configs check their fields against the same rules."""
+    for section, keys in DEFAULTS.items():
+        for key in keys:
+            check(f"{section}.{key}", doc[section][key], rules(section, key), ConfigError)
+    d = doc["denoise"]
+    check("denoise.noise_param", d["noise_param"], [noise_param_rule(d["noise_kind"])], ConfigError)
 
 
 def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feature_levels")):
@@ -552,16 +467,10 @@ def evaluate_dataset(dataset_dir, fused_dir, doc: dict) -> dict:
 
 
 def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
+    """results.json and comparison.txt; the bundle's metrics.json adds the run's config."""
     results = evaluate_dataset(dataset_dir, fused_dir, doc)
-    write_json(
-        os.path.join(outdir, "metrics.json"),
-        {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "pipeline-report",
-            "resolved_config": doc,
-            "results": {name: rep.to_dict() for name, rep in results.items()},
-        },
-    )
+    write_json(os.path.join(outdir, "results.json"),
+               {name: rep.to_dict() for name, rep in results.items()})
     with open(os.path.join(outdir, "comparison.txt"), "w", encoding="utf-8") as fh:
         fh.write(comparison_to_text(results))
 
@@ -642,7 +551,11 @@ def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
     unmarked = shutil.ignore_patterns(".complete")
 
     def assemble(d):
-        shutil.copytree(eval_dir, d, ignore=unmarked, dirs_exist_ok=True)  # metrics, comparison
+        shutil.copyfile(eval_dir / "comparison.txt", d / "comparison.txt")
+        results = read_json(eval_dir / "results.json", "evaluate stage results")
+        write_json(d / "metrics.json", {"schema_version": REPORT_SCHEMA_VERSION,
+                                        "kind": "pipeline-report", "resolved_config": doc,
+                                        "results": results})
         write_json(d / "resolved_config.json", doc)
         shutil.copytree(fused_dir, d / "fused", ignore=unmarked)
         log = [{k: s[k] for k in ("stage", "key", "output_hash")} for s in stages.log]

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ContractError, DataError, FormatError
 from .images import read_json
 from .nnet import sigmoid
+from .settings import check_fields
 
 __all__ = [
     "ColumnSpec",
@@ -383,10 +384,7 @@ class BoostConfig:
     n_estimators: int = 100
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ContractError("learning_rate must be > 0")
-        if self.max_depth < 1 or self.n_estimators < 1:
-            raise ContractError("max_depth and n_estimators must be >= 1")
+        check_fields(self, ContractError, "classify", prefix="boost_")
 
 
 @dataclass

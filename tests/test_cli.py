@@ -220,6 +220,24 @@ def test_denoise_train_apply_round_trip(capsys, tmp_path):
     assert read_pgm(dn).shape == (64, 64)
 
 
+@pytest.mark.parametrize("sizes,needle", [
+    ([32, 32, 32, 16, 32, 32, 32, 32], "{d}/img3.pgm is (16, 16), {d}/img0.pgm is (32, 32)"),
+    ([30] * 8, "{d}/img0.pgm: image dims must be divisible by 4, got 30x30"),
+])
+def test_denoise_train_on_images_it_cannot_use_exits_3_naming_the_file(capsys, tmp_path, sizes,
+                                                                        needle):
+    images = tmp_path / "imgs"
+    images.mkdir()
+    for i, n in enumerate(sizes):
+        write_pgm(np.full((n, n), 0.5), images / f"img{i}.pgm")
+    w = tmp_path / "w.json"
+    rc, _, err = _run(capsys, "denoise-train", "--out", str(w), "--images", str(images),
+                      "--set", "denoise.epochs=1")
+    assert rc == 3
+    assert err.count("\n") == 1 and needle.format(d=images) in err
+    assert not w.exists()
+
+
 def _stage_dir(out_dir, stage):
     (d,) = (out_dir / "cache").glob(f"{stage}-*")
     return d
@@ -351,6 +369,28 @@ def test_run_reruns_as_cache_hits(capsys, tmp_path):
     again = json.loads(out)
     assert again["cache_hits"] == len(again["stages"]) == 3  # phantom, fuse, evaluate
     assert _tree_hash(out_dir / "report") == report_hash
+
+
+@pytest.mark.parametrize("command,change", [("run", "denoise.learning_rate=0.01"),
+                                            ("compare", "phantom.seed=7")])
+def test_metrics_json_carries_the_runs_own_config_on_a_cache_hit(capsys, tmp_path, command,
+                                                                   change):
+    # neither change reaches a stage key here: the rerun is all cache hits
+    if command == "run":
+        argv = ["run", "--out", str(tmp_path / "w")]
+    else:
+        generate(PhantomConfig(n_patients=24, seed=42), tmp_path / "ds")
+        argv = ["compare", "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "w")]
+    assert _run(capsys, *argv, *_FAST)[0] == 0
+    rc, out, err = _run(capsys, *argv, *_FAST, "--set", change)
+    assert rc == 0
+    assert "built" not in err
+    report = tmp_path / "w" / "report"
+    resolved = json.loads((report / "resolved_config.json").read_text())
+    path, value = change.split("=")
+    section, key = path.split(".")
+    assert resolved[section][key] == json.loads(value)
+    assert json.loads((report / "metrics.json").read_text())["resolved_config"] == resolved
 
 
 def test_run_bundles_are_byte_identical_across_directories(capsys, tmp_path):

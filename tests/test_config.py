@@ -1,16 +1,23 @@
+import ast
+import dataclasses
+import inspect
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
 from lungfuse import pipeline as pl
-from lungfuse.classify import ClassifyConfig, train_mlp
-from lungfuse.denoise import ConvNetSpec
-from lungfuse.errors import ConfigError
+from lungfuse import settings
+from lungfuse.classify import (
+    ClassifyConfig, MLPSpec, compare_modalities, kfold_evaluate, train_mlp,
+)
+from lungfuse.denoise import ConvNetSpec, add_noise
+from lungfuse.errors import ConfigError, ContractError
 from lungfuse.fusion import FusionRule, mutual_information, psnr, ssim
 from lungfuse.nnet import TrainConfig
-from lungfuse.phantom import PhantomConfig
-from lungfuse.tabular import write_table
+from lungfuse.phantom import PhantomConfig, generate
+from lungfuse.tabular import BoostConfig, write_table
 
 # values of every JSON type, on and around each setting's bounds
 _BATTERY = (
@@ -44,6 +51,85 @@ def test_every_value_resolve_config_accepts_builds_every_stage_config(kind):
     assert accepted > len(_KEYS)  # each key takes several of the values
 
 
+_TRAIN_KEYS = ("learning_rate", "batch_size", "epochs", "rng_seed")
+# (stage config, its error, field, section, key): the setting each field is checked against
+_FIELDS = (
+    [(PhantomConfig, ConfigError, k, "phantom", k) for k in pl.DEFAULTS["phantom"]]
+    + [(TrainConfig, ContractError, k, "denoise", k)
+       for k in (*_TRAIN_KEYS, "noise_kind", "noise_param")]
+    + [(BoostConfig, ContractError, k, "classify", "boost_" + k)
+       for k in ("learning_rate", "max_depth", "n_estimators")]
+    + [(MLPSpec, ContractError, k, "classify", k) for k in ("hidden", "dropout")]
+    + [(FusionRule, ContractError, k, "fusion", k) for k in ("ll_weight_ct", "detail_rule")]
+    + [(ClassifyConfig, ConfigError, k, "classify", k) for k in ("model", "logreg_lr",
+                                                                  "logreg_epochs")]
+    + [(ClassifyConfig, ConfigError, k, "tabular", k) for k in ("top_k", "smote_k")]
+)
+
+
+def _accepts(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls,error,name,section,key", _FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, _, n, _, _ in _FIELDS])
+def test_stage_configs_accept_what_resolve_config_accepts(cls, error, name, section, key):
+    for value in _BATTERY:
+        cli = _accepts(lambda: pl.resolve_config({section: {key: value}}), ConfigError)
+        lib = _accepts(lambda: cls(**{name: value}), error)
+        assert lib == cli, f"{cls.__name__}({name}={value!r}) against {section}.{key}"
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "poisson"])
+def test_noise_param_follows_noise_kind_in_the_library_as_in_the_config(kind):
+    img = np.full((8, 8), 0.5)
+    for value in _BATTERY:
+        cli = _accepts(lambda: pl.resolve_config(
+            {"denoise": {"noise_kind": kind, "noise_param": value}}), ConfigError)
+        assert _accepts(lambda: TrainConfig(noise_kind=kind, noise_param=value),
+                        ContractError) == cli, value
+        assert _accepts(lambda: add_noise(img, kind, value, rng=0), ContractError) == cli, value
+
+
+def test_every_stage_config_field_is_mapped_or_a_sub_config():
+    mapped = {(cls, name) for cls, _, name, _, _ in _FIELDS}
+    sub_configs = {"boost", "train", "mlp"}
+    for cls in {cls for cls, *_ in _FIELDS}:
+        names = {f.name for f in dataclasses.fields(cls)} - sub_configs
+        assert {(cls, n) for n in names} <= mapped, cls.__name__
+
+
+def test_the_mlp_train_config_keys_keep_the_denoise_rules():
+    # TrainConfig is checked against denoise, so classify's four keys must keep the same rules
+    for key in _TRAIN_KEYS:
+        assert ([what for _, what in settings.rules("classify", key)]
+                == [what for _, what in settings.rules("denoise", key)]), key
+        for value in _BATTERY:
+            accepted = [_accepts(lambda: pl.resolve_config({s: {key: value}}), ConfigError)
+                        for s in ("classify", "denoise")]
+            lib = _accepts(lambda: TrainConfig(**{key: value}), ContractError)
+            assert accepted == [lib, lib], (key, value)
+
+
+def test_a_float_patient_count_is_a_config_error_naming_it(tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        generate(PhantomConfig(n_patients=3.0), tmp_path)
+    assert str(exc.value) == "n_patients must be an integer >= 2, got 3.0"
+
+
+def test_settings_imports_no_lungfuse_module():
+    tree = ast.parse(pathlib.Path(settings.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("lungfuse")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("lungfuse") for a in node.names)
+
+
 def test_library_defaults_are_the_pipeline_defaults():
     # a Python caller that builds a stage config with no arguments computes
     # what the pipeline computes under the default settings
@@ -53,6 +139,10 @@ def test_library_defaults_are_the_pipeline_defaults():
     assert pl._train_config(doc["denoise"]) == TrainConfig()
     assert FusionRule(f["ll_weight_ct"], f["detail_rule"]) == FusionRule()
     assert pl.classify_config_from(doc) == ClassifyConfig()
+    for fn in (compare_modalities, kfold_evaluate):
+        params = inspect.signature(fn).parameters
+        assert params["seed"].default == doc["evaluate"]["seed"], fn.__name__
+        assert params["k"].default == doc["evaluate"]["k"], fn.__name__
 
 
 def test_removed_library_options_are_gone():
