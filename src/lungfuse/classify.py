@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .images import as_image
-from .nnet import Adam, TrainConfig, glorot_uniform, relu, softmax
+from .nnet import Adam, glorot_uniform, relu, softmax
 from .parallel import parallel_map
 from .settings import DEFAULTS, check_fields
 from .tabular import (
@@ -38,7 +38,6 @@ from .tabular import (
 from .wavelet import dwt2
 
 __all__ = [
-    "MLPSpec",
     "ClassifyConfig",
     "MMDataset",
     "MetricsReport",
@@ -176,16 +175,6 @@ def train_logreg(x, labels, lr: float = 0.5, epochs: int = 200):
 # --- MLP ---
 
 
-@dataclass(frozen=True)
-class MLPSpec:
-    hidden: tuple = (32, 16)
-    dropout: float = 0.5  # first hidden layer only, training time only
-
-    def __post_init__(self):
-        check_fields(self, ContractError, "classify")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-
-
 @dataclass
 class MLPModel:
     classes: list
@@ -260,14 +249,13 @@ def _views(buf, shapes) -> list:
     return out
 
 
-def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = None) -> MLPModel:
+def train_mlp(x, labels, cfg: ClassifyConfig | None = None) -> MLPModel:
     """Minibatch Adam with inverted dropout on the first hidden layer."""
-    spec = spec or MLPSpec()
-    cfg = cfg or TrainConfig()
+    cfg = cfg or ClassifyConfig()
     x, labels = as_rows(x, labels)
     classes, yi = _class_index(labels)
     d = x.shape[1]
-    h1, h2 = spec.hidden
+    h1, h2 = cfg.hidden
     c = len(classes)
     rng = np.random.default_rng(cfg.rng_seed)
     # the six parameters (and their gradients) are views of one flat
@@ -281,7 +269,7 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
     opt = Adam([flat], lr=cfg.learning_rate)
     n = x.shape[0]
     batch = min(cfg.batch_size, n)
-    keep = 1.0 - spec.dropout
+    keep = 1.0 - cfg.dropout
     target = _one_hot(yi, c)
     # one work set per batch length: the full batches and a shorter last one
     works = {m: _MLPWork(m, params) for m in {batch, n - (n - 1) // batch * batch}}
@@ -293,7 +281,7 @@ def train_mlp(x, labels, spec: MLPSpec | None = None, cfg: TrainConfig | None = 
             x.take(idx, axis=0, out=work.x)
             target.take(idx, axis=0, out=work.target)
             mask = None
-            if spec.dropout > 0:
+            if cfg.dropout > 0:
                 # uniform(0, 1) draws are 0 + 1 * random(), the same doubles
                 mask = rng.random(out=work.mask)
                 np.divide(np.less(mask, keep, out=work.on1), keep, out=mask)
@@ -456,13 +444,19 @@ class ClassifyConfig:
     top_k: int = 16
     smote_k: int = 5
     boost: BoostConfig = field(default_factory=BoostConfig)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=300))
-    mlp: MLPSpec = field(default_factory=MLPSpec)
     logreg_lr: float = 0.5
     logreg_epochs: int = 200
+    # the MLP head
+    learning_rate: float = 0.001
+    batch_size: int = 96  # clamped to dataset size
+    epochs: int = 300
+    rng_seed: int = 0
+    hidden: tuple = (32, 16)
+    dropout: float = 0.5  # first hidden layer only, training time only
 
     def __post_init__(self):
         check_fields(self, ConfigError, "classify", "tabular")
+        self.hidden = tuple(self.hidden)
 
 
 def _assemble(ds: MMDataset, inputs) -> TabularDataset:
@@ -510,7 +504,7 @@ def _fit_fold(table: TabularDataset, test_idx, classes, cfg: ClassifyConfig, see
     if cfg.model == "logreg":
         model, _ = train_logreg(xb_sel, yb, lr=cfg.logreg_lr, epochs=cfg.logreg_epochs)
     else:
-        model = train_mlp(xb_sel, yb, cfg.mlp, cfg.train)
+        model = train_mlp(xb_sel, yb, cfg)
     pred = predict(model, x_test[:, sel])
     t_idx = np.array([lut[v] for v in labels[test_idx]])
     p_idx = np.array([lut[v] for v in pred])

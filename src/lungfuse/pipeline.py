@@ -39,7 +39,6 @@ from . import __version__
 from .classify import (
     REPORT_SCHEMA_VERSION,
     ClassifyConfig,
-    MLPSpec,
     MMDataset,
     compare_modalities,
     comparison_to_text,
@@ -141,28 +140,15 @@ def apply_overrides(user: dict, pairs) -> dict:
     return out
 
 
-def _train_config(section: dict) -> TrainConfig:
-    """The section's keys that are TrainConfig fields: six in denoise, four in classify."""
-    names = {f.name for f in dataclasses.fields(TrainConfig)}
-    return TrainConfig(**{key: v for key, v in section.items() if key in names})
+def _config_from(cls, section: dict, prefix: str = ""):
+    """The stage config whose fields are the section's settings prefix + field name."""
+    return cls(**{f.name: section[prefix + f.name] for f in dataclasses.fields(cls)})
 
 
 def classify_config_from(doc: dict) -> ClassifyConfig:
-    c, t = doc["classify"], doc["tabular"]
-    return ClassifyConfig(
-        model=c["model"],
-        top_k=t["top_k"],
-        smote_k=t["smote_k"],
-        boost=BoostConfig(
-            learning_rate=c["boost_learning_rate"],
-            max_depth=c["boost_max_depth"],
-            n_estimators=c["boost_n_estimators"],
-        ),
-        train=_train_config(c),
-        mlp=MLPSpec(hidden=c["hidden"], dropout=c["dropout"]),
-        logreg_lr=c["logreg_lr"],
-        logreg_epochs=c["logreg_epochs"],
-    )
+    c = doc["classify"]
+    boost = _config_from(BoostConfig, c, "boost_")
+    return _config_from(ClassifyConfig, {**doc["tabular"], **c, "boost": boost})
 
 
 def _validate(doc: dict) -> None:
@@ -355,7 +341,7 @@ def _train_denoiser_stage(doc: dict, weights_path, clean=None) -> list:
     d = doc["denoise"]
     if clean is None:
         clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
-    weights, log = train_denoiser(clean, _train_config(d))
+    weights, log = train_denoiser(clean, _config_from(TrainConfig, d))
     _say(f"[denoise-train] {len(log)} epochs, loss {log[0]:.4f} -> {log[-1]:.4f}")
     save_weights(weights_path, weights)
     return log
@@ -400,7 +386,7 @@ def fuse_pair(ct, pet, fusion: dict):
         pet, t = align(ct, pet)
     else:
         t = RigidTransform(0.0, 0.0, 0.0, 1.0)
-    rule = FusionRule(fusion["ll_weight_ct"], fusion["detail_rule"])
+    rule = _config_from(FusionRule, fusion)
     fused = fuse_wavelet(ct, pet, family=fusion["family"], levels=fusion["levels"], rule=rule)
     return fused, pet, t
 
@@ -524,6 +510,11 @@ def fuse_stages(stages: _Stages, doc: dict, dataset=None):
     return dataset, dataset_hash, fused_dir, fused_hash
 
 
+# the classify settings each head does not read, which its evaluate stage key leaves out
+_UNREAD = {"mlp": ("logreg_lr", "logreg_epochs"),
+           "logreg": ("learning_rate", "batch_size", "epochs", "rng_seed", "hidden", "dropout")}
+
+
 def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
     """Execute all stages into <out_dir>; returns a run summary.
 
@@ -535,13 +526,14 @@ def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
     out_dir = pathlib.Path(out_dir)
     stages = _Stages(out_dir)
     dataset, dataset_hash, fused_dir, fused_hash = fuse_stages(stages, doc, dataset)
+    c = doc["classify"]
     eval_dir, _ = stages.run(
         "evaluate",
         {
             "dataset": dataset_hash,
             "fused": fused_hash,
             "tabular": doc["tabular"],
-            "classify": doc["classify"],
+            "classify": {k: v for k, v in c.items() if k not in _UNREAD[c["model"]]},
             "evaluate": doc["evaluate"],
         },
         "check the tabular/classify/evaluate sections",

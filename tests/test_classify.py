@@ -8,7 +8,7 @@ from lungfuse import classify as cl
 from lungfuse import pipeline as pl
 from lungfuse import tabular as tb
 from lungfuse.errors import ConfigError, ContractError, DataError
-from lungfuse.nnet import TrainConfig, glorot_uniform
+from lungfuse.nnet import glorot_uniform
 from lungfuse.phantom import PhantomConfig, generate
 from lungfuse.tabular import BoostConfig
 from tabular_cells import encode
@@ -121,7 +121,7 @@ def test_mlp_same_seed_identical_weights():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(30, 5))
     y = rng.integers(0, 2, 30)
-    cfg = TrainConfig(epochs=5, batch_size=8, rng_seed=3)
+    cfg = cl.ClassifyConfig(epochs=5, batch_size=8, rng_seed=3)
     m1 = cl.train_mlp(x, y, cfg=cfg)
     m2 = cl.train_mlp(x, y, cfg=cfg)
     for a, b in zip(m1.params, m2.params):
@@ -134,7 +134,7 @@ def test_mlp_params_are_pinned():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(70, 6))
     y = np.array(["a", "b", "c"])[rng.integers(0, 3, 70)]
-    m = cl.train_mlp(x, y, cl.MLPSpec(), TrainConfig(epochs=15, batch_size=32))
+    m = cl.train_mlp(x, y, cl.ClassifyConfig(epochs=15, batch_size=32))
     assert [p.shape for p in m.params] == [(6, 32), (32,), (32, 16), (16,), (16, 3), (3,)]
     h = hashlib.sha256()
     for p in m.params:
@@ -142,11 +142,11 @@ def test_mlp_params_are_pinned():
     assert h.hexdigest() == "57b5382e66a3fddee9b8525ddca7ca49ea7ab1f9bc042dbe9595976fb2da2e34"
 
 
-def _reference_train_mlp(x, labels, spec, cfg):
+def _reference_train_mlp(x, labels, cfg):
     """train_mlp's parameters from the same draws, with a fresh array per
-    operation and Adam's step written out (lr 0.001 is TrainConfig's)."""
+    operation and Adam's step written out (lr 0.001 is ClassifyConfig's)."""
     classes, yi = np.unique(labels, return_inverse=True)
-    (n, d), (h1, h2), c = x.shape, spec.hidden, len(classes)
+    (n, d), (h1, h2), c = x.shape, cfg.hidden, len(classes)
     rng = np.random.default_rng(cfg.rng_seed)
     shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,)]
     flat = np.zeros(sum(int(np.prod(s)) for s in shapes))
@@ -154,14 +154,14 @@ def _reference_train_mlp(x, labels, spec, cfg):
     for w in params[::2]:
         w[...] = glorot_uniform(rng, w.shape, *w.shape)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
-    batch, keep, target = min(cfg.batch_size, n), 1.0 - spec.dropout, np.eye(c)[yi]
+    batch, keep, target = min(cfg.batch_size, n), 1.0 - cfg.dropout, np.eye(c)[yi]
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             mask = None
-            if spec.dropout > 0:
+            if cfg.dropout > 0:
                 mask = (rng.uniform(size=(len(idx), h1)) < keep) / keep
             w1, b1, w2, b2, w3, b3 = params
             xb = x[idx]
@@ -201,9 +201,9 @@ def test_train_mlp_equals_the_step_written_out(n, batch, n_classes, dropout):
     rng = np.random.default_rng(n + batch)
     x = rng.normal(size=(n, 7))
     y = np.array(["a", "b", "c"][:n_classes])[np.arange(n) % n_classes]
-    spec, cfg = cl.MLPSpec(hidden=(12, 5), dropout=dropout), TrainConfig(epochs=4, batch_size=batch)
-    model = cl.train_mlp(x, y, spec, cfg)
-    ref = _reference_train_mlp(x, y, spec, cfg)
+    cfg = cl.ClassifyConfig(hidden=(12, 5), dropout=dropout, epochs=4, batch_size=batch)
+    model = cl.train_mlp(x, y, cfg)
+    ref = _reference_train_mlp(x, y, cfg)
     assert [p.tobytes() for p in model.params] == [p.tobytes() for p in ref]
 
 
@@ -213,7 +213,7 @@ def test_mlp_loss_grad_is_the_training_steps_gradient(monkeypatch, dropout):
     n, batch = 40, 16
     x = rng.normal(size=(n, 5))
     y = np.array(["a", "b", "c"])[rng.integers(0, 3, n)]
-    cfg = TrainConfig(epochs=2, batch_size=batch, rng_seed=4)
+    cfg = cl.ClassifyConfig(epochs=2, batch_size=batch, rng_seed=4, hidden=(8, 6), dropout=dropout)
     steps = []
 
     class Recording(cl.Adam):
@@ -222,7 +222,7 @@ def test_mlp_loss_grad_is_the_training_steps_gradient(monkeypatch, dropout):
             super().step(params, grads)
 
     monkeypatch.setattr(cl, "Adam", Recording)
-    cl.train_mlp(x, y, cl.MLPSpec(hidden=(8, 6), dropout=dropout), cfg)
+    cl.train_mlp(x, y, cfg)
     # replay train_mlp's draws: initial weights, then per epoch an order
     # and per batch a dropout mask
     replay = np.random.default_rng(cfg.rng_seed)
@@ -280,7 +280,7 @@ def test_mlp_beats_logreg_on_xor():
     lin, _ = cl.train_logreg(x, y, lr=0.5, epochs=300)
     lin_acc = float(np.mean(cl.predict(lin, x) == y))
     assert lin_acc <= 0.75
-    cfg = TrainConfig(epochs=300, batch_size=32, rng_seed=0)
+    cfg = cl.ClassifyConfig(epochs=300, batch_size=32, rng_seed=0)
     mlp = cl.train_mlp(x, y, cfg=cfg)
     mlp_acc = float(np.mean(cl.predict(mlp, x) == y))
     assert mlp_acc >= 0.95
@@ -290,7 +290,7 @@ def test_mlp_eval_has_no_dropout():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 4))
     y = rng.integers(0, 2, 20)
-    m = cl.train_mlp(x, y, cfg=TrainConfig(epochs=3, rng_seed=1))
+    m = cl.train_mlp(x, y, cl.ClassifyConfig(epochs=3, rng_seed=1))
     p1 = cl.predict_proba(m, x)
     p2 = cl.predict_proba(m, x)
     assert np.array_equal(p1, p2)
@@ -298,14 +298,14 @@ def test_mlp_eval_has_no_dropout():
 
 
 def test_mlp_spec_validation():
-    with pytest.raises(ContractError):
-        cl.MLPSpec(hidden=(32,))
-    with pytest.raises(ContractError):
-        cl.MLPSpec(dropout=1.0)
-    with pytest.raises(ContractError):
-        cl.MLPSpec(hidden=(0, 4))
-    with pytest.raises(ContractError):
-        cl.MLPSpec(hidden=(7.9, 3))
+    with pytest.raises(ConfigError):
+        cl.ClassifyConfig(hidden=(32,))
+    with pytest.raises(ConfigError):
+        cl.ClassifyConfig(dropout=1.0)
+    with pytest.raises(ConfigError):
+        cl.ClassifyConfig(hidden=(0, 4))
+    with pytest.raises(ConfigError):
+        cl.ClassifyConfig(hidden=(7.9, 3))
 
 
 def test_predict_rejects_wrong_width():
@@ -419,7 +419,9 @@ def _fast_cfg(model="logreg"):
         model=model,
         top_k=8,
         boost=BoostConfig(n_estimators=15),
-        train=TrainConfig(epochs=40, batch_size=16, rng_seed=0),
+        epochs=40,
+        batch_size=16,
+        rng_seed=0,
     )
 
 
@@ -456,7 +458,9 @@ def test_kfold_works_with_mlp_head():
         model="mlp",
         top_k=8,
         boost=BoostConfig(n_estimators=15),
-        train=TrainConfig(epochs=150, batch_size=16, rng_seed=0),
+        epochs=150,
+        batch_size=16,
+        rng_seed=0,
     )
     rep = cl.kfold_evaluate(ds, inputs=("fused",), k=3, cfg=cfg, seed=0)
     assert rep.pooled["accuracy"] >= 0.9
@@ -523,7 +527,7 @@ def test_compare_modalities_reports_are_pinned(tmp_path):
     pl.compute_fused_dir(tmp_path / "d", tmp_path / "f", doc)
     ds = pl.build_mmdataset(tmp_path / "d", tmp_path / "f", 2)
     cfg = cl.ClassifyConfig(model="mlp", top_k=8, boost=BoostConfig(n_estimators=10),
-                            train=TrainConfig(epochs=20, batch_size=16, rng_seed=0))
+                            epochs=20, batch_size=16, rng_seed=0)
     comp = cl.compare_modalities(ds, seed=1, k=3, cfg=cfg)
     blob = json.dumps({name: rep.to_dict() for name, rep in comp.items()}, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (

@@ -393,6 +393,26 @@ def test_metrics_json_carries_the_runs_own_config_on_a_cache_hit(capsys, tmp_pat
     assert json.loads((report / "metrics.json").read_text())["resolved_config"] == resolved
 
 
+@pytest.mark.parametrize("model,change,status", [
+    ("mlp", "classify.logreg_lr=0.9", "cache hit"),
+    ("logreg", "classify.dropout=0.1", "cache hit"),
+    ("mlp", "classify.epochs=10", "built"),
+    ("logreg", "classify.logreg_lr=0.9", "built"),
+])
+def test_the_evaluate_key_holds_only_the_classify_settings_its_head_reads(capsys, tmp_path,
+                                                                          model, change, status):
+    argv = ["run", "--out", str(tmp_path / "w"), *_FAST, "--set", f"classify.model={model}",
+            "--set", "classify.epochs=20"]
+    assert _run(capsys, *argv)[0] == 0
+    rc, _, err = _run(capsys, *argv, "--set", change)
+    assert rc == 0
+    assert re.findall(r"^\[evaluate\] (cache hit|built) key=", err, re.M) == [status]
+    path, value = change.split("=")
+    section, key = path.split(".")
+    metrics = json.loads((tmp_path / "w" / "report" / "metrics.json").read_text())
+    assert metrics["resolved_config"][section][key] == json.loads(value)
+
+
 def test_run_bundles_are_byte_identical_across_directories(capsys, tmp_path):
     rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "a"), *_FAST)
     assert rc == 0

@@ -7,11 +7,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from lungfuse import classify
 from lungfuse import pipeline as pl
 from lungfuse import settings
-from lungfuse.classify import (
-    ClassifyConfig, MLPSpec, compare_modalities, kfold_evaluate, train_mlp,
-)
+from lungfuse.classify import ClassifyConfig, compare_modalities, kfold_evaluate, train_mlp
 from lungfuse.denoise import ConvNetSpec, add_noise
 from lungfuse.errors import ConfigError, ContractError
 from lungfuse.fusion import FusionRule, mutual_information, psnr, ssim
@@ -42,11 +41,9 @@ def test_every_value_resolve_config_accepts_builds_every_stage_config(kind):
         except ConfigError:
             continue
         accepted += 1
-        d, f = doc["denoise"], doc["fusion"]
         PhantomConfig(**doc["phantom"])
-        TrainConfig(**{k: d[k] for k in ("learning_rate", "batch_size", "epochs", "rng_seed",
-                                         "noise_kind", "noise_param")})
-        FusionRule(ll_weight_ct=f["ll_weight_ct"], detail_rule=f["detail_rule"])
+        pl._config_from(TrainConfig, doc["denoise"])
+        pl._config_from(FusionRule, doc["fusion"])
         pl.classify_config_from(doc)
     assert accepted > len(_KEYS)  # each key takes several of the values
 
@@ -59,10 +56,9 @@ _FIELDS = (
        for k in (*_TRAIN_KEYS, "noise_kind", "noise_param")]
     + [(BoostConfig, ContractError, k, "classify", "boost_" + k)
        for k in ("learning_rate", "max_depth", "n_estimators")]
-    + [(MLPSpec, ContractError, k, "classify", k) for k in ("hidden", "dropout")]
     + [(FusionRule, ContractError, k, "fusion", k) for k in ("ll_weight_ct", "detail_rule")]
-    + [(ClassifyConfig, ConfigError, k, "classify", k) for k in ("model", "logreg_lr",
-                                                                  "logreg_epochs")]
+    + [(ClassifyConfig, ConfigError, k, "classify", k)
+       for k in ("model", "logreg_lr", "logreg_epochs", *_TRAIN_KEYS, "hidden", "dropout")]
     + [(ClassifyConfig, ConfigError, k, "tabular", k) for k in ("top_k", "smote_k")]
 )
 
@@ -97,22 +93,10 @@ def test_noise_param_follows_noise_kind_in_the_library_as_in_the_config(kind):
 
 def test_every_stage_config_field_is_mapped_or_a_sub_config():
     mapped = {(cls, name) for cls, _, name, _, _ in _FIELDS}
-    sub_configs = {"boost", "train", "mlp"}
+    sub_configs = {"boost"}
     for cls in {cls for cls, *_ in _FIELDS}:
         names = {f.name for f in dataclasses.fields(cls)} - sub_configs
         assert {(cls, n) for n in names} <= mapped, cls.__name__
-
-
-def test_the_mlp_train_config_keys_keep_the_denoise_rules():
-    # TrainConfig is checked against denoise, so classify's four keys must keep the same rules
-    for key in _TRAIN_KEYS:
-        assert ([what for _, what in settings.rules("classify", key)]
-                == [what for _, what in settings.rules("denoise", key)]), key
-        for value in _BATTERY:
-            accepted = [_accepts(lambda: pl.resolve_config({s: {key: value}}), ConfigError)
-                        for s in ("classify", "denoise")]
-            lib = _accepts(lambda: TrainConfig(**{key: value}), ContractError)
-            assert accepted == [lib, lib], (key, value)
 
 
 def test_a_float_patient_count_is_a_config_error_naming_it(tmp_path):
@@ -134,10 +118,9 @@ def test_library_defaults_are_the_pipeline_defaults():
     # a Python caller that builds a stage config with no arguments computes
     # what the pipeline computes under the default settings
     doc = pl.resolve_config(None)
-    f = doc["fusion"]
     assert PhantomConfig(**doc["phantom"]) == PhantomConfig()
-    assert pl._train_config(doc["denoise"]) == TrainConfig()
-    assert FusionRule(f["ll_weight_ct"], f["detail_rule"]) == FusionRule()
+    assert pl._config_from(TrainConfig, doc["denoise"]) == TrainConfig()
+    assert pl._config_from(FusionRule, doc["fusion"]) == FusionRule()
     assert pl.classify_config_from(doc) == ClassifyConfig()
     for fn in (compare_modalities, kfold_evaluate):
         params = inspect.signature(fn).parameters
@@ -147,7 +130,11 @@ def test_library_defaults_are_the_pipeline_defaults():
 
 def test_removed_library_options_are_gone():
     img = np.full((8, 8), 0.5)
+    assert not hasattr(classify, "MLPSpec")
     for call in (lambda: ClassifyConfig(levels=2),
+                 lambda: ClassifyConfig(train=TrainConfig()),
+                 lambda: ClassifyConfig(mlp=None),
+                 lambda: train_mlp(np.eye(4), ["a", "b", "a", "b"], spec=None),
                  lambda: ConvNetSpec(channels=((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))),
                  lambda: FusionRule(ll_rule="average"),
                  lambda: psnr(img, img, peak=2.0),
@@ -156,5 +143,15 @@ def test_removed_library_options_are_gone():
                  lambda: write_table("t.csv", None)):  # schema, label and id column required
         with pytest.raises(TypeError):
             call()
-    model = train_mlp(np.eye(4), ["a", "b", "a", "b"], cfg=TrainConfig(epochs=1))
+    model = train_mlp(np.eye(4), ["a", "b", "a", "b"], ClassifyConfig(epochs=1))
     assert not hasattr(model, "spec")
+
+
+def test_train_mlp_with_no_config_trains_the_classify_defaults():
+    # ClassifyConfig's 300 epochs, not the denoiser's 30
+    x = np.random.default_rng(3).normal(size=(12, 3))
+    y = ["a", "b"] * 6
+    alone, default = train_mlp(x, y), train_mlp(x, y, ClassifyConfig())
+    assert [p.tobytes() for p in alone.params] == [p.tobytes() for p in default.params]
+    assert [p.tobytes() for p in alone.params] != [
+        p.tobytes() for p in train_mlp(x, y, ClassifyConfig(epochs=30)).params]

@@ -512,7 +512,8 @@ def _on_cpus(monkeypatch, cpus):
 def _default_training():
     doc = pl.resolve_config(None)
     d = doc["denoise"]
-    return denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"]), pl._train_config(doc)
+    clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
+    return clean, pl._config_from(nnet.TrainConfig, d)
 
 
 @pytest.mark.parametrize(
