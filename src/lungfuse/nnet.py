@@ -44,8 +44,16 @@ def sigmoid(x):
 
 
 def softmax(z, out=None):
-    """Softmax over the last axis; out, which may be z, receives it if given."""
-    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
+    """Softmax over the last axis; out, which may be z, receives it if given.
+
+    The row max is taken column by column: over a few classes np.maximum on
+    whole columns vectorises across rows where a reduce does not, and a max
+    is exact in any order.
+    """
+    top = z[..., :1]
+    for j in range(1, z.shape[-1]):
+        top = np.maximum(top, z[..., j : j + 1])
+    e = np.subtract(z, top, out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e

@@ -8,7 +8,7 @@ from lungfuse import classify as cl
 from lungfuse import pipeline as pl
 from lungfuse import tabular as tb
 from lungfuse.errors import ConfigError, ContractError, DataError
-from lungfuse.nnet import glorot_uniform
+from lungfuse.nnet import glorot_uniform, softmax
 from lungfuse.phantom import PhantomConfig, generate
 from lungfuse.tabular import BoostConfig
 from tabular_cells import encode
@@ -205,6 +205,41 @@ def test_train_mlp_equals_the_step_written_out(n, batch, n_classes, dropout):
     model = cl.train_mlp(x, y, cfg)
     ref = _reference_train_mlp(x, y, cfg)
     assert [p.tobytes() for p in model.params] == [p.tobytes() for p in ref]
+
+
+@pytest.mark.parametrize("dropout", [0.5, 0.0])
+@pytest.mark.parametrize("s", [1, 3, 8])
+def test_a_stack_trains_each_head_as_it_trains_alone(s, dropout):
+    # 40 rows in batches of 16: a ragged last batch of 8; each head its own labels
+    rng = np.random.default_rng(s)
+    x = rng.normal(size=(s, 40, 7))
+    ys = [np.array(["a", "b", "c"])[rng.permutation(np.arange(40) % 3)] for _ in range(s)]
+    cfg = cl.ClassifyConfig(hidden=(12, 5), dropout=dropout, epochs=4, batch_size=16)
+    models = cl.train_mlp(x, ys, cfg)
+    assert len(models) == s
+    for model, xi, yi in zip(models, x, ys):
+        assert model.classes == ["a", "b", "c"]
+        ref = _reference_train_mlp(xi, yi, cfg)
+        assert [p.tobytes() for p in model.params] == [p.tobytes() for p in ref]
+
+
+def test_a_stack_needs_one_class_count_and_one_label_row_per_head():
+    x = np.zeros((2, 6, 3))
+    two, three = np.arange(6) % 2, np.arange(6) % 3
+    with pytest.raises(ContractError, match="same number of classes"):
+        cl.train_mlp(x, [two, three], cl.ClassifyConfig(epochs=1))
+    with pytest.raises(ContractError, match="1 label rows for a stack of 2"):
+        cl.train_mlp(x, [two], cl.ClassifyConfig(epochs=1))
+
+
+@pytest.mark.parametrize("shape", [(50, 2), (50, 3), (4, 50, 2), (4, 50, 3)])
+def test_softmax_row_max_by_columns_is_the_reduce_bit_for_bit(shape):
+    z = np.random.default_rng(len(shape) * 10 + shape[-1]).normal(scale=30.0, size=shape)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    ref = e / np.add.reduce(e, axis=-1, keepdims=True)
+    assert softmax(z).tobytes() == ref.tobytes()
+    softmax(z, out=z)
+    assert z.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("dropout", [0.5, 0.0])

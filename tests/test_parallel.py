@@ -107,6 +107,39 @@ def test_fold_tasks_are_identical_serial_and_pooled(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_reports_do_not_depend_on_how_heads_are_stacked(monkeypatch):
+    # top_k 6: the multimodal heads keep 6 columns, the others all 4 they
+    # have, so the heads fall into stacks of two widths
+    ds = _table_with_rare_category(40)
+    cfg = cl.ClassifyConfig(top_k=6, boost=tb.BoostConfig(n_estimators=5), epochs=20,
+                            batch_size=16)
+    split = cl._stacks
+    seen, runs = [], []
+
+    def recorded(shapes):
+        seen.append(sorted(set(shapes)))
+        return split(shapes)
+
+    def by_shape_last_first(shapes):
+        groups = {}
+        for i, shape in enumerate(shapes):
+            groups.setdefault(shape, []).append(i)
+        return [idx[::-1] for idx in reversed(groups.values())]
+
+    monkeypatch.setattr(cl, "_stacks", recorded)
+    for cpus, stack in ((SERIAL, cl._STACK), (POOLED, cl._STACK), (SERIAL, 1), (POOLED, 2),
+                        (SERIAL, 20)):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cl, "_STACK", stack)
+        runs.append(cl.compare_modalities(ds, seed=2, k=5, cfg=cfg))
+    monkeypatch.setattr(cl, "_stacks", by_shape_last_first)
+    runs.append(cl.compare_modalities(ds, seed=2, k=5, cfg=cfg))
+    assert {d for _, d in seen[0]} == {4, 6}
+    docs = [{name: rep.to_dict() for name, rep in comp.items()} for comp in runs]
+    assert all(doc == docs[0] for doc in docs[1:])
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("cpus", [SERIAL, POOLED], ids=["serial", "threaded"])
 def test_run_pair_returns_both_and_raises_g_after_joining(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
