@@ -7,10 +7,11 @@ are a multinomial logistic regression baseline and a small MLP.  The
 k-fold harness runs the full leakage-safe pipeline inside each fold:
 preprocessing statistics, SMOTE, feature selection and the model are
 all fitted on the training split only.  In `kfold_evaluate` and
-`compare_modalities` alike, one parallel_map task per fold of each input
-set picks the fold's columns; then one task per stack of MLP heads of
-one shape trains them as one batched network.  Heads of one shape share
-every random draw, so each gets the weights it would get alone.
+`compare_modalities` alike, the caller plans each head's shape from the
+fold labels and the input columns, and one parallel_map task per stack of
+heads of one shape fits each head once and trains the stack as one batched
+network.  Heads of one shape share every random draw, so each gets the
+weights it would get alone.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from .tabular import (
     apply_preprocess,
     as_rows,
     boosted_importance,
+    encoded_names,
     fit_preprocess,
     select_features,
     smote,
+    smote_rows,
     take_rows,
 )
 from .wavelet import dwt2
@@ -520,16 +523,6 @@ def fingerprint(parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _balanced_train(table: TabularDataset, test_idx, cfg: ClassifyConfig, seed: int):
-    """A fold's training rows, preprocessed and SMOTE-balanced: (prep, xb, yb)."""
-    train_idx = np.setdiff1d(np.arange(table.n_rows), test_idx)
-    train_ds = take_rows(table, train_idx)
-    prep = fit_preprocess(train_ds)
-    xb, yb = smote(apply_preprocess(prep, train_ds), np.asarray(table.labels)[train_idx],
-                   k=cfg.smote_k, seed=seed)
-    return prep, xb, yb
-
-
 # most heads in one stack.  A lone head's steps are mostly per-call cost;
 # per head, a stack of 6 trains in under half the time (116 x 16 inputs,
 # one CPU: 39 ms alone, 17 ms in a 6-stack) and larger stacks gain no more,
@@ -553,15 +546,19 @@ def _stacks(shapes) -> list:
 
 def _fit_heads(ds: MMDataset, heads, classes, cfg: ClassifyConfig, seed: int) -> list:
     """(confusion matrix, fingerprint) of each head, given as (inputs, test
-    rows, selected columns); the MLP heads train as one stack, so they must
-    share their training rows' count and their column count."""
+    rows).  Each head's preprocessing, SMOTE and booster are fitted once, on
+    its training rows; the MLP heads then train as one stack, so they must
+    share their balanced row count and their selected column count."""
     labels = np.asarray(ds.labels)
     lut = {c: i for i, c in enumerate(classes)}
     folds, xs, ys = [], [], []
-    for inputs, test_idx, sel in heads:
+    for inputs, test_idx in heads:
         table = _assemble(ds, inputs)
-        prep, xb, yb = _balanced_train(table, test_idx, cfg, seed)
-        folds.append((prep, xb, apply_preprocess(prep, take_rows(table, test_idx))))
+        train_ds = take_rows(table, np.setdiff1d(np.arange(table.n_rows), test_idx))
+        prep = fit_preprocess(train_ds)
+        xb, yb = smote(apply_preprocess(prep, train_ds), train_ds.labels, k=cfg.smote_k, seed=seed)
+        sel = select_features(boosted_importance(xb, yb, cfg.boost), min(cfg.top_k, xb.shape[1]))
+        folds.append((prep, xb, sel, apply_preprocess(prep, take_rows(table, test_idx))))
         xs.append(xb[:, sel])
         ys.append(yb)
     if cfg.model == "logreg":
@@ -570,7 +567,7 @@ def _fit_heads(ds: MMDataset, heads, classes, cfg: ClassifyConfig, seed: int) ->
     else:
         models = train_mlp(np.stack(xs), ys, cfg)
     out = []
-    for (prep, xb, x_test), yb, (_, test_idx, sel), model in zip(folds, ys, heads, models):
+    for (prep, xb, sel, x_test), yb, (_, test_idx), model in zip(folds, ys, heads, models):
         pred = predict(model, x_test[:, sel])
         cm = confusion_matrix([lut[v] for v in labels[test_idx]], [lut[v] for v in pred],
                               len(classes))
@@ -585,12 +582,11 @@ def _fit_heads(ds: MMDataset, heads, classes, cfg: ClassifyConfig, seed: int) ->
 
 def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
     """One MetricsReport per input set (a tuple of modality names), all on
-    the same folds, from two parallel_maps.  The first, one task per (input
-    set, fold), returns the fold's selected columns and balanced row count.
-    The second, one task per stack of same-shape heads (_stacks), redoes
-    preprocessing and SMOTE, trains the stack and returns each head's
-    confusion matrix and fingerprint.  Only it preprocesses test rows, so a
-    warning about them comes once per head, in task order in both maps."""
+    the same folds, from one parallel_map.  Each head (input set, fold) is
+    planned here by its shape: SMOTE's row count for the fold's training
+    labels, and top_k of the encoded columns.  One task per stack of
+    same-shape heads (_stacks) fits and trains them (_fit_heads), so a
+    warning about a head's test rows comes once, in task order."""
     cfg = cfg or ClassifyConfig()
     for inputs in input_sets:
         if not inputs:
@@ -606,26 +602,17 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
     classes = np.unique(labels).tolist()
     folds = stratified_folds(labels, k, seed)
     fold_hash = fingerprint([[f.tolist() for f in folds]])
-    tasks = [(inputs, f) for inputs in input_sets for f in folds]
-
-    def select(task):
-        _, xb, yb = _balanced_train(_assemble(ds, task[0]), task[1], cfg, seed)
-        report = boosted_importance(xb, yb, cfg.boost)
-        return select_features(report, min(cfg.top_k, xb.shape[1])), len(xb)
-
-    picked = parallel_map(select, tasks)
-    heads = [(inputs, test_idx, sel) for (inputs, test_idx), (sel, _) in zip(tasks, picked)]
-    stacks = _stacks([(n, len(sel)) for sel, n in picked])
+    heads = [(inputs, f) for inputs in input_sets for f in folds]
+    width = {inputs: len(encoded_names(_assemble(ds, inputs).columns)) for inputs in input_sets}
+    stacks = _stacks([(smote_rows(np.delete(labels, f)), min(cfg.top_k, width[inputs]))
+                      for inputs, f in heads])
     fitted = parallel_map(
         lambda chunk: _fit_heads(ds, [heads[i] for i in chunk], classes, cfg, seed), stacks
     )
-    results = [None] * len(heads)
-    for chunk, out in zip(stacks, fitted):
-        for i, result in zip(chunk, out):
-            results[i] = result
+    results = dict(zip(sum(stacks, []), sum(fitted, [])))  # head -> (confusion, fingerprint)
     reports = []
     for i, inputs in enumerate(input_sets):
-        cms, fingerprints = zip(*results[i * k : (i + 1) * k])
+        cms, fingerprints = zip(*(results[i * k + j] for j in range(k)))
         fold_metrics = [metrics_from_confusion(cm) for cm in cms]
         pooled_cm = np.sum(cms, axis=0)
         summary = {}
@@ -667,7 +654,8 @@ _COMPARE_CONFIGS = (
 
 def compare_modalities(ds: MMDataset, seed: int = DEFAULTS["evaluate"]["seed"], k: int = 5,
                        cfg: ClassifyConfig | None = None) -> dict:
-    """The four-way input comparison on identical folds; its 4 x k folds run by parallel_map."""
+    """The four-way input comparison on identical folds; its 4 x k heads run
+    by one parallel_map, in stacks of same-shape heads."""
     reports = _kfold_reports(ds, [inputs for _, inputs in _COMPARE_CONFIGS], k, cfg, seed)
     return {name: rep for (name, _), rep in zip(_COMPARE_CONFIGS, reports)}
 

@@ -56,7 +56,7 @@ from .phantom import (
     sample_patient, table_rows,
 )
 from .settings import DEFAULTS, check, noise_param_rule, rules
-from .tabular import BOOST_MIN_ROWS, BoostConfig, read_table, take_rows
+from .tabular import BOOST_MIN_ROWS, BoostConfig, read_table, smote_rows, take_rows
 from .wavelet import max_levels
 
 __all__ = [
@@ -193,13 +193,15 @@ def _check_folds(doc: dict, dataset=None) -> None:
         if len(set(labels)) < 2:
             raise DataError(f"every label is {labels[0]!r}; the classifiers need 2 classes")
         for test in stratified_folds(labels, k, doc["evaluate"]["seed"]):
-            counts = collections.Counter(labels) - collections.Counter(labels[i] for i in test)
+            train = np.delete(labels, test).tolist()
+            counts = collections.Counter(train)
             most = max(counts.values())
             for c, n in sorted(counts.items()):
                 if n < 2 and n < most:
                     raise DataError(f"class {c!r} has {n} training rows; SMOTE needs at least 2")
-            if len(counts) * most < BOOST_MIN_ROWS:
-                raise DataError(f"SMOTE balances a training fold to {len(counts) * most} rows; "
+            rows = smote_rows(train)
+            if rows < BOOST_MIN_ROWS:
+                raise DataError(f"SMOTE balances a training fold to {rows} rows; "
                                 f"the booster needs at least {BOOST_MIN_ROWS}")
     except DataError as exc:
         raise error(f"{names} folds the evaluate stage cannot train on: {exc}") from None

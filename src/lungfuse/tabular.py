@@ -16,6 +16,7 @@ for bit.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
@@ -38,9 +39,11 @@ __all__ = [
     "read_table",
     "write_table",
     "take_rows",
+    "encoded_names",
     "fit_preprocess",
     "apply_preprocess",
     "as_rows",
+    "smote_rows",
     "smote",
     "boosted_importance",
     "select_features",
@@ -245,13 +248,19 @@ class FittedPreprocessor:
         return len(self.feature_names)
 
 
+def encoded_names(columns) -> list:
+    """The features apply_preprocess makes: `name`, or `name=category` per category."""
+    return [name for col in columns for name in (
+        [col.name] if col.kind == "numeric" else [f"{col.name}={c}" for c in col.categories])]
+
+
 def fit_preprocess(train: TabularDataset) -> FittedPreprocessor:
     """Learn imputation and scaling statistics from one split only."""
     if train.n_rows < 2:
         raise ContractError(f"need at least 2 rows to fit, got {train.n_rows}")
     if not train.columns:
         raise ContractError("need at least 1 column")
-    numeric_stats, modes, feature_names = {}, {}, []
+    numeric_stats, modes = {}, {}
     for col, v in zip(train.columns, train.values.T):
         seen = ~np.isnan(v)
         if not seen.any():
@@ -262,13 +271,12 @@ def fit_preprocess(train: TabularDataset) -> FittedPreprocessor:
             # z stats are those of the imputed column
             std = float(np.std(np.where(seen, v, mean)))
             numeric_stats[col.name] = (mean, std if std > 0 else 1.0)
-            feature_names.append(col.name)
         else:
             counts = np.bincount(v[seen].astype(np.intp), minlength=len(col.categories))
             # argmax takes the first maximum: ties go to the earliest declared category
             modes[col.name] = col.categories[int(np.argmax(counts))]
-            feature_names.extend(f"{col.name}={c}" for c in col.categories)
-    return FittedPreprocessor(list(train.columns), numeric_stats, modes, feature_names)
+    return FittedPreprocessor(list(train.columns), numeric_stats, modes,
+                              encoded_names(train.columns))
 
 
 def apply_preprocess(p: FittedPreprocessor, ds: TabularDataset) -> np.ndarray:
@@ -322,6 +330,12 @@ def as_rows(x, labels):
 
 
 # --- SMOTE ---
+
+
+def smote_rows(labels) -> int:
+    """The number of rows smote returns: every class at the majority count."""
+    counts = collections.Counter(np.asarray(labels).tolist())
+    return len(counts) * max(counts.values())
 
 
 def smote(x, labels, k: int = 5, seed: int = 0):

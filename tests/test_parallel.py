@@ -113,12 +113,18 @@ def test_reports_do_not_depend_on_how_heads_are_stacked(monkeypatch):
     ds = _table_with_rare_category(40)
     cfg = cl.ClassifyConfig(top_k=6, boost=tb.BoostConfig(n_estimators=5), epochs=20,
                             batch_size=16)
-    split = cl._stacks
-    seen, runs = [], []
+    split, train = cl._stacks, cl.train_mlp
+    seen, runs, planned, trained = [], [], [], []
 
     def recorded(shapes):
         seen.append(sorted(set(shapes)))
-        return split(shapes)
+        chunks = split(shapes)
+        planned.extend((len(chunk), *shapes[chunk[0]]) for chunk in chunks)
+        return chunks
+
+    def train_recorded(x, labels, cfg):
+        trained.append(np.shape(x))  # in forked workers this list is the worker's
+        return train(x, labels, cfg)
 
     def by_shape_last_first(shapes):
         groups = {}
@@ -127,17 +133,43 @@ def test_reports_do_not_depend_on_how_heads_are_stacked(monkeypatch):
         return [idx[::-1] for idx in reversed(groups.values())]
 
     monkeypatch.setattr(cl, "_stacks", recorded)
+    monkeypatch.setattr(cl, "train_mlp", train_recorded)
     for cpus, stack in ((SERIAL, cl._STACK), (POOLED, cl._STACK), (SERIAL, 1), (POOLED, 2),
                         (SERIAL, 20)):
         _cpus(monkeypatch, cpus)
         monkeypatch.setattr(cl, "_STACK", stack)
+        planned.clear()
+        trained.clear()
         runs.append(cl.compare_modalities(ds, seed=2, k=5, cfg=cfg))
+        if cpus == SERIAL:
+            # the planned (heads, rows, columns) of each stack are the matrix train_mlp trains
+            assert trained == planned and sum(n for n, _, _ in planned) == 20
     monkeypatch.setattr(cl, "_stacks", by_shape_last_first)
     runs.append(cl.compare_modalities(ds, seed=2, k=5, cfg=cfg))
     assert {d for _, d in seen[0]} == {4, 6}
     docs = [{name: rep.to_dict() for name, rep in comp.items()} for comp in runs]
     assert all(doc == docs[0] for doc in docs[1:])
     assert multiprocessing.active_children() == []
+
+
+def test_each_head_is_fitted_once_in_one_map(monkeypatch):
+    _cpus(monkeypatch, SERIAL)
+    calls = {}
+
+    def counted(name):
+        real = getattr(cl, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cl, name, wrapper)
+
+    for name in ("fit_preprocess", "smote", "boosted_importance", "parallel_map"):
+        counted(name)
+    cl.compare_modalities(_table_with_rare_category(40), k=5)
+    # 4 input sets x 5 folds
+    assert calls == {"fit_preprocess": 20, "smote": 20, "boosted_importance": 20,
+                     "parallel_map": 1}
 
 
 @pytest.mark.parametrize("cpus", [SERIAL, POOLED], ids=["serial", "threaded"])

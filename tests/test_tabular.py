@@ -109,6 +109,21 @@ def test_fit_mode_and_onehot_layout():
     assert list(x[3, 1:4]) == [1.0, 0.0, 0.0]
 
 
+def test_encoded_names_are_the_fitted_feature_names():
+    # "current" is declared but no row holds it: it still gets its column
+    cols = [
+        tb.ColumnSpec("smoking", "categorical", ("never", "former", "current")),
+        tb.ColumnSpec("age", "numeric"),
+        tb.ColumnSpec("site", "categorical", ("upper", "lower")),
+    ]
+    ds = encode(cols, [["never", 60.0, "upper"], ["former", None, "lower"],
+                       [None, 71.0, "upper"]], ["a", "b", "a"])
+    names = tb.encoded_names(ds.columns)
+    assert names == tb.fit_preprocess(ds).feature_names
+    assert names == ["smoking=never", "smoking=former", "smoking=current", "age",
+                     "site=upper", "site=lower"]
+
+
 def test_mode_tie_breaks_to_declared_order():
     cols = [tb.ColumnSpec("c", "categorical", ("b", "a"))]
     ds = encode(cols, [["a"], ["b"], [None]], ["x", "y", "x"])
@@ -317,6 +332,20 @@ def test_smote_deterministic_and_multiclass():
     assert np.array_equal(a[0], b[0])
     counts = {c: int(np.sum(a[1] == c)) for c in (0, 1, 2)}
     assert counts == {0: 12, 1: 12, 2: 12}
+
+
+@pytest.mark.parametrize("labels", [
+    ["a", "b"] * 5,  # balanced
+    ["a"] * 9 + ["b"] * 3,
+    ["b"] * 3 + ["a"] * 9,  # the minority appears first
+    [0, 1, 1, 2, 1, 0, 1, 2, 1, 1],
+    [2, 2, 0, 1, 0, 1],  # three balanced classes
+    ["x"] * 2 + ["y"] * 7 + ["z"] * 4,
+])
+def test_smote_rows_is_the_number_of_rows_smote_returns(labels):
+    x = np.random.default_rng(6).normal(size=(len(labels), 3))
+    assert tb.smote_rows(labels) == len(tb.smote(x, labels, k=3, seed=1)[0])
+    assert tb.smote_rows(np.array(labels)) == tb.smote_rows(labels)
 
 
 # --- boosted importance ---
