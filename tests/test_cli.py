@@ -1165,11 +1165,14 @@ def test_readme_default_table_matches_the_defaults():
     assert table == pl.DEFAULTS
 
 
-@pytest.mark.parametrize("inputs,ct_reads", [("tabular", 0), ("fused,tabular", 24), ("ct", 24)])
+@pytest.mark.parametrize("inputs,ct_reads,fused_reads",
+                         [("tabular", 0, 0), ("fused,tabular", 24, 24), ("ct", 24, 0)],
+                         ids=["tabular-0", "fused,tabular-24", "ct-24"])
 def test_evaluate_reads_ct_images_only_for_its_inputs(capsys, tmp_path, monkeypatch,
-                                                      inputs, ct_reads):
+                                                      inputs, ct_reads, fused_reads):
     # _FAST fuses in this process without registration: the fuse stage reads
-    # each CT once, and the dataset's features read it again only for ct
+    # each CT once, and the dataset's features read it again only for ct;
+    # the fused images are read only for fused
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=24, image_size=32, seed=3), ds)
     reads = []
@@ -1184,6 +1187,7 @@ def test_evaluate_reads_ct_images_only_for_its_inputs(capsys, tmp_path, monkeypa
                     "--inputs", inputs, *_FAST)
     assert rc == 0, err
     assert sum(name.endswith("_ct.pgm") for name in reads) == ct_reads
+    assert sum(name.endswith("_fused.pgm") for name in reads) == fused_reads
 
 
 @pytest.mark.parametrize("key", ["fusion.levels", "classify.feature_levels"])

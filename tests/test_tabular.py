@@ -652,6 +652,12 @@ def test_read_table_errors(tmp_path):
     data.write_text("a,c,y\n1.5,u,\n")
     with pytest.raises(FormatError, match="label"):
         tb.read_table(data, schema)
+    doc = json.loads(schema.read_text())
+    schema.write_text(json.dumps(doc | {"id_column": "id"}))
+    data.write_text("id,a,c,y\npt0000,1.5,u,pos\npt0001,2.5,v,neg\npt0000,99,u,neg\n")
+    with pytest.raises(FormatError) as info:
+        tb.read_table(data, schema)
+    assert str(info.value) == f"{data}: row 3 repeats id 'pt0000' of row 1"
     schema.write_text("{broken")
     with pytest.raises(FormatError):
         tb.read_table(data, schema)
