@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .images import as_image
-from .nnet import Adam, glorot_uniform, relu, softmax
+from .nnet import Adam, glorot_uniform, relu, softmax, views
 from .parallel import parallel_map
 from .settings import DEFAULTS, check_fields
 from .tabular import (
@@ -196,11 +196,11 @@ def mlp_loss_grad(params, x, label_idx, n_classes, mask=None):
     flat = np.concatenate([np.ravel(p) for p in params])[None]
     gflat = np.empty_like(flat)
     shapes = _shapes(d, (h1, h2), c, stack=True)
-    stack = _views(flat, shapes)
+    stack = views(flat, shapes)
     p = _mlp_grads(stack, x[None], _one_hot(label_idx, n_classes)[None], mask,
-                   _views(gflat, shapes), _MLPWork(x.shape[0], stack))[0]
+                   views(gflat, shapes), _MLPWork(x.shape[0], stack))[0]
     loss = float(-np.mean(np.log(p[np.arange(x.shape[0]), label_idx] + 1e-300)))
-    return loss, _views(gflat[0], _shapes(d, (h1, h2), c))
+    return loss, views(gflat[0], _shapes(d, (h1, h2), c))
 
 
 class _MLPWork:
@@ -257,17 +257,6 @@ def _mlp_grads(params, x, target, mask, grads, work: _MLPWork) -> np.ndarray:
     return p
 
 
-def _views(buf, shapes) -> list:
-    """Consecutive reshaped views of a buffer's last axis, one per shape,
-    each keeping the buffer's leading axes."""
-    out, start = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(buf[..., start : start + size].reshape(buf.shape[:-1] + tuple(shape)))
-        start += size
-    return out
-
-
 def train_mlp(x, labels, cfg: ClassifyConfig | None = None):
     """Minibatch Adam with inverted dropout on the first hidden layer.
 
@@ -296,11 +285,10 @@ def train_mlp(x, labels, cfg: ClassifyConfig | None = None):
     shapes = _shapes(d, cfg.hidden, c, stack=True)
     flat = np.zeros((s, sum(int(np.prod(shape)) for shape in shapes)))
     gflat = np.empty_like(flat)
-    params, grads = _views(flat, shapes), _views(gflat, shapes)
+    params, grads = views(flat, shapes), views(gflat, shapes)
     for w in params[::2]:
         w[...] = glorot_uniform(rng, w.shape[1:], *w.shape[1:])
-    steps = [flat.reshape(-1)], [gflat.reshape(-1)]
-    opt = Adam(steps[0], lr=cfg.learning_rate)
+    opt = Adam(flat, lr=cfg.learning_rate)
     batch = min(cfg.batch_size, n)
     keep = 1.0 - cfg.dropout
     target = np.stack([_one_hot(yi, c) for _, yi in heads])
@@ -319,8 +307,8 @@ def train_mlp(x, labels, cfg: ClassifyConfig | None = None):
                 mask = rng.random(out=work.mask)
                 np.divide(np.less(mask, keep, out=work.kept), keep, out=mask)
             _mlp_grads(params, work.x, work.target, mask, grads, work)
-            opt.step(*steps)
-    models = [MLPModel(classes, _views(row, _shapes(d, cfg.hidden, c)))
+            opt.step(flat, gflat)
+    models = [MLPModel(classes, views(row, _shapes(d, cfg.hidden, c)))
               for row, (classes, _) in zip(flat, heads)]
     return models[0] if single else models
 

@@ -59,18 +59,18 @@ import base64
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError, NumericalError
 from .images import as_image, as_image_pair, read_json
-from .nnet import Adam, TrainConfig, glorot_uniform, relu, sigmoid
+from .nnet import Adam, glorot_uniform, relu, sigmoid, views
 from .parallel import run_pair
-from .settings import check, noise_param_rule, rules
+from .settings import check, check_fields, noise_param_rule, rules
 
 __all__ = [
-    "ConvNetSpec",
+    "CHANNELS",
     "NetWeights",
     "TrainConfig",
     "init_weights",
@@ -85,40 +85,56 @@ __all__ = [
     "load_weights",
 ]
 
-@dataclass(frozen=True)
-class ConvNetSpec:
-    """The (in, out) channels of the five conv layers, encoder to decoder
-    order: the one plan every network and weights file has."""
+# the (in, out) channels of the five conv layers, encoder to decoder order:
+# the one plan every network and weights file has
+CHANNELS = ((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))
 
-    channels: tuple = field(default=((1, 8), (8, 16), (16, 16), (16, 8), (8, 1)), init=False)
+
+@dataclass
+class TrainConfig:
+    learning_rate: float = 0.001
+    batch_size: int = 96  # clamped to dataset size
+    epochs: int = 30
+    rng_seed: int = 0
+    noise_kind: str = "gaussian"  # gaussian | poisson
+    noise_param: float = 0.1  # sigma for gaussian, count scale for poisson
+
+    def __post_init__(self):
+        check_fields(self, ContractError, "denoise")
+        check("noise_param", self.noise_param, [noise_param_rule(self.noise_kind)], ContractError)
+
+
+def _layers(flat, channels) -> list:
+    """(kernel, bias) views per layer of a parameter buffer that holds each
+    layer's (cout, cin, 3, 3) kernel, then its (cout,) bias."""
+    a = views(flat, [s for cin, cout in channels for s in ((cout, cin, 3, 3), (cout,))])
+    return list(zip(a[::2], a[1::2]))
+
+
+def _size(channels) -> int:
+    return sum(cout * (cin * 9 + 1) for cin, cout in channels)
 
 
 @dataclass
 class NetWeights:
-    spec: ConvNetSpec
-    kernels: list  # (cout, cin, 3, 3) float64 per layer
-    biases: list  # (cout,) float64 per layer
+    flat: np.ndarray  # every parameter, float64; kernels and biases are its _layers views
+    channels: tuple = CHANNELS
     rng_seed: int | None = None
     epochs_trained: int = 0
 
-    def params(self) -> list:
-        """Flat parameter list, kernel then bias per layer; shared memory."""
-        out = []
-        for k, b in zip(self.kernels, self.biases):
-            out.append(k)
-            out.append(b)
-        return out
+    def __post_init__(self):
+        layers = _layers(self.flat, self.channels)
+        self.kernels, self.biases = [k for k, _ in layers], [b for _, b in layers]
 
 
-def init_weights(spec: ConvNetSpec, seed=0) -> NetWeights:
+def init_weights(seed=0, channels=CHANNELS) -> NetWeights:
     rng = np.random.default_rng(seed)
-    kernels, biases = [], []
-    for cin, cout in spec.channels:
-        k = glorot_uniform(rng, (cout, cin, 3, 3), cin * 9, cout * 9)
-        kernels.append(k)
-        biases.append(np.zeros(cout))
     seed_val = seed if isinstance(seed, (int, np.integer)) else None
-    return NetWeights(spec, kernels, biases, rng_seed=seed_val)
+    weights = NetWeights(np.zeros(_size(channels)), channels, rng_seed=seed_val)
+    for k in weights.kernels:
+        cout, cin = k.shape[:2]
+        k[...] = glorot_uniform(rng, k.shape, cin * 9, cout * 9)
+    return weights
 
 
 # low-level layers on channel-major (c, n, h, w) batches
@@ -190,10 +206,10 @@ def _conv3_taps(xp, k, acc, tmp):
     return acc
 
 
-def _conv3_back(gout, xp, k, need_gx=True, *, gpad, gxp, tmp):
+def _conv3_back(gout, xp, k, gk, gb, need_gx=True, *, gpad, gxp, tmp):
     """Gradients of the conv that _conv3_taps computes from xp, the padded
-    input flattened to (cin, n*(h+2)*(w+2)): returns (gk, gb, gx), gx None
-    unless need_gx.
+    input flattened to (cin, n*(h+2)*(w+2)): writes the kernel and bias
+    gradients into gk and gb and returns gx, or None unless need_gx.
 
     gpad (cout, n, h+2, w+2), gxp (cin, n, h+2, w+2) and flat tmp are work
     buffers; gx is a view of gxp.  gxp may be xp's buffer and tmp may hold
@@ -204,21 +220,20 @@ def _conv3_back(gout, xp, k, need_gx=True, *, gpad, gxp, tmp):
     gpad[:, :, h:] = 0.0
     gpad[:, :, :h, w:] = 0.0
     gpad[:, :, :h, :w] = gout
-    gb = gout.sum(axis=(1, 2, 3))
+    gb[...] = gout.sum(axis=(1, 2, 3))
     gf = gpad.reshape(cout, -1)
     taps, span = _taps(w, gf.shape[1])
     g2 = gf[:, :span]
     if cin == 1:
-        gk = np.zeros((cout, 9))
+        gk9 = gk.reshape(cout, 9)
+        gk9.fill(0.0)
         for a, b, block in _tap_blocks(xp[0], taps, span, tmp):
-            gk += g2[:, a:b] @ block.T
-        gk = gk.reshape(k.shape)
+            gk9 += g2[:, a:b] @ block.T
     else:
-        gk = np.empty(k.shape)
         for dy, dx, o in taps:
             gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
     if not need_gx:
-        return gk, gb, None
+        return None
     gxf = gxp.reshape(cin, -1)
     if cout == 1:
         # gx[:, q] sums k[0, :, t] * g[q - o_t] over the taps t.  Behind a zero
@@ -235,7 +250,7 @@ def _conv3_back(gout, xp, k, need_gx=True, *, gpad, gxp, tmp):
         for dy, dx, o in taps:
             t = tmp[: cin * span].reshape(cin, span)
             gxf[:, o : o + span] += np.matmul(k[:, :, dy, dx].T, g2, out=t)
-    return gk, gb, _fold_mirror(gxp)
+    return _fold_mirror(gxp)
 
 
 def _up2_back(g, out):
@@ -288,12 +303,13 @@ class _Workspace:
     as layer i's padded output gradient and xp[i], once its kernel gradient
     is taken, as the padded input gradient.  Output gradients, per-tap
     products and tap blocks go through the flat scratch.  A smaller batch
-    runs in the leading part of each buffer.
+    runs in the leading part of each buffer.  The gradient is one buffer,
+    laid out as NetWeights.flat; grads holds its (kernel, bias) views.
     """
 
-    def __init__(self, spec: ConvNetSpec, n: int, h: int, w: int):
+    def __init__(self, channels, n: int, h: int, w: int):
         check_dims(h, w)
-        self.channels, self.h, self.w = spec.channels, h, w
+        self.channels, self.h, self.w = channels, h, w
         self.dims = [(h, w), (h // 2, w // 2), (h // 4, w // 4), (h // 2, w // 2), (h, w)]
         ch = self.channels
         sizes = [n * (hh + 2) * (ww + 2) for hh, ww in self.dims]
@@ -310,6 +326,8 @@ class _Workspace:
             # with one output channel: the block and the gradient behind its margin
             need.append(block + s + 2 * ww + 6 if cout == 1 else cin * s)
         self._scratch = np.empty(max(need))
+        self.grad = np.empty(_size(ch))
+        self.grads = _layers(self.grad, ch)
 
     def _views(self, n: int):
         pads = [(n, hh + 2, ww + 2) for hh, ww in self.dims]
@@ -344,9 +362,9 @@ class _Workspace:
         d = np.subtract(y, target.transpose(1, 0, 2, 3), out=_view(self._scratch, y.shape))
         return float(np.mean(np.square(d, out=d)))
 
-    def backward(self, weights: NetWeights, target, size: int | None = None) -> list:
-        """Per-layer (kernel, bias) gradients of the last forward pass's part
-        of an MSE over size pixels (by default, over this batch's own)."""
+    def backward(self, weights: NetWeights, target, size: int | None = None) -> np.ndarray:
+        """Fill grad with the gradient of the last forward pass's part of an
+        MSE over size pixels (by default, over this batch's own); returns grad."""
         n = len(target)
         xp, acc = self._views(n)
         y = _view(self._y, (1, n, self.h, self.w))
@@ -356,33 +374,32 @@ class _Workspace:
         np.divide(gz, size or y.size, out=gz)
         np.multiply(gz, y, out=gz)
         gz *= np.subtract(1.0, y, out=_view(self._scratch[y.size :], y.shape))
-        grads = [None] * 5
         for i in range(4, -1, -1):
             k = weights.kernels[i]
-            gk, gb, gx = _conv3_back(
-                gz, xp[i].reshape(k.shape[1], -1), k, need_gx=i > 0,
+            gx = _conv3_back(
+                gz, xp[i].reshape(k.shape[1], -1), k, *self.grads[i], need_gx=i > 0,
                 gpad=acc[i], gxp=xp[i], tmp=self._scratch,
             )
-            grads[i] = (gk, gb)
             if i:
                 gz = _view(self._scratch, (k.shape[1], n) + self.dims[i - 1])
                 (_up2_back if i > 2 else _pool2_back)(gx, out=gz)
                 gz *= _view(self._mask[i - 1], gz.shape)
-        return grads
+        return self.grad
 
 
 def forward(weights: NetWeights, img) -> np.ndarray:
     """Run the network on one image.  Dims must be divisible by 4."""
     x = as_image(img)[None, None]
-    return _Workspace(weights.spec, 1, *x.shape[2:]).forward(weights, x)[0, 0]
+    return _Workspace(weights.channels, 1, *x.shape[2:]).forward(weights, x)[0, 0]
 
 
 def backward(weights: NetWeights, img, target) -> list:
     """Per-layer (kernel, bias) gradients of the MSE against target."""
     img, target = as_image_pair(img, target)
-    ws = _Workspace(weights.spec, 1, *img.shape)
+    ws = _Workspace(weights.channels, 1, *img.shape)
     ws.forward(weights, img[None, None])
-    return ws.backward(weights, target[None, None])
+    ws.backward(weights, target[None, None])
+    return ws.grads
 
 
 def loss_mse(pred, target) -> float:
@@ -408,8 +425,8 @@ def add_noise(img, kind: str = "gaussian", param: float = 0.1, rng=None) -> np.n
 
 
 def _half_step(ws: _Workspace, weights: NetWeights, x, t, size: int):
-    """(MSE, gradients of its part of an MSE over size pixels) of one half
-    batch; an empty half gives (0.0, None), a non-finite MSE no gradients."""
+    """(MSE, gradient buffer of its part of an MSE over size pixels) of one
+    half batch; an empty half gives (0.0, None), a non-finite MSE no gradient."""
     if not len(x):
         return 0.0, None
     ws.forward(weights, x)
@@ -433,14 +450,12 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
             raise ContractError(f"image {i} has shape {im.shape}, expected {shape}")
     n = len(imgs)
     batch = min(cfg.batch_size, n)
-    spec = ConvNetSpec()
-    wss = [_Workspace(spec, -(-batch // 2), *shape) for _ in range(2)]
+    wss = [_Workspace(CHANNELS, -(-batch // 2), *shape) for _ in range(2)]
 
     rng = np.random.default_rng(cfg.rng_seed)
-    weights = init_weights(spec, rng)
+    weights = init_weights(rng)
     weights.rng_seed = cfg.rng_seed
-    params = weights.params()
-    opt = Adam(params, lr=cfg.learning_rate)
+    opt = Adam(weights.flat, lr=cfg.learning_rate)
 
     noisy = np.empty((n, 1) + shape)
     target = np.empty((n, 1) + shape)
@@ -466,10 +481,9 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
                 raise NumericalError(
                     f"non-finite training loss {loss} at epoch {epoch} batch {start // batch}"
                 )
-            for (ka, ba), (kb, bb) in zip(ga, gb or ()):
-                ka += kb
-                ba += bb
-            opt.step(params, [g for pair in ga for g in pair])
+            if gb is not None:
+                ga += gb
+            opt.step(weights.flat, ga)
             total += loss * (stop - start)
         log.append(total / n)
     weights.epochs_trained += cfg.epochs
@@ -519,7 +533,7 @@ def save_weights(path, weights: NetWeights) -> None:
         "format_version": _WEIGHTS_VERSION,
         "dtype": "float32",
         "byte_order": "little",
-        "channels": [list(p) for p in weights.spec.channels],
+        "channels": [list(p) for p in weights.channels],
         "rng_seed": weights.rng_seed,
         "epochs_trained": weights.epochs_trained,
         "layers": [
@@ -546,34 +560,25 @@ def load_weights(path) -> NetWeights:
     layers = doc.get("layers")
     if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
         raise FormatError("weights file: layers must be a list of objects")
-    spec = ConvNetSpec()
-    found, plan = json.dumps(doc.get("channels")), json.dumps(spec.channels)  # 1.0 is not 1
+    found, plan = json.dumps(doc.get("channels")), json.dumps(CHANNELS)  # 1.0 is not 1
     if found != plan:
         raise FormatError(f"weights file declares an invalid network: channels {found} "
                           f"are not the channel width plan {plan}")
-    if len(layers) != len(spec.channels):
-        raise FormatError(f"expected {len(spec.channels)} layers, got {len(layers)}")
+    if len(layers) != len(CHANNELS):
+        raise FormatError(f"expected {len(CHANNELS)} layers, got {len(layers)}")
     epochs = doc.get("epochs_trained", 0)
     if type(epochs) is not int or epochs < 0:
         raise FormatError(f"epochs_trained must be a non-negative integer, got {epochs!r}")
-    kernels, biases = [], []
-    for i, ((cin, cout), layer) in enumerate(zip(spec.channels, layers)):
-        kshape, bshape = (cout, cin, 3, 3), (cout,)
-        if layer.get("kernel_shape") != list(kshape):
-            raise FormatError(
-                f"layer {i}: kernel shape {layer.get('kernel_shape')} does not match channels"
-            )
-        if layer.get("bias_shape") != list(bshape):
-            raise FormatError(
-                f"layer {i}: bias shape {layer.get('bias_shape')} does not match channels"
-            )
-        kernels.append(_decode(layer.get("kernel"), kshape, f"layer {i} kernel"))
-        biases.append(_decode(layer.get("bias"), bshape, f"layer {i} bias"))
+    arrays = []
+    for i, ((cin, cout), layer) in enumerate(zip(CHANNELS, layers)):
+        for part, shape in (("kernel", (cout, cin, 3, 3)), ("bias", (cout,))):
+            got = layer.get(f"{part}_shape")
+            if got != list(shape):
+                raise FormatError(f"layer {i}: {part} shape {got} does not match channels")
+            arrays.append(_decode(layer.get(part), shape, f"layer {i} {part}"))
     seed = doc.get("rng_seed")
     return NetWeights(
-        spec,
-        kernels,
-        biases,
+        np.concatenate([a.ravel() for a in arrays]),
         rng_seed=seed if isinstance(seed, int) else None,
         epochs_trained=epochs,
     )

@@ -1,32 +1,14 @@
-"""Shared network plumbing: activations, init, Adam, training config."""
+"""The math both networks share: activations, Glorot init, Adam on one
+parameter array, and the layout of parameter views in that array."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ContractError
-from .settings import check, check_fields, noise_param_rule
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 96  # clamped to dataset size
-    epochs: int = 30
-    rng_seed: int = 0
-    noise_kind: str = "gaussian"  # gaussian | poisson
-    noise_param: float = 0.1  # sigma for gaussian, count scale for poisson
-
-    def __post_init__(self):
-        check_fields(self, ContractError, "denoise")
-        check("noise_param", self.noise_param, [noise_param_rule(self.noise_kind)], ContractError)
 
 
 def relu(x, out=None):
@@ -64,31 +46,40 @@ def glorot_uniform(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-s, s, shape)
 
 
-class Adam:
-    """Adam with bias correction; updates parameters in place."""
+def views(buf, shapes) -> list:
+    """Consecutive reshaped views of a buffer's last axis, one per shape,
+    each keeping the buffer's leading axes."""
+    out, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(buf[..., start : start + size].reshape(buf.shape[:-1] + tuple(shape)))
+        start += size
+    return out
 
-    def __init__(self, params, lr=0.001):
+
+class Adam:
+    """Adam with bias correction on one parameter array of any shape, which
+    it updates in place; a network keeps its parameters as views of it."""
+
+    def __init__(self, p, lr=0.001):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._tmp = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+        self._tmp = np.empty_like(p), np.empty_like(p)
 
-    def step(self, params, grads) -> None:
-        if len(params) != len(self.m):
-            raise ContractError("parameter count changed between Adam steps")
+    def step(self, p, g) -> None:
         self.t += 1
         c1 = 1.0 - _BETA1**self.t
         c2 = 1.0 - _BETA2**self.t
-        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._tmp):
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps) after the moment
-            # updates, each operation as written and in that order
-            m *= _BETA1
-            m += np.multiply(1.0 - _BETA1, g, out=a)
-            v *= _BETA2
-            np.multiply(1.0 - _BETA2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
-            np.sqrt(np.divide(v, c2, out=b), out=b)
-            b += _EPS
-            p -= np.divide(a, b, out=a)
+        m, v, (a, b) = self.m, self.v, self._tmp
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps) after the moment
+        # updates, each operation as written and in that order
+        m *= _BETA1
+        m += np.multiply(1.0 - _BETA1, g, out=a)
+        v *= _BETA2
+        np.multiply(1.0 - _BETA2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        b += _EPS
+        np.subtract(p, np.divide(a, b, out=a), out=p)  # a list p is refused, not rebound

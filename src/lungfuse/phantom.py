@@ -366,7 +366,7 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 _PATH = (lambda v: isinstance(v, str) and v != "" and not os.path.isabs(v)
          and ".." not in re.split(r"[/\\]", v), "a relative path with no '..' part")
 _FIELDS = {"tabular": _PATH, "tabular_schema": _PATH,
-           "image_size": (lambda v: type(v) is int, "an integer"),
+           "image_size": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
            "rows": (lambda v: isinstance(v, list) and v and all(isinstance(r, dict) for r in v),
                     "a non-empty list of objects")}
 _ROW_FIELDS = {"id": _STRING, "label": _STRING, "ct": _PATH, "pet": _PATH,
@@ -389,11 +389,13 @@ def load_manifest(dataset_dir) -> dict:
     if not isinstance(doc, dict) or doc.get("kind") != "phantom-manifest":
         raise FormatError(f"{path}: not a phantom manifest")
     _check_fields(doc, _FIELDS, "")
+    first = {}  # (key, value) -> the first row that names it
     for i, row in enumerate(doc["rows"]):
         _check_fields(row, _ROW_FIELDS, f"rows[{i}].")
-    ids = [row["id"] for row in doc["rows"]]
-    if len(set(ids)) < len(ids):
-        raise FormatError("manifest rows must have unique ids")
+        for key in ("id", "tabular_row_id"):
+            j = first.setdefault((key, row[key]), i)
+            if j != i:
+                raise FormatError(f"manifest rows[{i}] repeats {key} {row[key]!r} of rows[{j}]")
     return doc
 
 

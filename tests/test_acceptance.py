@@ -20,7 +20,6 @@ from lungfuse.classify import (
     stratified_folds,
 )
 from lungfuse.denoise import (
-    ConvNetSpec,
     TrainConfig,
     add_noise,
     backward,
@@ -129,7 +128,7 @@ def test_04_gradient_correctness():
     relative error < 1e-4, for both the denoiser and the MLP head."""
     # denoiser: conv kernels and biases across all five layers
     rng = np.random.default_rng(42)
-    weights = init_weights(ConvNetSpec(), seed=5)
+    weights = init_weights(seed=5)
     x = rng.uniform(0.1, 0.9, (8, 8))
     target = rng.uniform(0.1, 0.9, (8, 8))
 

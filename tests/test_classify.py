@@ -8,7 +8,7 @@ from lungfuse import classify as cl
 from lungfuse import pipeline as pl
 from lungfuse import tabular as tb
 from lungfuse.errors import ConfigError, ContractError, DataError
-from lungfuse.nnet import glorot_uniform, softmax
+from lungfuse.nnet import glorot_uniform, softmax, views
 from lungfuse.phantom import PhantomConfig, generate
 from lungfuse.tabular import BoostConfig
 from tabular_cells import encode
@@ -150,7 +150,7 @@ def _reference_train_mlp(x, labels, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     shapes = [(d, h1), (h1,), (h1, h2), (h2,), (h2, c), (c,)]
     flat = np.zeros(sum(int(np.prod(s)) for s in shapes))
-    params = cl._views(flat, shapes)
+    params = views(flat, shapes)
     for w in params[::2]:
         w[...] = glorot_uniform(rng, w.shape, *w.shape)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
@@ -274,7 +274,7 @@ def test_mlp_loss_grad_is_the_training_steps_gradient(monkeypatch, dropout):
             if dropout > 0:
                 mask = (replay.uniform(size=(len(idx), 8)) < 1.0 - dropout) / (1.0 - dropout)
             flat, gflat = next(recorded)
-            _, grads = cl.mlp_loss_grad(cl._views(flat, shapes), x[idx], yi[idx], 3, mask)
+            _, grads = cl.mlp_loss_grad(views(flat, shapes), x[idx], yi[idx], 3, mask)
             assert np.concatenate([g.ravel() for g in grads]).tobytes() == gflat.tobytes()
     assert next(recorded, None) is None
 

@@ -15,7 +15,7 @@ import pytest
 import lungfuse
 from lungfuse import pipeline as pl
 from lungfuse.cli import cli, main
-from lungfuse.denoise import ConvNetSpec, init_weights, save_weights
+from lungfuse.denoise import init_weights, save_weights
 from lungfuse.errors import DataError
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm, write_pgm
@@ -571,8 +571,16 @@ _MANIFEST_FAULTS = {
         "pet", str(ds.parent / "outside" / "pet.pgm")),
     "dotdot-pet": lambda d, ds: d["rows"][0].__setitem__("pet", "../outside/pet.pgm"),
     "repeated-id": lambda d, ds: d["rows"][1].__setitem__("id", "pt0000"),
+    "repeated-tabular-row-id": lambda d, ds: d["rows"][1].__setitem__("tabular_row_id", "pt0000"),
     "number-tabular": lambda d, ds: d.__setitem__("tabular", 5),
     "unknown-tabular-row-id": lambda d, ds: d["rows"][0].__setitem__("tabular_row_id", "nobody"),
+    "zero-image-size": lambda d, ds: d.__setitem__("image_size", 0),
+}
+# the message a fault's one line must carry, where it is pinned
+_MANIFEST_FAULT_TEXT = {
+    "repeated-id": "manifest rows[1] repeats id 'pt0000' of rows[0]",
+    "repeated-tabular-row-id": "manifest rows[1] repeats tabular_row_id 'pt0000' of rows[0]",
+    "zero-image-size": "manifest image_size must be an integer >= 1, got 0",
 }
 
 
@@ -600,6 +608,7 @@ def test_malformed_manifest_exits_3_with_one_line(capsys, tmp_path, fault, comma
     else:
         assert rc == 3
         assert err.startswith("error:") and err.count("\n") == 1
+        assert _MANIFEST_FAULT_TEXT.get(fault, "") in err
 
 
 _SCHEMA_FAULTS = {
@@ -818,7 +827,7 @@ def _nan_payload(n: int) -> str:
 )
 def test_denoise_apply_on_malformed_weights_exits_3(capsys, tmp_path, edit, needle):
     w = tmp_path / "w.json"
-    save_weights(w, init_weights(ConvNetSpec(), seed=0))
+    save_weights(w, init_weights(seed=0))
     doc = json.loads(w.read_text())
     edit(doc)
     w.write_text(json.dumps(doc))
@@ -836,7 +845,7 @@ def test_denoise_apply_on_malformed_weights_exits_3(capsys, tmp_path, edit, need
 def test_denoise_apply_rejects_a_weights_file_that_is_not_ascii(capsys, tmp_path):
     # the writer emits ASCII, and the reader accepts only that: this file is valid UTF-8 JSON
     w = tmp_path / "w.json"
-    save_weights(w, init_weights(ConvNetSpec(), seed=0))
+    save_weights(w, init_weights(seed=0))
     doc = json.loads(w.read_text())
     doc["\u00e9"] = 0
     w.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
@@ -1285,7 +1294,7 @@ def _mutate_header(rng, data: bytes) -> bytes:
 def test_seeded_malformed_inputs_exit_with_a_code_and_one_line(capsys, tmp_path):
     ds, w = tmp_path / "ds", tmp_path / "w.json"
     generate(PhantomConfig(n_patients=24, image_size=16, seed=4), ds)
-    save_weights(w, init_weights(ConvNetSpec(), seed=0))
+    save_weights(w, init_weights(seed=0))
     ct = ds / "images" / "pt0000_ct.pgm"
     commands = {
         "describe": ["describe", "--dataset", str(ds)],

@@ -7,14 +7,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from lungfuse import classify
+from lungfuse import classify, denoise, nnet
 from lungfuse import pipeline as pl
 from lungfuse import settings
 from lungfuse.classify import ClassifyConfig, compare_modalities, kfold_evaluate, train_mlp
-from lungfuse.denoise import ConvNetSpec, add_noise
+from lungfuse.denoise import TrainConfig, add_noise
 from lungfuse.errors import ConfigError, ContractError
 from lungfuse.fusion import FusionRule, mutual_information, psnr, ssim
-from lungfuse.nnet import TrainConfig
 from lungfuse.phantom import PhantomConfig, generate
 from lungfuse.tabular import BoostConfig, write_table
 
@@ -131,11 +130,17 @@ def test_library_defaults_are_the_pipeline_defaults():
 def test_removed_library_options_are_gone():
     img = np.full((8, 8), 0.5)
     assert not hasattr(classify, "MLPSpec")
+    assert not hasattr(classify, "_views")
+    assert not hasattr(denoise, "ConvNetSpec")
+    assert not hasattr(denoise.NetWeights, "params")
+    assert not hasattr(denoise.init_weights(), "spec")
+    assert not hasattr(nnet, "TrainConfig")
     for call in (lambda: ClassifyConfig(levels=2),
                  lambda: ClassifyConfig(train=TrainConfig()),
                  lambda: ClassifyConfig(mlp=None),
                  lambda: train_mlp(np.eye(4), ["a", "b", "a", "b"], spec=None),
-                 lambda: ConvNetSpec(channels=((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))),
+                 lambda: denoise.init_weights(None, seed=0),  # the spec argument is gone
+                 lambda: nnet.Adam([img]).step([img], [img]),  # one array, not lists
                  lambda: FusionRule(ll_rule="average"),
                  lambda: psnr(img, img, peak=2.0),
                  lambda: ssim(img, img, window=4),

@@ -4,7 +4,6 @@ import math
 import os
 import threading
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -42,18 +41,19 @@ def _loss(w, img, target):
 def test_adam_first_step_matches_hand_calc():
     # after one step the bias-corrected update is lr * g / (|g| + eps)
     p = np.array([1.0])
-    opt = nnet.Adam([p], lr=0.001)
-    opt.step([p], [np.array([0.5])])
+    opt = nnet.Adam(p, lr=0.001)
+    opt.step(p, np.array([0.5]))
     assert abs(p[0] - 0.999) < 1e-8
 
 
 def test_adam_updates_in_place_and_counts_steps():
-    p = np.zeros(3)
-    opt = nnet.Adam([p], lr=0.01)
+    p = np.zeros((2, 3))
+    opt = nnet.Adam(p, lr=0.01)
     for _ in range(5):
-        opt.step([p], [np.ones(3)])
+        opt.step(p, np.ones((2, 3)))
     assert opt.t == 5
     assert np.all(p < 0)
+    assert opt.m.shape == opt.v.shape == (2, 3)
 
 
 def test_softmax_rows_normalized():
@@ -74,33 +74,32 @@ def test_glorot_bounds():
 
 def test_train_config_validation():
     with pytest.raises(ContractError):
-        nnet.TrainConfig(learning_rate=0.0)
+        dn.TrainConfig(learning_rate=0.0)
     with pytest.raises(ContractError):
-        nnet.TrainConfig(batch_size=0)
+        dn.TrainConfig(batch_size=0)
     with pytest.raises(ContractError):
-        nnet.TrainConfig(epochs=0)
+        dn.TrainConfig(epochs=0)
     with pytest.raises(ContractError):
-        nnet.TrainConfig(noise_kind="salt")
+        dn.TrainConfig(noise_kind="salt")
     with pytest.raises(ContractError, match="noise_param"):
-        nnet.TrainConfig(noise_param=-0.1)
+        dn.TrainConfig(noise_param=-0.1)
     with pytest.raises(ContractError, match="noise_param"):
-        nnet.TrainConfig(noise_kind="poisson", noise_param=0.0)
-    nnet.TrainConfig(noise_param=0.0)
-    nnet.TrainConfig(noise_kind="poisson", noise_param=50.0)
+        dn.TrainConfig(noise_kind="poisson", noise_param=0.0)
+    dn.TrainConfig(noise_param=0.0)
+    dn.TrainConfig(noise_kind="poisson", noise_param=50.0)
 
 
-# --- ConvNetSpec / weights plumbing ---
+# --- channel plan / weights plumbing ---
 
 
-def test_convnet_spec_is_the_fixed_plan():
-    assert dn.ConvNetSpec().channels == ((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))
-    with pytest.raises(TypeError):
-        dn.ConvNetSpec(channels=((1, 8), (8, 16), (16, 16), (16, 8), (8, 1)))
+def test_channels_is_the_fixed_plan():
+    assert dn.CHANNELS == ((1, 8), (8, 16), (16, 16), (16, 8), (8, 1))
+    assert dn.init_weights().channels == dn.CHANNELS
 
 
 def test_init_weights_shapes_and_determinism():
-    w1 = dn.init_weights(dn.ConvNetSpec(), seed=7)
-    w2 = dn.init_weights(dn.ConvNetSpec(), seed=7)
+    w1 = dn.init_weights(seed=7)
+    w2 = dn.init_weights(seed=7)
     assert [k.shape for k in w1.kernels] == [
         (8, 1, 3, 3),
         (16, 8, 3, 3),
@@ -115,7 +114,7 @@ def test_init_weights_shapes_and_determinism():
 
 
 def test_zero_weights_give_half_output():
-    w = dn.init_weights(dn.ConvNetSpec(), seed=0)
+    w = dn.init_weights(seed=0)
     for k in w.kernels:
         k[:] = 0
     y = dn.forward(w, np.random.default_rng(1).uniform(size=(16, 16)))
@@ -123,7 +122,7 @@ def test_zero_weights_give_half_output():
 
 
 def test_forward_shape_contract():
-    w = dn.init_weights(dn.ConvNetSpec(), seed=0)
+    w = dn.init_weights(seed=0)
     y = dn.forward(w, np.zeros((16, 24)))
     assert y.shape == (16, 24)
     with pytest.raises(ContractError):
@@ -146,7 +145,7 @@ def test_loss_mse_hand_value():
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(42)
-    w = dn.init_weights(dn.ConvNetSpec(), seed=5)
+    w = dn.init_weights(seed=5)
     img = rng.uniform(0.1, 0.9, (8, 8))
     target = rng.uniform(0.1, 0.9, (8, 8))
     grads = dn.backward(w, img, target)
@@ -173,7 +172,7 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_rejects_shape_mismatch():
-    w = dn.init_weights(dn.ConvNetSpec(), seed=0)
+    w = dn.init_weights(seed=0)
     with pytest.raises(ContractError):
         dn.backward(w, np.zeros((8, 8)), np.zeros((8, 12)))
 
@@ -213,19 +212,19 @@ def test_add_noise_poisson_scale():
 def test_train_requires_enough_images():
     imgs = _blobs(5, 8, 0)
     with pytest.raises(DataError):
-        dn.train_denoiser(imgs, nnet.TrainConfig(epochs=1))
+        dn.train_denoiser(imgs, dn.TrainConfig(epochs=1))
 
 
 def test_train_rejects_mixed_shapes():
     imgs = _blobs(8, 8, 0)
     imgs[3] = np.zeros((12, 8))
     with pytest.raises(ContractError):
-        dn.train_denoiser(imgs, nnet.TrainConfig(epochs=1))
+        dn.train_denoiser(imgs, dn.TrainConfig(epochs=1))
 
 
 def test_train_is_bit_deterministic():
     imgs = _blobs(8, 8, 1)
-    cfg = nnet.TrainConfig(epochs=2, batch_size=4, rng_seed=11)
+    cfg = dn.TrainConfig(epochs=2, batch_size=4, rng_seed=11)
     w1, log1 = dn.train_denoiser(imgs, cfg)
     w2, log2 = dn.train_denoiser(imgs, cfg)
     assert log1 == log2
@@ -235,7 +234,7 @@ def test_train_is_bit_deterministic():
 
 def test_train_loss_decreases():
     imgs = _blobs(16, 16, 2)
-    cfg = nnet.TrainConfig(epochs=30, batch_size=4, rng_seed=3, noise_param=0.08)
+    cfg = dn.TrainConfig(epochs=30, batch_size=4, rng_seed=3, noise_param=0.08)
     w, log = dn.train_denoiser(imgs, cfg)
     assert len(log) == 30
     assert log[-1] < 0.7 * log[0]
@@ -245,7 +244,7 @@ def test_train_loss_decreases():
 def test_autoencode_noiseless_converges():
     # sigma 0 turns the task into plain reconstruction
     imgs = _blobs(16, 16, 4)
-    cfg = nnet.TrainConfig(epochs=50, batch_size=4, rng_seed=0, noise_param=0.0)
+    cfg = dn.TrainConfig(epochs=50, batch_size=4, rng_seed=0, noise_param=0.0)
     _, log = dn.train_denoiser(imgs, cfg)
     assert log[-1] < 0.01
     assert log[-1] < log[0]
@@ -255,7 +254,7 @@ def test_autoencode_noiseless_converges():
 
 
 def test_denoise_preserves_arbitrary_shape():
-    w = dn.init_weights(dn.ConvNetSpec(), seed=2)
+    w = dn.init_weights(seed=2)
     for shape in ((13, 9), (8, 8), (5, 31), (1, 1)):
         out = dn.denoise(w, np.random.default_rng(0).uniform(size=shape))
         assert out.shape == shape
@@ -263,7 +262,7 @@ def test_denoise_preserves_arbitrary_shape():
 
 
 def test_denoise_matches_forward_on_valid_dims():
-    w = dn.init_weights(dn.ConvNetSpec(), seed=2)
+    w = dn.init_weights(seed=2)
     img = np.random.default_rng(5).uniform(size=(16, 16))
     assert np.array_equal(dn.denoise(w, img), dn.forward(w, img))
 
@@ -272,13 +271,16 @@ def test_denoise_matches_forward_on_valid_dims():
 
 
 def test_weights_round_trip(tmp_path):
-    w = dn.init_weights(dn.ConvNetSpec(), seed=9)
+    w = dn.init_weights(seed=9)
     w.epochs_trained = 17
     w.rng_seed = 9
     path = tmp_path / "w.json"
     dn.save_weights(path, w)
     w2 = dn.load_weights(path)
-    assert w2.spec == w.spec
+    assert w2.channels == w.channels == dn.CHANNELS
+    # kernels and biases are views of the one parameter buffer
+    for a in w2.kernels + w2.biases:
+        assert np.shares_memory(a, w2.flat)
     assert w2.epochs_trained == 17
     assert w2.rng_seed == 9
     img = np.random.default_rng(1).uniform(size=(16, 16))
@@ -303,7 +305,7 @@ def test_load_weights_rejects_garbage(tmp_path):
 
 
 def test_load_weights_rejects_wrong_payload(tmp_path):
-    w = dn.init_weights(dn.ConvNetSpec(), seed=0)
+    w = dn.init_weights(seed=0)
     path = tmp_path / "w.json"
     dn.save_weights(path, w)
     doc = json.loads(path.read_text())
@@ -391,13 +393,16 @@ def _conv3(x, k, b):
 
 
 def _conv3_back(gout, xp, k, need_gx=True):
-    """dn._conv3_back with its work buffers allocated here."""
+    """dn._conv3_back with its gradient and work buffers allocated here, the
+    gradients NaN so that a gradient left unwritten shows; returns (gk, gb, gx)."""
     cout, n, h, w = gout.shape
     pad = (n, h + 2, w + 2)
-    return dn._conv3_back(
-        gout, xp, k, need_gx, gpad=np.empty((cout,) + pad),
+    gk, gb = np.full(k.shape, np.nan), np.full(cout, np.nan)
+    gx = dn._conv3_back(
+        gout, xp, k, gk, gb, need_gx, gpad=np.empty((cout,) + pad),
         gxp=np.empty((k.shape[1],) + pad), tmp=_scratch(k, math.prod(pad), w),
     )
+    return gk, gb, gx
 
 
 def _into(op, x, shape):
@@ -470,7 +475,7 @@ def test_trained_weights_file_is_pinned(tmp_path):
     # the im2col implementation; float32 storage hides last-bit float64
     # differences in the summation order
     clean = denoiser_scenes(8, 32, 7)
-    w, _ = dn.train_denoiser(clean, nnet.TrainConfig(epochs=5, rng_seed=0))
+    w, _ = dn.train_denoiser(clean, dn.TrainConfig(epochs=5, rng_seed=0))
     path = tmp_path / "w.json"
     dn.save_weights(path, w)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -493,7 +498,7 @@ def test_training_peak_memory_is_bounded():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        dn.train_denoiser(clean, nnet.TrainConfig(epochs=3))
+        dn.train_denoiser(clean, dn.TrainConfig(epochs=3))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -513,15 +518,15 @@ def _default_training():
     doc = pl.resolve_config(None)
     d = doc["denoise"]
     clean = denoiser_scenes(d["train_images"], d["train_size"], d["train_seed"])
-    return clean, pl._config_from(nnet.TrainConfig, d)
+    return clean, pl._config_from(dn.TrainConfig, d)
 
 
 @pytest.mark.parametrize(
     "case",
     [
         "default",
-        (16, 32, nnet.TrainConfig(batch_size=7, epochs=3)),
-        (8, 32, nnet.TrainConfig(batch_size=1, epochs=2)),
+        (16, 32, dn.TrainConfig(batch_size=7, epochs=3)),
+        (8, 32, dn.TrainConfig(batch_size=1, epochs=2)),
     ],
     ids=["default", "batch7", "batch1"],
 )
@@ -534,8 +539,7 @@ def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
         runs.append(dn.train_denoiser(clean, cfg))
     (one, log1), (two, log2) = runs
     assert log1 == log2
-    for a, b in zip(one.params(), two.params()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(one.flat, two.flat)
 
 
 def test_training_leaves_no_thread_behind(monkeypatch):
@@ -543,11 +547,11 @@ def test_training_leaves_no_thread_behind(monkeypatch):
     _on_cpus(monkeypatch, {0, 1})
     clean = denoiser_scenes(8, 32, 7)
     before = threading.active_count()
-    dn.train_denoiser(clean, nnet.TrainConfig(epochs=1))
+    dn.train_denoiser(clean, dn.TrainConfig(epochs=1))
     assert threading.active_count() == before
     monkeypatch.setattr(dn._Workspace, "loss", lambda ws, t: float("nan"))
     with pytest.raises(NumericalError, match="non-finite training loss nan at epoch 0 batch 0"):
-        dn.train_denoiser(clean, nnet.TrainConfig(epochs=1))
+        dn.train_denoiser(clean, dn.TrainConfig(epochs=1))
     assert threading.active_count() == before
 
 
@@ -640,14 +644,13 @@ def _ref_backward_batch(weights, cache, target):
     return [(gk0, gb0), (gk1, gb1), (gk2, gb2), (gk3, gb3), (gk4, gb4)]
 
 
-# the workspace and init_weights read only a spec's channels, so a stand-in
-# with unequal widths checks that no buffer is sized by the wrong one
-_ODD_SPEC = types.SimpleNamespace(channels=((1, 4), (4, 6), (6, 5), (5, 3), (3, 1)))
+# a plan with unequal widths checks that no buffer is sized by the wrong one
+_ODD_CHANNELS = ((1, 4), (4, 6), (6, 5), (5, 3), (3, 1))
 
 
-def _random_net(spec, seed):
+def _random_net(channels, seed):
     # nonzero biases so every layer has ReLUs both on and off
-    w = dn.init_weights(spec, seed)
+    w = dn.init_weights(seed, channels)
     rng = np.random.default_rng(seed + 1)
     for b in w.biases:
         b[:] = rng.normal(scale=0.1, size=b.shape)
@@ -655,26 +658,28 @@ def _random_net(spec, seed):
 
 
 def _step(ws, w, x, t):
-    y = ws.forward(w, x)
-    return y.copy(), ws.loss(t), ws.backward(w, t)
+    y = ws.forward(w, x).copy()
+    loss = ws.loss(t)
+    assert ws.backward(w, t) is ws.grad
+    return y, loss, [(gk.copy(), gb.copy()) for gk, gb in ws.grads]
 
 
 @pytest.mark.parametrize(
-    "spec,batches,h,w",
+    "channels,batches,h,w",
     [
-        (dn.ConvNetSpec(), (1,), 8, 8),
-        (dn.ConvNetSpec(), (4, 4, 2), 16, 16),
-        (dn.ConvNetSpec(), (3,), 12, 20),
-        (dn.ConvNetSpec(), (2,), 16, 16),
-        (_ODD_SPEC, (3, 1), 16, 12),
+        (dn.CHANNELS, (1,), 8, 8),
+        (dn.CHANNELS, (4, 4, 2), 16, 16),
+        (dn.CHANNELS, (3,), 12, 20),
+        (dn.CHANNELS, (2,), 16, 16),
+        (_ODD_CHANNELS, (3, 1), 16, 12),
     ],
     ids=["n1", "partial-last-batch", "h-ne-w", "16x16", "unequal-widths"],
 )
-def test_workspace_matches_allocating_reference(spec, batches, h, w):
+def test_workspace_matches_allocating_reference(channels, batches, h, w):
     # one workspace sized for the largest batch serves every batch
-    net = _random_net(spec, h + w)
+    net = _random_net(channels, h + w)
     rng = np.random.default_rng(len(batches))
-    ws = dn._Workspace(spec, max(batches), h, w)
+    ws = dn._Workspace(channels, max(batches), h, w)
     for m in batches:
         x = rng.uniform(size=(m, 1, h, w))
         t = rng.uniform(size=(m, 1, h, w))
@@ -691,14 +696,15 @@ def test_workspace_matches_allocating_reference(spec, batches, h, w):
 def test_workspace_holding_earlier_data_matches_a_fresh_one():
     # a reused workspace still holds the last step's values, borders
     # included; a NaN-filled one holds nothing valid at all
-    net = _random_net(dn.ConvNetSpec(), 3)
+    net = _random_net(dn.CHANNELS, 3)
     rng = np.random.default_rng(4)
     x, t = rng.uniform(size=(2, 2, 1, 16, 12))
-    fresh = _step(dn._Workspace(net.spec, 2, 16, 12), net, x, t)
-    used = dn._Workspace(net.spec, 3, 16, 12)
+    fresh = _step(dn._Workspace(net.channels, 2, 16, 12), net, x, t)
+    used = dn._Workspace(net.channels, 3, 16, 12)
     _step(used, net, *rng.uniform(size=(2, 3, 1, 16, 12)))
-    poisoned = dn._Workspace(net.spec, 2, 16, 12)
-    for buf in poisoned._xp + poisoned._acc + poisoned._mask + [poisoned._y, poisoned._scratch]:
+    poisoned = dn._Workspace(net.channels, 2, 16, 12)
+    for buf in poisoned._xp + poisoned._acc + poisoned._mask + [poisoned._y, poisoned._scratch,
+                                                                poisoned.grad]:
         buf.fill(np.nan)
     for ws in (used, poisoned):
         y, loss, grads = _step(ws, net, x, t)
@@ -770,8 +776,9 @@ def test_one_channel_tap_blocks_match_broadcast_taps(n, h, w, cin, cout):
     tmp = np.full(9 * dn._TILE + 9 * xpf.shape[1], np.nan)
     acc = np.empty((cout, n, h + 2, w + 2))
     out = dn._conv3_taps(xp, k, acc, tmp)[:, :, :h, :w]
-    gk, _, gx = dn._conv3_back(
-        g, xpf, k, gpad=np.empty(acc.shape), gxp=np.empty(xp.shape), tmp=tmp
+    gk = np.full(k.shape, np.nan)
+    gx = dn._conv3_back(
+        g, xpf, k, gk, np.empty(cout), gpad=np.empty(acc.shape), gxp=np.empty(xp.shape), tmp=tmp
     )
     ref_gk, ref_gxp = _broadcast_back(g, xpf, k)
     gscale = np.abs(g).sum() * np.abs(xpf).max()
