@@ -15,7 +15,7 @@ import sys
 import click
 
 # BLAS at one thread, set before numpy first loads: the forked workers
-# and denoise-train's second thread use the other CPUs.  A value the user
+# and denoise-train's partner process use the other CPUs.  A value the user
 # set is kept.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

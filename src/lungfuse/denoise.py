@@ -26,14 +26,16 @@ padded input again.
 Training runs each batch as two halves, the first ceil(b/2) images and
 the rest, and steps on the sum of their gradients, each taken against
 the whole batch's MSE (Goyal et al., arXiv:1706.02677).  The second half
-runs on a helper thread when two CPUs are usable (`parallel.run_pair`);
-numpy releases the GIL in BLAS calls and ufunc loops, so the halves
-overlap.  The split is made on one CPU too, so results do not depend on
-the CPU count.  Each half runs in its own workspace (`_Workspace`),
-allocated once for half the largest batch and freed when training
-returns, like cuDNN's caller-owned workspace; `forward`, `backward` and
-`denoise` make one per call.  Ops write through `out=` and in place, so
-no step after the first allocates an image-sized array.  As in Chen et
+runs in a partner process when two CPUs are usable (`parallel.partner`;
+a thread would pass the GIL between each half's hundreds of small numpy
+calls), which reads the weights and batches from shared mappings and
+writes its gradient to one.  The split is made on one CPU too, so
+results do not depend on the CPU count.  Each half runs in its own
+workspace (`_Workspace`), allocated once, where that half runs, for half
+the largest batch and freed when training returns, like cuDNN's
+caller-owned workspace; `forward`, `backward` and `denoise` make one per
+call.  Ops write through `out=` and in place, so no step after the first
+allocates an image-sized array.  As in Chen et
 al. (arXiv:1604.06174), backward keeps only what it needs: each layer's
 padded input, and each ReLU's mask as bool rather than the float
 pre-activation.  Pooled and upsampled activations go straight into the
@@ -66,7 +68,7 @@ import numpy as np
 from .errors import ContractError, DataError, FormatError, NumericalError
 from .images import as_image, as_image_pair, read_json
 from .nnet import Adam, glorot_uniform, relu, sigmoid, views
-from .parallel import run_pair
+from .parallel import partner, shared_array
 from .settings import check, check_fields, noise_param_rule, rules
 
 __all__ = [
@@ -426,9 +428,7 @@ def add_noise(img, kind: str = "gaussian", param: float = 0.1, rng=None) -> np.n
 
 def _half_step(ws: _Workspace, weights: NetWeights, x, t, size: int):
     """(MSE, gradient buffer of its part of an MSE over size pixels) of one
-    half batch; an empty half gives (0.0, None), a non-finite MSE no gradient."""
-    if not len(x):
-        return 0.0, None
+    half batch; a non-finite MSE gives no gradient."""
     ws.forward(weights, x)
     loss = ws.loss(t)
     return loss, ws.backward(weights, t, size) if np.isfinite(loss) else None
@@ -450,44 +450,52 @@ def train_denoiser(clean_images, cfg: TrainConfig | None = None):
             raise ContractError(f"image {i} has shape {im.shape}, expected {shape}")
     n = len(imgs)
     batch = min(cfg.batch_size, n)
-    wss = [_Workspace(CHANNELS, -(-batch // 2), *shape) for _ in range(2)]
+    new_ws = functools.partial(_Workspace, CHANNELS, -(-batch // 2), *shape)
+    ws, second = new_ws(), functools.cache(new_ws)  # the second is made where its half runs
 
     rng = np.random.default_rng(cfg.rng_seed)
-    weights = init_weights(rng)
-    weights.rng_seed = cfg.rng_seed
-    opt = Adam(weights.flat, lr=cfg.learning_rate)
+    # what the second half reads and writes, on mappings its partner shares:
+    # the weights, which Adam updates in place, the epoch's batches and its gradient
+    flat, grad_b = shared_array((_size(CHANNELS),)), shared_array((_size(CHANNELS),))
+    noisy, target = shared_array((n, 1) + shape), shared_array((n, 1) + shape)
+    flat[:] = init_weights(rng).flat
+    weights = NetWeights(flat)
+    opt = Adam(flat, lr=cfg.learning_rate)
 
-    noisy = np.empty((n, 1) + shape)
-    target = np.empty((n, 1) + shape)
+    def second_half(mid, stop, size):
+        loss, g = _half_step(second(), weights, noisy[mid:stop], target[mid:stop], size)
+        if g is not None:
+            grad_b[:] = g
+        return loss
+
     log = []
-    for epoch in range(cfg.epochs):
-        # noise is drawn in image order; each image is stored at its place
-        # in this epoch's order, so every batch is a contiguous slice
-        slot = np.argsort(rng.permutation(n))
-        for i, im in enumerate(imgs):
-            target[slot[i], 0] = im
-            noisy[slot[i], 0] = add_noise(im, cfg.noise_kind, cfg.noise_param, rng)
-        total = 0.0
-        for start in range(0, n, batch):
-            stop = min(start + batch, n)
-            mid = start + -(-(stop - start) // 2)
-            size = (stop - start) * shape[0] * shape[1]
-            (la, ga), (lb, gb) = run_pair(
-                *(functools.partial(_half_step, ws, weights, noisy[a:b], target[a:b], size)
-                  for ws, (a, b) in zip(wss, ((start, mid), (mid, stop))))
-            )
-            loss = (la * (mid - start) + lb * (stop - mid)) / (stop - start)
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite training loss {loss} at epoch {epoch} batch {start // batch}"
-                )
-            if gb is not None:
-                ga += gb
-            opt.step(weights.flat, ga)
-            total += loss * (stop - start)
-        log.append(total / n)
-    weights.epochs_trained += cfg.epochs
-    return weights, log
+    with partner(second_half) as pair:
+        for epoch in range(cfg.epochs):
+            # noise is drawn in image order; each image is stored at its place
+            # in this epoch's order, so every batch is a contiguous slice
+            slot = np.argsort(rng.permutation(n))
+            for i, im in enumerate(imgs):
+                target[slot[i], 0] = im
+                noisy[slot[i], 0] = add_noise(im, cfg.noise_kind, cfg.noise_param, rng)
+            total = 0.0
+            for start in range(0, n, batch):
+                stop = min(start + batch, n)
+                mid = start + -(-(stop - start) // 2)
+                size = (stop - start) * shape[0] * shape[1]
+                first = functools.partial(_half_step, ws, weights, noisy[start:mid],
+                                          target[start:mid], size)
+                (la, ga), lb = pair(first, mid, stop, size) if stop > mid else (first(), 0.0)
+                loss = (la * (mid - start) + lb * (stop - mid)) / (stop - start)
+                if not np.isfinite(loss):
+                    raise NumericalError(
+                        f"non-finite training loss {loss} at epoch {epoch} batch {start // batch}"
+                    )
+                if stop > mid:
+                    ga += grad_b
+                opt.step(flat, ga)
+                total += loss * (stop - start)
+            log.append(total / n)
+    return NetWeights(flat.copy(), rng_seed=cfg.rng_seed, epochs_trained=cfg.epochs), log
 
 
 def denoise(weights: NetWeights, img) -> np.ndarray:

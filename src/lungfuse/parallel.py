@@ -1,5 +1,5 @@
 """Order-preserving map over independent tasks in forked worker processes,
-and a pair of calls on two threads.
+and a pair of calls in two processes.
 
 One worker per CPU this process may run on (Linux; elsewhere one), never
 more than there are tasks.  With fewer than two workers the map runs in
@@ -8,23 +8,27 @@ items and only results cross a pipe; they ignore SIGINT, which leaves an
 interrupt to the parent.  Warnings raised in a worker are raised again
 in the parent, in task order, at the code location that raised them.
 A worker that dies (say, killed by the out-of-memory killer) fails the
-map with WorkerError.  run_pair, for numpy work that releases the GIL,
-uses a helper thread under the same rule, and only while BLAS runs at
-one thread, so that the two calls do not compete with BLAS threads; it
-joins the thread before it returns, so no thread is alive when a map forks.
+map with WorkerError.  partner forks one process under the same rules,
+and only while BLAS runs at one thread, so that the two do not compete
+with BLAS threads; they share arrays on shared_array's mappings.  The
+partner exits at its pipe's EOF: it outlives neither the block nor a
+parent killed outright.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import signal
 import sys
-import threading
 import warnings
+
+import numpy as np
 
 from .errors import WorkerError
 
-__all__ = ["parallel_map", "run_pair"]
+__all__ = ["parallel_map", "partner", "shared_array"]
 
 # (fn, items) of the map in progress; forked workers inherit it, and a
 # map started while it is set (inside a worker, or by fn itself) runs serially
@@ -82,39 +86,80 @@ def parallel_map(fn, items) -> list:
         _TASK = None
 
 
-def run_pair(f, g) -> tuple:
-    """(f(), g()), with g on a helper thread when two CPUs are usable and
+@contextlib.contextmanager
+def partner(g):
+    """Yield pair, where pair(f, *args) is (f(), g(*args)); g runs in one
+    partner process forked on entry when two CPUs are usable and
     OPENBLAS_NUM_THREADS (OMP_NUM_THREADS when that is unset) is "1".
 
-    Returns or raises only after the thread has ended.  f's exception
-    comes first; g's is raised here.
+    g's writes reach the caller only through shared memory (shared_array).
+    f's exception comes first, then g's, with its type; a partner that dies
+    raises WorkerError.  The block ends only after the partner has exited.
     """
     blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     if _cpus() < 2 or blas != "1":
-        return f(), g()
-    out = []
+        yield lambda f, *args: (f(), g(*args))
+        return
 
-    def call_g():
-        try:
-            out.append((g(), None))
-        except BaseException as exc:
-            out.append((None, exc))
+    import multiprocessing
 
-    thread = threading.Thread(target=call_g)
-    thread.start()
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+    proc = ctx.Process(target=_serve, args=(g, there, here))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        a = f()
+        proc.start()
     finally:
-        thread.join()
-    b, exc = out[0]
-    if exc is not None:
-        raise exc
-    return a, b
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        there.close()
+
+    def pair(f, *args):
+        with contextlib.suppress(ConnectionError):  # a dead partner shows at recv
+            here.send(args)
+        try:
+            a = f()
+        finally:  # read even when f fails, so that the next call gets its own reply
+            try:
+                b, exc = here.recv()
+            except (EOFError, ConnectionError):
+                b, exc = None, WorkerError("the partner process died before its half finished")
+        if exc is not None:
+            raise exc
+        return a, b
+
+    try:
+        yield pair
+    finally:
+        here.close()  # the partner's EOF
+        proc.join()
+
+
+def shared_array(shape) -> np.ndarray:
+    """A zeroed float64 array on an anonymous shared mapping: a process forked
+    after this call and its parent see each other's writes to it."""
+    import mmap
+
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))  # MAP_SHARED
 
 
 def _start_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
+def _serve(g, conn, other) -> None:
+    """The partner: send back (g(*args), None) or (None, g's error) for each
+    args received, until the pipe reaches EOF or the caller is gone."""
+    _start_worker()
+    other.close()
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
+            args = conn.recv()
+            try:
+                reply = g(*args), None
+            except Exception as exc:
+                reply = None, exc
+            conn.send(reply)
 
 
 def _run_task(i: int):

@@ -2,7 +2,11 @@ import hashlib
 import json
 import math
 import os
-import threading
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from lungfuse import denoise as dn
 from lungfuse import nnet
 from lungfuse import pipeline as pl
+from lungfuse.cli import main
 from lungfuse.errors import ContractError, DataError, FormatError, NumericalError
 from lungfuse.pipeline import denoiser_scenes
 
@@ -491,9 +496,11 @@ def test_default_weights_file_is_pinned(tmp_path):
     assert digest == "19faf56d8fc9a2ea11b48fbc0de13394c31ae54e595a1f04e6af4e8fe1472e72"
 
 
-def test_training_peak_memory_is_bounded():
+def test_training_peak_memory_is_bounded(monkeypatch):
     # one workspace for every step keeps this near 32 MB; fresh arrays per
-    # step would need about 63 MB
+    # step would need about 63 MB.  On one CPU both halves' workspaces are
+    # made in this process, where tracemalloc sees them
+    _on_cpus(monkeypatch, {0})
     clean = denoiser_scenes(24, 64, 7)
     tracemalloc.start()
     try:
@@ -505,12 +512,12 @@ def test_training_peak_memory_is_bounded():
     assert peak <= 45e6
 
 
-# --- each batch as two halves, on one thread or two ---
+# --- each batch as two halves, in one process or two ---
 
 
 def _on_cpus(monkeypatch, cpus):
-    # the CPU count parallel.run_pair sees: {0} runs both halves in the
-    # caller, {0, 1} the second on a helper thread
+    # the CPU count parallel.partner sees: {0} runs both halves in the
+    # caller, {0, 1} the second in a forked partner process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
 
 
@@ -531,7 +538,7 @@ def _default_training():
     ids=["default", "batch7", "batch1"],
 )
 def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run_pair's threaded path needs it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the partner needs it
     clean, cfg = _default_training() if case == "default" else (denoiser_scenes(*case[:2], 7), case[2])
     runs = []
     for cpus in ({0}, {0, 1}):
@@ -542,17 +549,76 @@ def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
     assert np.array_equal(one.flat, two.flat)
 
 
-def test_training_leaves_no_thread_behind(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run_pair's threaded path needs it
+def test_training_leaves_no_process_behind(monkeypatch, children):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the partner needs it
     _on_cpus(monkeypatch, {0, 1})
     clean = denoiser_scenes(8, 32, 7)
-    before = threading.active_count()
+    before = children(os.getpid())
     dn.train_denoiser(clean, dn.TrainConfig(epochs=1))
-    assert threading.active_count() == before
+    assert children(os.getpid()) == before
     monkeypatch.setattr(dn._Workspace, "loss", lambda ws, t: float("nan"))
     with pytest.raises(NumericalError, match="non-finite training loss nan at epoch 0 batch 0"):
         dn.train_denoiser(clean, dn.TrainConfig(epochs=1))
-    assert threading.active_count() == before
+    assert children(os.getpid()) == before
+
+
+def test_killed_partner_exits_3_with_one_error_line(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    _on_cpus(monkeypatch, {0, 1})
+    caller, half_step = os.getpid(), dn._half_step
+
+    def killed(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+        return half_step(*args)
+
+    monkeypatch.setattr(dn, "_half_step", killed)
+    rc = main(["denoise-train", "--out", str(tmp_path / "w.json"), "--set", "denoise.epochs=2",
+               "--set", "denoise.train_images=8", "--set", "denoise.train_size=32"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: the partner process died before its half finished\n"
+    assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_killed_training_leaves_no_partner_running(tmp_path, children):
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    if len(cpus) < 2:
+        pytest.skip("one CPU: training forks no partner")
+    src = pathlib.Path(dn.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lungfuse.cli", "denoise-train", "--out", str(tmp_path / "w.json"),
+         "--set", "denoise.epochs=1000"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+    try:
+        partners, deadline = set(), time.monotonic() + 30
+        while not partners and time.monotonic() < deadline:
+            time.sleep(0.05)
+            partners = children(proc.pid)
+        assert partners, "training started no partner"
+        proc.kill()
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    # the partner sees its pipe's EOF and exits; init may leave it a zombie
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline and any(_running(pid) for pid in partners):
+        time.sleep(0.05)
+    assert not any(_running(pid) for pid in partners)
+
+
+def _running(pid: int) -> bool:
+    try:
+        state = pathlib.Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
 
 
 # --- the workspace against the allocating batch passes it replaced ---

@@ -1,9 +1,9 @@
 """parallel_map: the pooled path against the serial one, and its failure
-modes; run_pair on one thread and on two.
+modes; partner in the caller and in a forked process.
 
 Each test fixes the CPU count these see by patching os.sched_getaffinity,
 so both paths run on any host: {0} gives the in-process loop and {0, 1}
-two forked workers, or run_pair's helper thread.
+two forked workers, or partner's forked process.
 """
 
 import json
@@ -13,7 +13,6 @@ import pathlib
 import signal
 import subprocess
 import sys
-import threading
 import time
 import warnings
 
@@ -25,9 +24,9 @@ from lungfuse import classify as cl
 from lungfuse import pipeline as pl
 from lungfuse import tabular as tb
 from lungfuse.cli import main
-from lungfuse.errors import NumericalError
+from lungfuse.errors import NumericalError, WorkerError
 from lungfuse.images import write_pgm
-from lungfuse.parallel import parallel_map, run_pair
+from lungfuse.parallel import parallel_map, partner, shared_array
 from lungfuse.phantom import PhantomConfig, generate
 from tabular_cells import decode, encode
 
@@ -172,41 +171,80 @@ def test_each_head_is_fitted_once_in_one_map(monkeypatch):
                      "parallel_map": 1}
 
 
-@pytest.mark.parametrize("cpus", [SERIAL, POOLED], ids=["serial", "threaded"])
-def test_run_pair_returns_both_and_raises_g_after_joining(monkeypatch, cpus):
+@pytest.mark.parametrize("cpus", [SERIAL, POOLED], ids=["serial", "forked"])
+def test_partner_returns_both_and_raises_the_callers_error_first(monkeypatch, children, cpus):
     _cpus(monkeypatch, cpus)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    before = threading.active_count()
-    threads = []
+    before = children(os.getpid())
 
-    def g():
-        threads.append(threading.current_thread())
-        raise NumericalError("from g")
+    def g(x, fail=False):
+        if fail:
+            raise NumericalError("from g")
+        return x * 10, os.getpid()
 
-    assert run_pair(lambda: 1, lambda: 2) == (1, 2)
-    with pytest.raises(NumericalError, match="from g"):
-        run_pair(lambda: 1, g)
-    assert (threads[0] is threading.main_thread()) == (cpus == SERIAL)
-    with pytest.raises(ZeroDivisionError):  # f's error comes first
-        run_pair(lambda: 1 / 0, g)
-    assert threading.active_count() == before
+    with partner(g) as pair:
+        assert [(a, b) for a, (b, _) in (pair(lambda: i, i) for i in range(3))] == [
+            (0, 0), (1, 10), (2, 20)
+        ]
+        assert (pair(lambda: 1, 2)[1][1] == os.getpid()) == (cpus == SERIAL)
+        with pytest.raises(NumericalError, match="from g"):
+            pair(lambda: 1, 2, True)
+        with pytest.raises(ZeroDivisionError):  # the caller's error comes first
+            pair(lambda: 1 / 0, 2, True)
+        assert pair(lambda: 3, 4)[1][0] == 40  # each call still gets its own reply
+    assert children(os.getpid()) == before
+    with pytest.raises(ZeroDivisionError):
+        with partner(g) as pair:
+            pair(lambda: 1 / 0, 2)
+    assert children(os.getpid()) == before
 
 
 @pytest.mark.parametrize(
-    "openblas,omp,threaded",
+    "openblas,omp,forked",
     [(None, None, False), ("1", None, True), (None, "1", True), ("2", "1", False), ("4", None, False)],
 )
-def test_run_pair_uses_its_thread_only_with_blas_at_one_thread(monkeypatch, openblas, omp, threaded):
-    # BLAS threads of their own would compete with the helper thread for the CPUs
+def test_partner_forks_only_with_blas_at_one_thread(monkeypatch, openblas, omp, forked):
+    # BLAS threads of their own would compete with the partner for the CPUs
     _cpus(monkeypatch, POOLED)
     for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
         if value is None:
             monkeypatch.delenv(var, raising=False)
         else:
             monkeypatch.setenv(var, value)
-    f_thread, g_thread = run_pair(threading.current_thread, threading.current_thread)
-    assert f_thread is threading.current_thread()
-    assert (g_thread is not f_thread) == threaded
+    with partner(os.getpid) as pair:
+        mine, theirs = pair(os.getpid)
+    assert mine == os.getpid()
+    assert (theirs != mine) == forked
+
+
+def test_killed_partner_raises_worker_error(monkeypatch, children):
+    _cpus(monkeypatch, POOLED)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    before = children(os.getpid())
+
+    def killed():
+        os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+
+    with pytest.raises(WorkerError, match="the partner process died before its half finished"):
+        with partner(killed) as pair:
+            pair(lambda: 1)
+    assert children(os.getpid()) == before
+
+
+def test_shared_array_carries_writes_both_ways(monkeypatch):
+    _cpus(monkeypatch, POOLED)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    a = shared_array((2, 3))
+    assert a.dtype == np.float64 and not a.any()
+
+    def g(i):
+        a[1, i] = a[0, i] + 1.0
+
+    with partner(g) as pair:
+        for i in range(3):
+            a[0, i] = 10.0 * i
+            pair(lambda: None, i)
+    assert a.tolist() == [[0.0, 10.0, 20.0], [1.0, 11.0, 21.0]]
 
 
 def _table_with_rare_category(n=24):
@@ -314,20 +352,8 @@ def test_killed_worker_exits_3_with_one_error_line(monkeypatch, capfd, tmp_path,
     assert multiprocessing.active_children() == []
 
 
-def _children(pid: int) -> set:
-    kids = set()
-    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
-        try:
-            fields = stat.read_text().rsplit(")", 1)[1].split()
-        except OSError:
-            continue
-        if int(fields[1]) == pid:
-            kids.add(int(stat.parent.name))
-    return kids
-
-
 @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_sigint_during_fuse_exits_2_and_leaves_no_workers(tmp_path):
+def test_sigint_during_fuse_exits_2_and_leaves_no_workers(tmp_path, children):
     src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
     cpus = sorted(os.sched_getaffinity(0))[:2]  # at most 2 workers: the stage lasts seconds
     proc = subprocess.Popen(
@@ -343,7 +369,7 @@ def test_sigint_during_fuse_exits_2_and_leaves_no_workers(tmp_path):
         workers, deadline = set(), time.monotonic() + 10
         while len(cpus) > 1 and not workers and time.monotonic() < deadline:
             time.sleep(0.05)
-            workers = _children(proc.pid)
+            workers = children(proc.pid)
         time.sleep(0.3)
         assert proc.poll() is None, "the fuse stage ended before the interrupt"
         proc.send_signal(signal.SIGINT)
