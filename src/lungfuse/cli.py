@@ -14,20 +14,14 @@ import sys
 
 import click
 
-# BLAS at one thread, set before numpy first loads: the forked workers
-# and denoise-train's partner process use the other CPUs.  A value the user
-# set is kept.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from . import pipeline as pl  # noqa: E402
-from .classify import kfold_evaluate  # noqa: E402
-from .denoise import check_dims, denoise as run_denoise, load_weights  # noqa: E402
-from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError  # noqa: E402
-from .fusion import fusion_quality, ncc  # noqa: E402
-from .images import read_pgm, write_json, write_pgm  # noqa: E402
-from .phantom import PhantomConfig, describe, generate  # noqa: E402
-from .tabular import apply_preprocess, fit_preprocess, read_table  # noqa: E402
+from . import pipeline as pl
+from .classify import kfold_evaluate
+from .denoise import check_dims, denoise as run_denoise, load_weights
+from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError
+from .fusion import fusion_quality, ncc
+from .images import read_pgm, write_json, write_pgm
+from .phantom import PhantomConfig, describe, generate
+from .tabular import apply_preprocess, fit_preprocess, read_table
 
 
 def _emit(doc) -> None:
@@ -92,6 +86,7 @@ def _image_pair(first, second):
 def fuse_cmd(doc, ct_path, pet_path, out, report_path):
     """Fuse a CT image and a PET image into one image, as the fuse stage does (fusion.* keys)."""
     ct, pet = _image_pair(ct_path, pet_path)
+    pl._check_levels(doc, keys=("fusion.levels",), dims=ct.shape[::-1])
     fused, pet, _ = pl.fuse_pair(ct, pet, doc["fusion"])
     try:  # the report is made before either file is written
         quality = fusion_quality(fused, ct, pet) if report_path is not None else None

@@ -26,11 +26,12 @@ padded input again.
 Training runs each batch as two halves, the first ceil(b/2) images and
 the rest, and steps on the sum of their gradients, each taken against
 the whole batch's MSE (Goyal et al., arXiv:1706.02677).  The second half
-runs in a partner process when two CPUs are usable (`parallel.partner`;
-a thread would pass the GIL between each half's hundreds of small numpy
-calls), which reads the weights and batches from shared mappings and
-writes its gradient to one.  The split is made on one CPU too, so
-results do not depend on the CPU count.  Each half runs in its own
+runs in a partner process that `parallel.partner` forks when two CPUs
+are usable and numpy's BLAS is an OpenBLAS (a thread would pass the GIL
+between each half's hundreds of small numpy calls), which reads the
+weights and batches from shared mappings and writes its gradient to one.
+The split is made on one CPU too, so results do not depend on the CPU
+count.  Each half runs in its own
 workspace (`_Workspace`), allocated once, where that half runs, for half
 the largest batch and freed when training returns, like cuDNN's
 caller-owned workspace; `forward`, `backward` and `denoise` make one per

@@ -160,17 +160,20 @@ def _validate(doc: dict) -> None:
     check("denoise.noise_param", d["noise_param"], [noise_param_rule(d["noise_kind"])], ConfigError)
 
 
-def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feature_levels")):
+def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feature_levels"),
+                  dims=None):
     """Refuse a wavelet depth that the images cannot take, before any stage
-    runs: phantom.image_size wide, or a given dataset manifest's image_size."""
-    size = doc["phantom"]["image_size"] if dataset is None else load_manifest(dataset)["image_size"]
-    most = max_levels(size, size)
+    runs: dims (width, height), or else phantom.image_size wide or a given
+    dataset manifest's image_size."""
+    if dims is None:
+        size = (doc["phantom"] if dataset is None else load_manifest(dataset))["image_size"]
+        dims = size, size
+    most = max_levels(*dims)
     for name in keys:
         section, key = name.split(".")
         if doc[section][key] > most:
-            raise ConfigError(
-                f"{name} must be at most {most} for {size}x{size} images, got {doc[section][key]}"
-            )
+            raise ConfigError(f"{name} must be at most {most} for {dims[0]}x{dims[1]} images, "
+                              f"got {doc[section][key]}")
 
 
 def _check_folds(doc: dict, dataset=None) -> None:

@@ -1,16 +1,10 @@
-"""Suite-wide set-up: BLAS at one thread, as the lungfuse command runs it,
-and a check that no test leaves a child process of the test process
-behind, running or unreaped."""
+"""Suite-wide check that no test leaves a child process of the test
+process behind, running or unreaped."""
 
 import os
 import pathlib
 
 import pytest
-
-# before any test module loads numpy: BLAS reads the count once, at load,
-# and the library forks denoise-train's partner only when it says one thread
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 _PROC = pathlib.Path("/proc")
 

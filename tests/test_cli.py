@@ -632,18 +632,39 @@ def test_schema_name_not_a_string_exits_3_naming_it(capsys, tmp_path, fault):
     assert named in err
 
 
+# the import leaves the environment, a preset BLAS variable included, as it
+# is; BLAS runs at one thread in the forked regions and at its loaded count after
+_IMPORT_CLI = """
+import json, os
+env = dict(os.environ)
+import lungfuse.cli
+from lungfuse import parallel
+
+seen = {"environment kept": dict(os.environ) == env}
+if parallel._blas() is not None:
+    get = parallel._blas()[0]
+    loaded = get()
+    seen["map"] = parallel.parallel_map(lambda _: get(), range(2))
+    seen["after map is loaded"] = get() == loaded
+print(json.dumps(seen))
+"""
+
+
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_cli_import_runs_blas_at_one_thread_unless_set(preset):
     src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    code = "import os, lungfuse.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     out = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True,
+        [sys.executable, "-c", _IMPORT_CLI], cwd=src, env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == (preset or "1")
+    seen = json.loads(out.stdout)
+    assert seen.pop("environment kept")
+    if len(os.sched_getaffinity(0)) >= 2 and seen:
+        assert seen == {"map": [1, 1], "after map is loaded": True}
 
 
 def test_cli_import_loads_no_scipy():
@@ -1051,6 +1072,41 @@ def test_runs_into_one_out_at_once_all_succeed(capsys, tmp_path):
     assert not list((tmp_path / "w").glob(".*")) and not list((tmp_path / "w").glob("cache/.*"))
 
 
+# BLAS loads at the given thread count; then the CPUs are narrowed, since OpenBLAS
+# loaded on one CPU would cap its count at one
+_RUN_ON_CPUS = """
+import os, sys
+from lungfuse import parallel
+from lungfuse.cli import main
+os.sched_setaffinity(0, {cpus})
+assert parallel._blas() is None or parallel._blas()[0]() == {threads}
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_run_gives_one_report_on_one_cpu_and_two_with_blas_at_one_thread_and_two(tmp_path):
+    # workers, the partner and BLAS's own threads must not change a result
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    argv = ["run", "--set", "phantom.n_patients=24", "--set", "phantom.image_size=32",
+            "--set", "denoise.epochs=2", "--set", "denoise.train_images=8",
+            "--set", "denoise.train_size=32", "--set", "classify.model=logreg",
+            "--set", "evaluate.k=2"]
+    hashes = {}
+    for cpus in sorted(os.sched_getaffinity(0))[:1], sorted(os.sched_getaffinity(0))[:2]:
+        for threads in 1, 2:
+            out = tmp_path / f"{len(cpus)}cpu-{threads}blas"
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_ON_CPUS.format(cpus=set(cpus), threads=threads),
+                 *argv, "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)},
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            hashes[out.name] = _tree_hash(out / "report")
+    assert len(set(hashes.values())) == 1, hashes
+
+
 def test_a_killed_runs_build_directory_goes_with_the_next_run(capsys, tmp_path):
     argv = ["run", "--out", str(tmp_path / "w"), "--set", "phantom.n_patients=24",
             "--set", "fusion.register=false", "--set", "classify.model=logreg",
@@ -1223,6 +1279,20 @@ def test_a_wavelet_depth_the_dataset_cannot_take_exits_2_before_any_stage(capsys
     assert rc == 2
     assert err == f"error: {key} must be at most 4 for 16x16 images, got 5\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+@pytest.mark.parametrize("shape,named", [((64, 64), "64x64"), ((48, 64), "64x48")])
+def test_fuse_refuses_a_wavelet_depth_the_images_cannot_take_before_registering(
+        capsys, monkeypatch, tmp_path, shape, named):
+    for name in ("ct", "pet"):
+        write_pgm(np.random.default_rng(0).random(shape), tmp_path / f"{name}.pgm")
+    monkeypatch.setattr(pl, "align", lambda *a: pytest.fail("registered before the depth check"))
+    rc, _, err = _run(capsys, "fuse", "--ct", str(tmp_path / "ct.pgm"),
+                      "--pet", str(tmp_path / "pet.pgm"), "--out", str(tmp_path / "f.pgm"),
+                      "--set", "fusion.levels=9")
+    assert rc == 2
+    assert err == f"error: fusion.levels must be at most 6 for {named} images, got 9\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.pgm", "pet.pgm"]
 
 
 @pytest.mark.parametrize("inputs", ["fused,fused", "tabular, ct,tabular"])

@@ -14,6 +14,7 @@ import pytest
 
 from lungfuse import denoise as dn
 from lungfuse import nnet
+from lungfuse import parallel
 from lungfuse import pipeline as pl
 from lungfuse.cli import main
 from lungfuse.errors import ContractError, DataError, FormatError, NumericalError
@@ -538,7 +539,6 @@ def _default_training():
     ids=["default", "batch7", "batch1"],
 )
 def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the partner needs it
     clean, cfg = _default_training() if case == "default" else (denoiser_scenes(*case[:2], 7), case[2])
     runs = []
     for cpus in ({0}, {0, 1}):
@@ -549,8 +549,48 @@ def test_training_is_bit_identical_on_one_cpu_and_two(monkeypatch, case):
     assert np.array_equal(one.flat, two.flat)
 
 
+_TRAIN_AT_TWO_BLAS_THREADS = """
+import hashlib, json, os, pathlib, sys
+from lungfuse import denoise as dn, parallel, pipeline as pl
+
+get = parallel._blas()[0]
+caller, half_step = os.getpid(), dn._half_step
+seen = parallel.shared_array((2,))  # the BLAS count seen by the caller's halves and the partner's
+
+
+def recording(*args):
+    seen[int(os.getpid() != caller)] = get()
+    return half_step(*args)
+
+
+dn._half_step = recording
+loaded = get()
+pl._train_denoiser_stage(pl.resolve_config(None), pathlib.Path(sys.argv[1]))
+print(json.dumps({"loaded": loaded, "halves": seen.tolist(), "after": get(),
+                  "sha256": hashlib.sha256(pathlib.Path(sys.argv[1]).read_bytes()).hexdigest()}))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_a_library_caller_with_blas_at_two_threads_trains_with_the_partner(tmp_path):
+    # BLAS loads at two threads, as in a library caller that sets no variable:
+    # training still forks the partner, holds BLAS at one thread for both
+    # halves, writes the default weights file and gives the caller its count back
+    if parallel._blas() is None:
+        pytest.skip("numpy's BLAS here is not an OpenBLAS")
+    src = pathlib.Path(dn.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _TRAIN_AT_TWO_BLAS_THREADS, str(tmp_path / "w.json")],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == {
+        "loaded": 2, "halves": [1.0, 1.0], "after": 2,
+        "sha256": "19faf56d8fc9a2ea11b48fbc0de13394c31ae54e595a1f04e6af4e8fe1472e72",
+    }
+
+
 def test_training_leaves_no_process_behind(monkeypatch, children):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the partner needs it
     _on_cpus(monkeypatch, {0, 1})
     clean = denoiser_scenes(8, 32, 7)
     before = children(os.getpid())
@@ -563,7 +603,6 @@ def test_training_leaves_no_process_behind(monkeypatch, children):
 
 
 def test_killed_partner_exits_3_with_one_error_line(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     _on_cpus(monkeypatch, {0, 1})
     caller, half_step = os.getpid(), dn._half_step
 

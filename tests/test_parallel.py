@@ -21,6 +21,7 @@ import pytest
 
 import lungfuse
 from lungfuse import classify as cl
+from lungfuse import parallel
 from lungfuse import pipeline as pl
 from lungfuse import tabular as tb
 from lungfuse.cli import main
@@ -174,7 +175,6 @@ def test_each_head_is_fitted_once_in_one_map(monkeypatch):
 @pytest.mark.parametrize("cpus", [SERIAL, POOLED], ids=["serial", "forked"])
 def test_partner_returns_both_and_raises_the_callers_error_first(monkeypatch, children, cpus):
     _cpus(monkeypatch, cpus)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     before = children(os.getpid())
 
     def g(x, fail=False):
@@ -199,27 +199,105 @@ def test_partner_returns_both_and_raises_the_callers_error_first(monkeypatch, ch
     assert children(os.getpid()) == before
 
 
-@pytest.mark.parametrize(
-    "openblas,omp,forked",
-    [(None, None, False), ("1", None, True), (None, "1", True), ("2", "1", False), ("4", None, False)],
-)
-def test_partner_forks_only_with_blas_at_one_thread(monkeypatch, openblas, omp, forked):
-    # BLAS threads of their own would compete with the partner for the CPUs
+@pytest.mark.parametrize("found", [True, False], ids=["openblas", "other-blas"])
+def test_partner_forks_with_two_cpus_and_an_openblas_found(monkeypatch, found):
+    # another BLAS's threads could compete with the partner for the CPUs
     _cpus(monkeypatch, POOLED)
-    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(var, raising=False)
-        else:
-            monkeypatch.setenv(var, value)
+    if found and parallel._blas() is None:
+        pytest.skip("numpy's BLAS here is not an OpenBLAS")
+    if not found:
+        monkeypatch.setattr(parallel, "_blas", lambda: None)
     with partner(os.getpid) as pair:
         mine, theirs = pair(os.getpid)
     assert mine == os.getpid()
-    assert (theirs != mine) == forked
+    assert (theirs != mine) == found
+    assert os.getpid() not in parallel_map(lambda _: os.getpid(), range(2))  # forks either way
+
+
+_PARTNER_AT_LOADED_COUNT = """
+import json, os
+from lungfuse import parallel
+
+get = parallel._blas()[0]
+seen = {"loaded": get()}
+with parallel.partner(lambda: (os.getpid(), get())) as pair:
+    (mine, a), (theirs, b) = pair(lambda: (os.getpid(), get()))
+seen.update(forked=mine != theirs, pair=[a, b], after=get())
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+@pytest.mark.parametrize(
+    "openblas,omp,at_one",
+    [(None, None, False), ("1", None, True), (None, "1", True), ("2", "1", False), ("4", None, False)],
+)
+def test_partner_forks_only_with_blas_at_one_thread(openblas, omp, at_one):
+    # whatever count the variables load BLAS at, the partner forks and both
+    # halves run at one thread; the caller's count is put back after the block
+    if parallel._blas() is None:
+        pytest.skip("numpy's BLAS here is not an OpenBLAS")
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is not None:
+            env[var] = value
+    out = subprocess.run(
+        [sys.executable, "-c", _PARTNER_AT_LOADED_COUNT], env={**env, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    seen = json.loads(out.stdout)
+    assert (seen["loaded"] == 1) == at_one
+    assert seen == {"loaded": seen["loaded"], "forked": True, "pair": [1, 1], "after": seen["loaded"]}
+
+
+_BLAS_REGIONS = """
+import json, os
+from lungfuse import parallel
+
+get = parallel._blas()[0]
+seen = {"loaded": get(), "map": parallel.parallel_map(lambda _: get(), range(2))}
+seen["after map"] = get()
+try:
+    parallel.parallel_map(lambda _: 1 / 0, range(2))
+except ZeroDivisionError:
+    seen["after failed map"] = get()
+with parallel.partner(get) as pair:
+    seen["pair"] = pair(get)
+seen["after partner"] = get()
+try:
+    with parallel.partner(get) as pair:
+        pair(lambda: 1 / 0)
+except ZeroDivisionError:
+    seen["after failed partner"] = get()
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+with parallel.partner(get) as pair:  # in this process, at one thread too
+    seen["serial pair"] = pair(get)
+seen["after serial partner"] = get()
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_forked_maps_and_partner_blocks_hold_openblas_at_one_thread():
+    if parallel._blas() is None:
+        pytest.skip("numpy's BLAS here is not an OpenBLAS")
+    src = pathlib.Path(lungfuse.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _BLAS_REGIONS],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(out.stdout) == {
+        "loaded": 2, "map": [1, 1], "after map": 2, "after failed map": 2,
+        "pair": [1, 1], "after partner": 2, "after failed partner": 2,
+        "serial pair": [1, 1], "after serial partner": 2,
+    }
 
 
 def test_killed_partner_raises_worker_error(monkeypatch, children):
     _cpus(monkeypatch, POOLED)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     before = children(os.getpid())
 
     def killed():
@@ -233,7 +311,6 @@ def test_killed_partner_raises_worker_error(monkeypatch, children):
 
 def test_shared_array_carries_writes_both_ways(monkeypatch):
     _cpus(monkeypatch, POOLED)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     a = shared_array((2, 3))
     assert a.dtype == np.float64 and not a.any()
 
