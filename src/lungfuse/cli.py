@@ -124,6 +124,9 @@ def register_cmd(fixed, moving, out, resampled, features):
 @_config_options
 def denoise_train_cmd(doc, out, images):
     """Train the denoising auto-encoder (denoise.* keys) and save its weights."""
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder):  # refused now: training would run to its end before the write
+        raise DataError(f"cannot write --out {out}: {folder} is not a directory")
     clean = None
     if images is not None:
         paths = sorted(os.path.join(images, f) for f in os.listdir(images) if f.endswith(".pgm"))

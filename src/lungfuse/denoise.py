@@ -17,11 +17,15 @@ Inside a batch the activations are channel-major, (c, n, h, w); the
 public (n, 1, h, w) layout is a free transpose at the two ends because
 the network's input and output have one channel.  A convolution is an
 implicit GEMM (Chetlur et al., cuDNN, 2014): the mirror-padded input is
-flattened to (cin, n*(h+2)*(w+2)), where tap (dy, dx) of every output
-pixel lies at the fixed offset dy*(w+2) + dx, so each of the nine taps
-is one (cout, cin) @ (cin, span) product over a shifted slice.  The
-im2col matrix, nine times the input, is never built; backward reads the
-padded input again.
+flattened to (c, n*(h+2)*(w+2)), where tap (dy, dx) of every output
+pixel lies at the fixed offset dy*(w+2) + dx.  The nine shifted slices
+of a column tile are copied into a tap-major (9*c, T) block, im2col
+(Chellapilla et al., 2006) a tile at a time, with T = `_TILE` // c.  The
+forward pass, the kernel gradient and the input gradient, which reads
+the output gradient behind a zero margin, are each one GEMM per tile
+with the kernel as a (., 9*c) matrix.  The im2col matrix, nine times the
+input, is never built, only one block of at most 9*`_TILE` values at a
+time; backward reads the padded input again.
 
 Training runs each batch as two halves, the first ceil(b/2) images and
 the rest, and steps on the sum of their gradients, each taken against
@@ -42,14 +46,9 @@ padded input, and each ReLU's mask as bool rather than the float
 pre-activation.  Pooled and upsampled activations go straight into the
 interior of the next padded buffer, whose 1 px mirror border is filled
 in place; the mirror fold-back of the input gradient is in place too.
-Layer 0's accumulator is also layer 4's padded input, then layer 4's
-input gradient, then layer 0's padded output gradient.  Where a side has
-one channel (layer 0's input, layer 4's output) a per-tap product would
-have an inner or outer dimension of 1; there the nine shifted slices are
-copied into a (9, `_TILE`) block in the scratch, so layer 0's forward and
-kernel gradient and layer 4's input gradient are one GEMM per column tile,
-im2col a tile at a time.  A workspace that holds an earlier step's data
-gives the same bits as a fresh one.
+Layer 0's output is also layer 4's padded input, then layer 4's input
+gradient, then layer 0's padded output gradient.  A workspace that holds
+an earlier step's data gives the same bits as a fresh one.
 
 All math is float64.  The backward pass is the exact adjoint of the
 forward pass, including the fold-back of the mirror padding, so finite
@@ -142,7 +141,7 @@ def init_weights(seed=0, channels=CHANNELS) -> NetWeights:
 
 # low-level layers on channel-major (c, n, h, w) batches
 
-_TILE = 8192  # columns per tap block of a one-channel side, so the block stays in cache
+_TILE = 8192  # values per tap in a tap block of any channel count, so it stays in cache
 
 
 def _taps(w: int, length: int):
@@ -175,37 +174,43 @@ def _fold_mirror(gxp):
 
 
 def _tap_blocks(src, taps, length: int, tmp):
-    """(a, b, block) per column tile [a, b) of [0, length), where the (9, b - a)
-    block in flat tmp holds src[a + o : b + o] for each tap's offset o."""
-    for a in range(0, length, _TILE):
-        b = min(a + _TILE, length)
-        block = tmp[: 9 * (b - a)].reshape(9, b - a)
-        for row, (*_, o) in zip(block, taps):
-            row[:] = src[a + o : b + o]
-        yield a, b, block
+    """(a, b, block) per column tile [a, b) of [0, length) of the (c, L) src,
+    where the tap-major (9 * c, b - a) block in flat tmp holds
+    src[:, a + o : b + o] for each tap's offset o in turn.  A tile has
+    _TILE // c columns, so every block holds at most 9 * _TILE values."""
+    c = len(src)
+    for a in range(0, length, _TILE // c):
+        b = min(a + _TILE // c, length)
+        block = tmp[: 9 * c * (b - a)].reshape(9, c, b - a)
+        for rows, (*_, o) in zip(block, taps):
+            rows[...] = src[:, a + o : b + o]
+        yield a, b, block.reshape(9 * c, b - a)
+
+
+def _scratch_size(cin: int, cout: int, cells: int, w: int) -> int:
+    """Flat scratch a conv layer needs over cells padded pixels of rows
+    w + 2 wide: the larger of an input tap block and the output gradient
+    behind its margin of 2 * (w + 2) + 2 per channel with an output tap
+    block after it."""
+    return max(9 * cin * min(_TILE // cin, cells),
+               cout * (cells + 2 * w + 6) + 9 * cout * min(_TILE // cout, cells))
 
 
 def _conv3_taps(xp, k, acc, tmp):
-    """Accumulate a 3x3 conv of the mirror-padded input xp into acc, both
+    """Write a 3x3 conv of the mirror-padded input xp into acc, both
     (c, n, h+2, w+2) and contiguous; output pixel (y, x) lands at acc[..., y, x].
 
     Flattened, the output pixel at index p reads tap (dy, dx) at
-    p + dy*(w+2) + dx, so each tap is one matmul over a shifted slice.
+    p + dy*(w+2) + dx, so a column tile of output is one (cout, 9 * cin)
+    @ (9 * cin, T) product with the tile's tap block, built in flat tmp.
     Positions that straddle a row or image edge are computed and dropped.
-    tmp is flat scratch for the per-tap products, or for the tap blocks of
-    one input channel: one (cout, 9) @ (9, T) product per column tile.
     """
     cout, cin = k.shape[:2]
     xf, af = xp.reshape(cin, -1), acc.reshape(cout, -1)
     taps, span = _taps(xp.shape[3] - 2, xf.shape[1])
-    if cin == 1:
-        for a, b, block in _tap_blocks(xf[0], taps, span, tmp):
-            np.matmul(k[:, 0].reshape(cout, 9), block, out=af[:, a:b])
-        return acc
-    af.fill(0.0)
-    for dy, dx, o in taps:
-        t = tmp[: cout * span].reshape(cout, span)
-        af[:, :span] += np.matmul(k[:, :, dy, dx], xf[:, o : o + span], out=t)
+    k9 = k.transpose(0, 2, 3, 1).reshape(cout, 9 * cin)
+    for a, b, block in _tap_blocks(xf, taps, span, tmp):
+        np.matmul(k9, block, out=af[:, a:b])
     return acc
 
 
@@ -227,32 +232,21 @@ def _conv3_back(gout, xp, k, gk, gb, need_gx=True, *, gpad, gxp, tmp):
     gf = gpad.reshape(cout, -1)
     taps, span = _taps(w, gf.shape[1])
     g2 = gf[:, :span]
-    if cin == 1:
-        gk9 = gk.reshape(cout, 9)
-        gk9.fill(0.0)
-        for a, b, block in _tap_blocks(xp[0], taps, span, tmp):
-            gk9 += g2[:, a:b] @ block.T
-    else:
-        for dy, dx, o in taps:
-            gk[:, :, dy, dx] = g2 @ xp[:, o : o + span].T
+    gk9 = sum(g2[:, a:b] @ block.T for a, b, block in _tap_blocks(xp, taps, span, tmp))
+    gk.reshape(cout, cin, 9)[...] = gk9.reshape(cout, 9, cin).transpose(0, 2, 1)
     if not need_gx:
         return None
+    # gx[:, q] sums k[:, :, t].T @ g[:, q - o_t] over the taps t.  Behind a
+    # zero margin of m = o_8 (gf is zero past span, which gives the right
+    # one), g[q - o_t] lies m - o_t = o_(8 - t) past q: the taps in reverse.
+    m = taps[-1][2]
+    g = tmp[: cout * (m + gf.shape[1])].reshape(cout, -1)
+    g[:, :m] = 0.0
+    g[:, m:] = gf
     gxf = gxp.reshape(cin, -1)
-    if cout == 1:
-        # gx[:, q] sums k[0, :, t] * g[q - o_t] over the taps t.  Behind a zero
-        # margin of m = o_8 (gf is zero past span, which gives the right one),
-        # g[q - o_t] lies m - o_t = o_(8 - t) past q: the taps in reverse.
-        m = taps[-1][2]
-        g = tmp[: m + gf.shape[1]]
-        g[:m] = 0.0
-        g[m:] = gf[0]
-        for a, b, block in _tap_blocks(g, taps[::-1], gxf.shape[1], tmp[g.size :]):
-            np.matmul(k[0].reshape(cin, 9), block, out=gxf[:, a:b])
-    else:
-        gxf.fill(0.0)
-        for dy, dx, o in taps:
-            t = tmp[: cin * span].reshape(cin, span)
-            gxf[:, o : o + span] += np.matmul(k[:, :, dy, dx].T, g2, out=t)
+    kt = k.reshape(cout, cin, 9).transpose(1, 2, 0).reshape(cin, 9 * cout)
+    for a, b, block in _tap_blocks(g, taps[::-1], gxf.shape[1], tmp[g.size :]):
+        np.matmul(kt, block, out=gxf[:, a:b])
     return _fold_mirror(gxp)
 
 
@@ -301,13 +295,14 @@ def check_dims(h: int, w: int) -> None:
 class _Workspace:
     """Every array a training step needs, for batches of up to n h x w images.
 
-    Layer i reads its padded input from xp[i] and accumulates into acc[i],
-    where its bias and ReLU are applied in place.  Backward reuses acc[i]
-    as layer i's padded output gradient and xp[i], once its kernel gradient
-    is taken, as the padded input gradient.  Output gradients, per-tap
-    products and tap blocks go through the flat scratch.  A smaller batch
-    runs in the leading part of each buffer.  The gradient is one buffer,
-    laid out as NetWeights.flat; grads holds its (kernel, bias) views.
+    Layer i reads its padded input from xp[i] and writes its output into
+    acc[i], where its bias and ReLU are applied in place.  Backward reuses
+    acc[i] as layer i's padded output gradient and xp[i], once its kernel
+    gradient is taken, as the padded input gradient.  Output gradients,
+    the margined output gradient and tap blocks go through the flat
+    scratch.  A smaller batch runs in the leading part of each buffer.
+    The gradient is one buffer, laid out as NetWeights.flat; grads holds
+    its (kernel, bias) views.
     """
 
     def __init__(self, channels, n: int, h: int, w: int):
@@ -323,11 +318,7 @@ class _Workspace:
         self._y = np.empty(n * h * w)
         need = [2 * n * h * w]
         for (cin, cout), s, (hh, ww) in zip(ch, sizes, self.dims):
-            need.append(cout * n * hh * ww)
-            block = 9 * min(_TILE, s)
-            need.append(block if cin == 1 else cout * s)
-            # with one output channel: the block and the gradient behind its margin
-            need.append(block + s + 2 * ww + 6 if cout == 1 else cin * s)
+            need += [cout * n * hh * ww, _scratch_size(cin, cout, s, ww)]
         self._scratch = np.empty(max(need))
         self.grad = np.empty(_size(ch))
         self.grads = _layers(self.grad, ch)

@@ -238,6 +238,17 @@ def test_denoise_train_on_images_it_cannot_use_exits_3_naming_the_file(capsys, t
     assert not w.exists()
 
 
+@pytest.mark.parametrize("folder", ["missing", "file"])
+def test_denoise_train_into_a_folder_that_is_not_one_exits_3_before_training(capsys, tmp_path,
+                                                                             monkeypatch, folder):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(pl, "train_denoiser", lambda *a, **k: pytest.fail("trained"))
+    w = tmp_path / folder / "w.json"
+    rc, out, err = _run(capsys, "denoise-train", "--out", str(w), "--set", "denoise.epochs=1")
+    assert rc == 3 and out == ""
+    assert err == f"error: cannot write --out {w}: {tmp_path / folder} is not a directory\n"
+
+
 def _stage_dir(out_dir, stage):
     (d,) = (out_dir / "cache").glob(f"{stage}-*")
     return d

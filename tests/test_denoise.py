@@ -378,13 +378,9 @@ def _cm(a):
 
 def _scratch(k, cells, w):
     """Flat scratch for kernel k over cells padded pixels of rows w + 2 wide,
-    sized as dn._Workspace sizes its own: the per-tap products, a
-    one-channel input's tap block, and a one-channel output's gradient
-    behind its margin with the tap block after it."""
+    sized by the rule dn._Workspace sizes its own by."""
     cout, cin = k.shape[:2]
-    block = 9 * min(dn._TILE, cells)
-    return np.empty(max(block if cin == 1 else cout * cells,
-                        block + cells + 2 * w + 6 if cout == 1 else cin * cells))
+    return np.empty(dn._scratch_size(cin, cout, cells, w))
 
 
 def _conv3(x, k, b):
@@ -424,7 +420,11 @@ _CONV_SHAPES = [  # (n, cin, cout, h, w)
     (2, 8, 1, 12, 8),
     (1, 1, 1, 8, 12),
     (2, 3, 5, 24, 16),
-    (2, 1, 8, 64, 64),  # padded cells just past _TILE, a tap block longer than cout * cells
+    (2, 1, 8, 64, 64),  # padded cells just past _TILE: a full tile and a short one
+    # the default half batch's multi-channel layers: many _TILE // cin tiles, a short last one
+    (12, 8, 16, 32, 32),
+    (12, 16, 16, 16, 16),
+    (12, 16, 8, 32, 32),
 ]
 
 
@@ -818,7 +818,7 @@ def test_workspace_holding_earlier_data_matches_a_fresh_one():
             assert np.array_equal(gk, fk) and np.array_equal(gb, fb)
 
 
-# --- the one-channel tap blocks against the broadcast loops they replaced ---
+# --- the one-channel layers against broadcast taps ---
 
 
 def _add_outer(acc, col, row, tmp):
