@@ -62,6 +62,7 @@ __all__ = [
     "binary_metrics",
     "stratified_folds",
     "kfold_evaluate",
+    "COMPARISON",
     "compare_modalities",
     "comparison_to_text",
     "fingerprint",
@@ -565,15 +566,25 @@ def _fit_heads(ds: MMDataset, heads, classes, cfg: ClassifyConfig, seed: int) ->
     return out
 
 
-def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
-    """One MetricsReport per input set (a tuple of modality names), all on
-    the same folds, from one parallel_map.  Each head (input set, fold) is
-    planned here by its shape: SMOTE's row count for the fold's training
-    labels, and top_k of the encoded columns.  One task per stack of
-    same-shape heads (_stacks) fits and trains them (_fit_heads), so a
-    warning about a head's test rows comes once, in task order."""
+COMPARISON = (
+    ("tabular-only", ("tabular",)),
+    ("ct-only", ("ct",)),
+    ("fused", ("fused",)),
+    ("multimodal", ("fused", "tabular")),
+)
+
+
+def compare_modalities(ds: MMDataset, seed: int = DEFAULTS["evaluate"]["seed"], k: int = 5,
+                       cfg: ClassifyConfig | None = None, rows=COMPARISON) -> dict:
+    """name -> MetricsReport for each row (name, input set: a tuple of
+    modality names), all on the same folds, from one parallel_map.  Each
+    head (input set, fold) is planned here by its shape: SMOTE's row count
+    for the fold's training labels, and top_k of the encoded columns.  One
+    task per stack of same-shape heads (_stacks) fits and trains them
+    (_fit_heads), so a warning about a head's test rows comes once, in
+    task order."""
     cfg = cfg or ClassifyConfig()
-    for inputs in input_sets:
+    for _, inputs in rows:
         if not inputs:
             raise ConfigError("inputs is empty; select at least one modality")
         for name in inputs:
@@ -587,16 +598,16 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
     classes, _ = class_index(labels)
     folds = stratified_folds(labels, k, seed)
     fold_hash = fingerprint([[f.tolist() for f in folds]])
-    heads = [(inputs, f) for inputs in input_sets for f in folds]
-    width = {inputs: len(encoded_names(_assemble(ds, inputs).columns)) for inputs in input_sets}
+    heads = [(inputs, f) for _, inputs in rows for f in folds]
+    width = {inputs: len(encoded_names(_assemble(ds, inputs).columns)) for _, inputs in rows}
     stacks = _stacks([(smote_rows(np.delete(labels, f)), min(cfg.top_k, width[inputs]))
                       for inputs, f in heads])
     fitted = parallel_map(
         lambda chunk: _fit_heads(ds, [heads[i] for i in chunk], classes, cfg, seed), stacks
     )
     results = dict(zip(sum(stacks, []), sum(fitted, [])))  # head -> (confusion, fingerprint)
-    reports = []
-    for i, inputs in enumerate(input_sets):
+    reports = {}
+    for i, (name, inputs) in enumerate(rows):
         cms, fingerprints = zip(*(results[i * k + j] for j in range(k)))
         fold_metrics = [metrics_from_confusion(cm) for cm in cms]
         pooled_cm = np.sum(cms, axis=0)
@@ -604,11 +615,11 @@ def _kfold_reports(ds: MMDataset, input_sets, k: int, cfg, seed: int) -> list:
         for key in _METRIC_KEYS:
             vals = np.array([m[key] for m in fold_metrics])
             summary[key] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
-        reports.append(MetricsReport(
+        reports[name] = MetricsReport(
             classes=classes, confusion=pooled_cm, pooled=metrics_from_confusion(pooled_cm),
             fold_metrics=fold_metrics, summary=summary, k=k, seed=seed, inputs=inputs,
             fold_hash=fold_hash, fold_fingerprints=list(fingerprints),
-        ))
+        )
     return reports
 
 
@@ -624,25 +635,9 @@ def kfold_evaluate(
     Inside each fold, on training rows only: fit preprocessing, SMOTE
     balance, rank features with the booster, keep top_k, train the
     configured head.  Test rows see only the fitted transforms.  The
-    folds run by parallel_map.
+    folds are compare_modalities's, for one row.
     """
-    return _kfold_reports(ds, [tuple(inputs)], k, cfg, seed)[0]
-
-
-_COMPARE_CONFIGS = (
-    ("tabular-only", ("tabular",)),
-    ("ct-only", ("ct",)),
-    ("fused", ("fused",)),
-    ("multimodal", ("fused", "tabular")),
-)
-
-
-def compare_modalities(ds: MMDataset, seed: int = DEFAULTS["evaluate"]["seed"], k: int = 5,
-                       cfg: ClassifyConfig | None = None) -> dict:
-    """The four-way input comparison on identical folds; its 4 x k heads run
-    by one parallel_map, in stacks of same-shape heads."""
-    reports = _kfold_reports(ds, [inputs for _, inputs in _COMPARE_CONFIGS], k, cfg, seed)
-    return {name: rep for (name, _), rep in zip(_COMPARE_CONFIGS, reports)}
+    return compare_modalities(ds, seed, k, cfg, rows=[("", tuple(inputs))])[""]
 
 
 def comparison_to_text(comparison: dict) -> str:

@@ -15,7 +15,6 @@ import sys
 import click
 
 from . import pipeline as pl
-from .classify import kfold_evaluate
 from .denoise import check_dims, denoise as run_denoise, load_weights
 from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError
 from .fusion import fusion_quality, ncc
@@ -68,6 +67,15 @@ def describe_cmd(dataset):
     _emit(describe(dataset))
 
 
+def _writable(*outputs) -> None:
+    """Refuse, before any work, each (option, path) whose folder is not a directory;
+    a path of None is an output not asked for."""
+    for option, path in outputs:
+        folder = os.path.dirname(os.path.abspath(path)) if path is not None else "."
+        if not os.path.isdir(folder):
+            raise DataError(f"cannot write {option} {path}: {folder} is not a directory")
+
+
 def _image_pair(first, second):
     """The images in two files, refused unless they have one shape."""
     a, b = read_pgm(first), read_pgm(second)
@@ -85,6 +93,7 @@ def _image_pair(first, second):
 @_config_options
 def fuse_cmd(doc, ct_path, pet_path, out, report_path):
     """Fuse a CT image and a PET image into one image, as the fuse stage does (fusion.* keys)."""
+    _writable(("--out", out), ("--report", report_path))
     ct, pet = _image_pair(ct_path, pet_path)
     pl._check_levels(doc, keys=("fusion.levels",), dims=ct.shape[::-1])
     fused, pet, _ = pl.fuse_pair(ct, pet, doc["fusion"])
@@ -108,6 +117,7 @@ def fuse_cmd(doc, ct_path, pet_path, out, report_path):
               help="match intensities or edge strength (robust across modalities)")
 def register_cmd(fixed, moving, out, resampled, features):
     """Estimate the rigid transform aligning one image to another."""
+    _writable(("--out", out), ("--resampled", resampled))
     fixed_img, moving_img = _image_pair(fixed, moving)
     aligned, t = pl.align(fixed_img, moving_img, features)
     doc = {"kind": "rigid-transform", **pl.transform_doc(t), "ncc": ncc(fixed_img, aligned)}
@@ -124,9 +134,7 @@ def register_cmd(fixed, moving, out, resampled, features):
 @_config_options
 def denoise_train_cmd(doc, out, images):
     """Train the denoising auto-encoder (denoise.* keys) and save its weights."""
-    folder = os.path.dirname(os.path.abspath(out))
-    if not os.path.isdir(folder):  # refused now: training would run to its end before the write
-        raise DataError(f"cannot write --out {out}: {folder} is not a directory")
+    _writable(("--out", out))
     clean = None
     if images is not None:
         paths = sorted(os.path.join(images, f) for f in os.listdir(images) if f.endswith(".pgm"))
@@ -151,6 +159,7 @@ def denoise_train_cmd(doc, out, images):
 @click.option("--out", required=True, type=click.Path())
 def denoise_apply_cmd(weights, in_path, out):
     """Run a trained denoiser over one image."""
+    _writable(("--out", out))
     w = load_weights(weights)
     write_pgm(run_denoise(w, read_pgm(in_path)), out)
     click.echo(f"denoised image written to {out}")
@@ -165,6 +174,7 @@ def denoise_apply_cmd(weights, in_path, out):
               help="fitted statistics JSON")
 def preprocess_cmd(csv_path, schema, out_matrix, out_stats):
     """Impute, standardize and one-hot encode a clinical/genomic table."""
+    _writable(("--out-matrix", out_matrix), ("--out-stats", out_stats))
     table = read_table(csv_path, schema)
     try:
         fitted = fit_preprocess(table)
@@ -219,10 +229,7 @@ def evaluate_cmd(doc, dataset, out, inputs):
         if "ct" in chosen:
             pl._check_levels(doc, dataset, ("classify.feature_levels",))
         pl._check_folds(doc, dataset)
-    ds = pl.build_mmdataset(dataset, fused_dir, doc["classify"]["feature_levels"],
-                            [n for n in chosen if n != "tabular"])
-    report = kfold_evaluate(ds, inputs=chosen, k=doc["evaluate"]["k"],
-                            cfg=pl.classify_config_from(doc), seed=doc["evaluate"]["seed"])
+    (report,) = pl.evaluate_dataset(dataset, fused_dir, doc, [(inputs, chosen)]).values()
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_json(out, report.to_dict())
     _emit({"out": out, "summary": report.to_dict()["summary"]})

@@ -1,19 +1,21 @@
 """Order-preserving map over independent tasks in forked worker processes,
 and a pair of calls in two processes.
 
-One worker per CPU this process may run on (Linux; elsewhere one), never
-more than there are tasks.  With fewer than two workers the map runs in
-this process.  Workers are forked, so they inherit the function and the
-items and only results cross a pipe; they ignore SIGINT, which leaves an
-interrupt to the parent.  Warnings raised in a worker are raised again
-in the parent, in task order, at the code location that raised them.
-A worker that dies (say, killed by the out-of-memory killer) fails the
-map with WorkerError.  partner forks one process under the same rules
-when an OpenBLAS is loaded; the two share arrays on shared_array's
-mappings.  The partner exits at its pipe's EOF: it outlives neither the
-block nor a parent killed outright.  OpenBLAS is held at one thread from
-fork to join, and for partner's whole block: the forked processes inherit
-that count, so no BLAS threads compete with them for the CPUs.  Then the
+Both fork one way (_forked): the child runs _serve, which answers the calls
+on its pipe until the pipe's EOF, so it outlives neither its block nor a
+parent killed outright.  Children inherit the function and its data, so
+only arguments and replies cross the pipes.  They ignore SIGINT, which
+leaves an interrupt to the parent; one that dies (say, killed by the
+out-of-memory killer) shows as EOF on its pipe and raises WorkerError.
+parallel_map forks one worker per CPU this process may run on (Linux;
+elsewhere one), never more than there are tasks, and hands the next task
+to whichever worker is idle; with fewer than two workers, or in a forked
+child, it runs in this process.  Warnings raised in a worker are raised
+again in the parent, in task order, at the code location that raised them.
+partner forks one process when an OpenBLAS is loaded; the two share arrays
+on shared_array's mappings.  OpenBLAS is held at one thread from fork to
+join, and for partner's whole block: the forked processes inherit that
+count, so no BLAS threads compete with them for the CPUs.  Then the
 caller's count is put back.
 """
 
@@ -38,14 +40,13 @@ __all__ = ["parallel_map", "partner", "shared_array"]
 _BLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                "openblas_{}_num_threads")
 
-# (fn, items) of the map in progress; forked workers inherit it, and a
-# map started while it is set (inside a worker, or by fn itself) runs serially
-_TASK = None
+# set in a forked child (_serve): a map started there runs serially
+_IN_CHILD = False
 
 
 def _cpus() -> int:
-    """CPUs this process may run on; 1 inside a map, and on platforms without the call."""
-    if _TASK is not None or not hasattr(os, "sched_getaffinity"):
+    """CPUs this process may run on; 1 in a forked child, and on platforms without the call."""
+    if _IN_CHILD or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -81,48 +82,77 @@ def _one_blas_thread():
         set_(threads)
 
 
+@contextlib.contextmanager
+def _forked(g):
+    """Yield our end of a pipe to a forked process running _serve(g, ...); the
+    block ends after closing the pipe (the child's EOF) and joining the child.
+    Nest blocks LIFO: a child forked later holds copies of earlier pipes' ends."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+    proc = ctx.Process(target=_serve, args=(g, there, here))
+    # SIGINT stays blocked until the child has set it to be ignored
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        proc.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        there.close()
+    try:
+        yield here
+    finally:
+        here.close()
+        proc.join()
+
+
 def parallel_map(fn, items) -> list:
     """[fn(x) for x in items], computed in forked workers when there are CPUs to spare.
 
     Returns or raises only after every worker has exited.  The first
-    failed task, in task order, raises its exception here; tasks not yet
-    handed to a worker are cancelled.
+    failed task, in task order, raises its exception here; no task is
+    handed to a worker after any task has failed.
     """
-    global _TASK
     items = list(items)
     workers = min(_cpus(), len(items))
     if workers < 2:
         return [fn(x) for x in items]
 
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing.connection import wait
 
-    with _one_blas_thread():
-        _TASK = (fn, items)
-        pool = None
-        try:
-            # the workers are forked inside the first submit; SIGINT stays
-            # blocked until each has set it to be ignored
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                           initializer=_start_worker)
-                futures = [pool.submit(_run_task, i) for i in range(len(items))]
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            results = []
-            for fut in futures:
-                value, caught = fut.result()
-                for w in caught:
-                    _warn_again(*w)
-                results.append(value)
-            return results
-        except BrokenProcessPool:  # a worker died: killed, perhaps for want of memory
-            raise WorkerError("a worker process died before its task finished") from None
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            _TASK = None
+    def task(i):
+        """(fn(items[i]), the warnings it raised as (message, category, filename, lineno))."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = fn(items[i])
+        return value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+    todo, busy, replies = iter(range(len(items))), {}, {}
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
+        ready = [stack.enter_context(_forked(task)) for _ in range(workers)]
+        while ready:  # each worker that has replied, or has not yet had a task
+            for conn in ready:
+                try:
+                    if conn in busy:
+                        i = busy.pop(conn)
+                        replies[i] = conn.recv()
+                        if replies[i][1] is not None:  # no task is handed out after a failure
+                            todo = iter(())
+                    if (j := next(todo, None)) is not None:
+                        conn.send((j,))
+                        busy[conn] = j
+                except (EOFError, ConnectionError):  # killed, perhaps for want of memory
+                    raise WorkerError("a worker process died before its task finished") from None
+            ready = wait(list(busy)) if busy else []
+    results = []
+    for i in range(len(items)):  # each task before the first failure has replied
+        reply, exc = replies[i]
+        if exc is not None:
+            raise exc
+        for w in reply[1]:
+            _warn_again(*w)
+        results.append(reply[0])
+    return results
 
 
 @contextlib.contextmanager
@@ -142,37 +172,23 @@ def partner(g):
             yield lambda f, *args: (f(), g(*args))
             return
 
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        here, there = ctx.Pipe()
-        proc = ctx.Process(target=_serve, args=(g, there, here))
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            proc.start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            there.close()
-
-        def pair(f, *args):
-            with contextlib.suppress(ConnectionError):  # a dead partner shows at recv
-                here.send(args)
-            try:
-                a = f()
-            finally:  # read even when f fails, so that the next call gets its own reply
+        with _forked(g) as here:
+            def pair(f, *args):
+                with contextlib.suppress(ConnectionError):  # a dead partner shows at recv
+                    here.send(args)
                 try:
-                    b, exc = here.recv()
-                except (EOFError, ConnectionError):
-                    b, exc = None, WorkerError("the partner process died before its half finished")
-            if exc is not None:
-                raise exc
-            return a, b
+                    a = f()
+                finally:  # read even when f fails, so that the next call gets its own reply
+                    try:
+                        b, exc = here.recv()
+                    except (EOFError, ConnectionError):
+                        b, exc = None, WorkerError(
+                            "the partner process died before its half finished")
+                if exc is not None:
+                    raise exc
+                return a, b
 
-        try:
             yield pair
-        finally:
-            here.close()  # the partner's EOF
-            proc.join()
 
 
 def shared_array(shape) -> np.ndarray:
@@ -183,15 +199,13 @@ def shared_array(shape) -> np.ndarray:
     return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))  # MAP_SHARED
 
 
-def _start_worker() -> None:
+def _serve(g, conn, other) -> None:
+    """A forked child: send back (g(*args), None) or (None, g's error) for
+    each args received, until the pipe reaches EOF or the caller is gone."""
+    global _IN_CHILD
+    _IN_CHILD = True
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-
-
-def _serve(g, conn, other) -> None:
-    """The partner: send back (g(*args), None) or (None, g's error) for each
-    args received, until the pipe reaches EOF or the caller is gone."""
-    _start_worker()
     other.close()
     with contextlib.suppress(EOFError, ConnectionError):
         while True:
@@ -201,15 +215,6 @@ def _serve(g, conn, other) -> None:
             except Exception as exc:
                 reply = None, exc
             conn.send(reply)
-
-
-def _run_task(i: int):
-    """(fn(items[i]), the warnings it raised as (message, category, filename, lineno))."""
-    fn, items = _TASK
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = fn(items[i])
-    return value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _warn_again(message, category, filename, lineno) -> None:

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    COMPARISON,
     REPORT_SCHEMA_VERSION,
     ClassifyConfig,
     MMDataset,
@@ -438,11 +439,13 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int, images=("ct", "fused"))
                      images={name: np.array(f) for name, f in feats.items()})
 
 
-def evaluate_dataset(dataset_dir, fused_dir, doc: dict) -> dict:
-    """Modality comparison on one dataset; returns name -> MetricsReport."""
-    ds = build_mmdataset(dataset_dir, fused_dir, doc["classify"]["feature_levels"])
-    return compare_modalities(ds, seed=doc["evaluate"]["seed"], k=doc["evaluate"]["k"],
-                              cfg=classify_config_from(doc))
+def evaluate_dataset(dataset_dir, fused_dir, doc: dict, rows=COMPARISON) -> dict:
+    """compare_modalities's rows on one dataset, reading only the images they
+    name; returns name -> MetricsReport."""
+    images = dict.fromkeys(m for _, inputs in rows for m in inputs if m != "tabular")
+    ds = build_mmdataset(dataset_dir, fused_dir, doc["classify"]["feature_levels"], images)
+    return compare_modalities(ds, doc["evaluate"]["seed"], doc["evaluate"]["k"],
+                              classify_config_from(doc), rows)
 
 
 def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:

@@ -249,6 +249,36 @@ def test_denoise_train_into_a_folder_that_is_not_one_exits_3_before_training(cap
     assert err == f"error: cannot write --out {w}: {tmp_path / folder} is not a directory\n"
 
 
+@pytest.mark.parametrize("command,outputs,bad", [
+    ("fuse", {"--out": "missing/f.pgm"}, "--out"),
+    ("fuse", {"--out": "f.pgm", "--report": "missing/r.json"}, "--report"),
+    ("register", {"--out": "missing/t.json"}, "--out"),
+    ("register", {"--out": "t.json", "--resampled": "missing/r.pgm"}, "--resampled"),
+    ("preprocess", {"--out-matrix": "x.csv", "--out-stats": "missing/s.json"}, "--out-stats"),
+    ("denoise-apply", {"--out": "missing/d.pgm"}, "--out"),
+], ids=["fuse-out", "fuse-report", "register-out", "register-resampled", "preprocess-stats",
+        "denoise-apply-out"])
+def test_an_output_in_a_missing_folder_exits_3_before_any_work(capsys, tmp_path, monkeypatch,
+                                                               command, outputs, bad):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=6, image_size=32, seed=2), ds)
+    save_weights(tmp_path / "w.json", init_weights(seed=0))
+    before = _tree_hash(tmp_path)
+    monkeypatch.setattr(pl, "align", lambda *a, **k: pytest.fail("registered"))
+    a, b = ds / "images/pt0000_ct.pgm", ds / "images/pt0000_pet.pgm"
+    inputs = {"fuse": ["--ct", a, "--pet", b],
+              "register": ["--fixed", a, "--moving", b],
+              "preprocess": ["--csv", ds / "tabular.csv", "--schema", ds / "tabular.schema.json"],
+              "denoise-apply": ["--weights", tmp_path / "w.json", "--in", b]}
+    paths = {option: tmp_path / name for option, name in outputs.items()}
+    rc, out, err = _run(capsys, command, *map(str, inputs[command]),
+                        *(str(x) for option, path in paths.items() for x in (option, path)))
+    assert rc == 3 and out == ""
+    assert err == (f"error: cannot write {bad} {paths[bad]}: {tmp_path / 'missing'} "
+                   "is not a directory\n")
+    assert _tree_hash(tmp_path) == before  # nothing written
+
+
 def _stage_dir(out_dir, stage):
     (d,) = (out_dir / "cache").glob(f"{stage}-*")
     return d

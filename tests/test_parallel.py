@@ -73,6 +73,34 @@ def test_first_failure_raises_and_cancels_tasks_not_started(monkeypatch, tmp_pat
     assert multiprocessing.active_children() == []
 
 
+def test_an_idle_worker_takes_the_next_task(monkeypatch):
+    _cpus(monkeypatch, POOLED)
+
+    def task(i):
+        if i == 0:
+            time.sleep(0.5)
+        return i, os.getpid()
+
+    out = parallel_map(task, range(8))
+    assert [i for i, _ in out] == list(range(8))
+    slow, rest = out[0][1], {pid for _, pid in out[1:]}
+    assert len(rest) == 1 and slow not in rest  # the other worker ran tasks 1-7 meanwhile
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_raises_worker_error(monkeypatch):
+    _cpus(monkeypatch, POOLED)
+
+    def task(i):
+        if i == 3:
+            os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+        return i
+
+    with pytest.raises(WorkerError, match="a worker process died before its task finished"):
+        parallel_map(task, range(8))
+    assert multiprocessing.active_children() == []
+
+
 def test_fused_dir_and_comparison_are_identical_serial_and_pooled(monkeypatch, tmp_path):
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=18, image_size=32, seed=3), ds)
