@@ -119,6 +119,10 @@ def register_cmd(fixed, moving, out, resampled, features):
     """Estimate the rigid transform aligning one image to another."""
     _writable(("--out", out), ("--resampled", resampled))
     fixed_img, moving_img = _image_pair(fixed, moving)
+    if features == "gradient" and min(fixed_img.shape) < 2:  # no central difference
+        h, w = fixed_img.shape
+        raise DataError(f"{fixed} and {moving} are {w}x{h} images; "
+                        "--features gradient needs at least 2 px in each direction")
     aligned, t = pl.align(fixed_img, moving_img, features)
     doc = {"kind": "rigid-transform", **pl.transform_doc(t), "ncc": ncc(fixed_img, aligned)}
     write_json(out, doc)

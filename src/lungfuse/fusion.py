@@ -16,7 +16,9 @@ Fourier domain", IEEE TIP 21(5), 2012).
 Cells whose FFT score lies within 1e-9 of the FFT maximum, and cells
 whose variance is too small for the FFT sums to resolve, are scored
 again directly, so the coarse pick and its score are exactly those of
-a per-cell scan. All tie-breaks are deterministic: the coarse stage
+a per-cell scan. The refinement scores candidates in the resampler's
+kept buffers (_Resampler.score), bit for bit as resampling them would.
+All tie-breaks are deterministic: the coarse stage
 takes the first maximum in lexicographic (tx, ty, theta, scale) scan
 order, the refinement accepts only strict improvements in a fixed
 candidate order.
@@ -76,7 +78,12 @@ class _Resampler:
     The zero-padded copy of the image, the centred coordinates and the
     image-sized work buffers are built once; of the image-sized arrays a
     call allocates only the image and mask it returns, so results kept
-    by the caller stay valid across later calls.
+    by the caller stay valid across later calls. The rotated outer
+    differences are rebuilt only when the bits of (tx, ty, theta) change,
+    so transforms that differ in scale alone share them. score() samples
+    into kept buffers and skips the index clamps: take(mode="clip")
+    keeps every read in range, and a clamp changes only pixels outside
+    the valid mask, which the score never reads.
     """
 
     def __init__(self, arr: np.ndarray):
@@ -88,57 +95,79 @@ class _Resampler:
         padded = np.zeros((h + 4, w + 4))
         padded[2:-2, 2:-2] = arr
         self.flat = padded.ravel()
-        self.px, self.py, self.x0, self.y0, self.gx, self.gy, self.wgt, self.tap = (
-            np.empty((h, w)) for _ in range(8)
-        )
+        (self.rx, self.ry, self.px, self.py, self.x0, self.y0, self.gx, self.gy,
+         self.wgt, self.tap, self.sampled) = (np.empty((h, w)) for _ in range(11))
         self.idx = np.empty((h, w), dtype=np.intp)
-        self.inside = np.empty((h, w), dtype=bool)
+        self.inside, self.valid = np.empty((h, w), dtype=bool), np.empty((h, w), dtype=bool)
+        self.key = None
+
+    def _locate(self, t: RigidTransform, valid: np.ndarray) -> np.ndarray:
+        """Fills valid; leaves each source point's floor in x0, y0 and its
+        fraction in px, py."""
+        h, w = self.idx.shape
+        px, py, x0, y0 = self.px, self.py, self.x0, self.y0
+        # p = R(-theta) (q - c - t) / scale + c, as outer differences of 1-D
+        # terms; the out= and in-place steps keep the IEEE operation order
+        key = struct.pack("3d", t.tx, t.ty, t.theta)
+        if key != self.key:
+            dx = self.xc - t.tx
+            dy = self.yc - t.ty
+            c, s = math.cos(-t.theta), math.sin(-t.theta)
+            np.subtract((c * dx)[None, :], (s * dy)[:, None], out=self.rx)
+            np.add((s * dx)[None, :], (c * dy)[:, None], out=self.ry)
+            self.key = key
+        np.divide(self.rx, t.scale, out=px)
+        px += self.cx
+        np.divide(self.ry, t.scale, out=py)
+        py += self.cy
+        inside = self.inside
+        np.greater_equal(px, 0, out=valid)
+        valid &= np.less_equal(px, w - 1, out=inside)
+        valid &= np.greater_equal(py, 0, out=inside)
+        valid &= np.less_equal(py, h - 1, out=inside)
+        np.floor(px, out=x0)
+        np.floor(py, out=y0)
+        np.subtract(px, x0, out=px)
+        np.subtract(py, y0, out=py)
+        return valid
+
+    def _sample(self, out: np.ndarray) -> np.ndarray:
+        """Adds the four bilinear taps at the floor in x0, y0 into out."""
+        w = self.idx.shape[1]
+        row = w + 4
+        y0, fx, fy, idx = self.y0, self.px, self.py, self.idx
+        y0 *= row
+        y0 += self.x0
+        np.copyto(idx, y0, casting="unsafe")
+        idx += 2 * row + 2
+        gx = np.subtract(1, fx, out=self.gx)
+        gy = np.subtract(1, fy, out=self.gy)
+        tap, wgt = self.tap, self.wgt
+        for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
+            # "clip" keeps every read in range; "raise" would copy through
+            # a temporary instead of writing into tap
+            self.flat[offset:].take(idx, out=tap, mode="clip")
+            tap *= np.multiply(wx, wy, out=wgt)
+            out += tap
+        return out
 
     def __call__(self, t: RigidTransform):
         """Returns (image, valid): image samples outside the input are 0;
         valid marks output pixels whose inverse-mapped source lies within
         [0, w-1] x [0, h-1]."""
         h, w = self.idx.shape
-        px, py, x0, y0 = self.px, self.py, self.x0, self.y0
-        # p = R(-theta) (q - c - t) / scale + c, as outer differences of 1-D
-        # terms; the out= and in-place steps keep the IEEE operation order
-        dx = self.xc - t.tx
-        dy = self.yc - t.ty
-        c, s = math.cos(-t.theta), math.sin(-t.theta)
-        np.subtract((c * dx)[None, :], (s * dy)[:, None], out=px)
-        px /= t.scale
-        px += self.cx
-        np.add((s * dx)[None, :], (c * dy)[:, None], out=py)
-        py /= t.scale
-        py += self.cy
-        inside = self.inside
-        valid = np.greater_equal(px, 0)
-        valid &= np.less_equal(px, w - 1, out=inside)
-        valid &= np.greater_equal(py, 0, out=inside)
-        valid &= np.less_equal(py, h - 1, out=inside)
-        np.floor(px, out=x0)
-        np.floor(py, out=y0)
-        fx = np.subtract(px, x0, out=px)
-        fy = np.subtract(py, y0, out=py)
-        row = w + 4
+        valid = self._locate(t, np.empty((h, w), dtype=bool))
+        # clamped, every tap outside the input reads the zero border;
         # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
-        np.minimum(np.maximum(y0, -2, out=y0), h, out=y0)
-        y0 *= row
-        y0 += np.minimum(np.maximum(x0, -2, out=x0), w, out=x0)
-        idx = self.idx
-        np.copyto(idx, y0, casting="unsafe")
-        idx += 2 * row + 2
-        gx = np.subtract(1, fx, out=self.gx)
-        gy = np.subtract(1, fy, out=self.gy)
-        out = np.zeros((h, w))
-        tap, wgt = self.tap, self.wgt
-        for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (row, gx, fy), (row + 1, fx, fy)):
-            # every index is in range, so "clip" changes no tap; "raise"
-            # would copy through a temporary instead of writing into tap
-            self.flat[offset:].take(idx, out=tap, mode="clip")
-            tap *= np.multiply(wx, wy, out=wgt)
-            out += tap
-        return out, valid
+        np.minimum(np.maximum(self.y0, -2, out=self.y0), h, out=self.y0)
+        np.minimum(np.maximum(self.x0, -2, out=self.x0), w, out=self.x0)
+        return self._sample(np.zeros((h, w))), valid
+
+    def score(self, fixed: np.ndarray, t: RigidTransform) -> float:
+        """_masked_ncc(fixed, *self(t)), bit for bit, from the kept buffers."""
+        valid = self._locate(t, self.valid)
+        self.sampled.fill(0.0)
+        return _masked_ncc(fixed, self._sample(self.sampled), valid)
 
 
 def resample_bilinear(img, t: RigidTransform) -> np.ndarray:
@@ -329,7 +358,7 @@ def register_rigid(fixed, moving) -> RigidTransform:
         key = struct.pack("4d", *params)
         if key not in scored:
             t = RigidTransform(params[0], params[1], params[2], params[3])
-            scored[key] = _masked_ncc(fixed, *resample(t))
+            scored[key] = resample.score(fixed, t)
         return scored[key]
 
     # pattern search: the NCC landscape couples rotation/scale with

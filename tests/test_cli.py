@@ -1322,6 +1322,21 @@ def test_a_wavelet_depth_the_dataset_cannot_take_exits_2_before_any_stage(capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
+@pytest.mark.parametrize("shape,named", [((1, 64), "64x1"), ((64, 1), "1x64")])
+def test_register_refuses_a_one_pixel_side_for_gradient_features_before_registering(
+        capsys, monkeypatch, tmp_path, shape, named):
+    for name in ("a", "b"):
+        write_pgm(np.random.default_rng(0).random(shape), tmp_path / f"{name}.pgm")
+    monkeypatch.setattr(pl, "align", lambda *a: pytest.fail("registered before the size check"))
+    fixed, moving = str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
+    rc, _, err = _run(capsys, "register", "--fixed", fixed, "--moving", moving,
+                      "--out", str(tmp_path / "t.json"), "--resampled", str(tmp_path / "r.pgm"))
+    assert rc == 3
+    assert err == (f"error: {fixed} and {moving} are {named} images; "
+                   "--features gradient needs at least 2 px in each direction\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
 @pytest.mark.parametrize("shape,named", [((64, 64), "64x64"), ((48, 64), "64x48")])
 def test_fuse_refuses_a_wavelet_depth_the_images_cannot_take_before_registering(
         capsys, monkeypatch, tmp_path, shape, named):

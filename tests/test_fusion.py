@@ -238,19 +238,27 @@ def test_register_resamples_no_transform_twice(monkeypatch):
     # the refinement used to revisit about a quarter of its candidates, and
     # the coarse pick resampled again each slice it re-scored; a refinement
     # candidate can still land exactly on a grid slice's (0, 0, theta,
-    # scale), which this pair's search does not
-    calls = []
-    resample = fusion._Resampler.__call__
+    # scale), which this pair's search does not. The coarse grid resamples
+    # through __call__ and the refinement scores through score(), so both
+    # are counted
+    calls, scores = [], []
+    resample, score = fusion._Resampler.__call__, fusion._Resampler.score
 
-    def counting(self, t):
+    def counting_call(self, t):
         calls.append((t.tx, t.ty, t.theta, t.scale))
         return resample(self, t)
 
-    monkeypatch.setattr(fusion._Resampler, "__call__", counting)
+    def counting_score(self, fixed, t):
+        scores.append((t.tx, t.ty, t.theta, t.scale))
+        return score(self, fixed, t)
+
+    monkeypatch.setattr(fusion._Resampler, "__call__", counting_call)
+    monkeypatch.setattr(fusion._Resampler, "score", counting_score)
     ct, pet = _phantom_pair(0, 64, "adenocarcinoma")
     register_rigid(gradient_magnitude(ct), gradient_magnitude(pet))
-    assert len(calls) > 200
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == len(_THETAS) * len(_SCALES)
+    assert len(scores) > 200
+    assert len(set(calls + scores)) == len(calls) + len(scores)
 
 
 def test_register_builds_one_resampler(monkeypatch):
@@ -688,15 +696,22 @@ def test_candidate_kernels_match_their_wrapper_forms_bit_for_bit(scene):
         fixed, moving = _flat_scene(3)
     else:
         fixed, moving = (gradient_magnitude(a) for a in _phantom_pair(*scene))
-    resample, reference = _Resampler(moving), _Resampler(moving)
-    scores = []
-    for t in _candidates(np.random.default_rng(31), moving.shape[1]):
+    resample, reference, scorer = _Resampler(moving), _Resampler(moving), _Resampler(moving)
+    # three scales at one (tx, ty, theta), theta alone changed, then the
+    # first key again: kept differences must follow every change of key
+    sequence = [RigidTransform(1.25, -0.5, 0.05, s) for s in (0.95, 1.0, 1.05)]
+    sequence += [RigidTransform(1.25, -0.5, 0.0625, 1.0), RigidTransform(1.25, -0.5, 0.05, 1.0)]
+    scores, below_floor = [], []
+    for t in [*_candidates(np.random.default_rng(31), moving.shape[1]), *sequence]:
         out, valid = resample(t)
         ref, ref_valid = _clip_resample(reference, t)
         assert out.tobytes() == ref.tobytes()
         assert valid.tobytes() == ref_valid.tobytes()
         score = _masked_ncc(fixed, out, valid)
         assert struct.pack("d", score) == struct.pack("d", _wrapper_masked_ncc(fixed, ref, ref_valid))
+        assert struct.pack("d", scorer.score(fixed, t)) == struct.pack("d", score)
         scores.append(score)
+        below_floor.append(np.count_nonzero(valid) < fusion._MIN_VALID_FRACTION * fixed.size)
     # both branches of the overlap floor are taken
-    assert 0 < sum(s == -np.inf for s in scores) < len(scores)
+    assert 0 < sum(below_floor) < len(below_floor)
+    assert sum(s == -np.inf for s in scores) < len(scores)
