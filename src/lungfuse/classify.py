@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_VERSION = 1
+FEATURE_MIN_SIDE = 16  # the shortest image side extract_image_features takes
 
 _NOTES = (
     "image features: wavelet band statistics + 8x8 pooled grid (hand crafted, "
@@ -88,8 +89,9 @@ def extract_image_features(fused, levels: int = 2) -> np.ndarray:
     flattened 8x8 block-mean grid.  Length = 2 (3 levels + 1) + 64.
     """
     img = as_image(fused)
-    if img.shape[0] < 16 or img.shape[1] < 16:
-        raise ContractError(f"image must be at least 16x16, got {img.shape}")
+    if min(img.shape) < FEATURE_MIN_SIDE:
+        raise ContractError(f"image must be at least {FEATURE_MIN_SIDE}x{FEATURE_MIN_SIDE}, "
+                            f"got {img.shape}")
     if img.min() < 0.0 or img.max() > 1.0:
         raise ContractError("image values must lie in [0, 1]")
     if levels < 1:

@@ -95,7 +95,7 @@ def fuse_cmd(doc, ct_path, pet_path, out, report_path):
     """Fuse a CT image and a PET image into one image, as the fuse stage does (fusion.* keys)."""
     _writable(("--out", out), ("--report", report_path))
     ct, pet = _image_pair(ct_path, pet_path)
-    pl._check_levels(doc, keys=("fusion.levels",), dims=ct.shape[::-1])
+    pl._check_depths(doc, ("fusion.levels",), *ct.shape[::-1])
     fused, pet, _ = pl.fuse_pair(ct, pet, doc["fusion"])
     try:  # the report is made before either file is written
         quality = fusion_quality(fused, ct, pet) if report_path is not None else None
@@ -225,14 +225,8 @@ def evaluate_cmd(doc, dataset, out, inputs):
             f"--inputs must name one or more of ct, fused, tabular, each once, got {inputs!r}"
         )
     _outside(dataset, out, "--out")
-    fused_dir = None  # the stages up to fuse run only for the fused input
-    if "fused" in chosen:
-        stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
-        _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset)  # checks depths and folds
-    else:
-        if "ct" in chosen:
-            pl._check_levels(doc, dataset, ("classify.feature_levels",))
-        pl._check_folds(doc, dataset)
+    stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
+    _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset, chosen)
     (report,) = pl.evaluate_dataset(dataset, fused_dir, doc, [(inputs, chosen)]).values()
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_json(out, report.to_dict())

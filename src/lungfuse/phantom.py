@@ -399,16 +399,16 @@ def load_manifest(dataset_dir) -> dict:
     return doc
 
 
-def table_rows(manifest: dict, table: TabularDataset) -> list:
-    """For each manifest row, the index of its row in the dataset's table
-    (the row's own index when the table has no id column)."""
+def table_rows(manifest: dict, table: TabularDataset, path) -> list:
+    """For each manifest row, the index of its row in the dataset's table, read
+    from path (the row's own index when the table has no id column)."""
     rows = manifest["rows"]
     if not table.ids:
         return list(range(len(rows)))
     by_id = {pid: i for i, pid in enumerate(table.ids)}
     for row in rows:
         if row["tabular_row_id"] not in by_id:
-            raise DataError(f"tabular_row_id {row['tabular_row_id']!r} is not in the table")
+            raise DataError(f"{path}: tabular_row_id {row['tabular_row_id']!r} is not in the table")
     return [by_id[row["tabular_row_id"]] for row in rows]
 
 
@@ -434,11 +434,9 @@ def describe(dataset_dir) -> dict:
         for key, means in (("ct", ct_means), ("pet", pet_means)):
             path = os.path.join(dataset_dir, r[key])
             means.append(float(np.mean(check_image_size(read_pgm(path), path, manifest))))
-    table = read_table(
-        os.path.join(dataset_dir, manifest["tabular"]),
-        os.path.join(dataset_dir, manifest["tabular_schema"]),
-    )
-    table_rows(manifest, table)
+    path = os.path.join(dataset_dir, manifest["tabular"])
+    table = read_table(path, os.path.join(dataset_dir, manifest["tabular_schema"]))
+    table_rows(manifest, table, path)
     missing = {c.name: int(n) for c, n in zip(table.columns, np.isnan(table.values).sum(axis=0))}
     return {
         "kind": "phantom-summary",

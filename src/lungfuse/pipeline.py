@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .classify import (
     COMPARISON,
+    FEATURE_MIN_SIDE,
     REPORT_SCHEMA_VERSION,
     ClassifyConfig,
     MMDataset,
@@ -161,36 +162,40 @@ def _validate(doc: dict) -> None:
     check("denoise.noise_param", d["noise_param"], [noise_param_rule(d["noise_kind"])], ConfigError)
 
 
-def _check_levels(doc: dict, dataset=None, keys=("fusion.levels", "classify.feature_levels"),
-                  dims=None):
-    """Refuse a wavelet depth that the images cannot take, before any stage
-    runs: dims (width, height), or else phantom.image_size wide or a given
-    dataset manifest's image_size."""
-    if dims is None:
-        size = (doc["phantom"] if dataset is None else load_manifest(dataset))["image_size"]
-        dims = size, size
-    most = max_levels(*dims)
+def _check_depths(doc: dict, keys, width: int, height: int) -> None:
+    """Refuse a wavelet depth, each of keys a section.key, that width x height images
+    cannot take."""
+    most = max_levels(width, height)
     for name in keys:
         section, key = name.split(".")
         if doc[section][key] > most:
-            raise ConfigError(f"{name} must be at most {most} for {dims[0]}x{dims[1]} images, "
+            raise ConfigError(f"{name} must be at most {most} for {width}x{height} images, "
                               f"got {doc[section][key]}")
 
 
-def _check_folds(doc: dict, dataset=None) -> None:
-    """Refuse folds the evaluate stage cannot train on, before any stage runs:
-    folds of the labels phantom.* deals, or of a given dataset's manifest rows,
-    by the rules the classifiers keep: 2 classes (class_index), SMOTE's
-    (smote_rows) and the booster's BOOST_MIN_ROWS on a balanced fold."""
+def _preflight(doc: dict, dataset, inputs) -> None:
+    """Refuse, before any stage runs, what these inputs cannot be evaluated on, of
+    phantom.* or a given dataset: its images under FEATURE_MIN_SIDE or a table that
+    lacks a manifest row, a wavelet depth the images cannot take, then folds the
+    classifiers cannot train on: 2 classes (class_index), SMOTE's rule (smote_rows)
+    and the booster's BOOST_MIN_ROWS on a balanced fold."""
     k = doc["evaluate"]["k"]
+    images = any(m != "tabular" for m in inputs)
     if dataset is None:
         p = doc["phantom"]
-        labels = class_labels(p["n_patients"], p["class_balance"])
+        size, labels = p["image_size"], class_labels(p["n_patients"], p["class_balance"])
         error, names = ConfigError, (f"phantom.n_patients={p['n_patients']}, phantom.class_balance"
                                      f"={p['class_balance']} and evaluate.k={k} leave")
     else:
-        labels = [row["label"] for row in load_manifest(dataset)["rows"]]
+        manifest = load_manifest(dataset)
+        size, labels = manifest["image_size"], [row["label"] for row in manifest["rows"]]
         error, names = DataError, f"evaluate.k={k} on dataset {dataset} leaves"
+        if images and size < FEATURE_MIN_SIDE:
+            raise DataError(f"dataset {dataset} has {size}x{size} images; the image features "
+                            f"need at least {FEATURE_MIN_SIDE}x{FEATURE_MIN_SIDE}")
+        _manifest_table(dataset, manifest)
+    _check_depths(doc, ["fusion.levels"] * ("fused" in inputs)
+                  + ["classify.feature_levels"] * images, size, size)
     try:
         class_index(labels)
         for test in stratified_folds(labels, k, doc["evaluate"]["seed"]):
@@ -419,15 +424,18 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     write_json(os.path.join(outdir, "transforms.json"), {"rows": transforms})
 
 
+def _manifest_table(dataset_dir, manifest: dict):
+    """The dataset's table in the manifest's row order."""
+    path = os.path.join(dataset_dir, manifest["tabular"])
+    table = read_table(path, os.path.join(dataset_dir, manifest["tabular_schema"]))
+    return take_rows(table, table_rows(manifest, table, path))
+
+
 def build_mmdataset(dataset_dir, fused_dir, levels: int, images=("ct", "fused")) -> MMDataset:
     """The dataset's table and the features of the named images: "fused"
     from fused_dir, any other name from the manifest's rows."""
     manifest = load_manifest(dataset_dir)
-    table = read_table(
-        os.path.join(dataset_dir, manifest["tabular"]),
-        os.path.join(dataset_dir, manifest["tabular_schema"]),
-    )
-    order = table_rows(manifest, table)
+    table = _manifest_table(dataset_dir, manifest)
     feats = {name: [] for name in images}
     for row in manifest["rows"]:
         for name in images:
@@ -435,7 +443,7 @@ def build_mmdataset(dataset_dir, fused_dir, levels: int, images=("ct", "fused"))
                    else _dataset_image(dataset_dir, manifest, row, name))
             feats[name].append(extract_image_features(img, levels=levels))
     return MMDataset(labels=np.array([row["label"] for row in manifest["rows"]]),
-                     tabular=take_rows(table, order),
+                     tabular=table,
                      images={name: np.array(f) for name, f in feats.items()})
 
 
@@ -460,18 +468,20 @@ def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
 # ------------------------------------------------------------------ runs
 
 
-def fuse_stages(stages: _Stages, doc: dict, dataset=None):
-    """The phantom stage, or the given dataset directory keyed by its tree
-    hash in its place, then denoise-train and denoise-apply (when
-    denoise.enabled) and fuse.  The wavelet depths and the evaluate stage's
-    folds are checked and a given dataset's manifest is read first, so a bad
-    depth, too few rows for the folds or a malformed manifest fails before
+def fuse_stages(stages: _Stages, doc: dict, dataset=None, inputs=("ct", "fused", "tabular")):
+    """The phantom stage, or the given dataset directory keyed by its tree hash
+    in its place, then denoise-train and denoise-apply (when denoise.enabled)
+    and fuse; no stage unless the inputs (default: run's) name "fused".  What
+    the inputs need is checked first, so a bad depth, too few rows for the
+    folds, a malformed manifest or table, or images too small fail before
     any directory is made.
 
-    Returns (dataset dir, dataset hash, fused dir, fused hash).
+    Returns (dataset dir, dataset hash, fused dir, fused hash), None for each
+    that no stage made.
     """
-    _check_levels(doc, dataset)
-    _check_folds(doc, dataset)
+    _preflight(doc, dataset, inputs)
+    if "fused" not in inputs:
+        return dataset, None, None, None
     if dataset is None:
         dataset, dataset_hash = stages.run(
             "phantom",

@@ -38,6 +38,17 @@ def _tree_hash(root) -> str:
     return h.hexdigest()
 
 
+def _differing_files(a, b) -> list:
+    """Each relative path whose file differs between two trees or is in one only."""
+    def files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in pathlib.Path(root).rglob("*") if p.is_file()}
+
+    fa, fb = files(a), files(b)
+    return [f"{p}: " + ("differs" if p in fa and p in fb else f"only in {a if p in fa else b}")
+            for p in sorted(fa.keys() | fb.keys()) if fa.get(p) != fb.get(p)]
+
+
 # fast settings reused by the pipeline-level tests
 _FAST = [
     "--set", "phantom.n_patients=24",
@@ -1108,7 +1119,8 @@ def test_runs_into_one_out_at_once_all_succeed(capsys, tmp_path):
     errs = [p.communicate(timeout=120)[1] for p in procs]
     assert [p.returncode for p in procs] == [0, 0, 0], errs
     assert _run(capsys, *argv, "--out", str(tmp_path / "solo"))[0] == 0
-    assert _tree_hash(tmp_path / "w" / "report") == _tree_hash(tmp_path / "solo" / "report")
+    raced, solo = tmp_path / "w" / "report", tmp_path / "solo" / "report"
+    assert _tree_hash(raced) == _tree_hash(solo), _differing_files(raced, solo)
     # each run built in a directory of its own, and none is left behind
     assert not list((tmp_path / "w").glob(".*")) and not list((tmp_path / "w").glob("cache/.*"))
 
@@ -1320,6 +1332,58 @@ def test_a_wavelet_depth_the_dataset_cannot_take_exits_2_before_any_stage(capsys
     assert rc == 2
     assert err == f"error: {key} must be at most 4 for 16x16 images, got 5\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def _dataset_of_8px_images(ds):
+    """A 24-patient 16 px phantom whose CT and PET images are cut to 8x8."""
+    generate(PhantomConfig(n_patients=24, image_size=16, seed=1), ds)
+    doc = json.loads((ds / "manifest.json").read_text())
+    for row in doc["rows"]:
+        for key in ("ct", "pet"):
+            write_pgm(read_pgm(ds / row[key])[:8, :8], ds / row[key])
+    doc["image_size"] = 8
+    (ds / "manifest.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "ct"],
+    ["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "fused"],
+    ["compare", "--out-dir", "{tmp}/cmp"],
+])
+def test_a_dataset_of_images_below_the_feature_minimum_exits_3_before_any_stage(capsys, tmp_path,
+                                                                               argv):
+    ds = tmp_path / "ds"
+    _dataset_of_8px_images(ds)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    rc, _, err = _run(capsys, *argv, "--dataset", str(ds), *_FAST)
+    assert rc == 3
+    assert err == f"error: dataset {ds} has 8x8 images; the image features need at least 16x16\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_evaluate_tabular_runs_on_a_dataset_of_images_below_the_feature_minimum(capsys,
+                                                                                tmp_path):
+    ds = tmp_path / "ds"
+    _dataset_of_8px_images(ds)
+    rc, _, err = _run(capsys, "evaluate", "--dataset", str(ds), "--out", str(tmp_path / "m.json"),
+                      "--inputs", "tabular", *_FAST)
+    assert rc == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--out", "{tmp}/ev/m.json", "--inputs", "fused,tabular"],
+    ["compare", "--out-dir", "{tmp}/cmp"],
+])
+def test_a_table_without_a_manifest_row_exits_3_before_any_stage(capsys, tmp_path, argv):
+    ds = tmp_path / "ds"
+    generate(PhantomConfig(n_patients=24, image_size=16, seed=1), ds)
+    lines = (ds / "tabular.csv").read_text().splitlines(keepends=True)
+    (ds / "tabular.csv").write_text("".join(lines[:-1]))  # pt0023's row dropped
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    rc, _, err = _run(capsys, *argv, "--dataset", str(ds), *_FAST, *_DENOISE)
+    assert rc == 3
+    assert err == f"error: {ds}/tabular.csv: tabular_row_id 'pt0023' is not in the table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]  # no cache/ entry
 
 
 @pytest.mark.parametrize("shape,named", [((1, 64), "64x1"), ((64, 1), "1x64")])
