@@ -19,7 +19,7 @@ from .denoise import check_dims, denoise as run_denoise, load_weights
 from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError
 from .fusion import fusion_quality, ncc
 from .images import read_pgm, write_json, write_pgm
-from .phantom import PhantomConfig, describe, generate
+from .phantom import PhantomConfig, generate
 from .tabular import apply_preprocess, fit_preprocess, read_table
 
 
@@ -64,7 +64,7 @@ def phantom_cmd(doc, out):
 @click.option("--dataset", required=True, type=click.Path(exists=True))
 def describe_cmd(dataset):
     """Summarize a generated dataset directory."""
-    _emit(describe(dataset))
+    _emit(pl.describe(dataset))
 
 
 def _writable(*outputs) -> None:

@@ -32,25 +32,22 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
 from .fusion import RigidTransform
-from .images import read_json, read_pgm, write_json, write_pgm
+from .images import read_json, write_json, write_pgm
 from .nnet import sigmoid
 from .settings import check_fields
-from .tabular import ColumnSpec, TabularDataset, read_table, write_table
+from .tabular import ColumnSpec, TabularDataset, write_table
 
 __all__ = [
     "PhantomConfig",
     "SUBTYPES",
     "class_labels",
     "generate",
-    "describe",
     "render_ct",
     "render_pet",
     "mask_from_geometry",
     "apply_point",
     "sample_patient",
     "load_manifest",
-    "check_image_size",
-    "table_rows",
 ]
 
 SUBTYPES = ("adenocarcinoma", "squamous")
@@ -363,13 +360,16 @@ def generate(cfg: PhantomConfig, out_dir) -> dict:
 
 _STRING = (lambda v: isinstance(v, str), "a string")
 # relative, with no '..' part: the dataset's tree hash, which keys every stage, covers the file
-_PATH = (lambda v: isinstance(v, str) and v != "" and not os.path.isabs(v)
-         and ".." not in re.split(r"[/\\]", v), "a relative path with no '..' part")
+_PATH = (lambda v: isinstance(v, str) and v != "" and "\0" not in v and not os.path.isabs(v)
+         and ".." not in re.split(r"[/\\]", v), "a relative path with no '..' part or NUL")
+# the stages write <id>_pet.pgm and <id>_fused.pgm into their own entries
+_ID = (lambda v: isinstance(v, str) and re.fullmatch(r"[^/\\\0]+", v) is not None,
+       "a non-empty file name with no '/', '\\' or NUL")
 _FIELDS = {"tabular": _PATH, "tabular_schema": _PATH,
            "image_size": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
            "rows": (lambda v: isinstance(v, list) and v and all(isinstance(r, dict) for r in v),
                     "a non-empty list of objects")}
-_ROW_FIELDS = {"id": _STRING, "label": _STRING, "ct": _PATH, "pet": _PATH,
+_ROW_FIELDS = {"id": _ID, "label": _STRING, "ct": _PATH, "pet": _PATH,
                "tabular_row_id": _STRING}
 
 
@@ -397,56 +397,3 @@ def load_manifest(dataset_dir) -> dict:
             if j != i:
                 raise FormatError(f"manifest rows[{i}] repeats {key} {row[key]!r} of rows[{j}]")
     return doc
-
-
-def table_rows(manifest: dict, table: TabularDataset, path) -> list:
-    """For each manifest row, the index of its row in the dataset's table, read
-    from path (the row's own index when the table has no id column)."""
-    rows = manifest["rows"]
-    if not table.ids:
-        return list(range(len(rows)))
-    by_id = {pid: i for i, pid in enumerate(table.ids)}
-    for row in rows:
-        if row["tabular_row_id"] not in by_id:
-            raise DataError(f"{path}: tabular_row_id {row['tabular_row_id']!r} is not in the table")
-    return [by_id[row["tabular_row_id"]] for row in rows]
-
-
-def check_image_size(img, path, manifest: dict) -> np.ndarray:
-    """img, read from a manifest row's path, refused unless it is the
-    manifest's image_size square."""
-    size = manifest["image_size"]
-    if img.shape != (size, size):
-        raise DataError(f"{path} has shape {img.shape}, not the manifest's image_size "
-                        f"{(size, size)}")
-    return img
-
-
-def describe(dataset_dir) -> dict:
-    """Deterministic summary of a generated dataset directory."""
-    manifest = load_manifest(dataset_dir)
-    rows = manifest["rows"]
-    counts: dict = {}
-    for r in rows:
-        counts[r["label"]] = counts.get(r["label"], 0) + 1
-    ct_means, pet_means = [], []
-    for r in rows:
-        for key, means in (("ct", ct_means), ("pet", pet_means)):
-            path = os.path.join(dataset_dir, r[key])
-            means.append(float(np.mean(check_image_size(read_pgm(path), path, manifest))))
-    path = os.path.join(dataset_dir, manifest["tabular"])
-    table = read_table(path, os.path.join(dataset_dir, manifest["tabular_schema"]))
-    table_rows(manifest, table, path)
-    missing = {c.name: int(n) for c, n in zip(table.columns, np.isnan(table.values).sum(axis=0))}
-    return {
-        "kind": "phantom-summary",
-        "n_patients": len(rows),
-        "classes": counts,
-        "image_size": manifest["image_size"],
-        "ct_mean_intensity": float(np.mean(ct_means)),
-        "pet_mean_intensity": float(np.mean(pet_means)),
-        "tabular_rows": table.n_rows,
-        "tabular_columns": len(table.columns),
-        "missing_values": missing,
-        "total_missing": int(sum(missing.values())),
-    }

@@ -53,8 +53,7 @@ from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, re
 from .images import gradient_magnitude, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
 from .phantom import (
-    PhantomConfig, SUBTYPES, check_image_size, class_labels, generate, load_manifest, render_pet,
-    sample_patient, table_rows,
+    PhantomConfig, SUBTYPES, class_labels, generate, load_manifest, render_pet, sample_patient,
 )
 from .settings import DEFAULTS, check, noise_param_rule, rules
 from .tabular import BOOST_MIN_ROWS, BoostConfig, class_index, read_table, smote_rows, take_rows
@@ -77,6 +76,7 @@ __all__ = [
     "evaluate_dataset",
     "classify_config_from",
     "build_mmdataset",
+    "describe",
 ]
 
 CONFIG_SCHEMA_VERSION = 1
@@ -175,10 +175,10 @@ def _check_depths(doc: dict, keys, width: int, height: int) -> None:
 
 def _preflight(doc: dict, dataset, inputs) -> None:
     """Refuse, before any stage runs, what these inputs cannot be evaluated on, of
-    phantom.* or a given dataset: its images under FEATURE_MIN_SIDE or a table that
-    lacks a manifest row, a wavelet depth the images cannot take, then folds the
-    classifiers cannot train on: 2 classes (class_index), SMOTE's rule (smote_rows)
-    and the booster's BOOST_MIN_ROWS on a balanced fold."""
+    phantom.* or a given dataset: its images under FEATURE_MIN_SIDE, a wavelet depth
+    the images cannot take, folds the classifiers cannot train on (2 classes by
+    class_index, SMOTE's rule by smote_rows and the booster's BOOST_MIN_ROWS on a
+    balanced fold), then a table that _manifest_table refuses."""
     k = doc["evaluate"]["k"]
     images = any(m != "tabular" for m in inputs)
     if dataset is None:
@@ -193,7 +193,6 @@ def _preflight(doc: dict, dataset, inputs) -> None:
         if images and size < FEATURE_MIN_SIDE:
             raise DataError(f"dataset {dataset} has {size}x{size} images; the image features "
                             f"need at least {FEATURE_MIN_SIDE}x{FEATURE_MIN_SIDE}")
-        _manifest_table(dataset, manifest)
     _check_depths(doc, ["fusion.levels"] * ("fused" in inputs)
                   + ["classify.feature_levels"] * images, size, size)
     try:
@@ -205,6 +204,8 @@ def _preflight(doc: dict, dataset, inputs) -> None:
                                 f"the booster needs at least {BOOST_MIN_ROWS}")
     except DataError as exc:
         raise error(f"{names} folds the evaluate stage cannot train on: {exc}") from None
+    if dataset is not None:
+        _manifest_table(dataset, manifest)
 
 
 def version_info() -> dict:
@@ -353,7 +354,11 @@ def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str) -> np.ndarr
     """A manifest row's "ct" or "pet" image, refused unless it is the
     manifest's image_size square."""
     path = os.path.join(dataset_dir, row[key])
-    return check_image_size(read_pgm(path), path, manifest)
+    img, size = read_pgm(path), manifest["image_size"]
+    if img.shape != (size, size):
+        raise DataError(f"{path} has shape {img.shape}, not the manifest's image_size "
+                        f"{(size, size)}")
+    return img
 
 
 def _denoise_stage(dataset_dir, weights_path, outdir) -> None:
@@ -425,17 +430,59 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
 
 
 def _manifest_table(dataset_dir, manifest: dict):
-    """The dataset's table in the manifest's row order."""
+    """The dataset's table as read and, for each manifest row, the index of its
+    row in it (the row's own index when the table has no id column), refused
+    unless each row has the manifest row's label and each column a value in them."""
     path = os.path.join(dataset_dir, manifest["tabular"])
     table = read_table(path, os.path.join(dataset_dir, manifest["tabular_schema"]))
-    return take_rows(table, table_rows(manifest, table, path))
+    rows = manifest["rows"]
+    if table.ids is None and table.n_rows < len(rows):
+        raise DataError(f"{path} has {table.n_rows} rows and no id column for the manifest's "
+                        f"{len(rows)} rows")
+    ids = [row["tabular_row_id"] for row in rows] if table.ids is None else table.ids
+    by_id = {pid: i for i, pid in enumerate(ids)}
+    index = [by_id.get(row["tabular_row_id"]) for row in rows]
+    for row, i in zip(rows, index):
+        if i is None:
+            raise DataError(f"{path}: tabular_row_id {row['tabular_row_id']!r} is not in the table")
+        if table.labels[i] != row["label"]:
+            raise DataError(f"{path}: row {i + 1} is labelled {table.labels[i]!r}, but its "
+                            f"manifest row {row['id']!r} says {row['label']!r}")
+    for col, seen in zip(table.columns, ~np.isnan(table.values[index]).all(axis=0)):
+        if not seen:
+            raise DataError(f"{path}: column {col.name!r} has no value in the manifest's rows")
+    return table, index
+
+
+def describe(dataset_dir) -> dict:
+    """Deterministic summary of a dataset directory, read as the stages read it;
+    the table's counts are of the file's own rows."""
+    manifest = load_manifest(dataset_dir)
+    rows = manifest["rows"]
+    labels = [r["label"] for r in rows]
+    ct_means, pet_means = zip(*([float(np.mean(_dataset_image(dataset_dir, manifest, r, key)))
+                                 for key in ("ct", "pet")] for r in rows))
+    table, _ = _manifest_table(dataset_dir, manifest)
+    missing = {c.name: int(n) for c, n in zip(table.columns, np.isnan(table.values).sum(axis=0))}
+    return {
+        "kind": "phantom-summary",
+        "n_patients": len(rows),
+        "classes": {label: labels.count(label) for label in dict.fromkeys(labels)},
+        "image_size": manifest["image_size"],
+        "ct_mean_intensity": float(np.mean(ct_means)),
+        "pet_mean_intensity": float(np.mean(pet_means)),
+        "tabular_rows": table.n_rows,
+        "tabular_columns": len(table.columns),
+        "missing_values": missing,
+        "total_missing": int(sum(missing.values())),
+    }
 
 
 def build_mmdataset(dataset_dir, fused_dir, levels: int, images=("ct", "fused")) -> MMDataset:
     """The dataset's table and the features of the named images: "fused"
     from fused_dir, any other name from the manifest's rows."""
     manifest = load_manifest(dataset_dir)
-    table = _manifest_table(dataset_dir, manifest)
+    table = take_rows(*_manifest_table(dataset_dir, manifest))
     feats = {name: [] for name in images}
     for row in manifest["rows"]:
         for name in images:

@@ -141,6 +141,12 @@ def _load_schema(schema_path):
     if not (isinstance(label_col, str) and isinstance(missing, str)
             and isinstance(id_col, (str, type(None)))):
         raise FormatError("schema: label_column, missing and id_column must be strings")
+    names = [c.name for c in cols]
+    for i, name in enumerate(names):  # a label or id read as a feature leaks into the folds
+        clash = ("the label_column" if name == label_col else "the id_column" if name == id_col
+                 else "repeated" if name in names[:i] else None)
+        if clash:
+            raise FormatError(f"{schema_path}: column {name!r} is {clash}")
     return cols, label_col, missing, id_col
 
 

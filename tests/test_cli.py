@@ -1,10 +1,13 @@
 import base64
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
 import platform
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -627,6 +630,11 @@ _MANIFEST_FAULTS = {
     "number-tabular": lambda d, ds: d.__setitem__("tabular", 5),
     "unknown-tabular-row-id": lambda d, ds: d["rows"][0].__setitem__("tabular_row_id", "nobody"),
     "zero-image-size": lambda d, ds: d.__setitem__("image_size", 0),
+    "dotdot-id": lambda d, ds: d["rows"][0].__setitem__("id", "../x"),
+    "slash-id": lambda d, ds: d["rows"][0].__setitem__("id", "a/b"),
+    "empty-id": lambda d, ds: d["rows"][0].__setitem__("id", ""),
+    "nul-id": lambda d, ds: d["rows"][0].__setitem__("id", "pt\0"),
+    "nul-pet": lambda d, ds: d["rows"][0].__setitem__("pet", "images/pt0000_pet.pgm\0"),
 }
 # the message a fault's one line must carry, where it is pinned
 _MANIFEST_FAULT_TEXT = {
@@ -663,10 +671,82 @@ def test_malformed_manifest_exits_3_with_one_line(capsys, tmp_path, fault, comma
         assert _MANIFEST_FAULT_TEXT.get(fault, "") in err
 
 
+def _csv_rows(edit):
+    """A table mutation: edit applied to the CSV's rows, the header first."""
+    def mutate(ds):
+        path = ds / "tabular.csv"
+        rows = list(csv.reader(io.StringIO(path.read_text())))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+    return mutate
+
+
+def _cut_id_column_and_last_row(ds):
+    schema = json.loads((ds / "tabular.schema.json").read_text())
+    del schema["id_column"]
+    (ds / "tabular.schema.json").write_text(json.dumps(schema))
+    _csv_rows(lambda rows: [row[1:] for row in rows[:-1]])(ds)
+
+
+def _relabel_first_row(rows):
+    rows[1][-1] = "squamous" if rows[1][-1] == "adenocarcinoma" else "adenocarcinoma"
+    return rows
+
+
+# each mutation of a 24-patient dataset's table, and the text its one line carries
+_TABLE_FAULTS = {
+    "header-only": (_csv_rows(lambda rows: rows[:1]),
+                    "tabular_row_id 'pt0000' is not in the table"),
+    "no-id-column-and-short": (_cut_id_column_and_last_row,
+                               "has 23 rows and no id column for the manifest's 24 rows"),
+    "label-off-the-manifest": (_csv_rows(_relabel_first_row), "row 1 is labelled"),
+    "empty-column": (_csv_rows(lambda rows: rows[:1] + [[r[0], ""] + r[2:] for r in rows[1:]]),
+                     "column 'age' has no value in the manifest's rows"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    ds = tmp_path_factory.mktemp("small") / "ds"
+    generate(PhantomConfig(n_patients=24, image_size=32, seed=1), ds)
+    return ds
+
+
+@pytest.mark.parametrize("fault", _TABLE_FAULTS)
+@pytest.mark.parametrize("command", ["describe", "evaluate-tabular", "evaluate-ct", "compare"])
+def test_a_table_fault_exits_3_naming_the_table_before_any_directory(
+        capsys, tmp_path, small_dataset, fault, command):
+    ds = tmp_path / "ds"
+    shutil.copytree(small_dataset, ds)
+    mutate, text = _TABLE_FAULTS[fault]
+    mutate(ds)
+    evaluate = ["evaluate", "--dataset", str(ds), "--out", str(tmp_path / "ev" / "m.json")]
+    argv = {
+        "describe": ["describe", "--dataset", str(ds)],
+        "evaluate-tabular": evaluate + ["--inputs", "tabular"] + _FAST[2:],
+        "evaluate-ct": evaluate + ["--inputs", "ct"] + _FAST[2:],
+        "compare": ["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp")]
+                   + _FAST[2:],
+    }[command]
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"error: {ds / 'tabular.csv'}") and err.count("\n") == 1
+    assert text in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
 _SCHEMA_FAULTS = {
     "list-column-name": (lambda d: d["columns"][0].__setitem__("name", ["age"]), "['age']"),
     "list-label-column": (lambda d: d.__setitem__("label_column", ["subtype"]), "label_column"),
     "list-id-column": (lambda d: d.__setitem__("id_column", ["id"]), "id_column"),
+    "label-as-feature": (lambda d: d["columns"].append(
+        {"name": "subtype", "kind": "categorical", "categories": ["adenocarcinoma", "squamous"]}),
+        "tabular.schema.json: column 'subtype' is the label_column"),
+    "id-as-feature": (lambda d: d["columns"].append(
+        {"name": "patient", "kind": "categorical", "categories": [f"pt{i:04d}" for i in range(6)]}),
+        "tabular.schema.json: column 'patient' is the id_column"),
+    "repeated-column": (lambda d: d["columns"].append(dict(d["columns"][0])),
+                        "tabular.schema.json: column 'age' is repeated"),
 }
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lungfuse import phantom as ph
+from lungfuse import pipeline as pl
 from lungfuse.errors import ConfigError, DataError, FormatError
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm
@@ -206,7 +207,7 @@ def test_tabular_round_trips_with_ids(tmp_path):
 
 def test_missing_rate_injects_missing_cells(tmp_path):
     ph.generate(ph.PhantomConfig(n_patients=20, missing_rate=0.3, seed=6), tmp_path)
-    desc = ph.describe(tmp_path)
+    desc = pl.describe(tmp_path)
     assert desc["total_missing"] > 0
     table = read_table(tmp_path / "tabular.csv", tmp_path / "tabular.schema.json")
     assert any(v is None for row in decode(table) for v in row)
@@ -221,7 +222,7 @@ def test_tabular_csv_with_missing_cells_is_pinned(tmp_path):
 
 def test_describe_summary(tmp_path):
     ph.generate(ph.PhantomConfig(n_patients=10, seed=11), tmp_path)
-    desc = ph.describe(tmp_path)
+    desc = pl.describe(tmp_path)
     assert desc["kind"] == "phantom-summary"
     assert desc["n_patients"] == 10
     assert desc["classes"] == {"adenocarcinoma": 5, "squamous": 5}
@@ -229,19 +230,19 @@ def test_describe_summary(tmp_path):
     assert desc["total_missing"] == 0
     assert 0.1 < desc["ct_mean_intensity"] < 0.6
     assert 0.1 < desc["pet_mean_intensity"] < 0.6
-    assert ph.describe(tmp_path) == desc
+    assert pl.describe(tmp_path) == desc
 
 
 def test_describe_rejects_bad_directories(tmp_path):
     with pytest.raises(DataError):
-        ph.describe(tmp_path / "nowhere")
+        pl.describe(tmp_path / "nowhere")
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "manifest.json").write_text("{not json")
     with pytest.raises(FormatError):
-        ph.describe(bad)
+        pl.describe(bad)
     wrong = tmp_path / "wrong"
     wrong.mkdir()
     (wrong / "manifest.json").write_text(json.dumps({"kind": "other"}))
     with pytest.raises(FormatError):
-        ph.describe(wrong)
+        pl.describe(wrong)
