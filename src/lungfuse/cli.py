@@ -18,7 +18,7 @@ from . import pipeline as pl
 from .denoise import check_dims, denoise as run_denoise, load_weights
 from .errors import ConfigError, ContractError, DataError, NumericalError, WorkerError
 from .fusion import fusion_quality, ncc
-from .images import read_pgm, write_json, write_pgm
+from .images import read_json, read_pgm, write_json, write_pgm
 from .phantom import PhantomConfig, generate
 from .tabular import apply_preprocess, fit_preprocess, read_table
 
@@ -216,8 +216,8 @@ def _outside(dataset, out, option) -> None:
               help="comma-separated modalities: ct, fused, tabular")
 @_config_options
 def evaluate_cmd(doc, dataset, out, inputs):
-    """Cross-validated evaluation of one modality combination, on run's stages up to fuse if
-    fused is one of the inputs."""
+    """Cross-validated evaluation of one modality combination: run's evaluate stage on one
+    input set, after its stages up to fuse if fused is one of the inputs."""
     chosen = tuple(s.strip() for s in inputs.split(",") if s.strip())
     unique = set(chosen)
     if not chosen or len(unique) < len(chosen) or not unique <= {"ct", "fused", "tabular"}:
@@ -225,12 +225,12 @@ def evaluate_cmd(doc, dataset, out, inputs):
             f"--inputs must name one or more of ct, fused, tabular, each once, got {inputs!r}"
         )
     _outside(dataset, out, "--out")
+    name = ",".join(chosen)
     stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
-    _, _, fused_dir, _ = pl.fuse_stages(stages, doc, dataset, chosen)
-    (report,) = pl.evaluate_dataset(dataset, fused_dir, doc, [(inputs, chosen)]).values()
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    write_json(out, report.to_dict())
-    _emit({"out": out, "summary": report.to_dict()["summary"]})
+    eval_dir, _, _ = pl.evaluate_stages(stages, doc, dataset, [(name, chosen)])
+    report = read_json(eval_dir / "results.json", "evaluate stage results")[name]
+    write_json(out, report)
+    _emit({"out": out, "summary": report["summary"]})
 
 
 @cli.command("compare")

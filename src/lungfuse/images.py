@@ -7,6 +7,7 @@ y increasing downward), intensities nominally in [0, 1].
 from __future__ import annotations
 
 import json
+import mmap
 import re
 
 import numpy as np
@@ -44,10 +45,9 @@ def as_image_pair(a, b):
 _PGM_FIELD = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))*([^ \t\r\n]*)")
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5, maxval 65535, big-endian 16-bit) as floats in [0,1]."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+def pgm_shape(buf: bytes) -> tuple:
+    """(height, width, payload offset) of a binary PGM's bytes (P5, maxval 65535),
+    refused unless the header is valid and the payload holds every pixel."""
     if buf[:2] != b"P5":
         raise FormatError(f"not a binary PGM (magic {buf[:2]!r})", offset=0)
     pos, values = 2, []
@@ -69,15 +69,28 @@ def read_pgm(path) -> np.ndarray:
     if pos == len(buf):
         raise FormatError("missing separator before pixel payload", offset=pos)
     payload_at = pos + 1
-    need = width * height * 2
-    payload = buf[payload_at : payload_at + need]
-    if len(payload) < need:
-        raise FormatError(
-            f"truncated payload: need {need} bytes, have {len(payload)}",
-            offset=payload_at + len(payload),
-        )
-    raw = np.frombuffer(payload, dtype=">u2").reshape(height, width)
+    need, have = width * height * 2, len(buf) - payload_at
+    if have < need:
+        raise FormatError(f"truncated payload: need {need} bytes, have {have}", offset=len(buf))
+    return height, width, payload_at
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM (P5, maxval 65535, big-endian 16-bit) as floats in [0,1]."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    height, width, at = pgm_shape(buf)
+    raw = np.frombuffer(buf[at : at + height * width * 2], dtype=">u2").reshape(height, width)
     return raw.astype(np.float64) / PGM_MAXVAL
+
+
+def pgm_file_shape(path) -> tuple:
+    """pgm_shape of a PGM file, mapped rather than read, so that its pixels stay unread."""
+    with open(path, "rb") as fh:
+        if not fh.seek(0, 2):  # the file's size: an empty file cannot be mapped
+            return pgm_shape(b"")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+            return pgm_shape(buf)
 
 
 def write_pgm(img, path) -> None:

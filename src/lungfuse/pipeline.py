@@ -48,9 +48,9 @@ from .classify import (
     stratified_folds,
 )
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError, DataError, LungFuseError, WorkerError
+from .errors import ConfigError, DataError, FormatError, LungFuseError, WorkerError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
-from .images import gradient_magnitude, read_json, read_pgm, write_json, write_pgm
+from .images import gradient_magnitude, pgm_file_shape, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
 from .phantom import (
     PhantomConfig, SUBTYPES, class_labels, generate, load_manifest, render_pet, sample_patient,
@@ -72,7 +72,7 @@ __all__ = [
     "transform_doc",
     "denoiser_scenes",
     "compute_fused_dir",
-    "fuse_stages",
+    "evaluate_stages",
     "evaluate_dataset",
     "classify_config_from",
     "build_mmdataset",
@@ -178,7 +178,8 @@ def _preflight(doc: dict, dataset, inputs) -> None:
     phantom.* or a given dataset: its images under FEATURE_MIN_SIDE, a wavelet depth
     the images cannot take, folds the classifiers cannot train on (2 classes by
     class_index, SMOTE's rule by smote_rows and the booster's BOOST_MIN_ROWS on a
-    balanced fold), then a table that _manifest_table refuses."""
+    balanced fold), then a table that _manifest_table refuses, given the folds when
+    tabular is an input, and an image of the inputs that _dataset_image refuses."""
     k = doc["evaluate"]["k"]
     images = any(m != "tabular" for m in inputs)
     if dataset is None:
@@ -197,7 +198,8 @@ def _preflight(doc: dict, dataset, inputs) -> None:
                   + ["classify.feature_levels"] * images, size, size)
     try:
         class_index(labels)
-        for test in stratified_folds(labels, k, doc["evaluate"]["seed"]):
+        folds = stratified_folds(labels, k, doc["evaluate"]["seed"])
+        for test in folds:
             rows = smote_rows(np.delete(labels, test))
             if rows < BOOST_MIN_ROWS:
                 raise DataError(f"SMOTE balances a training fold to {rows} rows; "
@@ -205,7 +207,10 @@ def _preflight(doc: dict, dataset, inputs) -> None:
     except DataError as exc:
         raise error(f"{names} folds the evaluate stage cannot train on: {exc}") from None
     if dataset is not None:
-        _manifest_table(dataset, manifest)
+        _manifest_table(dataset, manifest, folds if "tabular" in inputs else ())
+        for row in manifest["rows"]:
+            for key in ["ct"] * images + ["pet"] * ("fused" in inputs):
+                _dataset_image(dataset, manifest, row, key, decode=False)
 
 
 def version_info() -> dict:
@@ -350,14 +355,19 @@ def _train_denoiser_stage(doc: dict, weights_path, clean=None) -> list:
     return log
 
 
-def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str) -> np.ndarray:
-    """A manifest row's "ct" or "pet" image, refused unless it is the
-    manifest's image_size square."""
+def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str, decode: bool = True):
+    """A manifest row's "ct" or "pet" image, refused, naming its file, unless it is a
+    PGM of the manifest's image_size square; without decode, None: the file's header
+    and length are checked and its pixels left unread."""
     path = os.path.join(dataset_dir, row[key])
-    img, size = read_pgm(path), manifest["image_size"]
-    if img.shape != (size, size):
-        raise DataError(f"{path} has shape {img.shape}, not the manifest's image_size "
-                        f"{(size, size)}")
+    try:
+        img = read_pgm(path) if decode else None
+        shape = img.shape if decode else pgm_file_shape(path)[:2]
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    size = manifest["image_size"]
+    if shape != (size, size):
+        raise DataError(f"{path} has shape {shape}, not the manifest's image_size {(size, size)}")
     return img
 
 
@@ -429,10 +439,11 @@ def compute_fused_dir(dataset_dir, outdir, doc: dict, pet_dir=None) -> None:
     write_json(os.path.join(outdir, "transforms.json"), {"rows": transforms})
 
 
-def _manifest_table(dataset_dir, manifest: dict):
+def _manifest_table(dataset_dir, manifest: dict, folds=()):
     """The dataset's table as read and, for each manifest row, the index of its
     row in it (the row's own index when the table has no id column), refused
-    unless each row has the manifest row's label and each column a value in them."""
+    unless each row has the manifest row's label and each column a value in them
+    and in the training rows of each of folds (test indices into the manifest's rows)."""
     path = os.path.join(dataset_dir, manifest["tabular"])
     table = read_table(path, os.path.join(dataset_dir, manifest["tabular_schema"]))
     rows = manifest["rows"]
@@ -448,9 +459,12 @@ def _manifest_table(dataset_dir, manifest: dict):
         if table.labels[i] != row["label"]:
             raise DataError(f"{path}: row {i + 1} is labelled {table.labels[i]!r}, but its "
                             f"manifest row {row['id']!r} says {row['label']!r}")
-    for col, seen in zip(table.columns, ~np.isnan(table.values[index]).all(axis=0)):
-        if not seen:
-            raise DataError(f"{path}: column {col.name!r} has no value in the manifest's rows")
+    trains = [("the manifest's rows", index)] + [
+        (f"fold {j + 1}'s training rows", np.delete(index, test)) for j, test in enumerate(folds)]
+    for where, train in trains:
+        for col, seen in zip(table.columns, ~np.isnan(table.values[train]).all(axis=0)):
+            if not seen:
+                raise DataError(f"{path}: column {col.name!r} has no value in {where}")
     return table, index
 
 
@@ -503,9 +517,9 @@ def evaluate_dataset(dataset_dir, fused_dir, doc: dict, rows=COMPARISON) -> dict
                               classify_config_from(doc), rows)
 
 
-def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
-    """results.json and comparison.txt; the bundle's metrics.json adds the run's config."""
-    results = evaluate_dataset(dataset_dir, fused_dir, doc)
+def _evaluate_stage(dataset_dir, fused_dir, doc: dict, rows, outdir) -> None:
+    """The rows' results.json and comparison.txt; the bundle's metrics.json adds the config."""
+    results = evaluate_dataset(dataset_dir, fused_dir, doc, rows)
     write_json(os.path.join(outdir, "results.json"),
                {name: rep.to_dict() for name, rep in results.items()})
     with open(os.path.join(outdir, "comparison.txt"), "w", encoding="utf-8") as fh:
@@ -515,20 +529,19 @@ def _evaluate_stage(dataset_dir, fused_dir, doc: dict, outdir) -> None:
 # ------------------------------------------------------------------ runs
 
 
-def fuse_stages(stages: _Stages, doc: dict, dataset=None, inputs=("ct", "fused", "tabular")):
-    """The phantom stage, or the given dataset directory keyed by its tree hash
-    in its place, then denoise-train and denoise-apply (when denoise.enabled)
-    and fuse; no stage unless the inputs (default: run's) name "fused".  What
-    the inputs need is checked first, so a bad depth, too few rows for the
-    folds, a malformed manifest or table, or images too small fail before
-    any directory is made.
+# the classify settings each head does not read, which its evaluate stage key leaves out
+_UNREAD = {"mlp": ("logreg_lr", "logreg_epochs"),
+           "logreg": ("learning_rate", "batch_size", "epochs", "rng_seed", "hidden", "dropout")}
 
-    Returns (dataset dir, dataset hash, fused dir, fused hash), None for each
-    that no stage made.
-    """
+
+def evaluate_stages(stages: _Stages, doc: dict, dataset=None, rows=COMPARISON):
+    """The phantom stage, or the given dataset keyed by its tree hash in its place; when
+    a row (compare_modalities's (name, input set) pairs) names "fused", denoise-train and
+    denoise-apply (when denoise.enabled) and fuse; then evaluate.  _preflight refuses
+    first, before any directory, what the rows' inputs cannot be evaluated on.
+    Returns (evaluate dir, dataset hash, fused dir), the last None without "fused"."""
+    inputs = {m for _, names in rows for m in names}
     _preflight(doc, dataset, inputs)
-    if "fused" not in inputs:
-        return dataset, None, None, None
     if dataset is None:
         dataset, dataset_hash = stages.run(
             "phantom",
@@ -539,33 +552,37 @@ def fuse_stages(stages: _Stages, doc: dict, dataset=None, inputs=("ct", "fused",
     else:
         dataset_hash = _hash_tree(dataset)
 
-    pet_dir = pet_hash = None
-    if doc["denoise"]["enabled"]:
-        weights_dir, weights_hash = stages.run(
-            "denoise-train",
-            {"denoise": doc["denoise"]},
-            "check the denoise section; lower epochs or learning_rate if unstable",
-            lambda d: _train_denoiser_stage(doc, d / "weights.json"),
+    fused_dir = fused_hash = pet_dir = pet_hash = None
+    if "fused" in inputs:
+        if doc["denoise"]["enabled"]:
+            weights_dir, weights_hash = stages.run(
+                "denoise-train",
+                {"denoise": doc["denoise"]},
+                "check the denoise section; lower epochs or learning_rate if unstable",
+                lambda d: _train_denoiser_stage(doc, d / "weights.json"),
+            )
+            pet_dir, pet_hash = stages.run(
+                "denoise-apply",
+                {"weights": weights_hash, "dataset": dataset_hash},
+                "check the denoiser weights and the dataset images",
+                lambda d: _denoise_stage(dataset, weights_dir / "weights.json", d),
+            )
+        fused_dir, fused_hash = stages.run(
+            "fuse",
+            {"dataset": dataset_hash, "pet": pet_hash, "fusion": doc["fusion"]},
+            "check the fusion section; a flat CT or PET image has no correlation signal",
+            lambda d: compute_fused_dir(dataset, d, doc, pet_dir=pet_dir),
         )
-        pet_dir, pet_hash = stages.run(
-            "denoise-apply",
-            {"weights": weights_hash, "dataset": dataset_hash},
-            "check the denoiser weights and the dataset images",
-            lambda d: _denoise_stage(dataset, weights_dir / "weights.json", d),
-        )
-
-    fused_dir, fused_hash = stages.run(
-        "fuse",
-        {"dataset": dataset_hash, "pet": pet_hash, "fusion": doc["fusion"]},
-        "check the fusion section; a flat CT or PET image has no correlation signal",
-        lambda d: compute_fused_dir(dataset, d, doc, pet_dir=pet_dir),
+    c = doc["classify"]
+    eval_dir, _ = stages.run(
+        "evaluate",
+        {"dataset": dataset_hash, "fused": fused_hash, "rows": rows, "tabular": doc["tabular"],
+         "classify": {k: v for k, v in c.items() if k not in _UNREAD[c["model"]]},
+         "evaluate": doc["evaluate"]},
+        "check the tabular/classify/evaluate sections",
+        lambda d: _evaluate_stage(dataset, fused_dir, doc, rows, d),
     )
-    return dataset, dataset_hash, fused_dir, fused_hash
-
-
-# the classify settings each head does not read, which its evaluate stage key leaves out
-_UNREAD = {"mlp": ("logreg_lr", "logreg_epochs"),
-           "logreg": ("learning_rate", "batch_size", "epochs", "rng_seed", "hidden", "dropout")}
+    return eval_dir, dataset_hash, fused_dir
 
 
 def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
@@ -578,21 +595,7 @@ def run_pipeline(doc: dict, out_dir, dataset=None) -> dict:
     t0 = time.perf_counter()
     out_dir = pathlib.Path(out_dir)
     stages = _Stages(out_dir)
-    dataset, dataset_hash, fused_dir, fused_hash = fuse_stages(stages, doc, dataset)
-    c = doc["classify"]
-    eval_dir, _ = stages.run(
-        "evaluate",
-        {
-            "dataset": dataset_hash,
-            "fused": fused_hash,
-            "tabular": doc["tabular"],
-            "classify": {k: v for k, v in c.items() if k not in _UNREAD[c["model"]]},
-            "evaluate": doc["evaluate"],
-        },
-        "check the tabular/classify/evaluate sections",
-        lambda d: _evaluate_stage(dataset, fused_dir, doc, d),
-    )
-
+    eval_dir, dataset_hash, fused_dir = evaluate_stages(stages, doc, dataset)
     unmarked = shutil.ignore_patterns(".complete")
 
     def assemble(d):

@@ -764,6 +764,86 @@ def test_schema_name_not_a_string_exits_3_naming_it(capsys, tmp_path, fault):
     assert named in err
 
 
+def _cut_last_10_bytes(path):
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+def _cut_to_24_columns(path):
+    write_pgm(read_pgm(path)[:, :24], path)
+
+
+def _spoil_the_magic(path):
+    path.write_bytes(b"P6" + path.read_bytes()[2:])
+
+
+def _keep_age_in_the_first_row(path):
+    _csv_rows(lambda rows: rows[:2] + [[r[0], ""] + r[2:] for r in rows[2:]])(path.parent)
+
+
+# the commands that read a dataset's CTs, its PETs and its table's columns
+_READ_BY = {"ct": ("describe", "evaluate:ct", "evaluate:fused,tabular", "compare"),
+            "pet": ("describe", "evaluate:fused,tabular", "compare"),
+            "table": ("evaluate:tabular", "evaluate:ct,tabular", "compare")}
+# each mutation of the 24-patient, 32 px dataset: the file it breaks, what of the
+# dataset that is, and the text of the one line that refuses it
+_DATASET_FAULTS = {
+    "truncated-ct": ("images/pt0000_ct.pgm", _cut_last_10_bytes, "ct",
+                     "truncated payload: need 2048 bytes, have 2038"),
+    "ct-off-the-manifest-size": ("images/pt0000_ct.pgm", _cut_to_24_columns, "ct",
+                                 "has shape (32, 24), not the manifest's image_size (32, 32)"),
+    "pet-bad-magic": ("images/pt0000_pet.pgm", _spoil_the_magic, "pet",
+                      "not a binary PGM (magic b'P6')"),
+    # at evaluate.k=2 one fold's training rows hold no age
+    "age-in-one-row": ("tabular.csv", _keep_age_in_the_first_row, "table",
+                       "column 'age' has no value in fold "),
+}
+
+
+# the refusal of an image off the manifest's size by describe and by evaluate without
+# fused is pinned above
+@pytest.mark.parametrize("fault,command", [
+    (f, c) for f in _DATASET_FAULTS for c in _READ_BY[_DATASET_FAULTS[f][2]]
+    if (f, c) not in {("ct-off-the-manifest-size", "describe"),
+                      ("ct-off-the-manifest-size", "evaluate:ct")}
+] + [("pet-bad-magic", "evaluate:ct"), ("age-in-one-row", "evaluate:ct"),
+     ("age-in-one-row", "describe")])
+def test_a_dataset_fault_exits_3_naming_its_file_before_any_directory(
+        capsys, tmp_path, small_dataset, fault, command):
+    ds = tmp_path / "ds"
+    shutil.copytree(small_dataset, ds)
+    name, mutate, kind, text = _DATASET_FAULTS[fault]
+    mutate(ds / name)
+    if command == "describe":
+        argv = ["describe", "--dataset", str(ds)]
+    elif command == "compare":
+        argv = ["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"), *_FAST[2:]]
+    else:
+        argv = ["evaluate", "--dataset", str(ds), "--out", str(tmp_path / "ev" / "m.json"),
+                "--inputs", command.partition(":")[2], *_FAST[2:]]
+    rc, out, err = _run(capsys, *argv)
+    if command not in _READ_BY[kind]:  # a command that does not read the fault runs
+        assert rc == 0, err
+        return
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"error: {ds / name}") and err.count("\n") == 1
+    assert text in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+def test_a_repeated_evaluate_is_a_cache_hit_with_the_same_report(capsys, tmp_path,
+                                                                 small_dataset):
+    out = tmp_path / "ev" / "m.json"
+    argv = ["evaluate", "--dataset", str(small_dataset), "--out", str(out),
+            "--inputs", "ct,tabular", *_FAST[2:]]
+    assert _run(capsys, *argv)[0] == 0
+    first = out.read_bytes()
+    out.unlink()
+    rc, _, err = _run(capsys, *argv)
+    assert rc == 0
+    assert re.findall(r"^\[evaluate\] (cache hit|built) key=", err, re.M) == ["cache hit"]
+    assert out.read_bytes() == first
+
+
 # the import leaves the environment, a preset BLAS variable included, as it
 # is; BLAS runs at one thread in the forked regions and at its loaded count after
 _IMPORT_CLI = """
@@ -1130,7 +1210,7 @@ def test_evaluate_without_fused_runs_no_stage(capsys, tmp_path):
                       "--inputs", "tabular", *_FAST, *_DENOISE)
     assert rc == 0
     assert not re.search(r"^\[(denoise|fuse)", err, re.M)
-    assert sorted(p.name for p in out.parent.iterdir()) == ["m.json"]  # no cache/ entry
+    assert [p.name.split("-")[0] for p in (out.parent / "cache").iterdir()] == ["evaluate"]
     rc, _, _ = _run(capsys, "run", "--out", str(tmp_path / "run"), *_FAST, *_DENOISE)
     assert rc == 0
     metrics = json.loads((tmp_path / "run" / "report" / "metrics.json").read_text())

@@ -1,11 +1,16 @@
-"""The benchmark's trace hooks must name attributes the library still has.
+"""The benchmark's trace hooks must name attributes the library still has,
+and its workloads must call the library as the library's signatures allow.
 
 perfbench's tracer replaces each (module, attribute) of `trace_points()`
 with a timing wrapper and raises AttributeError on a missing name, so a
 rename in the library would break `perfbench/run.py --trace 1` without
-failing any library test.
+failing any library test; so would a function the workloads call that is
+renamed, or whose parameters no longer take its call's arguments (a new
+one without a default, one removed, a keyword renamed).
 """
 
+import ast
+import inspect
 import json
 import pathlib
 import subprocess
@@ -34,3 +39,27 @@ def test_every_trace_point_names_a_callable():
     doc = json.loads(out.stdout.strip().splitlines()[-1])
     assert doc["count"] > 0
     assert doc["missing"] == []
+
+
+def test_the_workloads_calls_fit_the_library_signatures():
+    from lungfuse import phantom, pipeline
+
+    modules = {"pipeline": pipeline, "phantom": phantom}
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            continue  # unpacked arguments bind only when the call runs
+        name = f"{node.func.value.id}.{node.func.attr}"
+        try:
+            inspect.signature(getattr(modules[node.func.value.id], node.func.attr)).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+        except (AttributeError, TypeError) as exc:
+            raise AssertionError(f"perfbench/workloads.py:{node.lineno}: {name}: {exc}") from None
+        bound.add(name)
+    assert bound >= {"pipeline.compute_fused_dir", "pipeline.evaluate_dataset",
+                     "pipeline.run_pipeline", "pipeline.resolve_config", "phantom.generate"}
