@@ -5,6 +5,8 @@ ContractError exit 2, DataError (and FormatError) and WorkerError exit 3,
 NumericalError exit 4.
 """
 
+import contextlib
+
 
 class LungFuseError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,6 +32,16 @@ class FormatError(DataError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+@contextlib.contextmanager
+def in_file(path):
+    """Lead a FormatError raised inside with the path of the file at fault; keep its offset."""
+    try:
+        yield
+    except FormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class NumericalError(LungFuseError):

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, in_file
 
 PGM_MAXVAL = 65535
 
@@ -47,7 +47,7 @@ _PGM_FIELD = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))*([^ \t\r\n]*)")
 
 def pgm_shape(buf: bytes) -> tuple:
     """(height, width, payload offset) of a binary PGM's bytes (P5, maxval 65535),
-    refused unless the header is valid and the payload holds every pixel."""
+    refused unless the header is valid and the payload holds every pixel and nothing after."""
     if buf[:2] != b"P5":
         raise FormatError(f"not a binary PGM (magic {buf[:2]!r})", offset=0)
     pos, values = 2, []
@@ -70,23 +70,25 @@ def pgm_shape(buf: bytes) -> tuple:
         raise FormatError("missing separator before pixel payload", offset=pos)
     payload_at = pos + 1
     need, have = width * height * 2, len(buf) - payload_at
-    if have < need:
-        raise FormatError(f"truncated payload: need {need} bytes, have {have}", offset=len(buf))
+    if have != need:
+        what = "truncated payload" if have < need else "trailing bytes after the last pixel"
+        raise FormatError(f"{what}: need {need} bytes, have {have}",
+                          offset=payload_at + min(have, need))
     return height, width, payload_at
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 65535, big-endian 16-bit) as floats in [0,1]."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, in_file(path):
         buf = fh.read()
-    height, width, at = pgm_shape(buf)
-    raw = np.frombuffer(buf[at : at + height * width * 2], dtype=">u2").reshape(height, width)
+        height, width, at = pgm_shape(buf)
+    raw = np.frombuffer(buf, dtype=">u2", offset=at).reshape(height, width)
     return raw.astype(np.float64) / PGM_MAXVAL
 
 
 def pgm_file_shape(path) -> tuple:
     """pgm_shape of a PGM file, mapped rather than read, so that its pixels stay unread."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, in_file(path):
         if not fh.seek(0, 2):  # the file's size: an empty file cannot be mapped
             return pgm_shape(b"")
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, in_file
 from .fusion import RigidTransform
 from .images import read_json, write_json, write_pgm
 from .nnet import sigmoid
@@ -381,19 +381,21 @@ def _check_fields(obj: dict, fields: dict, where: str) -> None:
 
 
 def load_manifest(dataset_dir) -> dict:
-    """The dataset's manifest, with every field that a reader uses checked."""
+    """The dataset's manifest, every field that a reader uses checked; a fault names it."""
     path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(path):
         raise DataError(f"manifest not found: {path}")
-    doc = read_json(path, "manifest")
-    if not isinstance(doc, dict) or doc.get("kind") != "phantom-manifest":
-        raise FormatError(f"{path}: not a phantom manifest")
-    _check_fields(doc, _FIELDS, "")
-    first = {}  # (key, value) -> the first row that names it
-    for i, row in enumerate(doc["rows"]):
-        _check_fields(row, _ROW_FIELDS, f"rows[{i}].")
-        for key in ("id", "tabular_row_id"):
-            j = first.setdefault((key, row[key]), i)
-            if j != i:
-                raise FormatError(f"manifest rows[{i}] repeats {key} {row[key]!r} of rows[{j}]")
+    with in_file(path):
+        doc = read_json(path, "manifest")
+        if not isinstance(doc, dict) or doc.get("kind") != "phantom-manifest":
+            raise FormatError("not a phantom manifest")
+        _check_fields(doc, _FIELDS, "")
+        first = {}  # (key, value) -> the first row that names it
+        for i, row in enumerate(doc["rows"]):
+            _check_fields(row, _ROW_FIELDS, f"rows[{i}].")
+            for key in ("id", "tabular_row_id"):
+                j = first.setdefault((key, row[key]), i)
+                if j != i:
+                    raise FormatError(f"manifest rows[{i}] repeats {key} {row[key]!r} "
+                                      f"of rows[{j}]")
     return doc

@@ -2,8 +2,8 @@
 
 Stage outputs live under <out>/cache in directories keyed by a content
 hash of the stage's configuration, its inputs' bytes, the package version
-and its source code.  A rerun of the same code with an unchanged config
-is therefore a sequence of cache hits that rebuilds the report bundle
+and source code, and the numpy and BLAS builds.  A rerun of the same code
+with an unchanged config is all cache hits, which rebuild the report bundle
 byte for byte, and changed code rebuilds every stage.  Each entry's
 .complete marker holds the hash of its outputs, and an entry whose files
 no longer match it is rebuilt.  Entries and the bundle are built apart and
@@ -48,7 +48,7 @@ from .classify import (
     stratified_folds,
 )
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
-from .errors import ConfigError, DataError, FormatError, LungFuseError, WorkerError
+from .errors import ConfigError, DataError, LungFuseError, WorkerError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
 from .images import gradient_magnitude, pgm_file_shape, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
@@ -64,7 +64,6 @@ __all__ = [
     "CONFIG_SCHEMA_VERSION",
     "load_config",
     "resolve_config",
-    "apply_overrides",
     "run_pipeline",
     "version_info",
     "align",
@@ -80,65 +79,57 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA_VERSION = 1
+# the BLAS numpy calls, which with numpy's version keys every stage: another build can
+# change an output's last bits
+_BLAS = [np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(key)
+         for key in ("name", "version")]
 
 
-def resolve_config(user: dict | None) -> dict:
-    """Defaults overlaid with the user document; unknown keys rejected."""
-    doc = copy.deepcopy(DEFAULTS)
-    if user is None:
-        return doc
-    if not isinstance(user, dict):
+def _override(pair: str) -> tuple:
+    """`section.key=value` as (section, {key: value}); the value is JSON, or else the string."""
+    if "=" not in pair:
+        raise ConfigError(f'override {pair!r} is not of the form section.key=value')
+    path, raw = pair.split("=", 1)
+    parts = path.split(".")
+    if len(parts) != 2 or not all(parts):
+        raise ConfigError(f'override path {path!r} is not of the form section.key')
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    return parts[0], {parts[1]: value}
+
+
+def resolve_config(user: dict | None, sets=()) -> dict:
+    """Defaults overlaid with the user document's sections, then with each of sets
+    (`section.key=value` strings); unknown sections and keys rejected, then every value
+    checked against its rules."""
+    if not isinstance(user, (dict, type(None))):
         raise ConfigError(f"config must be a JSON object, got {type(user).__name__}")
-    for section, body in user.items():
+    doc = copy.deepcopy(DEFAULTS)
+    for section, body in [*(user or {}).items(), *map(_override, sets)]:
         if section not in doc:
-            raise ConfigError(
-                f'unknown config section "{section}"; expected one of {sorted(doc)}'
-            )
+            raise ConfigError(f'unknown config section "{section}"; expected one of {sorted(doc)}')
         if not isinstance(body, dict):
             raise ConfigError(f'config section "{section}" must be an object')
         for key, value in body.items():
             if key not in doc[section]:
-                raise ConfigError(
-                    f'unknown config key "{key}" in section "{section}"; '
-                    f"expected one of {sorted(doc[section])}"
-                )
+                raise ConfigError(f'unknown config key "{key}" in section "{section}"; '
+                                  f"expected one of {sorted(doc[section])}")
             doc[section][key] = value
     _validate(doc)
     return doc
 
 
 def load_config(path=None, sets=()) -> dict:
-    """Resolve the JSON config at path (defaults when None), then the overrides."""
+    """resolve_config of the JSON document at path (the defaults when None) and of sets."""
     user = {}
     if path is not None:
         try:
             user = read_json(path, f"config {path}", ConfigError)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return resolve_config(apply_overrides(user, sets))
-
-
-def apply_overrides(user: dict, pairs) -> dict:
-    """Apply `section.key=value` strings on top of a raw config document."""
-    if not isinstance(user, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(user).__name__}")
-    out = copy.deepcopy(user)
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f'override {pair!r} is not of the form section.key=value')
-        path, raw = pair.split("=", 1)
-        parts = path.split(".")
-        if len(parts) != 2 or not all(parts):
-            raise ConfigError(f'override path {path!r} is not of the form section.key')
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw  # bare strings allowed, e.g. model=logreg
-        section = out.setdefault(parts[0], {})
-        if not isinstance(section, dict):
-            raise ConfigError(f'config section "{parts[0]}" must be an object')
-        section[parts[1]] = value
-    return out
+    return resolve_config(user, sets)
 
 
 def _config_from(cls, section: dict, prefix: str = ""):
@@ -302,7 +293,8 @@ class _Stages:
 
     def run(self, name: str, key_doc: dict, hint: str, build):
         """The stage's output directory and the hash of its tree, built unless cached."""
-        code = {"version": __version__, "sources": _source_hash()}
+        code = {"version": __version__, "sources": _source_hash(), "numpy": np.__version__,
+                "blas": _BLAS}
         key = fingerprint([{"stage": name, "inputs": key_doc, "code": code}])
         outdir = self.cache / f"{name}-{key}"
         started = time.perf_counter()
@@ -360,11 +352,8 @@ def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str, decode: boo
     PGM of the manifest's image_size square; without decode, None: the file's header
     and length are checked and its pixels left unread."""
     path = os.path.join(dataset_dir, row[key])
-    try:
-        img = read_pgm(path) if decode else None
-        shape = img.shape if decode else pgm_file_shape(path)[:2]
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    img = read_pgm(path) if decode else None
+    shape = img.shape if decode else pgm_file_shape(path)[:2]
     size = manifest["image_size"]
     if shape != (size, size):
         raise DataError(f"{path} has shape {shape}, not the manifest's image_size {(size, size)}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError
+from .errors import ContractError, DataError, FormatError, in_file
 from .images import read_json
 from .nnet import sigmoid
 from .settings import check_fields
@@ -146,13 +146,14 @@ def _load_schema(schema_path):
         clash = ("the label_column" if name == label_col else "the id_column" if name == id_col
                  else "repeated" if name in names[:i] else None)
         if clash:
-            raise FormatError(f"{schema_path}: column {name!r} is {clash}")
+            raise FormatError(f"column {name!r} is {clash}")
     return cols, label_col, missing, id_col
 
 
 def read_table(csv_path, schema_path) -> TabularDataset:
     """Load a CSV with a header row against a schema JSON."""
-    cols, label_col, missing, id_col = _load_schema(schema_path)
+    with in_file(schema_path):  # each schema fault names the schema
+        cols, label_col, missing, id_col = _load_schema(schema_path)
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
             text = fh.read()

@@ -619,6 +619,7 @@ def test_compare_on_non_utf8_manifest_exits_3(capsys, tmp_path):
 
 
 _MANIFEST_FAULTS = {
+    "not-json": None,  # the file cut to its first 40 bytes
     "object-label": lambda d, ds: d["rows"][0].__setitem__("label", {"x": 1}),
     "string-rows": lambda d, ds: d.__setitem__("rows", "pt0000"),
     "row-without-ct": lambda d, ds: d["rows"][0].pop("ct"),
@@ -638,6 +639,7 @@ _MANIFEST_FAULTS = {
 }
 # the message a fault's one line must carry, where it is pinned
 _MANIFEST_FAULT_TEXT = {
+    "not-json": "manifest is not valid JSON: ",
     "repeated-id": "manifest rows[1] repeats id 'pt0000' of rows[0]",
     "repeated-tabular-row-id": "manifest rows[1] repeats tabular_row_id 'pt0000' of rows[0]",
     "zero-image-size": "manifest image_size must be an integer >= 1, got 0",
@@ -654,7 +656,9 @@ def test_malformed_manifest_exits_3_with_one_line(capsys, tmp_path, fault, comma
     generate(PhantomConfig(n_patients=24, image_size=32, seed=1), ds)
     (tmp_path / "outside").mkdir()
     (tmp_path / "outside" / "pet.pgm").write_bytes((ds / "images/pt0000_pet.pgm").read_bytes())
-    if fault is not None:
+    if fault == "not-json":
+        (ds / "manifest.json").write_bytes((ds / "manifest.json").read_bytes()[:40])
+    elif fault is not None:
         doc = json.loads((ds / "manifest.json").read_text())
         _MANIFEST_FAULTS[fault](doc, ds)
         (ds / "manifest.json").write_text(json.dumps(doc))
@@ -666,8 +670,10 @@ def test_malformed_manifest_exits_3_with_one_line(capsys, tmp_path, fault, comma
     if fault is None:
         assert rc == 0
     else:
+        # each fault names its file: the table for a row id it lacks, else the manifest
+        named = ds / ("tabular.csv" if fault == "unknown-tabular-row-id" else "manifest.json")
         assert rc == 3
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
         assert _MANIFEST_FAULT_TEXT.get(fault, "") in err
 
 
@@ -736,6 +742,7 @@ def test_a_table_fault_exits_3_naming_the_table_before_any_directory(
 
 
 _SCHEMA_FAULTS = {
+    "not-json": (None, "schema is not valid JSON: "),  # the file cut to its first 40 bytes
     "list-column-name": (lambda d: d["columns"][0].__setitem__("name", ["age"]), "['age']"),
     "list-label-column": (lambda d: d.__setitem__("label_column", ["subtype"]), "label_column"),
     "list-id-column": (lambda d: d.__setitem__("id_column", ["id"]), "id_column"),
@@ -754,18 +761,26 @@ _SCHEMA_FAULTS = {
 def test_schema_name_not_a_string_exits_3_naming_it(capsys, tmp_path, fault):
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=6, image_size=32, seed=1), ds)
-    doc = json.loads((ds / "tabular.schema.json").read_text())
+    schema = ds / "tabular.schema.json"
     mutate, named = _SCHEMA_FAULTS[fault]
-    mutate(doc)
-    (ds / "tabular.schema.json").write_text(json.dumps(doc))
+    if mutate is None:
+        schema.write_bytes(schema.read_bytes()[:40])
+    else:
+        doc = json.loads(schema.read_text())
+        mutate(doc)
+        schema.write_text(json.dumps(doc))
     rc, _, err = _run(capsys, "describe", "--dataset", str(ds))
     assert rc == 3
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(f"error: {schema}: ") and err.count("\n") == 1
     assert named in err
 
 
 def _cut_last_10_bytes(path):
     path.write_bytes(path.read_bytes()[:-10])
+
+
+def _append_junk(path):
+    path.write_bytes(path.read_bytes() + b"junk\n")
 
 
 def _cut_to_24_columns(path):
@@ -789,6 +804,8 @@ _READ_BY = {"ct": ("describe", "evaluate:ct", "evaluate:fused,tabular", "compare
 _DATASET_FAULTS = {
     "truncated-ct": ("images/pt0000_ct.pgm", _cut_last_10_bytes, "ct",
                      "truncated payload: need 2048 bytes, have 2038"),
+    "ct-trailing-bytes": ("images/pt0000_ct.pgm", _append_junk, "ct",
+                          "trailing bytes after the last pixel: need 2048 bytes, have 2053"),
     "ct-off-the-manifest-size": ("images/pt0000_ct.pgm", _cut_to_24_columns, "ct",
                                  "has shape (32, 24), not the manifest's image_size (32, 32)"),
     "pet-bad-magic": ("images/pt0000_pet.pgm", _spoil_the_magic, "pet",
@@ -828,6 +845,31 @@ def test_a_dataset_fault_exits_3_naming_its_file_before_any_directory(
     assert err.startswith(f"error: {ds / name}") and err.count("\n") == 1
     assert text in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+@pytest.mark.parametrize("mutate,text", [
+    (_cut_last_10_bytes, "truncated payload: need 2048 bytes, have 2038"),
+    (_append_junk, "trailing bytes after the last pixel: need 2048 bytes, have 2053"),
+], ids=["truncated", "trailing-bytes"])
+@pytest.mark.parametrize("command", ["fuse", "register", "denoise-apply", "denoise-train"])
+def test_a_command_given_a_broken_pgm_exits_3_naming_it(capsys, tmp_path, small_dataset,
+                                                        command, mutate, text):
+    images = tmp_path / "images"
+    shutil.copytree(small_dataset / "images", images)
+    bad, good = images / "pt0000_ct.pgm", images / "pt0000_pet.pgm"  # bad is read first
+    mutate(bad)
+    save_weights(tmp_path / "w.json", init_weights(seed=0))
+    argv = {
+        "fuse": ["--ct", bad, "--pet", good, "--out", tmp_path / "f.pgm"],
+        "register": ["--fixed", bad, "--moving", good, "--out", tmp_path / "t.json"],
+        "denoise-apply": ["--weights", tmp_path / "w.json", "--in", bad,
+                          "--out", tmp_path / "d.pgm"],
+        "denoise-train": ["--images", images, "--out", tmp_path / "trained.json"],
+    }[command]
+    rc, out, err = _run(capsys, command, *map(str, argv))
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert text in err
 
 
 def test_a_repeated_evaluate_is_a_cache_hit_with_the_same_report(capsys, tmp_path,
@@ -1151,6 +1193,19 @@ def test_run_rebuilds_every_stage_when_the_code_changes(capsys, tmp_path, monkey
     assert (out_dir / "report" / "metrics.json").read_bytes() == metrics
 
 
+def test_run_rebuilds_every_stage_when_the_numpy_version_changes(capsys, tmp_path,
+                                                                   monkeypatch):
+    argv = ["run", "--out", str(tmp_path / "w"), *_FAST]
+    assert _run(capsys, *argv)[0] == 0
+    keys = _stage_keys(tmp_path / "w" / "report")
+    monkeypatch.setattr(np, "__version__", f"{np.__version__}.post1")
+    rc, out, _ = _run(capsys, *argv)
+    assert rc == 0
+    stages = json.loads(out)["stages"]
+    assert len(stages) == len(keys) and not any(s["cache_hit"] for s in stages)
+    assert not set(keys.values()) & {s["key"] for s in stages}
+
+
 # small denoiser settings that still train and apply it
 _DENOISE = [
     "--set", "denoise.enabled=true", "--set", "denoise.epochs=2",
@@ -1280,6 +1335,11 @@ def test_runs_into_one_out_at_once_all_succeed(capsys, tmp_path):
     assert [p.returncode for p in procs] == [0, 0, 0], errs
     assert _run(capsys, *argv, "--out", str(tmp_path / "solo"))[0] == 0
     raced, solo = tmp_path / "w" / "report", tmp_path / "solo" / "report"
+    # stage by stage first, so that a difference names the first stage that made it
+    raced_log, solo_log = (json.loads((d / "pipeline_log.json").read_text())["stages"]
+                           for d in (raced, solo))
+    first = next((r["stage"] for r, s in zip(raced_log, solo_log) if r != s), None)
+    assert raced_log == solo_log, f"stage {first} differs first: {raced_log} vs {solo_log}"
     assert _tree_hash(raced) == _tree_hash(solo), _differing_files(raced, solo)
     # each run built in a directory of its own, and none is left behind
     assert not list((tmp_path / "w").glob(".*")) and not list((tmp_path / "w").glob("cache/.*"))

@@ -125,8 +125,18 @@ class _ReferencePgmScanner:
 
 
 def _reference_read_pgm(path) -> np.ndarray:
+    """The reference decode of the file at path, its error led by the path."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return _reference_decode(buf)
+    except FormatError as exc:
+        named = FormatError(f"{path}: {exc}")
+        named.offset = exc.offset
+        raise named from None
+
+
+def _reference_decode(buf: bytes) -> np.ndarray:
     sc = _ReferencePgmScanner(buf)
     if buf[:2] != b"P5":
         raise FormatError(f"not a binary PGM (magic {buf[:2]!r})", offset=0)
@@ -148,6 +158,11 @@ def _reference_read_pgm(path) -> np.ndarray:
         raise FormatError(
             f"truncated payload: need {need} bytes, have {len(payload)}",
             offset=payload_at + len(payload),
+        )
+    if len(buf) > payload_at + need:
+        raise FormatError(
+            f"trailing bytes after the last pixel: need {need} bytes, have {len(buf) - payload_at}",
+            offset=payload_at + need,
         )
     raw = np.frombuffer(payload, dtype=">u2").reshape(height, width)
     return raw.astype(np.float64) / 65535
@@ -194,8 +209,12 @@ def test_read_pgm_matches_the_reference_tokenizer_on_mutated_headers(tmp_path):
         path.write_bytes(_mutate(rng, _HEADERS[case % 3]))
         got = _outcome(read_pgm, path)
         assert got == _outcome(_reference_read_pgm, path), path.read_bytes()
-        seen.add(" ".join(got[1].split()[:2]) if len(got) == 3 else "ok")
-    # every branch of the reader: each error message's first two words, and success
+        if len(got) == 3:
+            assert got[1].startswith(f"{path}: ")
+        seen.add(" ".join(got[1].removeprefix(f"{path}: ").split()[:2]) if len(got) == 3
+                 else "ok")
+    # every branch of the reader: each error message's first two words after the
+    # path, and success
     assert seen == {"not a", "unexpected end", "invalid width", "invalid height",
                     "invalid maxval", "zero or", "unsupported maxval", "missing separator",
-                    "truncated payload:", "ok"}
+                    "truncated payload:", "trailing bytes", "ok"}

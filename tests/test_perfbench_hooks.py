@@ -6,7 +6,8 @@ with a timing wrapper and raises AttributeError on a missing name, so a
 rename in the library would break `perfbench/run.py --trace 1` without
 failing any library test; so would a function the workloads call that is
 renamed, or whose parameters no longer take its call's arguments (a new
-one without a default, one removed, a keyword renamed).
+one without a default, one removed, a keyword renamed, or a config
+document that binds to a parameter other than `doc`).
 """
 
 import ast
@@ -56,10 +57,15 @@ def test_the_workloads_calls_fit_the_library_signatures():
             continue  # unpacked arguments bind only when the call runs
         name = f"{node.func.value.id}.{node.func.attr}"
         try:
-            inspect.signature(getattr(modules[node.func.value.id], node.func.attr)).bind(
-                *node.args, **{k.arg: k.value for k in node.keywords})
+            args = inspect.signature(getattr(modules[node.func.value.id], node.func.attr)).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords}).arguments
         except (AttributeError, TypeError) as exc:
             raise AssertionError(f"perfbench/workloads.py:{node.lineno}: {name}: {exc}") from None
+        # a config document goes to the parameter doc and to no other, whatever its place
+        for param, arg in args.items():
+            if (param == "doc") != ast.unparse(arg).endswith("doc"):
+                raise AssertionError(f"perfbench/workloads.py:{node.lineno}: {name}: "
+                                     f"{param} gets {ast.unparse(arg)}")
         bound.add(name)
     assert bound >= {"pipeline.compute_fused_dir", "pipeline.evaluate_dataset",
                      "pipeline.run_pipeline", "pipeline.resolve_config", "phantom.generate"}
