@@ -57,6 +57,7 @@ def version_cmd():
 @_config_options
 def phantom_cmd(doc, out):
     """Generate a synthetic paired CT/PET dataset with ground truth (phantom.* keys)."""
+    _directory("--out", out)
     _emit(generate(PhantomConfig(**doc["phantom"]), out))
 
 
@@ -67,13 +68,22 @@ def describe_cmd(dataset):
     _emit(pl.describe(dataset))
 
 
+def _directory(option, path, folder=None, made=True) -> None:
+    """Refuse, before any work, the output path of option unless the nearest existing path
+    of folder (default: path) is a directory; unless made, folder itself must be one."""
+    folder = os.path.abspath(path if folder is None else folder)
+    while made and not os.path.exists(folder):  # the command makes the folders it lacks
+        folder = os.path.dirname(folder)
+    if not os.path.isdir(folder):
+        raise DataError(f"cannot write {option} {path}: {folder} is not a directory")
+
+
 def _writable(*outputs) -> None:
-    """Refuse, before any work, each (option, path) whose folder is not a directory;
-    a path of None is an output not asked for."""
+    """_directory of the folder of each (option, path); a path of None is an output not
+    asked for."""
     for option, path in outputs:
-        folder = os.path.dirname(os.path.abspath(path)) if path is not None else "."
-        if not os.path.isdir(folder):
-            raise DataError(f"cannot write {option} {path}: {folder} is not a directory")
+        if path is not None:
+            _directory(option, path, os.path.dirname(os.path.abspath(path)), made=False)
 
 
 def _image_pair(first, second):
@@ -225,8 +235,10 @@ def evaluate_cmd(doc, dataset, out, inputs):
             f"--inputs must name one or more of ct, fused, tabular, each once, got {inputs!r}"
         )
     _outside(dataset, out, "--out")
+    folder = os.path.dirname(os.path.abspath(out))
+    _directory("--out", out, folder)
     name = ",".join(chosen)
-    stages = pl._Stages(os.path.dirname(os.path.abspath(out)))
+    stages = pl._Stages(folder)
     eval_dir, _, _ = pl.evaluate_stages(stages, doc, dataset, [(name, chosen)])
     report = read_json(eval_dir / "results.json", "evaluate stage results")[name]
     write_json(out, report)
@@ -241,6 +253,7 @@ def evaluate_cmd(doc, dataset, out, inputs):
 def compare_cmd(doc, dataset, out_dir):
     """Compare tabular-only, CT-only, fused and multimodal classifiers: run on a given dataset."""
     _outside(dataset, out_dir, "--out-dir")
+    _directory("--out-dir", out_dir)
     summary = pl.run_pipeline(doc, out_dir, dataset=dataset)
     click.echo(pathlib.Path(summary["report_dir"], "comparison.txt").read_text(encoding="utf-8"))
 
@@ -250,6 +263,7 @@ def compare_cmd(doc, dataset, out_dir):
 @_config_options
 def run_cmd(doc, out):
     """Run the full pipeline and write a report bundle."""
+    _directory("--out", out)
     _emit(pl.run_pipeline(doc, out))
 
 

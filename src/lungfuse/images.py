@@ -7,7 +7,6 @@ y increasing downward), intensities nominally in [0, 1].
 from __future__ import annotations
 
 import json
-import mmap
 import re
 
 import numpy as np
@@ -45,54 +44,41 @@ def as_image_pair(a, b):
 _PGM_FIELD = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))*([^ \t\r\n]*)")
 
 
-def pgm_shape(buf: bytes) -> tuple:
-    """(height, width, payload offset) of a binary PGM's bytes (P5, maxval 65535),
-    refused unless the header is valid and the payload holds every pixel and nothing after."""
-    if buf[:2] != b"P5":
-        raise FormatError(f"not a binary PGM (magic {buf[:2]!r})", offset=0)
-    pos, values = 2, []
-    for what in ("width", "height", "maxval"):
-        m = _PGM_FIELD.match(buf, pos)
-        if not m[1]:
-            raise FormatError("unexpected end of PGM header", offset=m.start(1))
-        if not m[1].isdigit():
-            raise FormatError(f"invalid {what} {m[1]!r} in PGM header", offset=m.start(1))
-        values.append(int(m[1]))
-        maxval_at, pos = pos, m.end()  # maxval's offset is before its separators
-    width, height, maxval = values
-    if width < 1 or height < 1:
-        raise FormatError(f"zero or negative dimension {width}x{height}", offset=3)
-    if maxval != PGM_MAXVAL:
-        raise FormatError(f"unsupported maxval {maxval}, expected {PGM_MAXVAL}", offset=maxval_at)
-    # exactly one whitespace byte separates the header from the payload; a
-    # field ends at whitespace or at the end of the file
-    if pos == len(buf):
-        raise FormatError("missing separator before pixel payload", offset=pos)
-    payload_at = pos + 1
-    need, have = width * height * 2, len(buf) - payload_at
-    if have != need:
-        what = "truncated payload" if have < need else "trailing bytes after the last pixel"
-        raise FormatError(f"{what}: need {need} bytes, have {have}",
-                          offset=payload_at + min(have, need))
-    return height, width, payload_at
-
-
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5, maxval 65535, big-endian 16-bit) as floats in [0,1]."""
+    """Read a binary PGM (P5, maxval 65535, big-endian 16-bit) as floats in [0,1], refused,
+    naming the file, unless its header is valid and its payload holds every pixel and
+    nothing after."""
     with open(path, "rb") as fh, in_file(path):
         buf = fh.read()
-        height, width, at = pgm_shape(buf)
-    raw = np.frombuffer(buf, dtype=">u2", offset=at).reshape(height, width)
+        if buf[:2] != b"P5":
+            raise FormatError(f"not a binary PGM (magic {buf[:2]!r})", offset=0)
+        pos, values = 2, []
+        for what in ("width", "height", "maxval"):
+            m = _PGM_FIELD.match(buf, pos)
+            if not m[1]:
+                raise FormatError("unexpected end of PGM header", offset=m.start(1))
+            if not m[1].isdigit():
+                raise FormatError(f"invalid {what} {m[1]!r} in PGM header", offset=m.start(1))
+            values.append(int(m[1]))
+            maxval_at, pos = pos, m.end()  # maxval's offset is before its separators
+        width, height, maxval = values
+        if width < 1 or height < 1:
+            raise FormatError(f"zero or negative dimension {width}x{height}", offset=3)
+        if maxval != PGM_MAXVAL:
+            raise FormatError(f"unsupported maxval {maxval}, expected {PGM_MAXVAL}",
+                              offset=maxval_at)
+        # exactly one whitespace byte separates the header from the payload; a
+        # field ends at whitespace or at the end of the file
+        if pos == len(buf):
+            raise FormatError("missing separator before pixel payload", offset=pos)
+        payload_at = pos + 1
+        need, have = width * height * 2, len(buf) - payload_at
+        if have != need:
+            what = "truncated payload" if have < need else "trailing bytes after the last pixel"
+            raise FormatError(f"{what}: need {need} bytes, have {have}",
+                              offset=payload_at + min(have, need))
+    raw = np.frombuffer(buf, dtype=">u2", offset=payload_at).reshape(height, width)
     return raw.astype(np.float64) / PGM_MAXVAL
-
-
-def pgm_file_shape(path) -> tuple:
-    """pgm_shape of a PGM file, mapped rather than read, so that its pixels stay unread."""
-    with open(path, "rb") as fh, in_file(path):
-        if not fh.seek(0, 2):  # the file's size: an empty file cannot be mapped
-            return pgm_shape(b"")
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
-            return pgm_shape(buf)
 
 
 def write_pgm(img, path) -> None:

@@ -50,7 +50,7 @@ from .classify import (
 from .denoise import TrainConfig, denoise, load_weights, save_weights, train_denoiser
 from .errors import ConfigError, DataError, LungFuseError, WorkerError
 from .fusion import FusionRule, RigidTransform, fuse_wavelet, register_rigid, resample_bilinear
-from .images import gradient_magnitude, pgm_file_shape, read_json, read_pgm, write_json, write_pgm
+from .images import gradient_magnitude, read_json, read_pgm, write_json, write_pgm
 from .parallel import parallel_map
 from .phantom import (
     PhantomConfig, SUBTYPES, class_labels, generate, load_manifest, render_pet, sample_patient,
@@ -164,15 +164,27 @@ def _check_depths(doc: dict, keys, width: int, height: int) -> None:
                               f"got {doc[section][key]}")
 
 
-def _preflight(doc: dict, dataset, inputs) -> None:
-    """Refuse, before any stage runs, what these inputs cannot be evaluated on, of
-    phantom.* or a given dataset: its images under FEATURE_MIN_SIDE, a wavelet depth
+# the dataset images each input reads
+_IMAGES = {"ct": ("ct",), "pet": ("pet",), "fused": ("ct", "pet"), "tabular": ()}
+
+
+def _preflight(doc: dict, dataset, rows) -> set:
+    """Refuse, before any stage runs, rows (compare_modalities's (name, input set) pairs)
+    that name no input or one _IMAGES lacks, then what their inputs cannot be evaluated on,
+    of phantom.* or a given dataset: its images under FEATURE_MIN_SIDE, a wavelet depth
     the images cannot take, folds the classifiers cannot train on (2 classes by
     class_index, SMOTE's rule by smote_rows and the booster's BOOST_MIN_ROWS on a
     balanced fold), then a table that _manifest_table refuses, given the folds when
-    tabular is an input, and an image of the inputs that _dataset_image refuses."""
+    tabular is an input, and an image the inputs read that _dataset_image refuses.
+    Returns the rows' inputs."""
+    for name, chosen in rows:
+        if not chosen or not set(chosen) <= _IMAGES.keys():
+            raise ConfigError(f"input set {name!r} must name one or more of "
+                              f"{', '.join(_IMAGES)}, got {list(chosen)}")
+    inputs = {m for _, chosen in rows for m in chosen}
+    keys = sorted({key for m in inputs for key in _IMAGES[m]})  # ct before pet
+    images = bool(keys)
     k = doc["evaluate"]["k"]
-    images = any(m != "tabular" for m in inputs)
     if dataset is None:
         p = doc["phantom"]
         size, labels = p["image_size"], class_labels(p["n_patients"], p["class_balance"])
@@ -191,17 +203,18 @@ def _preflight(doc: dict, dataset, inputs) -> None:
         class_index(labels)
         folds = stratified_folds(labels, k, doc["evaluate"]["seed"])
         for test in folds:
-            rows = smote_rows(np.delete(labels, test))
-            if rows < BOOST_MIN_ROWS:
-                raise DataError(f"SMOTE balances a training fold to {rows} rows; "
+            balanced = smote_rows(np.delete(labels, test))
+            if balanced < BOOST_MIN_ROWS:
+                raise DataError(f"SMOTE balances a training fold to {balanced} rows; "
                                 f"the booster needs at least {BOOST_MIN_ROWS}")
     except DataError as exc:
         raise error(f"{names} folds the evaluate stage cannot train on: {exc}") from None
     if dataset is not None:
         _manifest_table(dataset, manifest, folds if "tabular" in inputs else ())
         for row in manifest["rows"]:
-            for key in ["ct"] * images + ["pet"] * ("fused" in inputs):
-                _dataset_image(dataset, manifest, row, key, decode=False)
+            for key in keys:
+                _dataset_image(dataset, manifest, row, key)
+    return inputs
 
 
 def version_info() -> dict:
@@ -347,16 +360,13 @@ def _train_denoiser_stage(doc: dict, weights_path, clean=None) -> list:
     return log
 
 
-def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str, decode: bool = True):
+def _dataset_image(dataset_dir, manifest: dict, row: dict, key: str):
     """A manifest row's "ct" or "pet" image, refused, naming its file, unless it is a
-    PGM of the manifest's image_size square; without decode, None: the file's header
-    and length are checked and its pixels left unread."""
+    PGM of the manifest's image_size square."""
     path = os.path.join(dataset_dir, row[key])
-    img = read_pgm(path) if decode else None
-    shape = img.shape if decode else pgm_file_shape(path)[:2]
-    size = manifest["image_size"]
-    if shape != (size, size):
-        raise DataError(f"{path} has shape {shape}, not the manifest's image_size {(size, size)}")
+    img, want = read_pgm(path), (manifest["image_size"],) * 2
+    if img.shape != want:
+        raise DataError(f"{path} has shape {img.shape}, not the manifest's image_size {want}")
     return img
 
 
@@ -529,8 +539,7 @@ def evaluate_stages(stages: _Stages, doc: dict, dataset=None, rows=COMPARISON):
     denoise-apply (when denoise.enabled) and fuse; then evaluate.  _preflight refuses
     first, before any directory, what the rows' inputs cannot be evaluated on.
     Returns (evaluate dir, dataset hash, fused dir), the last None without "fused"."""
-    inputs = {m for _, names in rows for m in names}
-    _preflight(doc, dataset, inputs)
+    inputs = _preflight(doc, dataset, rows)
     if dataset is None:
         dataset, dataset_hash = stages.run(
             "phantom",

@@ -19,7 +19,7 @@ import lungfuse
 from lungfuse import pipeline as pl
 from lungfuse.cli import cli, main
 from lungfuse.denoise import init_weights, save_weights
-from lungfuse.errors import DataError
+from lungfuse.errors import ConfigError, DataError
 from lungfuse.fusion import RigidTransform, resample_bilinear
 from lungfuse.images import read_pgm, write_pgm
 from lungfuse.phantom import PhantomConfig, generate
@@ -872,6 +872,66 @@ def test_a_command_given_a_broken_pgm_exits_3_naming_it(capsys, tmp_path, small_
     assert text in err
 
 
+@pytest.mark.parametrize("fault", [f for f in _DATASET_FAULTS if _DATASET_FAULTS[f][2] != "table"])
+def test_an_image_fault_gives_every_command_that_reads_it_the_same_line(capsys, tmp_path,
+                                                                       small_dataset, fault):
+    ds = tmp_path / "ds"
+    shutil.copytree(small_dataset, ds)
+    name, mutate, kind, text = _DATASET_FAULTS[fault]
+    mutate(ds / name)
+    evaluate = ["evaluate", "--dataset", str(ds), "--out", str(tmp_path / "ev" / "m.json"),
+                *_FAST[2:], "--inputs"]
+    argv = {"describe": ["describe", "--dataset", str(ds)],
+            "evaluate:ct": evaluate + ["ct"],
+            "evaluate:fused,tabular": evaluate + ["fused,tabular"],
+            "compare": ["compare", "--dataset", str(ds), "--out-dir", str(tmp_path / "cmp"),
+                        *_FAST[2:]]}
+    seen = {command: _run(capsys, *argv[command]) for command in _READ_BY[kind]}
+    assert set(seen.values()) == {(3, "", seen["describe"][2])}, seen
+    assert seen["describe"][2].startswith(f"error: {ds / name}") and text in seen["describe"][2]
+
+
+@pytest.mark.parametrize("rows,error,text", [
+    ([("pet-only", ("pet",))], DataError, "{pet}: truncated payload: need 2048 bytes, have 2038"),
+    ([("x", ("CT",))], ConfigError, "input set 'x' must name one or more of "
+                                    "ct, pet, fused, tabular, got ['CT']"),
+    ([("x", ())], ConfigError, "input set 'x' must name one or more of "
+                               "ct, pet, fused, tabular, got []"),
+], ids=["pet-only-row-truncated-pet", "unknown-input", "empty-row"])
+def test_the_preflight_refuses_a_row_or_an_image_it_reads_before_any_directory(
+        tmp_path, small_dataset, rows, error, text):
+    ds = tmp_path / "ds"
+    shutil.copytree(small_dataset, ds)
+    pet = ds / "images" / "pt0000_pet.pgm"
+    _cut_last_10_bytes(pet)
+    doc = pl.resolve_config(None, _FAST[1::2])
+    out = tmp_path / "out"
+    with pytest.raises(error) as caught:
+        pl.evaluate_stages(pl._Stages(out), doc, ds, rows)
+    assert str(caught.value).startswith(text.format(pet=pet))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,option,path", [
+    (["run", "--out", "{f}"], "--out", "{f}"),
+    (["compare", "--dataset", "{ds}", "--out-dir", "{f}/cmp"], "--out-dir", "{f}/cmp"),
+    (["evaluate", "--dataset", "{ds}", "--out", "{f}/m.json", "--inputs", "tabular"],
+     "--out", "{f}/m.json"),
+    (["phantom", "--out", "{f}/deeper/x"], "--out", "{f}/deeper/x"),
+], ids=["run", "compare", "evaluate", "phantom"])
+def test_an_output_directory_under_a_file_exits_3_naming_the_option_before_any_work(
+        capsys, tmp_path, small_dataset, argv, option, path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = _tree_hash(tmp_path)
+    fill = {"f": afile, "ds": small_dataset}
+    rc, out, err = _run(capsys, *(a.format(**fill) for a in argv), *_FAST)
+    assert (rc, out) == (3, "")
+    path = path.format(**fill)
+    assert err == f"error: cannot write {option} {path}: {afile} is not a directory\n"
+    assert _tree_hash(tmp_path) == before
+
+
 def test_a_repeated_evaluate_is_a_cache_hit_with_the_same_report(capsys, tmp_path,
                                                                  small_dataset):
     out = tmp_path / "ev" / "m.json"
@@ -1504,13 +1564,13 @@ def test_readme_default_table_matches_the_defaults():
 
 
 @pytest.mark.parametrize("inputs,ct_reads,fused_reads",
-                         [("tabular", 0, 0), ("fused,tabular", 24, 24), ("ct", 24, 0)],
-                         ids=["tabular-0", "fused,tabular-24", "ct-24"])
+                         [("tabular", 0, 0), ("fused,tabular", 48, 24), ("ct", 48, 0)],
+                         ids=["tabular-0", "fused,tabular-48", "ct-48"])
 def test_evaluate_reads_ct_images_only_for_its_inputs(capsys, tmp_path, monkeypatch,
                                                       inputs, ct_reads, fused_reads):
-    # _FAST fuses in this process without registration: the fuse stage reads
-    # each CT once, and the dataset's features read it again only for ct;
-    # the fused images are read only for fused
+    # the pre-flight reads each CT once for ct and for fused; then, with _FAST fusing
+    # in this process without registration, the fuse stage reads it once for fused
+    # and the dataset's features once for ct; the fused images are read only for fused
     ds = tmp_path / "ds"
     generate(PhantomConfig(n_patients=24, image_size=32, seed=3), ds)
     reads = []
